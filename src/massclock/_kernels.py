@@ -1,9 +1,8 @@
-"""Hot inner-loop kernels with a numba fast path and a pure-numpy fallback.
+"""Numpy step and quadrature kernels.
 
 The propagator spends its time in FFTs and in elementwise phase
-multiplications over the (level, grid point) amplitude array.  FFTs stay in
-numpy (numba has no nopython FFT); everything else that runs once per time
-step lives here so it can be jitted:
+multiplications over the (level, grid point) amplitude array.  The work
+that runs once per time step, and the trajectory quadrature, lives here:
 
 * ``phase_multiply``   -- in-place  amps *= phases  (one Strang substep)
 * ``branch_moments``   -- fused per-branch norm / <x> / <x^2> pass used for
@@ -11,37 +10,19 @@ step lives here so it can be jitted:
 * ``accumulate_phase`` -- cumulative Simpson integration of a sampled
                           frequency (semiclassical clock phase)
 
-Backend selection: environment variable ``MASSCLOCK_NUMBA`` ("0"/"off"
-forces the numpy path, "1" requires numba), default is numba when
-importable.  ``set_backend()`` flips it at runtime; the benchmark and the
-cross-path tests use that.  Kernels avoid fastmath, so the two paths agree
-to machine precision (not bitwise: numpy's vectorized complex multiply and
-pairwise sums round differently from the scalar loops).  Within one
-backend, results are bit-reproducible.
+All three are bit-reproducible: same inputs, same output bits.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    numba = None
-    HAVE_NUMBA = False
-
-
-# --- pure numpy implementations -------------------------------------------
-
-def _phase_multiply_numpy(amps: np.ndarray, phases: np.ndarray) -> None:
+def phase_multiply(amps: np.ndarray, phases: np.ndarray) -> None:
     amps *= phases
 
 
-def _branch_moments_numpy(amps: np.ndarray, x: np.ndarray) -> np.ndarray:
+def branch_moments(amps: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-branch [sum |a|^2, sum x |a|^2, sum x^2 |a|^2] (no dx factor)."""
     w = amps.real ** 2 + amps.imag ** 2
     out = np.empty((amps.shape[0], 3))
@@ -51,123 +32,27 @@ def _branch_moments_numpy(amps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _accumulate_phase_numpy(omega: np.ndarray, dt: float) -> np.ndarray:
+def accumulate_phase(omega: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative integral of omega(t) on a uniform grid.
 
     Composite Simpson on even sample indices; odd indices close the last
-    interval with the quadratic through the three latest samples.
+    interval with the quadratic through the three latest samples.  One
+    ``cumsum`` adds the Simpson panels left to right starting from
+    phi[0] = 0, so every sample is rounded exactly as by the sequential
+    recurrence phi[k] = phi[k - 2] + panel.
     """
+    omega = np.asarray(omega, dtype=float)
+    dt = float(dt)
     n = omega.shape[0]
     phi = np.zeros(n)
-    for k in range(1, n):
-        if k == 1:
-            if n > 2:
-                phi[1] = dt * (5.0 * omega[0] + 8.0 * omega[1] - omega[2]) / 12.0
-            else:
-                phi[1] = 0.5 * dt * (omega[0] + omega[1])
-        elif k % 2 == 0:
-            phi[k] = phi[k - 2] + dt * (omega[k - 2] + 4.0 * omega[k - 1] + omega[k]) / 3.0
-        else:
-            phi[k] = phi[k - 1] + dt * (-omega[k - 2] + 8.0 * omega[k - 1] + 5.0 * omega[k]) / 12.0
-    return phi
-
-
-# --- numba twins ------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _phase_multiply_numba(amps, phases):  # pragma: no cover - jitted
-        for i in range(amps.shape[0]):
-            for j in range(amps.shape[1]):
-                amps[i, j] *= phases[i, j]
-
-    @numba.njit(cache=True)
-    def _branch_moments_numba(amps, x):  # pragma: no cover - jitted
-        out = np.empty((amps.shape[0], 3))
-        for i in range(amps.shape[0]):
-            s0 = 0.0
-            s1 = 0.0
-            s2 = 0.0
-            for j in range(amps.shape[1]):
-                w = amps[i, j].real ** 2 + amps[i, j].imag ** 2
-                s0 += w
-                s1 += w * x[j]
-                s2 += w * x[j] * x[j]
-            out[i, 0] = s0
-            out[i, 1] = s1
-            out[i, 2] = s2
-        return out
-
-    @numba.njit(cache=True)
-    def _accumulate_phase_numba(omega, dt):  # pragma: no cover - jitted
-        n = omega.shape[0]
-        phi = np.zeros(n)
-        for k in range(1, n):
-            if k == 1:
-                if n > 2:
-                    phi[1] = dt * (5.0 * omega[0] + 8.0 * omega[1] - omega[2]) / 12.0
-                else:
-                    phi[1] = 0.5 * dt * (omega[0] + omega[1])
-            elif k % 2 == 0:
-                phi[k] = phi[k - 2] + dt * (omega[k - 2] + 4.0 * omega[k - 1] + omega[k]) / 3.0
-            else:
-                phi[k] = phi[k - 1] + dt * (-omega[k - 2] + 8.0 * omega[k - 1] + 5.0 * omega[k]) / 12.0
+    if n < 2:
         return phi
-
-
-# --- backend switch ---------------------------------------------------------
-
-_IMPLS = {
-    "numpy": {
-        "phase_multiply": _phase_multiply_numpy,
-        "branch_moments": _branch_moments_numpy,
-        "accumulate_phase": _accumulate_phase_numpy,
-    }
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "phase_multiply": _phase_multiply_numba,
-        "branch_moments": _branch_moments_numba,
-        "accumulate_phase": _accumulate_phase_numba,
-    }
-
-
-def _default_backend() -> str:
-    flag = os.environ.get("MASSCLOCK_NUMBA", "").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return "numpy"
-    if flag in ("1", "on", "true", "yes"):
-        if not HAVE_NUMBA:
-            raise ImportError("MASSCLOCK_NUMBA=1 but numba is not importable")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _default_backend()
-
-
-def set_backend(name: str) -> str:
-    """Select 'numba' or 'numpy'; returns the previously active backend."""
-    global _BACKEND
-    if name not in _IMPLS:
-        raise ValueError(f"unknown kernel backend {name!r}; have {sorted(_IMPLS)}")
-    previous = _BACKEND
-    _BACKEND = name
-    return previous
-
-
-def get_backend() -> str:
-    return _BACKEND
-
-
-def phase_multiply(amps: np.ndarray, phases: np.ndarray) -> None:
-    _IMPLS[_BACKEND]["phase_multiply"](amps, phases)
-
-
-def branch_moments(amps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _IMPLS[_BACKEND]["branch_moments"](amps, x)
-
-
-def accumulate_phase(omega: np.ndarray, dt: float) -> np.ndarray:
-    return _IMPLS[_BACKEND]["accumulate_phase"](np.asarray(omega, dtype=float), float(dt))
+    if n == 2:
+        phi[1] = 0.5 * dt * (omega[0] + omega[1])
+        return phi
+    even = np.zeros((n + 1) // 2)
+    even[1:] = dt * (omega[:-2:2] + 4.0 * omega[1:-1:2] + omega[2::2]) / 3.0
+    phi[::2] = np.cumsum(even)
+    phi[1] = dt * (5.0 * omega[0] + 8.0 * omega[1] - omega[2]) / 12.0
+    phi[3::2] = phi[2:-1:2] + dt * (-omega[1:-2:2] + 8.0 * omega[2:-1:2] + 5.0 * omega[3::2]) / 12.0
+    return phi

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -332,7 +333,9 @@ class Trajectory:
 
     Factories fill exact velocity/acceleration samples where closed forms
     exist; otherwise they come from central differences.  A closed
-    trajectory is pinned to xi = 0 exactly at both ends.
+    trajectory is pinned to xi = 0 exactly at both ends.  The velocity and
+    kinetic-integral samples are computed once, on first use, and are
+    read-only, so ``at()`` only indexes or interpolates them.
     """
 
     times: np.ndarray
@@ -370,8 +373,8 @@ class Trajectory:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def velocity(self) -> np.ndarray:
-        """Stored exact samples if available, else central differences."""
+    @cached_property
+    def _velocity(self) -> np.ndarray:
         if self.xi_dot is not None:
             return self.xi_dot
         h = self.dt
@@ -379,7 +382,18 @@ class Trajectory:
         v[1:-1] = (self.xi[2:] - self.xi[:-2]) / (2.0 * h)
         v[0] = (-3.0 * self.xi[0] + 4.0 * self.xi[1] - self.xi[2]) / (2.0 * h)
         v[-1] = (3.0 * self.xi[-1] - 4.0 * self.xi[-2] + self.xi[-3]) / (2.0 * h)
+        v.flags.writeable = False
         return v
+
+    @cached_property
+    def _kinetic(self) -> np.ndarray:
+        s = _kernels.accumulate_phase(0.5 * self._velocity**2, self.dt)
+        s.flags.writeable = False
+        return s
+
+    def velocity(self) -> np.ndarray:
+        """Stored exact samples if available, else central differences."""
+        return self._velocity
 
     def acceleration(self) -> np.ndarray:
         if self.xi_ddot is not None:
@@ -393,8 +407,7 @@ class Trajectory:
 
     def kinetic_integral(self) -> np.ndarray:
         """Cumulative integral of xi_dot^2 / 2 at every sample."""
-        v = self.velocity()
-        return _kernels.accumulate_phase(0.5 * v**2, self.dt)
+        return self._kinetic
 
     def _index_of(self, t: float) -> Optional[int]:
         idx = int(round((t - self.times[0]) / self.dt))

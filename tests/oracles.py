@@ -83,6 +83,28 @@ def chain_extended_points(elements, q: float, x: float, t: float):
     return q, x, t
 
 
+# --- sequential quadrature (vs the vectorized kernel) ---------------------------
+
+def sequential_simpson(omega: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative Simpson as a plain loop, one sample at a time.
+
+    The reference the vectorized ``accumulate_phase`` must match bit for bit.
+    """
+    n = omega.shape[0]
+    phi = np.zeros(n)
+    for k in range(1, n):
+        if k == 1:
+            if n > 2:
+                phi[1] = dt * (5.0 * omega[0] + 8.0 * omega[1] - omega[2]) / 12.0
+            else:
+                phi[1] = 0.5 * dt * (omega[0] + omega[1])
+        elif k % 2 == 0:
+            phi[k] = phi[k - 2] + dt * (omega[k - 2] + 4.0 * omega[k - 1] + omega[k]) / 3.0
+        else:
+            phi[k] = phi[k - 1] + dt * (-omega[k - 2] + 8.0 * omega[k - 1] + 5.0 * omega[k]) / 12.0
+    return phi
+
+
 # --- misc -----------------------------------------------------------------------
 
 def l2_distance(grid, amps_a: np.ndarray, amps_b: np.ndarray) -> float:

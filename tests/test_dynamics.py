@@ -37,6 +37,7 @@ from massclock import (
     static_trajectory,
     triangular_trajectory,
 )
+from massclock import _kernels
 
 import oracles
 
@@ -277,6 +278,78 @@ class TestInternalFrequency:
             omega0 = (INTERNAL.levels[1] - INTERNAL.levels[0]) / params.hbar
             rate = fit_clock_rate(times, states)
             assert abs(rate - omega0) / omega0 < 1e-8
+
+
+class TestAccumulatePhase:
+    def test_accumulate_phase_quadrature(self):
+        # constant integrand: exact at every sample
+        omega = np.full(101, 2.5)
+        phi = _kernels.accumulate_phase(omega, 0.01)
+        assert np.allclose(phi, 2.5 * 0.01 * np.arange(101), rtol=1e-14)
+        # smooth integrand: fourth-order convergence of the endpoint value
+        def run(n):
+            t = np.linspace(0.0, 1.0, n + 1)
+            return _kernels.accumulate_phase(np.sin(t), 1.0 / n)[-1]
+
+        exact = 1.0 - np.cos(1.0)
+        e1, e2 = abs(run(50) - exact), abs(run(100) - exact)
+        assert e1 / e2 > 12.0  # ~16 for a fourth-order rule
+
+    @pytest.mark.parametrize("sizes", [range(301), (10_000, 10_001, 100_000, 100_001)],
+                             ids=["n0-300", "large"])
+    def test_bit_identical_to_sequential_loop(self, sizes):
+        rng = np.random.default_rng(20190609)
+        for n in sizes:
+            omega = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            dt = float(rng.uniform(1e-6, 1.0))
+            assert np.array_equal(_kernels.accumulate_phase(omega, dt),
+                                  oracles.sequential_simpson(omega, dt)), n
+
+
+class TestTrajectoryCache:
+    @pytest.fixture
+    def quadratures(self, monkeypatch):
+        calls = []
+        original = _kernels.accumulate_phase
+
+        def counting(omega, dt):
+            calls.append(len(omega))
+            return original(omega, dt)
+
+        monkeypatch.setattr(_kernels, "accumulate_phase", counting)
+        return calls
+
+    @pytest.mark.parametrize("exact_velocity", [True, False],
+                             ids=["stored", "central_difference"])
+    def test_at_integrates_once_and_matches_fresh(self, quadratures, exact_velocity):
+        t = np.linspace(0.0, 1.0, 201)
+        traj = (sinusoidal_trajectory(0.5, 1.0, 201) if exact_velocity
+                else Trajectory(times=t, xi=0.5 * np.sin(2 * np.pi * t)))
+        rng = np.random.default_rng(7)
+        idx = rng.integers(0, t.size - 1, size=1000)
+        queries = np.where(np.arange(1000) % 2 == 0, t[idx],
+                           t[idx] + rng.uniform(0.1, 0.9, size=1000) * traj.dt)
+        got = [traj.at(q) for q in queries]
+        assert len(quadratures) <= 1
+
+        def fresh():
+            return Trajectory(times=traj.times, xi=traj.xi, closed=traj.closed,
+                              xi_dot=traj.xi_dot, xi_ddot=traj.xi_ddot)
+
+        assert got == [fresh().at(q) for q in queries]
+        assert np.array_equal(traj.kinetic_integral(), oracles.sequential_simpson(
+            0.5 * fresh().velocity() ** 2, traj.dt))
+
+    def test_cached_samples_are_read_only(self):
+        t = np.linspace(0.0, 1.0, 21)
+        for traj in (sinusoidal_trajectory(0.5, 1.0, 21),
+                     Trajectory(times=t, xi=np.sin(t))):
+            before = traj.at(0.5)
+            with pytest.raises(ValueError):
+                traj.velocity()[10] = 1.0
+            with pytest.raises(ValueError):
+                traj.kinetic_integral()[10] = 1.0
+            assert traj.at(0.5) == before
 
 
 class TestTrajectory:

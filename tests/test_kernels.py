@@ -1,14 +1,6 @@
 import numpy as np
-import pytest
 
 from massclock import _kernels
-
-
-@pytest.fixture
-def restore_backend():
-    previous = _kernels.get_backend()
-    yield
-    _kernels.set_backend(previous)
 
 
 def _random_problem(seed=0, dim=2, n=512):
@@ -19,24 +11,7 @@ def _random_problem(seed=0, dim=2, n=512):
     return amps, phases, x
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("MASSCLOCK_NUMBA", "0")
-    assert _kernels._default_backend() == "numpy"
-    if _kernels.HAVE_NUMBA:
-        monkeypatch.setenv("MASSCLOCK_NUMBA", "1")
-        assert _kernels._default_backend() == "numba"
-    monkeypatch.delenv("MASSCLOCK_NUMBA")
-    expected = "numba" if _kernels.HAVE_NUMBA else "numpy"
-    assert _kernels._default_backend() == expected
-
-
-def test_numpy_phase_multiply_and_moments(restore_backend):
-    _kernels.set_backend("numpy")
+def test_numpy_phase_multiply_and_moments():
     amps, phases, x = _random_problem()
     expected = amps * phases
     work = amps.copy()
@@ -46,62 +21,3 @@ def test_numpy_phase_multiply_and_moments(restore_backend):
     w = np.abs(work) ** 2
     assert np.allclose(m[:, 0], w.sum(axis=1), rtol=1e-13)
     assert np.allclose(m[:, 1], w @ x, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree(restore_backend):
-    amps, phases, x = _random_problem(seed=3)
-    omega = np.random.default_rng(4).standard_normal(501) ** 2
-
-    results = {}
-    for backend in ("numpy", "numba"):
-        _kernels.set_backend(backend)
-        work = amps.copy()
-        _kernels.phase_multiply(work, phases)
-        results[backend] = (
-            work.copy(),
-            _kernels.branch_moments(work, x).copy(),
-            _kernels.accumulate_phase(omega, 1e-3).copy(),
-        )
-    a, b = results["numpy"], results["numba"]
-    assert np.allclose(a[0], b[0], rtol=1e-14, atol=1e-14)
-    assert np.allclose(a[1], b[1], rtol=1e-11, atol=1e-11)
-    assert np.allclose(a[2], b[2], rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.parametrize("backend", ["numpy"] + (["numba"] if _kernels.HAVE_NUMBA else []))
-def test_accumulate_phase_quadrature(backend, restore_backend):
-    _kernels.set_backend(backend)
-    # constant integrand: exact at every sample
-    omega = np.full(101, 2.5)
-    phi = _kernels.accumulate_phase(omega, 0.01)
-    assert np.allclose(phi, 2.5 * 0.01 * np.arange(101), rtol=1e-14)
-    # smooth integrand: fourth-order convergence of the endpoint value
-    def run(n):
-        t = np.linspace(0.0, 1.0, n + 1)
-        return _kernels.accumulate_phase(np.sin(t), 1.0 / n)[-1]
-
-    exact = 1.0 - np.cos(1.0)
-    e1, e2 = abs(run(50) - exact), abs(run(100) - exact)
-    assert e1 / e2 > 12.0  # ~16 for a fourth-order rule
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_propagation_matches_across_backends(restore_backend):
-    from massclock import (GridSpec, HamiltonianKind, InternalSpace,
-                           PhysicalParams, gaussian_packet, make_superposition,
-                           overlap, propagate)
-
-    grid = GridSpec(-20.0, 20.0, 512)
-    internal = InternalSpace(E0=100.0, levels=(0.0, 10.0))
-    params = PhysicalParams(hbar=1.0, c=10.0, E0=100.0)
-    psi = gaussian_packet(grid, 0.0, 1.0, 1.0)
-    state = make_superposition(grid, internal, np.full(2, 2**-0.5), psi)
-
-    finals = {}
-    for backend in ("numpy", "numba"):
-        _kernels.set_backend(backend)
-        finals[backend] = propagate(state, HamiltonianKind.low_energy(),
-                                    params, 1e-3, 500)
-    fidelity = abs(overlap(finals["numpy"], finals["numba"]))
-    assert abs(fidelity - 1.0) < 1e-12
