@@ -3,24 +3,28 @@
 Subcommands::
 
     massclock run <experiment> [--config FILE] [--set k=v]...
-                  [--out DIR] [--format csv|json] [--jobs N]
+                  [--out DIR] [--format csv|json]
     massclock list [--format text|json]
     massclock validate --config FILE [--set k=v]...
 
 Config files are JSON with the schema (all keys optional; defaults are
-per-experiment and echoed into the output metadata)::
+echoed into the output metadata)::
 
     {
       "experiment": "exp_bargmann",
       "grid":      {"x_min": -40.0, "x_max": 40.0, "n_points": 2048},
       "internal":  {"E0": 100.0, "levels": [0.0, 10.0]},
-      "physical":  {"hbar": 1.0, "c": 10.0,
-                    "potential": {"kind": "none", "g": 0.0}},
+      "physical":  {"hbar": 1.0, "c": 10.0},
       "params":    { ... experiment-specific ... },
       "output":    "runs",
-      "format":    "csv",
-      "jobs":      1
+      "format":    "csv"
     }
+
+The experiment's runner is the single source of its defaults: ``grid``,
+``internal`` (or ``internal.E0`` alone), ``hbar``, ``c`` and one
+``params`` key per keyword argument, read from its signature.  A section
+the runner takes nothing from is empty (``exp_interferometer`` has no
+grid; ``exp_newtonian_sweep`` sets its own levels).
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values; values parse as JSON fragments,
@@ -51,22 +55,18 @@ from typing import Optional, Sequence, Tuple
 from . import __version__
 from .errors import ConfigError, MassclockError, PreconditionError
 from .experiments import EXPERIMENTS, ExperimentResult
-from .hilbert import GridSpec, InternalSpace, PhysicalParams, Potential
+from .hilbert import GridSpec, InternalSpace, PhysicalParams
 
 EXIT_PASS = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
 
-_TOP_KEYS = ("experiment", "grid", "internal", "physical", "params",
-             "output", "format", "jobs")
-_SECTION_KEYS = {
-    "grid": ("x_min", "x_max", "n_points"),
-    "internal": ("E0", "levels"),
-    "physical": ("hbar", "c", "potential"),
-    "potential": ("kind", "g", "xs", "phis"),
-}
-_RUN_DEFAULTS = {"output": "runs", "format": "csv", "jobs": 1}
+_SECTIONS = ("grid", "internal", "physical", "params")
+_RUN_DEFAULTS = {"output": "runs", "format": "csv"}
+_TOP_KEYS = ("experiment",) + _SECTIONS + tuple(_RUN_DEFAULTS)
+# What building a physics object from a config value can raise.
+_BAD_VALUE = (MassclockError, TypeError, ValueError)
 
 
 @dataclass
@@ -76,9 +76,8 @@ class RunConfig:
     internal: dict
     physical: dict
     params: dict
-    output: str = "runs"
-    format: str = "csv"
-    jobs: int = 1
+    output: str
+    format: str
     defaulted: Tuple[str, ...] = field(default=(), compare=False)
 
     def as_dict(self) -> dict:
@@ -132,7 +131,7 @@ def _parse_set_value(raw: str):
 
 def _apply_override(user: dict, dotted: str, raw: str, schema: dict) -> None:
     """Set ``dotted`` in the user tree, validating the path against the
-    resolved schema (defaults tree + fixed section keys)."""
+    experiment's defaults tree."""
     parts = dotted.split(".")
     node_schema = schema
     node = user
@@ -151,60 +150,41 @@ def _apply_override(user: dict, dotted: str, raw: str, schema: dict) -> None:
                 raise ConfigError(f"--set path {dotted!r} descends into a non-section key")
 
 
-def _validate_user_tree(user: dict, experiment: str) -> None:
+def _validate_user_tree(user: dict, defaults: dict) -> None:
     _check_keys(user, _TOP_KEYS, "config")
-    for section in ("grid", "internal", "physical"):
+    for section in _SECTIONS:
         if section in user:
             if not isinstance(user[section], dict):
                 raise ConfigError(f"{section!r} must be an object")
-            _check_keys(user[section], _SECTION_KEYS[section], section)
-    pot = user.get("physical", {}).get("potential")
-    if pot is not None:
-        if not isinstance(pot, dict):
-            raise ConfigError("physical.potential must be an object")
-        _check_keys(pot, _SECTION_KEYS["potential"], "physical.potential")
-    if "params" in user:
-        if not isinstance(user["params"], dict):
-            raise ConfigError("'params' must be an object")
-        allowed = list(EXPERIMENTS[experiment].defaults["params"])
-        _check_keys(user["params"], allowed, "params")
+            _check_keys(user[section], list(defaults[section]), section)
 
 
-def build_objects(config: "RunConfig"):
-    """Construct and validate the physics objects a RunConfig describes.
+def build_objects(config: "RunConfig") -> dict:
+    """The runner's keyword arguments for a RunConfig.
 
-    Re-runs every GridSpec/InternalSpace/PhysicalParams invariant; any
-    violation surfaces as a ConfigError naming the section.
+    Builds the GridSpec and InternalSpace the runner takes and re-runs every
+    GridSpec/InternalSpace/PhysicalParams invariant; any violation, or a
+    value of the wrong type, surfaces as a ConfigError naming the section.
     """
+    kwargs = {**config.params, **config.physical}
     try:
-        grid = GridSpec(**config.grid)
-    except MassclockError as exc:
+        if config.grid:
+            kwargs["grid"] = GridSpec(**config.grid)
+    except _BAD_VALUE as exc:
         raise ConfigError(f"grid: {exc}") from exc
     try:
-        internal = InternalSpace(E0=config.internal["E0"],
-                                 levels=tuple(config.internal["levels"]))
-    except MassclockError as exc:
+        if "levels" in config.internal:
+            kwargs["internal"] = InternalSpace(**config.internal)
+        else:  # a runner that sets its own levels takes E0 alone
+            kwargs.update(config.internal)
+    except _BAD_VALUE as exc:
         raise ConfigError(f"internal: {exc}") from exc
-    pot_cfg = dict(config.physical.get("potential", {"kind": "none"}))
-    kind = pot_cfg.get("kind", "none")
     try:
-        if kind == "none":
-            potential = Potential.none()
-        elif kind == "uniform":
-            potential = Potential.uniform_field(pot_cfg.get("g", 0.0))
-        elif kind == "tabulated":
-            potential = Potential.tabulated(pot_cfg.get("xs", ()), pot_cfg.get("phis", ()))
-        else:
-            raise ConfigError(
-                f"physical.potential.kind: unknown kind {kind!r} "
-                "(expected none|uniform|tabulated)")
-        params = PhysicalParams(hbar=config.physical["hbar"], c=config.physical["c"],
-                                E0=internal.E0, potential=potential)
-    except ConfigError:
-        raise
-    except MassclockError as exc:
+        PhysicalParams(hbar=config.physical["hbar"], c=config.physical["c"],
+                       E0=config.internal["E0"])
+    except _BAD_VALUE as exc:
         raise ConfigError(f"physical: {exc}") from exc
-    return grid, internal, params
+    return kwargs
 
 
 def parse_config(source=None, experiment: Optional[str] = None,
@@ -246,26 +226,19 @@ def parse_config(source=None, experiment: Optional[str] = None,
         raise ConfigError(f"unknown experiment {name!r}{suffix}")
 
     exp = EXPERIMENTS[name]
-    defaults = copy.deepcopy(exp.defaults)
-    defaults.update(copy.deepcopy(_RUN_DEFAULTS))
+    defaults = {**exp.defaults, **_RUN_DEFAULTS}
 
-    _validate_user_tree(user, name)
-    schema = copy.deepcopy(defaults)
-    schema["physical"].setdefault("potential", {})
-    for key in _SECTION_KEYS["potential"]:
-        schema["physical"]["potential"].setdefault(key, None)
     for raw in overrides:
         if "=" not in raw:
             raise ConfigError(f"--set needs key=value, got {raw!r}")
         dotted, _, value = raw.partition("=")
-        _apply_override(user, dotted.strip(), value, schema)
+        _apply_override(user, dotted.strip(), value, defaults)
+    _validate_user_tree(user, defaults)
 
     merged = _merge(defaults, user)
     user_paths = set(_leaf_paths(user))
     defaulted = tuple(sorted(p for p in _leaf_paths(merged) if p not in user_paths))
 
-    if not isinstance(merged["jobs"], int) or merged["jobs"] < 1:
-        raise ConfigError("'jobs' must be a positive integer")
     if merged["format"] not in ("csv", "json"):
         raise ConfigError("'format' must be 'csv' or 'json'")
 
@@ -274,7 +247,7 @@ def parse_config(source=None, experiment: Optional[str] = None,
         grid=merged["grid"], internal=merged["internal"],
         physical=merged["physical"], params=merged["params"],
         output=str(merged["output"]), format=merged["format"],
-        jobs=merged["jobs"], defaulted=defaulted,
+        defaulted=defaulted,
     )
     build_objects(config)  # re-validate all physical invariants at load time
     if exp.validate is not None:
@@ -322,11 +295,9 @@ def run(config: RunConfig, echo=print) -> int:
     """Execute one experiment and persist rows + metadata; returns the exit
     status (0 pass, 3 precondition, 4 tolerance fail)."""
     exp = EXPERIMENTS[config.experiment]
-    grid, internal, params = build_objects(config)
+    kwargs = build_objects(config)
     try:
-        result: ExperimentResult = exp.runner(
-            grid, internal, params.hbar, params.c, params.potential,
-            config.params, config.jobs)
+        result: ExperimentResult = exp.runner(**kwargs)
     except PreconditionError as exc:
         echo(f"numerical precondition violated: {exc}")
         return EXIT_PRECONDITION
@@ -398,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", help="override a config key (dotted path)")
     p_run.add_argument("--out", help="output directory (default from config)")
     p_run.add_argument("--format", choices=("csv", "json"), help="row format")
-    p_run.add_argument("--jobs", type=int, help="concurrent sweep points")
 
     p_list = sub.add_parser("list", help="list experiments")
     p_list.add_argument("--format", choices=("text", "json"), default="text")
@@ -431,10 +401,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config.output = args.out
         if args.format:
             config.format = args.format
-        if args.jobs:
-            if args.jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
-            config.jobs = args.jobs
         return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,9 +24,10 @@ The six experiments:
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -36,15 +37,17 @@ from . import _kernels
 from .dynamics import (
     HamiltonianKind,
     Trajectory,
+    bump_trajectory,
     expectation_velocity,
     fit_clock_rate,
     frame_transform,
     propagate,
     propagate_history,
     semiclassical_clock_phases,
+    static_trajectory,
     triangular_trajectory,
 )
-from .errors import PreconditionError, SpreadDominatedError, TrajectoryError
+from .errors import ConfigError, PreconditionError, SpreadDominatedError, TrajectoryError
 from .hilbert import (
     CompositeState,
     GridSpec,
@@ -53,7 +56,6 @@ from .hilbert import (
     Potential,
     branch_phase,
     gaussian_packet,
-    internal_space_from_masses,
     make_superposition,
     overlap,
     wrap_angle,
@@ -77,14 +79,6 @@ class ExperimentResult:
         if not errs:
             return None
         return int(np.argmax(errs))
-
-
-def _map_jobs(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Evaluate independent sweep points, rows kept in input order."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- closed-form predictions (pure functions of parameters) -------------------
@@ -166,16 +160,24 @@ def predicted_triangle_proper_phase(mass: float, speed: float, total_time: float
 
 # --- shared scaffolding -------------------------------------------------------
 
-DEFAULT_GRID = dict(x_min=-40.0, x_max=40.0, n_points=2048)
+# Each experiment's signature is the single source of its defaults; the CLI
+# reads its config schema from there (see ExperimentDef.defaults).
+DEFAULT_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=2048)
+SMALL_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=1024)
 DEFAULT_HBAR = 1.0
 DEFAULT_C = 10.0
 DEFAULT_E0 = 100.0
+DEFAULT_INTERNAL = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 10.0))
 DEFAULT_DT = 5e-4  # keeps dt * max|T| / hbar < pi on the default grid
 
 
-def _params_for(internal: InternalSpace, hbar: float, c: float,
-                potential: Potential = Potential.none()) -> PhysicalParams:
-    return PhysicalParams(hbar=hbar, c=c, E0=internal.E0, potential=potential)
+def _params_for(internal: InternalSpace, hbar: float, c: float) -> PhysicalParams:
+    return PhysicalParams(hbar=hbar, c=c, E0=internal.E0)
+
+
+def _level_gap(internal: InternalSpace) -> float:
+    """Clock energy E_2 - E_1 of the two lowest levels."""
+    return internal.levels[1] - internal.levels[0]
 
 
 def _equal_superposition(grid: GridSpec, internal: InternalSpace, sigma: float,
@@ -193,16 +195,14 @@ DEFAULT_BARGMANN_PAIRS = ((0.5, 0.8), (1.0, 0.3), (-0.7, 0.5),
                           (0.25, -1.2), (2.0, 1.0))
 
 
-def exp_bargmann(pairs: Sequence[Tuple[float, float]] = DEFAULT_BARGMANN_PAIRS,
-                 masses: Tuple[float, float] = (1.0, 1.1),
-                 grid: Optional[GridSpec] = None,
+def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
+                 internal: InternalSpace = DEFAULT_INTERNAL,
+                 hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                 pairs: Sequence[Sequence[float]] = DEFAULT_BARGMANN_PAIRS,
                  sigma: float = 1.0, x0: float = 0.0, p0: float = 0.0,
-                 hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C,
-                 tolerance: float = 1e-8, jobs: int = 1) -> ExperimentResult:
+                 tolerance: float = 1e-8) -> ExperimentResult:
     """Loop phases per branch and the relative phase, over (a, w) pairs."""
     start = time.perf_counter()
-    grid = grid or GridSpec(**DEFAULT_GRID)
-    internal = internal_space_from_masses(list(masses), c)
     params = _params_for(internal, hbar, c)
     state = _equal_superposition(grid, internal, sigma, x0, p0, hbar)
     mass_values = internal.mass_energies(c)
@@ -211,10 +211,9 @@ def exp_bargmann(pairs: Sequence[Tuple[float, float]] = DEFAULT_BARGMANN_PAIRS,
         bargmann_loop_element(a, w).is_identity() for a, w in pairs
     )
 
-    def one_pair(pair):
-        a, w = pair
+    rows = []
+    for a, w in pairs:
         measured = loop_phase(state, a, w, params)
-        rows = []
         for i, bp in enumerate(measured):
             pred = predicted_loop_phase(mass_values[i], a, w, hbar)
             rows.append({
@@ -230,13 +229,11 @@ def exp_bargmann(pairs: Sequence[Tuple[float, float]] = DEFAULT_BARGMANN_PAIRS,
                 "phase_measured": rel, "phase_predicted": pred,
                 "abs_error": abs(wrap_angle(rel - pred)),
             })
-        return rows
-
-    rows = [r for chunk in _map_jobs(one_pair, list(pairs), jobs) for r in chunk]
     passed = loop_is_identity and all(r["abs_error"] < tolerance for r in rows)
     return ExperimentResult(
         name="exp_bargmann",
-        parameters=dict(pairs=[list(p) for p in pairs], masses=list(masses),
+        parameters=dict(pairs=[list(p) for p in pairs], E0=internal.E0,
+                        levels=list(internal.levels),
                         sigma=sigma, x0=x0, p0=p0, hbar=hbar, c=c),
         columns=BARGMANN_COLUMNS, rows=rows,
         tolerance={"phase_abs": tolerance},
@@ -264,12 +261,12 @@ def _semiclassical_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
     return (rate - omega0) / omega0
 
 
-def _wavepacket_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
-                      grid: GridSpec, sigma: float, total_time: float,
-                      dt: float, hbar: float, c: float, e0: float,
+def _wavepacket_shift(v_over_c: float, gh_over_c2: float, grid: GridSpec,
+                      internal: InternalSpace, sigma: float, total_time: float,
+                      dt: float, hbar: float, c: float,
                       sample_every: int = 10) -> Tuple[float, float]:
     """(measured shift, predicted shift incl. documented spread correction)."""
-    internal = InternalSpace(E0=e0, levels=(0.0, delta_e))
+    e0 = internal.E0
     m = e0 / c**2
     v = v_over_c * c
     if gh_over_c2 != 0.0:
@@ -281,7 +278,7 @@ def _wavepacket_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
         x_start = 0.0 if v >= 0 else 10.0
         potential = Potential.none()
     params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
-    omega0 = delta_e / hbar
+    omega0 = _level_gap(internal) / hbar
 
     spread = wavepacket_spread_correction(sigma, m, hbar, c)
     steps = int(round(total_time / dt))
@@ -302,18 +299,19 @@ def _wavepacket_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
     return measured, predicted
 
 
-def exp_clock_dilation(v_over_c: Sequence[float] = (0.05, 0.1, 0.2),
+def exp_clock_dilation(grid: GridSpec = DEFAULT_GRID,
+                       internal: InternalSpace = InternalSpace(E0=DEFAULT_E0,
+                                                               levels=(0.0, 0.5)),
+                       hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                       v_over_c: Sequence[float] = (0.05, 0.1, 0.2),
                        gh_over_c2: Sequence[float] = (1e-3, 1e-2),
-                       delta_e: float = 0.5,
                        mode: str = "semiclassical",
-                       grid: Optional[GridSpec] = None,
                        sigma: float = 2.0, total_time: float = 10.0,
-                       dt: float = DEFAULT_DT, n_samples: int = 2001,
-                       hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C,
-                       e0: float = DEFAULT_E0,
-                       jobs: int = 1) -> ExperimentResult:
+                       dt: float = DEFAULT_DT,
+                       n_samples: int = 2001) -> ExperimentResult:
     """Fractional clock-frequency shift vs -v^2/2c^2 + Phi/c^2.
 
+    The clock is the gap between the two lowest internal levels.
     Semiclassical mode integrates the dilated frequency along classical
     paths (tolerance 1e-6); wavepacket mode propagates a two-level packet
     and fits the branch coherence phase (tolerance 2%, spread correction
@@ -328,11 +326,9 @@ def exp_clock_dilation(v_over_c: Sequence[float] = (0.05, 0.1, 0.2),
     for ratio in list(v_over_c) + list(gh_over_c2):
         if abs(ratio) >= 0.5:
             raise PreconditionError(f"ratio {ratio} is not << 1")
-    grid = grid or GridSpec(**DEFAULT_GRID)
     wp_time = min(total_time, 5.0)
     configs = [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
-
-    internal = InternalSpace(E0=e0, levels=(0.0, delta_e))
+    delta_e = _level_gap(internal)
     params = _params_for(internal, hbar, c)
 
     def one(cfg):
@@ -343,22 +339,23 @@ def exp_clock_dilation(v_over_c: Sequence[float] = (0.05, 0.1, 0.2),
             predicted = predicted_clock_shift(v_r, g_r)
         else:
             measured, predicted = _wavepacket_shift(
-                v_r, g_r, delta_e, grid, sigma, wp_time, dt, hbar, c, e0)
+                v_r, g_r, grid, internal, sigma, wp_time, dt, hbar, c)
         abs_err = abs(measured - predicted)
         rel_err = abs_err / abs(predicted) if predicted != 0.0 else abs_err
         return {"mode": mode, "v_over_c": v_r, "gh_over_c2": g_r,
                 "shift_measured": measured, "shift_predicted": predicted,
                 "abs_error": abs_err, "rel_error": rel_err}
 
-    rows = _map_jobs(one, configs, jobs)
+    rows = [one(cfg) for cfg in configs]
     tol = 1e-6 if mode == "semiclassical" else 2e-2
     passed = all(r["rel_error"] < tol for r in rows)
     return ExperimentResult(
         name="exp_clock_dilation",
         parameters=dict(v_over_c=list(v_over_c), gh_over_c2=list(gh_over_c2),
-                        delta_e=delta_e, mode=mode, sigma=sigma,
+                        E0=internal.E0, levels=list(internal.levels),
+                        mode=mode, sigma=sigma,
                         total_time=total_time, dt=dt, n_samples=n_samples,
-                        hbar=hbar, c=c, e0=e0),
+                        hbar=hbar, c=c),
         columns=CLOCK_COLUMNS, rows=rows,
         tolerance={"shift_rel": tol}, passed=passed,
         runtime=time.perf_counter() - start,
@@ -429,17 +426,19 @@ SWEEP_COLUMNS = ("epsilon", "phase_discrepancy_measured",
                  "phase_discrepancy_predicted", "state_distance", "infidelity")
 
 
-def exp_newtonian_sweep(epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2, 10**-1.5, 1e-1),
+def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
+                        hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                        epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2,
+                                                     10**-1.5, 1e-1),
                         p0: float = 1.0, g: float = 0.5,
                         total_time: float = 3.0,
-                        grid: Optional[GridSpec] = None,
                         sigma: float = 2.0, x0: float = 0.0,
                         dt: float = 1e-3, sample_every: int = 10,
-                        hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C,
-                        e0: float = DEFAULT_E0,
-                        slope_tolerance: float = 0.1,
-                        jobs: int = 1) -> ExperimentResult:
+                        slope_tolerance: float = 0.1) -> ExperimentResult:
     """Split-vs-newtonian discrepancy per eps = max|E_i|/E0; slope must be 1.
+
+    Each point runs the levels (0, eps E0), so the sweep takes the rest
+    energy E0 and no level list.
 
     The measured discrepancy is the difference of unwrapped branch relative
     phases at t = T between the two propagations; the L2 state distance and
@@ -453,12 +452,11 @@ def exp_newtonian_sweep(epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2, 10**-
         raise PreconditionError("eps values must be in (0, 0.5)")
     if max(epsilons) / min(epsilons) < 10.0:
         raise PreconditionError("eps values must span at least a decade")
-    grid = grid or GridSpec(x_min=-40.0, x_max=40.0, n_points=1024)
     steps = int(round(total_time / dt))
 
     def one(eps):
-        internal = InternalSpace(E0=e0, levels=(0.0, eps * e0))
-        params = PhysicalParams(hbar=hbar, c=c, E0=e0,
+        internal = InternalSpace(E0=E0, levels=(0.0, eps * E0))
+        params = PhysicalParams(hbar=hbar, c=c, E0=E0,
                                 potential=Potential.uniform_field(g))
         state = _equal_superposition(grid, internal, sigma, x0, p0, hbar)
         runs = {}
@@ -470,7 +468,7 @@ def exp_newtonian_sweep(epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2, 10**-
         phase_split, final_split = runs["split"]
         phase_newt, final_newt = runs["newtonian"]
         measured = float(phase_split[-1] - phase_newt[-1])
-        predicted = predicted_sweep_discrepancy(eps, e0, p0, g, x0,
+        predicted = predicted_sweep_discrepancy(eps, E0, p0, g, x0,
                                                 total_time, sigma, hbar, c)
         diff = final_split.amplitudes - final_newt.amplitudes
         distance = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dx))
@@ -479,7 +477,7 @@ def exp_newtonian_sweep(epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2, 10**-
                 "phase_discrepancy_predicted": predicted,
                 "state_distance": distance, "infidelity": infid}
 
-    rows = _map_jobs(one, epsilons, jobs)
+    rows = [one(eps) for eps in epsilons]
     slope = float(np.polyfit(np.log(epsilons),
                              np.log([abs(r["phase_discrepancy_measured"]) for r in rows]),
                              1)[0])
@@ -488,7 +486,7 @@ def exp_newtonian_sweep(epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2, 10**-
         name="exp_newtonian_sweep",
         parameters=dict(epsilons=epsilons, p0=p0, g=g, total_time=total_time,
                         sigma=sigma, x0=x0, dt=dt, sample_every=sample_every,
-                        hbar=hbar, c=c, e0=e0),
+                        hbar=hbar, c=c, E0=E0),
         columns=SWEEP_COLUMNS, rows=rows,
         tolerance={"slope": slope_tolerance},
         passed=passed, runtime=time.perf_counter() - start,
@@ -510,15 +508,14 @@ def _kind_carries_rest(kind: HamiltonianKind) -> bool:
     return not (kind.name == "dynamical_mass" and not kind.include_rest)
 
 
-def exp_wep(internal: Optional[InternalSpace] = None,
+def exp_wep(grid: GridSpec = SMALL_GRID,
+            internal: InternalSpace = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.01)),
+            hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
             kinds: Sequence[str] = DEFAULT_WEP_KINDS,
             g: float = 1.0, total_time: float = 3.0,
-            grid: Optional[GridSpec] = None,
             sigma: float = 2.0, x0: float = 5.0,
             dt: float = 1e-3, sample_every: int = 10,
-            hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C,
-            accel_tolerance: float = 1e-6,
-            jobs: int = 1) -> ExperimentResult:
+            accel_tolerance: float = 1e-6) -> ExperimentResult:
     """Free fall is universal; clock rates are not (except newtonian).
 
     For every internal eigenstate branch and every requested kind the fitted
@@ -527,8 +524,6 @@ def exp_wep(internal: Optional[InternalSpace] = None,
     newtonian; both records are kept.
     """
     start = time.perf_counter()
-    internal = internal or InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.01))
-    grid = grid or GridSpec(x_min=-40.0, x_max=40.0, n_points=1024)
     kind_objs = [HamiltonianKind.from_name(k) for k in kinds]
     params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
                             potential=Potential.uniform_field(g))
@@ -566,7 +561,7 @@ def exp_wep(internal: Optional[InternalSpace] = None,
                          "rel_error": rel})
         return rows
 
-    rows = [r for chunk in _map_jobs(one, kind_objs, jobs) for r in chunk]
+    rows = [r for kind in kind_objs for r in one(kind)]
     accel_ok = all(r["rel_error"] < accel_tolerance
                    for r in rows if r["quantity"] == "acceleration")
     clock_rows = {r["kind"]: r for r in rows if r["quantity"] == "clock_shift"}
@@ -578,7 +573,7 @@ def exp_wep(internal: Optional[InternalSpace] = None,
         clock_ok &= row["rel_error"] < 0.1 and abs(row["measured"]) > 1e-6
     return ExperimentResult(
         name="exp_wep",
-        parameters=dict(levels=list(internal.levels), e0=internal.E0,
+        parameters=dict(levels=list(internal.levels), E0=internal.E0,
                         kinds=[k.label() for k in kind_objs], g=g,
                         total_time=total_time, sigma=sigma, x0=x0, dt=dt,
                         sample_every=sample_every, hbar=hbar, c=c),
@@ -595,13 +590,13 @@ FRAME_COLUMNS = ("branch", "phase_measured", "phase_predicted", "abs_error",
                  "phase_proper_time", "proper_time_gap")
 
 
-def exp_frame_phase(speed: float = 1.0, total_time: float = 1.0,
+def exp_frame_phase(grid: GridSpec = SMALL_GRID,
+                    internal: InternalSpace = DEFAULT_INTERNAL,
+                    hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                    speed: float = 1.0, total_time: float = 1.0,
                     n_samples: int = 2001,
-                    masses: Tuple[float, float] = (1.0, 1.1),
-                    grid: Optional[GridSpec] = None,
                     sigma: float = 1.0, x0: float = 0.0,
                     dt: float = 1e-3,
-                    hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C,
                     tolerance: float = 1e-6) -> ExperimentResult:
     """Round-trip phase of the frame riding a closed triangular path.
 
@@ -612,8 +607,6 @@ def exp_frame_phase(speed: float = 1.0, total_time: float = 1.0,
     and with its proper-time reading M_i c^2 (T - T')/hbar.
     """
     start = time.perf_counter()
-    grid = grid or GridSpec(x_min=-40.0, x_max=40.0, n_points=1024)
-    internal = internal_space_from_masses(list(masses), c)
     params = _params_for(internal, hbar, c)
     mass_values = internal.mass_energies(c)
     traj = triangular_trajectory(speed, total_time, n_samples)
@@ -658,8 +651,8 @@ def exp_frame_phase(speed: float = 1.0, total_time: float = 1.0,
     return ExperimentResult(
         name="exp_frame_phase",
         parameters=dict(speed=speed, total_time=total_time, n_samples=n_samples,
-                        masses=list(masses), sigma=sigma, x0=x0, dt=dt,
-                        hbar=hbar, c=c),
+                        E0=internal.E0, levels=list(internal.levels),
+                        sigma=sigma, x0=x0, dt=dt, hbar=hbar, c=c),
         columns=FRAME_COLUMNS, rows=rows,
         tolerance={"phase_abs": tolerance},
         passed=passed, runtime=time.perf_counter() - start,
@@ -668,15 +661,46 @@ def exp_frame_phase(speed: float = 1.0, total_time: float = 1.0,
 
 # --- registry (consumed by the CLI) --------------------------------------------
 
+# Runner arguments that are single config leaves outside ``params``;
+# ``grid`` and ``internal`` are whole sections.
+_LEAF_SECTIONS = {"E0": "internal", "hbar": "physical", "c": "physical"}
+
+
+def _as_json(value):
+    """A default as it reads in a JSON config: specs as objects, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_as_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentDef:
     name: str
     description: str
     anchor: str
     columns: Tuple[str, ...]
-    defaults: dict
     runner: Callable
     validate: Optional[Callable] = None
+
+    @property
+    def defaults(self) -> dict:
+        """The config tree of the runner's keyword defaults.
+
+        Sections ``grid``, ``internal``, ``physical`` and ``params``; a
+        section the runner takes nothing from is empty.
+        """
+        tree = {"grid": {}, "internal": {}, "physical": {}, "params": {}}
+        for name, param in inspect.signature(self.runner).parameters.items():
+            value = _as_json(param.default)
+            if name in ("grid", "internal"):
+                tree[name] = value
+            else:
+                tree[_LEAF_SECTIONS.get(name, "params")][name] = value
+        return tree
 
     @property
     def required_keys(self) -> Tuple[str, ...]:
@@ -684,79 +708,30 @@ class ExperimentDef:
 
 
 def _need_two_levels(cfg: dict) -> None:
-    from .errors import ConfigError
-
     if len(cfg["internal"]["levels"]) < 2:
         raise ConfigError("internal.levels: this experiment needs two internal levels")
 
 
 def _validate_sweep(cfg: dict) -> None:
-    from .errors import ConfigError
-
-    if len(cfg["params"]["epsilons"]) < 4:
+    epsilons = cfg["params"]["epsilons"]
+    if not isinstance(epsilons, list) or len(epsilons) < 4:
         raise ConfigError("params.epsilons: sweep needs >= 4 points")
 
 
-def _run_bargmann(grid, internal, hbar, c, potential, p, jobs):
-    return exp_bargmann(
-        pairs=[tuple(pair) for pair in p["pairs"]],
-        masses=tuple(internal.mass_energies(c)),
-        grid=grid, sigma=p["sigma"], x0=p["x0"], p0=p["p0"],
-        hbar=hbar, c=c, tolerance=p["tolerance"], jobs=jobs,
-    )
-
-
-def _run_clock(grid, internal, hbar, c, potential, p, jobs):
-    return exp_clock_dilation(
-        v_over_c=p["v_over_c"], gh_over_c2=p["gh_over_c2"],
-        delta_e=internal.levels[1] - internal.levels[0],
-        mode=p["mode"], grid=grid, sigma=p["sigma"],
-        total_time=p["total_time"], dt=p["dt"], n_samples=p["n_samples"],
-        hbar=hbar, c=c, e0=internal.E0, jobs=jobs,
-    )
-
-
-def _run_interferometer(grid, internal, hbar, c, potential, p, jobs):
-    from .dynamics import bump_trajectory, static_trajectory
-
+def _run_interferometer(internal: InternalSpace = DEFAULT_INTERNAL,
+                        hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                        height: float = 3.0, total_time: float = 10.0,
+                        n_samples: int = 2001, g: float = 1.0,
+                        tolerance: float = 1e-6) -> ExperimentResult:
+    """exp_interferometer on a static path and a bump of ``height`` in a
+    uniform field ``g``; the clock is the gap of the two lowest levels."""
     params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
-                            potential=Potential.uniform_field(p["g"]))
-    traj1 = static_trajectory(0.0, p["total_time"], p["n_samples"])
-    traj2 = bump_trajectory(p["height"], p["total_time"], p["n_samples"])
-    return exp_interferometer(traj1, traj2,
-                              delta_e=internal.levels[1] - internal.levels[0],
-                              params=params, tolerance=p["tolerance"])
+                            potential=Potential.uniform_field(g))
+    traj1 = static_trajectory(0.0, total_time, n_samples)
+    traj2 = bump_trajectory(height, total_time, n_samples)
+    return exp_interferometer(traj1, traj2, delta_e=_level_gap(internal),
+                              params=params, tolerance=tolerance)
 
-
-def _run_sweep(grid, internal, hbar, c, potential, p, jobs):
-    return exp_newtonian_sweep(
-        epsilons=p["epsilons"], p0=p["p0"], g=p["g"],
-        total_time=p["total_time"], grid=grid, sigma=p["sigma"], x0=p["x0"],
-        dt=p["dt"], sample_every=p["sample_every"], hbar=hbar, c=c,
-        e0=internal.E0, slope_tolerance=p["slope_tolerance"], jobs=jobs,
-    )
-
-
-def _run_wep(grid, internal, hbar, c, potential, p, jobs):
-    return exp_wep(
-        internal=internal, kinds=p["kinds"], g=p["g"],
-        total_time=p["total_time"], grid=grid, sigma=p["sigma"], x0=p["x0"],
-        dt=p["dt"], sample_every=p["sample_every"], hbar=hbar, c=c,
-        accel_tolerance=p["accel_tolerance"], jobs=jobs,
-    )
-
-
-def _run_frame(grid, internal, hbar, c, potential, p, jobs):
-    return exp_frame_phase(
-        speed=p["speed"], total_time=p["total_time"], n_samples=p["n_samples"],
-        masses=tuple(internal.mass_energies(c)), grid=grid, sigma=p["sigma"],
-        x0=p["x0"], dt=p["dt"], hbar=hbar, c=c, tolerance=p["tolerance"],
-    )
-
-
-_PHYSICAL_DEFAULTS = {"hbar": 1.0, "c": 10.0, "potential": {"kind": "none", "g": 0.0}}
-_GRID_DEFAULT = dict(DEFAULT_GRID)
-_GRID_1024 = {"x_min": -40.0, "x_max": 40.0, "n_points": 1024}
 
 EXPERIMENTS: Dict[str, ExperimentDef] = {}
 for _def in (
@@ -766,14 +741,7 @@ for _def in (
                     "mass-energy relative phase",
         anchor="Eq. (2)",
         columns=BARGMANN_COLUMNS,
-        defaults={
-            "grid": dict(_GRID_DEFAULT),
-            "internal": {"E0": 100.0, "levels": [0.0, 10.0]},
-            "physical": dict(_PHYSICAL_DEFAULTS),
-            "params": {"pairs": [list(p) for p in DEFAULT_BARGMANN_PAIRS],
-                       "sigma": 1.0, "x0": 0.0, "p0": 0.0, "tolerance": 1e-8},
-        },
-        runner=_run_bargmann,
+        runner=exp_bargmann,
         validate=_need_two_levels,
     ),
     ExperimentDef(
@@ -782,16 +750,7 @@ for _def in (
                     "semiclassical or wavepacket",
         anchor="Eq. (6)",
         columns=CLOCK_COLUMNS,
-        defaults={
-            "grid": dict(_GRID_DEFAULT),
-            "internal": {"E0": 100.0, "levels": [0.0, 0.5]},
-            "physical": dict(_PHYSICAL_DEFAULTS),
-            "params": {"v_over_c": [0.05, 0.1, 0.2],
-                       "gh_over_c2": [1e-3, 1e-2],
-                       "mode": "semiclassical", "sigma": 2.0,
-                       "total_time": 10.0, "dt": 5e-4, "n_samples": 2001},
-        },
-        runner=_run_clock,
+        runner=exp_clock_dilation,
         validate=_need_two_levels,
     ),
     ExperimentDef(
@@ -799,13 +758,6 @@ for _def in (
         description="two-path clock visibility |cos(dE dtau / 2 hbar)|",
         anchor="Eq. (6)",
         columns=INTERFEROMETER_COLUMNS,
-        defaults={
-            "grid": dict(_GRID_1024),
-            "internal": {"E0": 100.0, "levels": [0.0, 10.0]},
-            "physical": dict(_PHYSICAL_DEFAULTS),
-            "params": {"height": 3.0, "total_time": 10.0, "n_samples": 2001,
-                       "g": 1.0, "tolerance": 1e-6},
-        },
         runner=_run_interferometer,
         validate=_need_two_levels,
     ),
@@ -815,16 +767,7 @@ for _def in (
                     "eps = max|E_i|/E0",
         anchor="Eqs. (7)-(8)",
         columns=SWEEP_COLUMNS,
-        defaults={
-            "grid": dict(_GRID_1024),
-            "internal": {"E0": 100.0, "levels": [0.0, 0.0]},
-            "physical": dict(_PHYSICAL_DEFAULTS),
-            "params": {"epsilons": [1e-3, 10**-2.5, 1e-2, 10**-1.5, 1e-1],
-                       "p0": 1.0, "g": 0.5, "total_time": 3.0, "sigma": 2.0,
-                       "x0": 0.0, "dt": 1e-3, "sample_every": 10,
-                       "slope_tolerance": 0.1},
-        },
-        runner=_run_sweep,
+        runner=exp_newtonian_sweep,
         validate=_validate_sweep,
     ),
     ExperimentDef(
@@ -833,16 +776,7 @@ for _def in (
                     "clock-rate records",
         anchor="Eq. (8) + WEP",
         columns=WEP_COLUMNS,
-        defaults={
-            "grid": dict(_GRID_1024),
-            "internal": {"E0": 100.0, "levels": [0.0, 0.01]},
-            "physical": dict(_PHYSICAL_DEFAULTS),
-            "params": {"kinds": list(DEFAULT_WEP_KINDS), "g": 1.0,
-                       "total_time": 3.0, "sigma": 2.0, "x0": 5.0,
-                       "dt": 1e-3, "sample_every": 10,
-                       "accel_tolerance": 1e-6},
-        },
-        runner=_run_wep,
+        runner=exp_wep,
         validate=_need_two_levels,
     ),
     ExperimentDef(
@@ -851,14 +785,7 @@ for _def in (
                     "phase units",
         anchor="Eqs. (1)-(2)",
         columns=FRAME_COLUMNS,
-        defaults={
-            "grid": dict(_GRID_1024),
-            "internal": {"E0": 100.0, "levels": [0.0, 10.0]},
-            "physical": dict(_PHYSICAL_DEFAULTS),
-            "params": {"speed": 1.0, "total_time": 1.0, "n_samples": 2001,
-                       "sigma": 1.0, "x0": 0.0, "dt": 1e-3, "tolerance": 1e-6},
-        },
-        runner=_run_frame,
+        runner=exp_frame_phase,
         validate=_need_two_levels,
     ),
 ):

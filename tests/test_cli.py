@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massclock.cli import (
     EXIT_CONFIG,
@@ -8,11 +10,18 @@ from massclock.cli import (
     EXIT_PRECONDITION,
     EXIT_TOLERANCE,
     RunConfig,
+    _leaf_paths,
     main,
     parse_config,
     run,
 )
 from massclock.errors import ConfigError
+from massclock.experiments import (
+    EXPERIMENTS,
+    exp_bargmann,
+    exp_clock_dilation,
+    exp_frame_phase,
+)
 
 FAST_BARGMANN = ["--set", "params.pairs=[[0.5,0.8]]",
                  "--set", "grid.n_points=1024"]
@@ -95,6 +104,24 @@ class TestParseConfig:
         path.write_text(json.dumps({"experiment": "exp_bargmann"}))
         assert parse_config(path) == parse_config(experiment="exp_bargmann")
 
+    @pytest.mark.parametrize("source, overrides, match", [
+        pytest.param({"experiment": "exp_bargmann", "jobs": 2}, [],
+                     "unknown key 'jobs'", id="jobs"),
+        pytest.param({"experiment": "exp_interferometer",
+                      "physical": {"potential": {"kind": "uniform", "g": 1.0}}}, [],
+                     "potential", id="potential"),
+        pytest.param({"experiment": "exp_interferometer", "grid": {"n_points": 512}}, [],
+                     "n_points", id="interferometer-grid"),
+        pytest.param({"experiment": "exp_interferometer"}, ["grid.n_points=512"],
+                     "n_points", id="interferometer-grid-set"),
+        pytest.param({"experiment": "exp_newtonian_sweep",
+                      "internal": {"E0": 100.0, "levels": [0.0, 1.0]}}, [],
+                     "levels", id="sweep-levels"),
+    ])
+    def test_key_outside_the_schema_rejected(self, source, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(source, overrides=overrides)
+
 
 class TestRun:
     def _config(self, tmp_path, **extra):
@@ -150,12 +177,68 @@ class TestRun:
         assert run(cfg, echo=lines.append) == EXIT_TOLERANCE
         assert any("worst row" in line for line in lines)
 
+    @pytest.mark.parametrize("name, fast", [
+        ("exp_bargmann", ["params.pairs=[[0.5,0.8]]", "grid.n_points=1024"]),
+        ("exp_frame_phase", []),
+    ])
+    def test_parameters_echo_the_configured_internal_space(self, tmp_path, name, fast):
+        # E0 and levels reach the experiment as configured, not rebuilt
+        # from the branch masses (which moves E0 to M_1 c^2 = 95 here)
+        cfg = parse_config(experiment=name,
+                           overrides=["internal.levels=[-5.0,10.0]", *fast])
+        cfg.output = str(tmp_path)
+        run(cfg, echo=lambda *a: None)
+        meta = json.loads((next(tmp_path.iterdir()) / "meta.json").read_text())
+        assert meta["parameters"]["E0"] == meta["config"]["internal"]["E0"] == 100.0
+        assert meta["parameters"]["levels"] == meta["config"]["internal"]["levels"]
+
+    @pytest.mark.parametrize("name, fn", [
+        ("exp_bargmann", exp_bargmann),
+        ("exp_frame_phase", exp_frame_phase),
+        ("exp_clock_dilation", exp_clock_dilation),
+    ])
+    def test_cli_defaults_equal_python_defaults(self, tmp_path, name, fn):
+        cfg = parse_config(experiment=name)
+        cfg.output = str(tmp_path)
+        cfg.format = "json"
+        run(cfg, echo=lambda *a: None)
+        cli_rows = json.loads((next(tmp_path.iterdir()) / "rows.json").read_text())
+        result = fn()
+        assert cli_rows == [{col: row[col] for col in result.columns}
+                            for row in result.rows]
+
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = self._config(tmp_path)
         run(cfg, echo=lambda *a: None)
         run_dir = next((tmp_path / "runs").iterdir())
         body = (run_dir / "rows.csv").read_text().splitlines()[1]
         assert "0.80000000000000004" in body  # repr-exact 0.8
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5000),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.floats(-1.0, 1.0), max_size=5))
+
+
+@st.composite
+def _overrides(draw):
+    name = draw(st.sampled_from(sorted(EXPERIMENTS)))
+    leaves = _leaf_paths(EXPERIMENTS[name].defaults) + ["output", "format"]
+    paths = draw(st.lists(st.sampled_from(leaves), max_size=4))
+    return name, [f"{path}={json.dumps(draw(_JSON_VALUES))}" for path in paths]
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(_overrides())
+    def test_resolved_config_reproduces_itself(self, case):
+        name, overrides = case
+        try:
+            cfg = parse_config(experiment=name, overrides=overrides)
+        except ConfigError:
+            return
+        assert parse_config(cfg.as_dict()) == cfg
 
 
 class TestGoldenSchemas:
@@ -220,13 +303,14 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
 
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        code = main(["run", "exp_bargmann", *FAST_BARGMANN, "--jobs", "2",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep",
                      "--set", "params.epsilons=[0.01]",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-
-    def test_jobs_flag_accepted(self, tmp_path):
-        code = main(["run", "exp_bargmann", *FAST_BARGMANN, "--jobs", "2",
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_PASS
