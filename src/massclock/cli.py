@@ -150,6 +150,11 @@ def _apply_override(user: dict, dotted: str, raw: str, schema: dict) -> None:
                 raise ConfigError(f"--set path {dotted!r} descends into a non-section key")
 
 
+def _json_type(value) -> str:
+    """'number' for an int or a float, else the Python type name."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
 def _validate_user_tree(user: dict, defaults: dict) -> None:
     _check_keys(user, _TOP_KEYS, "config")
     for section in _SECTIONS:
@@ -157,6 +162,10 @@ def _validate_user_tree(user: dict, defaults: dict) -> None:
             if not isinstance(user[section], dict):
                 raise ConfigError(f"{section!r} must be an object")
             _check_keys(user[section], list(defaults[section]), section)
+    for key, value in user.get("params", {}).items():
+        want = _json_type(defaults["params"][key])
+        if _json_type(value) != want:
+            raise ConfigError(f"params.{key} must be a {want}, got {value!r}")
 
 
 def build_objects(config: "RunConfig") -> dict:

@@ -11,6 +11,11 @@ H_r,i = E0 + E_i the branch rest energy, M_i = H_r,i / c^2, m = E0/c^2:
                                                      V = H_r + H_r Phi(x)/c^2
   newtonian       T = p^2 / 2m                       V = m c^2 + E_i + m Phi(x)
 
+Each row is an entry of the kind table ``_KINDS`` (T, dT/dp, V and whether
+H carries the internal rest term), keyed by label; dynamical_mass+rest is
+its own entry.  The propagator, the residual check, the velocity readout
+and the branch_* functions all read it.
+
 The exact kind models a static weak field, g00 = -(1 + 2 Phi/c^2) with flat
 spatial metric; the metric factor is folded into V as the additive M Phi(x)
 term, accurate to the same order as the low-energy form.  low_energy and
@@ -32,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,12 +55,65 @@ from .hilbert import (
     GridSpec,
     InternalSpace,
     PhysicalParams,
+    _check_clearance,
     _clearance_from_moments,
-    momentum_distribution,
+    expectation_kinetic,
 )
-from .symmetry import apply_translation
+from .symmetry import _translate
 
-KIND_NAMES = ("exact", "dynamical_mass", "low_energy", "split", "newtonian")
+# --- Hamiltonian kinds -------------------------------------------------------
+
+def _branches(internal: InternalSpace, params: PhysicalParams,
+              level: Optional[int] = None) -> SimpleNamespace:
+    """Constants of the branch operators: hr = E0 + E_i and ei = E_i, as
+    scalars for one level or as (dim, 1) columns that fill every branch."""
+    params.check_internal(internal)
+    if level is None:
+        ei = np.asarray(internal.levels)[:, None]
+    elif 0 <= level < internal.dim:
+        ei = internal.levels[level]
+    else:
+        raise PreconditionError(f"level {level} out of range for dim={internal.dim}")
+    return SimpleNamespace(hr=internal.E0 + ei, ei=ei, e0=internal.E0,
+                           c=params.c, m=params.m)
+
+
+class _Kind(NamedTuple):
+    """T(p, b), dT/dp(p, b) and V(Phi, b) of one kind, and whether H carries
+    the internal rest term (so its clock phase runs at omega0)."""
+
+    kinetic: Callable
+    velocity: Callable
+    potential: Callable
+    carries_rest: bool = True
+
+
+# H_r = M c^2 plays the mass: the low-energy form, which is dynamical_mass
+# with its rest term by construction; the other mass-energy kinds vary it.
+_LOW_ENERGY = _Kind(
+    lambda p, b: b.hr + p**2 * b.c**2 / (2.0 * b.hr),
+    lambda p, b: p * b.c**2 / b.hr,
+    lambda phi, b: (b.hr / b.c**2) * phi)
+
+# The kind table (see the module docstring), keyed by HamiltonianKind.label().
+_KINDS = {
+    "exact": _LOW_ENERGY._replace(
+        kinetic=lambda p, b: np.sqrt(b.c**2 * p**2 + b.hr**2),
+        velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2)),
+    "dynamical_mass": _LOW_ENERGY._replace(
+        kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr), carries_rest=False),
+    "dynamical_mass+rest": _LOW_ENERGY,
+    "low_energy": _LOW_ENERGY,
+    "split": _Kind(
+        lambda p, b: (p**2 * b.c**2 / (2.0 * b.e0)
+                      - b.ei * p**2 * b.c**2 / (2.0 * b.e0**2)),
+        lambda p, b: p * b.c**2 / b.e0 - b.ei * p * b.c**2 / b.e0**2,
+        lambda phi, b: b.hr + b.hr * phi / b.c**2),
+    "newtonian": _Kind(
+        lambda p, b: p**2 / (2.0 * b.m),
+        lambda p, b: p / b.m,
+        lambda phi, b: b.m * b.c**2 + b.ei + b.m * phi),
+}
 
 
 @dataclass(frozen=True)
@@ -66,10 +125,10 @@ class HamiltonianKind:
     include_rest: bool = False
 
     def __post_init__(self):
-        if self.name not in KIND_NAMES:
-            raise PreconditionError(f"unknown Hamiltonian kind {self.name!r}")
-        if self.include_rest and self.name != "dynamical_mass":
-            raise PreconditionError("include_rest is a dynamical_mass flag")
+        # "+rest" is the include_rest flag, never part of a name
+        if self.label() not in _KINDS or "+" in self.name:
+            raise PreconditionError(f"unknown Hamiltonian kind {self.label()!r}; "
+                                    f"known: {', '.join(_KINDS)}")
 
     @classmethod
     def exact(cls):
@@ -94,95 +153,48 @@ class HamiltonianKind:
     @classmethod
     def from_name(cls, label: str) -> "HamiltonianKind":
         label = label.strip()
-        if label.endswith("+rest"):
-            base, rest = label[: -len("+rest")], True
-        else:
-            base, rest = label, False
-        return cls(base, include_rest=rest)
+        return cls(label.removesuffix("+rest"), include_rest=label.endswith("+rest"))
 
     def label(self) -> str:
-        return self.name + ("+rest" if self.include_rest else "")
+        return str(self.name) + ("+rest" if self.include_rest else "")
 
 
-# --- branch operators --------------------------------------------------------
-
-def _kinetic_values(kind: HamiltonianKind, internal: InternalSpace,
-                    params: PhysicalParams, level: int, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    c = params.c
-    hr = internal.E0 + internal.levels[level]
-    if kind.name == "exact":
-        return np.sqrt(c**2 * p**2 + hr**2)
-    if kind.name == "low_energy" or (kind.name == "dynamical_mass" and kind.include_rest):
-        return hr + p**2 * c**2 / (2.0 * hr)
-    if kind.name == "dynamical_mass":
-        return p**2 * c**2 / (2.0 * hr)
-    if kind.name == "split":
-        e0 = internal.E0
-        ei = internal.levels[level]
-        return p**2 * c**2 / (2.0 * e0) - ei * p**2 * c**2 / (2.0 * e0**2)
-    return p**2 / (2.0 * params.m)  # newtonian
-
-
-def _velocity_values(kind: HamiltonianKind, internal: InternalSpace,
-                     params: PhysicalParams, level: int, p: np.ndarray) -> np.ndarray:
-    """dT_i/dp, the branch group velocity."""
-    p = np.asarray(p, dtype=float)
-    c = params.c
-    hr = internal.E0 + internal.levels[level]
-    if kind.name == "exact":
-        return p * c**2 / np.sqrt(c**2 * p**2 + hr**2)
-    if kind.name in ("dynamical_mass", "low_energy"):
-        return p * c**2 / hr
-    if kind.name == "split":
-        e0 = internal.E0
-        ei = internal.levels[level]
-        return p * c**2 / e0 - ei * p * c**2 / e0**2
-    return p / params.m  # newtonian
-
-
-def _potential_values(kind: HamiltonianKind, internal: InternalSpace,
-                      params: PhysicalParams, level: int, x: np.ndarray) -> np.ndarray:
-    phi = params.potential.values(x)
-    hr = internal.E0 + internal.levels[level]
-    if kind.name in ("exact", "dynamical_mass", "low_energy"):
-        return (hr / params.c**2) * phi
-    if kind.name == "split":
-        return hr + hr * phi / params.c**2
-    m = params.m
-    return m * params.c**2 + internal.levels[level] + m * phi  # newtonian
+def _tables(kind: HamiltonianKind, grid: GridSpec, internal: InternalSpace,
+            params: PhysicalParams) -> Tuple[np.ndarray, np.ndarray]:
+    """(dim, N) tables T_i(p_k) and V_i(x_n) of every branch (read-only)."""
+    entry, b = _KINDS[kind.label()], _branches(internal, params)
+    shape = (internal.dim, grid.n_points)
+    t_table = entry.kinetic(grid.p(params.hbar), b)
+    v_table = entry.potential(params.potential.values(grid.x()), b)
+    return np.broadcast_to(t_table, shape), np.broadcast_to(v_table, shape)
 
 
 def branch_kinetic(kind: HamiltonianKind, internal: InternalSpace,
                    params: PhysicalParams, level: int) -> Callable[[np.ndarray], np.ndarray]:
     """T_i as a function of momentum (scalar or array)."""
-    if not 0 <= level < internal.dim:
-        raise PreconditionError(f"level {level} out of range for dim={internal.dim}")
-    return lambda p: _kinetic_values(kind, internal, params, level, p)
+    entry, b = _KINDS[kind.label()], _branches(internal, params, level)
+    return lambda p: entry.kinetic(np.asarray(p, dtype=float), b)
 
 
 def branch_velocity(kind: HamiltonianKind, internal: InternalSpace,
                     params: PhysicalParams, level: int) -> Callable[[np.ndarray], np.ndarray]:
     """dT_i/dp as a function of momentum."""
-    if not 0 <= level < internal.dim:
-        raise PreconditionError(f"level {level} out of range for dim={internal.dim}")
-    return lambda p: _velocity_values(kind, internal, params, level, p)
+    entry, b = _KINDS[kind.label()], _branches(internal, params, level)
+    return lambda p: entry.velocity(np.asarray(p, dtype=float), b)
 
 
 def branch_potential(kind: HamiltonianKind, internal: InternalSpace,
                      params: PhysicalParams, level: int, x: np.ndarray) -> np.ndarray:
     """V_i(x) including any rest-energy constants the kind carries there."""
-    if not 0 <= level < internal.dim:
-        raise PreconditionError(f"level {level} out of range for dim={internal.dim}")
-    return _potential_values(kind, internal, params, level, x)
+    entry, b = _KINDS[kind.label()], _branches(internal, params, level)
+    return entry.potential(params.potential.values(x), b)
 
 
 def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
                          params: PhysicalParams, level: int) -> float:
     """<dT_i/dp> on one branch (== d<x>/dt by Ehrenfest for these kinds)."""
-    w = momentum_distribution(state.grid, state.amplitudes[level])
-    p = state.grid.p(params.hbar)
-    return float(np.sum(w * _velocity_values(kind, state.internal, params, level, p)))
+    return expectation_kinetic(state.grid, state.amplitudes[level], params.hbar,
+                               branch_velocity(kind, state.internal, params, level))
 
 
 # --- split-operator propagation ----------------------------------------------
@@ -192,17 +204,9 @@ class _Plan:
 
     def __init__(self, grid: GridSpec, internal: InternalSpace,
                  kind: HamiltonianKind, params: PhysicalParams, dt: float):
-        params.check_internal(internal)
+        t_table, v_table = _tables(kind, grid, internal, params)
         if dt <= 0:
             raise PreconditionError("dt must be positive")
-        x = grid.x()
-        p = grid.p(params.hbar)
-        dim = internal.dim
-        t_table = np.empty((dim, grid.n_points))
-        v_table = np.empty((dim, grid.n_points))
-        for i in range(dim):
-            t_table[i] = _kinetic_values(kind, internal, params, i, p)
-            v_table[i] = _potential_values(kind, internal, params, i, x)
         worst = float(np.max(np.abs(t_table))) * dt / params.hbar
         if worst >= math.pi:
             raise AliasingError(
@@ -211,7 +215,7 @@ class _Plan:
             )
         self.exp_t = np.exp(-1j * t_table * dt / params.hbar)
         self.exp_v_half = np.exp(-0.5j * v_table * dt / params.hbar)
-        self.x = x
+        self.x = grid.x()
         self.dx = grid.dx
         self.grid = grid
 
@@ -301,9 +305,10 @@ def fit_phase_rate(times: np.ndarray, values: np.ndarray) -> float:
     unwrap, linear regression (design rule: >= 100 samples).
     """
     times = np.asarray(times, dtype=float)
+    if times.size < 100:
+        raise PreconditionError(
+            f"a phase-rate fit needs >= 100 samples (design rule), got {times.size}")
     phi = np.unwrap(np.angle(np.asarray(values)))
-    if times.size < 2:
-        raise PreconditionError("need at least two samples to fit a rate")
     return float(np.polyfit(times, phi, 1)[0])
 
 
@@ -554,10 +559,12 @@ def frame_transform(state: CompositeState, traj: Trajectory, t: float,
     x = state.grid.x()
     phase = np.exp(-1j * (masses[:, None] * (v * x[None, :] + action)) / params.hbar)
     if inverse:
-        moved = state.with_amplitudes(state.amplitudes * np.conj(phase))
-        return apply_translation(moved, xi)
-    moved = apply_translation(state, -xi)
-    return moved.with_amplitudes(moved.amplitudes * phase)
+        amps = _translate(state.grid, state.amplitudes * np.conj(phase), xi)
+        _check_clearance(state.grid, amps, f"translation by a={xi}")
+        return state.with_amplitudes(amps)
+    amps = _translate(state.grid, state.amplitudes, -xi)
+    _check_clearance(state.grid, amps, f"translation by a={-xi}")
+    return state.with_amplitudes(amps * phase)
 
 
 def schrodinger_residual(history: Sequence[CompositeState], dt: float,
@@ -575,18 +582,13 @@ def schrodinger_residual(history: Sequence[CompositeState], dt: float,
         raise PreconditionError("need at least 3 history samples")
     if dt <= 0:
         raise PreconditionError("dt must be positive")
-    first = history[0]
-    params.check_internal(first.internal)
-    grid, internal = first.grid, first.internal
+    grid, internal = history[0].grid, history[0].internal
+    t_table, v_table = _tables(kind, grid, internal, params)
     if non_inertial_accel is not None:
         non_inertial_accel = np.asarray(non_inertial_accel, dtype=float)
         if non_inertial_accel.shape != (len(history),):
             raise PreconditionError("non_inertial_accel must align with history samples")
     x = grid.x()
-    p = grid.p(params.hbar)
-    dim = internal.dim
-    t_table = np.stack([_kinetic_values(kind, internal, params, i, p) for i in range(dim)])
-    v_table = np.stack([_potential_values(kind, internal, params, i, x) for i in range(dim)])
     masses = internal.mass_energies(params.c)
 
     worst = 0.0

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
+    _KINDS,
     HamiltonianKind,
     Trajectory,
     bump_trajectory,
@@ -502,12 +503,6 @@ WEP_COLUMNS = ("kind", "quantity", "branch", "measured", "predicted",
 DEFAULT_WEP_KINDS = ("dynamical_mass", "low_energy", "split", "newtonian")
 
 
-def _kind_carries_rest(kind: HamiltonianKind) -> bool:
-    """Whether the kind's Hamiltonian contains the internal rest term, i.e.
-    whether the fitted clock rate carries the omega0 baseline."""
-    return not (kind.name == "dynamical_mass" and not kind.include_rest)
-
-
 def exp_wep(grid: GridSpec = SMALL_GRID,
             internal: InternalSpace = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.01)),
             hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
@@ -547,7 +542,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
         if internal.dim >= 2 and omega0 > 0.0:
             rate = fit_clock_rate(times, states)
             measured_shift = (rate - omega0) / omega0
-            baseline = 1.0 if _kind_carries_rest(kind) else 0.0
+            baseline = 1.0 if _KINDS[kind.label()].carries_rest else 0.0
             if kind.name == "newtonian":
                 predicted_shift = 0.0
             else:
@@ -713,8 +708,7 @@ def _need_two_levels(cfg: dict) -> None:
 
 
 def _validate_sweep(cfg: dict) -> None:
-    epsilons = cfg["params"]["epsilons"]
-    if not isinstance(epsilons, list) or len(epsilons) < 4:
+    if len(cfg["params"]["epsilons"]) < 4:
         raise ConfigError("params.epsilons: sweep needs >= 4 points")
 
 

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     BoundaryViolationError,
     BranchDeformedError,
@@ -79,7 +80,10 @@ class InternalSpace:
     levels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
+        levels = np.asarray(self.levels)
+        if levels.ndim != 1 or levels.dtype.kind not in "iuf":
+            raise PreconditionError(f"levels must be a sequence of numbers, got {self.levels!r}")
+        object.__setattr__(self, "levels", tuple(float(e) for e in levels))
         if self.E0 <= 0:
             raise PreconditionError("E0 must be positive")
         if len(self.levels) < 1:
@@ -400,13 +404,7 @@ def boundary_clearance_violation(grid: GridSpec, amplitudes: np.ndarray,
                                  n_sigmas: float = CLEARANCE_SIGMAS):
     """None if every populated branch keeps <x> +/- n_sigmas * sigma_x inside
     the domain, else a human-readable description of the worst offender."""
-    amps = np.atleast_2d(amplitudes)
-    moments = np.empty((amps.shape[0], 3))
-    x = grid.x()
-    w = amps.real**2 + amps.imag**2
-    moments[:, 0] = w.sum(axis=1)
-    moments[:, 1] = w @ x
-    moments[:, 2] = w @ (x * x)
+    moments = _kernels.branch_moments(np.atleast_2d(amplitudes), grid.x())
     return _clearance_from_moments(grid, moments * grid.dx, n_sigmas)
 
 
@@ -427,8 +425,7 @@ def _clearance_from_moments(grid: GridSpec, moments: np.ndarray,
     return None
 
 
-def check_boundary_clearance(state: CompositeState,
-                             n_sigmas: float = CLEARANCE_SIGMAS) -> None:
-    msg = boundary_clearance_violation(state.grid, state.amplitudes, n_sigmas)
+def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, context: str) -> None:
+    msg = boundary_clearance_violation(grid, amplitudes)
     if msg is not None:
-        raise BoundaryViolationError(msg)
+        raise BoundaryViolationError(f"{context}: {msg}")

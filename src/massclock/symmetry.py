@@ -23,12 +23,11 @@ from typing import List
 
 import numpy as np
 
-from .errors import BoundaryViolationError
 from .hilbert import (
     BranchPhase,
     CompositeState,
     PhysicalParams,
-    boundary_clearance_violation,
+    _check_clearance,
     branch_phase,
 )
 
@@ -136,22 +135,17 @@ def extended_loop_element(a: float, w: float) -> ExtendedGalileiElement:
 # --- unitary representation on CompositeState -------------------------------
 
 
-def _check_clearance(grid, amps, context: str) -> None:
-    msg = boundary_clearance_violation(grid, amps)
-    if msg is not None:
-        raise BoundaryViolationError(f"{context}: {msg}")
+def _translate(grid, amps: np.ndarray, a: float) -> np.ndarray:
+    """Raw (dim, N) amplitudes shifted by a: exp(-i p_k a / hbar) in Fourier
+    space, where p_k a / hbar = 2 pi k a / L is hbar-free on the grid."""
+    phase = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * a)
+    return np.fft.ifft(np.fft.fft(amps, axis=1) * phase, axis=1)
 
 
 def apply_translation(state: CompositeState, a: float) -> CompositeState:
-    """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar).
-
-    The phase p_k a / hbar = 2 pi k a / L is hbar-free on the discrete grid.
-    """
-    grid = state.grid
-    phase = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * a)
-    ft = np.fft.fft(state.amplitudes, axis=1)
-    out = np.fft.ifft(ft * phase, axis=1)
-    _check_clearance(grid, out, f"translation by a={a}")
+    """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar)."""
+    out = _translate(state.grid, state.amplitudes, a)
+    _check_clearance(state.grid, out, f"translation by a={a}")
     return state.with_amplitudes(out)
 
 
@@ -193,8 +187,7 @@ def apply_boost(state: CompositeState, w: float, t: float,
             )
     amps = np.array(state.amplitudes)
     if t != 0.0:
-        shift = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * (w * t))
-        amps = np.fft.ifft(np.fft.fft(amps, axis=1) * shift, axis=1)
+        amps = _translate(grid, amps, w * t)
     x = grid.x()
     phases = np.exp(1j * (masses[:, None] * w * x[None, :]) / params.hbar)
     if t != 0.0:

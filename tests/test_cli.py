@@ -122,6 +122,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(source, overrides=overrides)
 
+    @pytest.mark.parametrize("name, override, match", [
+        pytest.param("exp_bargmann", 'internal.levels="05"', "internal: levels",
+                     id="string-levels"),
+        pytest.param("exp_bargmann", "internal.levels=5", "internal: levels",
+                     id="number-levels"),
+        pytest.param("exp_frame_phase", 'params.sigma="x"', "params.sigma must be a number",
+                     id="string-for-number"),
+        pytest.param("exp_frame_phase", "params.sigma=true", "params.sigma must be a number",
+                     id="bool-for-number"),
+        pytest.param("exp_frame_phase", "params.sigma=[1.0]", "params.sigma must be a number",
+                     id="list-for-number"),
+        pytest.param("exp_bargmann", "params.pairs=0.5", "params.pairs must be a list",
+                     id="number-for-list"),
+        pytest.param("exp_clock_dilation", "params.mode=1", "params.mode must be a str",
+                     id="number-for-string"),
+        pytest.param("exp_newtonian_sweep", "params.epsilons=null",
+                     "params.epsilons must be a list", id="null-for-list"),
+    ])
+    def test_wrong_typed_value_rejected(self, name, override, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(experiment=name, overrides=[override])
+
+    def test_int_and_float_are_both_numbers(self):
+        cfg = parse_config(experiment="exp_frame_phase",
+                           overrides=["params.sigma=2", "params.n_samples=2001.0"])
+        assert cfg.params["sigma"] == 2 and cfg.params["n_samples"] == 2001.0
+
 
 class TestRun:
     def _config(self, tmp_path, **extra):
@@ -308,6 +335,23 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, override", [
+        ("exp_bargmann", 'internal.levels="05"'),
+        ("exp_frame_phase", 'params.sigma="x"'),
+    ])
+    def test_wrong_typed_value_exits_2(self, tmp_path, capsys, name, override):
+        code = main(["run", name, "--set", override, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_phase_fit_below_100_samples_exits_3(self, tmp_path, capsys):
+        # 50 steps sampled every 10 leave 6 samples for the clock-rate fit
+        code = main(["run", "exp_wep", "--set", 'params.kinds=["newtonian"]',
+                     "--set", "params.total_time=0.05", "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert ">= 100 samples (design rule), got 6" in capsys.readouterr().out
 
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massclock import (
     AliasingError,
@@ -38,6 +40,7 @@ from massclock import (
     triangular_trajectory,
 )
 from massclock import _kernels
+from massclock.dynamics import _KINDS, _tables
 
 import oracles
 
@@ -60,6 +63,83 @@ class TestHamiltonianKind:
             HamiltonianKind("quartic")
         with pytest.raises(PreconditionError):
             HamiltonianKind("newtonian", include_rest=True)
+        with pytest.raises(PreconditionError):
+            HamiltonianKind("dynamical_mass+rest")  # the suffix is the flag
+
+    def test_every_label_is_a_table_entry(self):
+        assert [HamiltonianKind.from_name(label).label() for label in _KINDS] == list(_KINDS)
+        assert [label for label in _KINDS if not _KINDS[label].carries_rest] == ["dynamical_mass"]
+
+
+def _docstring_branch(label, p, phi, e0, ei, c, m):
+    """(T_i(p), V_i) of one branch, written out from the module docstring."""
+    hr = e0 + ei
+    big_m = hr / c**2
+    if label == "exact":
+        return np.sqrt(c**2 * p**2 + hr**2), big_m * phi
+    if label == "dynamical_mass":
+        return p**2 * c**2 / (2 * hr), big_m * phi
+    if label in ("dynamical_mass+rest", "low_energy"):
+        return hr + p**2 * c**2 / (2 * hr), big_m * phi
+    if label == "split":
+        return (p**2 * c**2 / (2 * e0) - ei * p**2 * c**2 / (2 * e0**2),
+                hr + hr * phi / c**2)
+    return p**2 / (2 * m), m * c**2 + ei + m * phi  # newtonian
+
+
+@st.composite
+def _kind_cases(draw):
+    n = 2 ** draw(st.integers(3, 9))
+    x_min = draw(st.floats(-50.0, -1.0))
+    grid = GridSpec(x_min, draw(st.floats(1.0, 50.0)), n)
+    e0 = draw(st.floats(1.0, 1e4))
+    fractions = draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=4))
+    internal = InternalSpace(E0=e0, levels=sorted(f * e0 for f in fractions))
+    potential = draw(st.sampled_from([
+        Potential.none(), Potential.uniform_field(0.7),
+        Potential.tabulated([x_min, 0.0, 1.0], [0.3, -1.2, 2.0])]))
+    params = PhysicalParams(hbar=draw(st.floats(0.1, 5.0)), c=draw(st.floats(0.5, 50.0)),
+                            E0=e0, potential=potential)
+    return draw(st.sampled_from(list(_KINDS))), grid, internal, params
+
+
+class TestKindTable:
+    @settings(max_examples=200, deadline=None)
+    @given(_kind_cases())
+    def test_built_rows_follow_the_docstring_formulas(self, case):
+        label, grid, internal, params = case
+        t_table, v_table = _tables(HamiltonianKind.from_name(label), grid, internal, params)
+        assert t_table.shape == v_table.shape == (internal.dim, grid.n_points)
+        p, phi = grid.p(params.hbar), params.potential.values(grid.x())
+        for i, ei in enumerate(internal.levels):
+            t, v = _docstring_branch(label, p, phi, internal.E0, ei, params.c, params.m)
+            np.testing.assert_allclose(t_table[i], t, rtol=1e-13, atol=1e-13 * np.max(np.abs(t)))
+            np.testing.assert_allclose(v_table[i], v, rtol=1e-13, atol=1e-13 * np.max(np.abs(v)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kind_cases())
+    def test_velocity_is_the_central_difference_of_t(self, case):
+        label, grid, internal, params = case
+        kind = HamiltonianKind.from_name(label)
+        p = grid.p(params.hbar)
+        p_max = np.max(np.abs(p))
+        for i, hr in enumerate(internal.rest_energies()):
+            # below the curvature scale H_r/c of the exact kind's square root
+            h = 1e-4 * min(p_max, hr / params.c)
+            t = branch_kinetic(kind, internal, params, i)
+            v = branch_velocity(kind, internal, params, i)(p)
+            numeric = (t(p + h) - t(p - h)) / (2 * h)
+            t_max = np.max(np.abs(t(p)))
+            rounding = 1e-14 * t_max / h
+            np.testing.assert_allclose(v, numeric, rtol=1e-6,
+                                       atol=1e-6 * t_max / p_max + rounding)
+
+    def test_level_out_of_range(self):
+        for fn in (branch_kinetic, branch_velocity):
+            with pytest.raises(PreconditionError, match="out of range"):
+                fn(HamiltonianKind.split(), INTERNAL, PARAMS, 2)
+        with pytest.raises(PreconditionError, match="out of range"):
+            branch_potential(HamiltonianKind.split(), INTERNAL, PARAMS, -1, GRID.x())
 
 
 class TestBranchKinetic:
@@ -507,6 +587,21 @@ class TestSchrodingerResidual:
         assert n2 > 0.5 * n1  # no convergence without the non-inertial term
         assert n2 > 100.0 * self._history(1e-3, with_term=True)
 
+    @pytest.mark.parametrize("label", list(_KINDS))
+    def test_lab_history_converges_at_second_order_for_every_kind(self, label):
+        grid = GridSpec(-20.0, 20.0, 256)
+        internal = InternalSpace(E0=100.0, levels=(0.0, 5.0))
+        params = PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
+                                potential=Potential.uniform_field(0.5))
+        state = packet_state(grid, internal, p0=1.0)
+        kind = HamiltonianKind.from_name(label)
+
+        def residual(dt):
+            _, hist = propagate_history(state, kind, params, dt, int(round(0.2 / dt)))
+            return schrodinger_residual(hist, dt, kind, params)
+
+        assert np.log2(residual(2e-3) / residual(1e-3)) >= 1.9
+
     def test_too_few_samples(self):
         state = packet_state()
         with pytest.raises(PreconditionError):
@@ -519,6 +614,12 @@ class TestClockHelpers:
         t = np.linspace(0.0, 5.0, 501)
         z = np.exp(-1j * 3.7 * t)
         assert fit_phase_rate(t, z) == pytest.approx(-3.7, abs=1e-12)
+
+    def test_phase_fit_needs_100_samples(self):
+        t = np.linspace(0.0, 1.0, 100)
+        assert fit_phase_rate(t, np.exp(2j * t)) == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(PreconditionError, match=">= 100 samples"):
+            fit_phase_rate(t[:99], np.exp(2j * t[:99]))
 
     def test_semiclassical_phases_constant_rate(self):
         t = np.linspace(0.0, 2.0, 401)

@@ -60,6 +60,16 @@ class TestInternalSpace:
         with pytest.raises(PreconditionError):
             InternalSpace(E0=10.0, levels=(1.0, 0.0))
 
+    @pytest.mark.parametrize("levels", ["05", b"05", 5.0, None, ("0", "5"), (True, False),
+                                        [[0.0, 1.0]]])
+    def test_levels_must_be_a_sequence_of_numbers(self, levels):
+        with pytest.raises(PreconditionError, match="sequence of numbers"):
+            InternalSpace(E0=10.0, levels=levels)
+
+    def test_levels_accept_lists_tuples_and_arrays(self):
+        for levels in ([0, 5], (0.0, 5.0), np.array([0.0, 5.0])):
+            assert InternalSpace(E0=10.0, levels=levels).levels == (0.0, 5.0)
+
     def test_mass_energies(self):
         m = TWO_LEVEL.mass_energies(c=10.0)
         assert m == pytest.approx([1.0, 1.1], abs=0)
