@@ -32,7 +32,6 @@ from .hilbert import (
     Potential,
     branch_phase,
     expectation_p,
-    expectation_p2,
     expectation_x,
     gaussian_packet,
     internal_space_from_masses,

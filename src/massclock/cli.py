@@ -31,9 +31,11 @@ Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 falling back to bare strings.
 
 Every run writes ``<output>/<experiment>-<timestamp>/rows.{csv|json}`` plus
-``meta.json`` holding the fully resolved config (which reproduces the same
-RunConfig when fed back through ``parse_config``), tolerances, pass/fail,
-runtime and the artifact version.
+``meta.json``, the run record: artifact version, experiment, pass/fail,
+tolerances, ``runtime_seconds`` (``run`` times the runner call), columns,
+details, defaulted keys and ``config``, the fully resolved config and the
+only echo of the run's settings (fed back through ``parse_config`` it
+reproduces the same RunConfig).
 
 Exit codes: 0 pass, 2 config error, 3 numerical precondition, 4 tolerance
 fail.
@@ -47,6 +49,7 @@ import csv
 import difflib
 import json
 import sys
+import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -305,11 +308,13 @@ def run(config: RunConfig, echo=print) -> int:
     status (0 pass, 3 precondition, 4 tolerance fail)."""
     exp = EXPERIMENTS[config.experiment]
     kwargs = build_objects(config)
+    start = time.perf_counter()
     try:
         result: ExperimentResult = exp.runner(**kwargs)
     except PreconditionError as exc:
         echo(f"numerical precondition violated: {exc}")
         return EXIT_PRECONDITION
+    runtime = time.perf_counter() - start
 
     out_dir = _run_directory(Path(config.output), config.experiment)
     rows_path = out_dir / f"rows.{config.format}"
@@ -319,13 +324,12 @@ def run(config: RunConfig, echo=print) -> int:
         write_rows_json(rows_path, result.columns, result.rows)
     meta = {
         "artifact_version": __version__,
-        "experiment": result.name,
+        "experiment": config.experiment,
         "passed": result.passed,
         "tolerance": result.tolerance,
-        "runtime_seconds": result.runtime,
+        "runtime_seconds": runtime,
         "columns": list(result.columns),
         "details": result.details,
-        "parameters": result.parameters,
         "defaulted_keys": list(config.defaulted),
         "config": config.as_dict(),
     }
@@ -339,7 +343,7 @@ def run(config: RunConfig, echo=print) -> int:
         else:
             echo("TOLERANCE FAIL")
         return EXIT_TOLERANCE
-    echo(f"PASS ({result.runtime:.2f}s)")
+    echo(f"PASS ({runtime:.2f}s)")
     return EXIT_PASS
 
 

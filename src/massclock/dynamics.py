@@ -152,6 +152,8 @@ class HamiltonianKind:
 
     @classmethod
     def from_name(cls, label: str) -> "HamiltonianKind":
+        if not isinstance(label, str):
+            raise PreconditionError(f"a Hamiltonian kind is named by a string, got {label!r}")
         label = label.strip()
         return cls(label.removesuffix("+rest"), include_rest=label.endswith("+rest"))
 
@@ -298,6 +300,15 @@ def semiclassical_clock_phases(times: np.ndarray, velocities: np.ndarray,
     return _kernels.accumulate_phase(np.asarray(omega, dtype=float), dt)
 
 
+_MIN_FIT_SAMPLES = 100  # design rule for every clock-rate fit
+
+
+def _require_fit_samples(n: int, what: str) -> None:
+    if n < _MIN_FIT_SAMPLES:
+        raise PreconditionError(
+            f"{what} needs >= {_MIN_FIT_SAMPLES} samples (design rule), got {n}")
+
+
 def fit_phase_rate(times: np.ndarray, values: np.ndarray) -> float:
     """Slope of the unwrapped argument of complex samples vs time.
 
@@ -305,18 +316,15 @@ def fit_phase_rate(times: np.ndarray, values: np.ndarray) -> float:
     unwrap, linear regression (design rule: >= 100 samples).
     """
     times = np.asarray(times, dtype=float)
-    if times.size < 100:
-        raise PreconditionError(
-            f"a phase-rate fit needs >= 100 samples (design rule), got {times.size}")
+    _require_fit_samples(times.size, "a phase-rate fit")
     phi = np.unwrap(np.angle(np.asarray(values)))
     return float(np.polyfit(times, phi, 1)[0])
 
 
-def fit_clock_rate(times: np.ndarray, states: Sequence[CompositeState],
-                   level_pair: Tuple[int, int] = (0, 1)) -> float:
-    """Fitted rate of arg <branch i | branch j> over a state history."""
-    i, j = level_pair
-    z = np.array([s.branch_overlap(i, j) for s in states])
+def fit_clock_rate(times: np.ndarray, states: Sequence[CompositeState]) -> float:
+    """Fitted rate of arg <branch 0 | branch 1>, the clock of the two lowest
+    levels, over a state history."""
+    z = np.array([s.branch_overlap(0, 1) for s in states])
     return -fit_phase_rate(times, z)
 
 
@@ -455,11 +463,10 @@ def triangular_trajectory(speed: float, total_time: float, n_samples: int) -> Tr
                       xi_ddot=np.zeros(n_samples))
 
 
-def sinusoidal_trajectory(amplitude: float, total_time: float, n_samples: int,
-                          cycles: int = 1) -> Trajectory:
-    """xi = A sin(2 pi cycles t / T) with exact derivative samples."""
+def sinusoidal_trajectory(amplitude: float, total_time: float, n_samples: int) -> Trajectory:
+    """xi = A sin(2 pi t / T), one cycle, with exact derivative samples."""
     t = np.linspace(0.0, total_time, n_samples)
-    om = 2.0 * np.pi * cycles / total_time
+    om = 2.0 * np.pi / total_time
     xi = amplitude * np.sin(om * t)
     xi[0] = 0.0
     xi[-1] = 0.0  # snap the ~1e-16 sin(2 pi) residue

@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +42,7 @@ from .dynamics import (
     fit_clock_rate,
     frame_transform,
     propagate,
+    _require_fit_samples,
     propagate_history,
     semiclassical_clock_phases,
     static_trajectory,
@@ -66,13 +66,10 @@ from .symmetry import apply_boost, bargmann_loop_element, loop_phase
 
 @dataclass
 class ExperimentResult:
-    name: str
-    parameters: dict
     columns: Tuple[str, ...]
     rows: List[dict]
     tolerance: dict
     passed: bool
-    runtime: float
     details: dict = field(default_factory=dict)
 
     def worst_row(self, key: str = "abs_error") -> Optional[int]:
@@ -203,7 +200,6 @@ def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
                  sigma: float = 1.0, x0: float = 0.0, p0: float = 0.0,
                  tolerance: float = 1e-8) -> ExperimentResult:
     """Loop phases per branch and the relative phase, over (a, w) pairs."""
-    start = time.perf_counter()
     params = _params_for(internal, hbar, c)
     state = _equal_superposition(grid, internal, sigma, x0, p0, hbar)
     mass_values = internal.mass_energies(c)
@@ -232,13 +228,8 @@ def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
             })
     passed = loop_is_identity and all(r["abs_error"] < tolerance for r in rows)
     return ExperimentResult(
-        name="exp_bargmann",
-        parameters=dict(pairs=[list(p) for p in pairs], E0=internal.E0,
-                        levels=list(internal.levels),
-                        sigma=sigma, x0=x0, p0=p0, hbar=hbar, c=c),
         columns=BARGMANN_COLUMNS, rows=rows,
-        tolerance={"phase_abs": tolerance},
-        passed=passed, runtime=time.perf_counter() - start,
+        tolerance={"phase_abs": tolerance}, passed=passed,
         details={"abstract_loop_is_identity": loop_is_identity},
     )
 
@@ -248,11 +239,19 @@ def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
 CLOCK_COLUMNS = ("mode", "v_over_c", "gh_over_c2", "shift_measured",
                  "shift_predicted", "abs_error", "rel_error")
 
+_CLOCK_MODES = ("semiclassical", "wavepacket")
+
+
+def _check_clock_mode(mode: str) -> None:
+    if mode not in _CLOCK_MODES:
+        raise PreconditionError(f"unknown clock mode {mode!r}; known: {_CLOCK_MODES}")
+
 
 def _semiclassical_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
                          params: PhysicalParams, total_time: float,
                          n_samples: int) -> float:
     """Fitted fractional frequency shift of a clock on a classical path."""
+    _require_fit_samples(n_samples, "a semiclassical clock-rate fit")
     omega0 = delta_e / params.hbar
     times = np.linspace(0.0, total_time, n_samples)
     velocities = np.full(n_samples, v_over_c * params.c)
@@ -264,9 +263,9 @@ def _semiclassical_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
 
 def _wavepacket_shift(v_over_c: float, gh_over_c2: float, grid: GridSpec,
                       internal: InternalSpace, sigma: float, total_time: float,
-                      dt: float, hbar: float, c: float,
-                      sample_every: int = 10) -> Tuple[float, float]:
+                      dt: float, hbar: float, c: float) -> Tuple[float, float]:
     """(measured shift, predicted shift incl. documented spread correction)."""
+    sample_every = 10  # history stride of the clock-rate fit
     e0 = internal.E0
     m = e0 / c**2
     v = v_over_c * c
@@ -321,9 +320,7 @@ def exp_clock_dilation(grid: GridSpec = DEFAULT_GRID,
     configurations whose spread correction exceeds 10% of the predicted
     shift are rejected.
     """
-    start = time.perf_counter()
-    if mode not in ("semiclassical", "wavepacket"):
-        raise PreconditionError(f"unknown clock mode {mode!r}")
+    _check_clock_mode(mode)
     for ratio in list(v_over_c) + list(gh_over_c2):
         if abs(ratio) >= 0.5:
             raise PreconditionError(f"ratio {ratio} is not << 1")
@@ -350,17 +347,8 @@ def exp_clock_dilation(grid: GridSpec = DEFAULT_GRID,
     rows = [one(cfg) for cfg in configs]
     tol = 1e-6 if mode == "semiclassical" else 2e-2
     passed = all(r["rel_error"] < tol for r in rows)
-    return ExperimentResult(
-        name="exp_clock_dilation",
-        parameters=dict(v_over_c=list(v_over_c), gh_over_c2=list(gh_over_c2),
-                        E0=internal.E0, levels=list(internal.levels),
-                        mode=mode, sigma=sigma,
-                        total_time=total_time, dt=dt, n_samples=n_samples,
-                        hbar=hbar, c=c),
-        columns=CLOCK_COLUMNS, rows=rows,
-        tolerance={"shift_rel": tol}, passed=passed,
-        runtime=time.perf_counter() - start,
-    )
+    return ExperimentResult(columns=CLOCK_COLUMNS, rows=rows,
+                            tolerance={"shift_rel": tol}, passed=passed)
 
 
 # --- exp_interferometer ---------------------------------------------------------
@@ -393,7 +381,6 @@ def exp_interferometer(traj1: Trajectory, traj2: Trajectory, delta_e: float,
                        params: PhysicalParams,
                        tolerance: float = 1e-6) -> ExperimentResult:
     """Two-path visibility of an internal clock, V = |cos(dE dtau / 2 hbar)|."""
-    start = time.perf_counter()
     if traj1.times.shape != traj2.times.shape or np.any(traj1.times != traj2.times):
         raise TrajectoryError("paths must share the same time samples")
     if traj1.xi[0] != traj2.xi[0] or traj1.xi[-1] != traj2.xi[-1]:
@@ -411,14 +398,9 @@ def exp_interferometer(traj1: Trajectory, traj2: Trajectory, delta_e: float,
     rows = [{"delta_e": delta_e, "delta_tau": delta_tau,
              "visibility_measured": measured, "visibility_predicted": predicted,
              "abs_error": abs_err}]
-    return ExperimentResult(
-        name="exp_interferometer",
-        parameters=dict(delta_e=delta_e, n_samples=int(traj1.times.size),
-                        total_time=float(traj1.duration)),
-        columns=INTERFEROMETER_COLUMNS, rows=rows,
-        tolerance={"visibility_abs": tolerance},
-        passed=abs_err < tolerance, runtime=time.perf_counter() - start,
-    )
+    return ExperimentResult(columns=INTERFEROMETER_COLUMNS, rows=rows,
+                            tolerance={"visibility_abs": tolerance},
+                            passed=abs_err < tolerance)
 
 
 # --- exp_newtonian_sweep --------------------------------------------------------
@@ -445,7 +427,6 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
     phases at t = T between the two propagations; the L2 state distance and
     the overlap infidelity are recorded alongside.
     """
-    start = time.perf_counter()
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 2:
         raise PreconditionError("sweep needs at least two eps values")
@@ -484,13 +465,8 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
                              1)[0])
     passed = abs(slope - 1.0) <= slope_tolerance
     return ExperimentResult(
-        name="exp_newtonian_sweep",
-        parameters=dict(epsilons=epsilons, p0=p0, g=g, total_time=total_time,
-                        sigma=sigma, x0=x0, dt=dt, sample_every=sample_every,
-                        hbar=hbar, c=c, E0=E0),
         columns=SWEEP_COLUMNS, rows=rows,
-        tolerance={"slope": slope_tolerance},
-        passed=passed, runtime=time.perf_counter() - start,
+        tolerance={"slope": slope_tolerance}, passed=passed,
         details={"slope": slope},
     )
 
@@ -503,6 +479,18 @@ WEP_COLUMNS = ("kind", "quantity", "branch", "measured", "predicted",
 DEFAULT_WEP_KINDS = ("dynamical_mass", "low_energy", "split", "newtonian")
 
 
+def _wep_kinds(kinds: Sequence[str]) -> List[HamiltonianKind]:
+    """The named kinds, none of them exact: the predicted d<v>/dt = -g is
+    the low-energy free fall, which the exact kind does not follow."""
+    kind_objs = [HamiltonianKind.from_name(k) for k in kinds]
+    if any(k.name == "exact" for k in kind_objs):
+        raise PreconditionError(
+            "exp_wep predicts the low-energy fall d<v>/dt = -g, but under the "
+            "exact kind v = -g t / sqrt(1 + g^2 t^2 / c^2); 'exact' is not an "
+            "exp_wep kind")
+    return kind_objs
+
+
 def exp_wep(grid: GridSpec = SMALL_GRID,
             internal: InternalSpace = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.01)),
             hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
@@ -513,13 +501,12 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
             accel_tolerance: float = 1e-6) -> ExperimentResult:
     """Free fall is universal; clock rates are not (except newtonian).
 
-    For every internal eigenstate branch and every requested kind the fitted
-    d<v>/dt must equal -g.  The fitted internal clock rate shifts per the
-    dilation formula under low_energy but stays exactly omega0 under
-    newtonian; both records are kept.
+    For every internal eigenstate branch and every requested kind (any but
+    exact) the fitted d<v>/dt must equal -g.  The fitted internal clock rate
+    shifts per the dilation formula under low_energy but stays exactly
+    omega0 under newtonian; both records are kept.
     """
-    start = time.perf_counter()
-    kind_objs = [HamiltonianKind.from_name(k) for k in kinds]
+    kind_objs = _wep_kinds(kinds)
     params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
                             potential=Potential.uniform_field(g))
     omega0 = (internal.levels[1] - internal.levels[0]) / hbar if internal.dim >= 2 else 0.0
@@ -567,15 +554,10 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
         row = clock_rows["low_energy"]
         clock_ok &= row["rel_error"] < 0.1 and abs(row["measured"]) > 1e-6
     return ExperimentResult(
-        name="exp_wep",
-        parameters=dict(levels=list(internal.levels), E0=internal.E0,
-                        kinds=[k.label() for k in kind_objs], g=g,
-                        total_time=total_time, sigma=sigma, x0=x0, dt=dt,
-                        sample_every=sample_every, hbar=hbar, c=c),
         columns=WEP_COLUMNS, rows=rows,
         tolerance={"accel_rel": accel_tolerance, "newtonian_shift_abs": 1e-8,
                    "low_energy_shift_rel": 0.1},
-        passed=accel_ok and clock_ok, runtime=time.perf_counter() - start,
+        passed=accel_ok and clock_ok,
     )
 
 
@@ -601,7 +583,6 @@ def exp_frame_phase(grid: GridSpec = SMALL_GRID,
     against the lab state and compared with (M_i/hbar) integral xi_dot^2/2 dt
     and with its proper-time reading M_i c^2 (T - T')/hbar.
     """
-    start = time.perf_counter()
     params = _params_for(internal, hbar, c)
     mass_values = internal.mass_energies(c)
     traj = triangular_trajectory(speed, total_time, n_samples)
@@ -643,15 +624,8 @@ def exp_frame_phase(grid: GridSpec = SMALL_GRID,
             "proper_time_gap": abs(wrap_angle(rel - proper)),
         })
     passed = all(r["abs_error"] < tolerance for r in rows)
-    return ExperimentResult(
-        name="exp_frame_phase",
-        parameters=dict(speed=speed, total_time=total_time, n_samples=n_samples,
-                        E0=internal.E0, levels=list(internal.levels),
-                        sigma=sigma, x0=x0, dt=dt, hbar=hbar, c=c),
-        columns=FRAME_COLUMNS, rows=rows,
-        tolerance={"phase_abs": tolerance},
-        passed=passed, runtime=time.perf_counter() - start,
-    )
+    return ExperimentResult(columns=FRAME_COLUMNS, rows=rows,
+                            tolerance={"phase_abs": tolerance}, passed=passed)
 
 
 # --- registry (consumed by the CLI) --------------------------------------------
@@ -712,6 +686,24 @@ def _validate_sweep(cfg: dict) -> None:
         raise ConfigError("params.epsilons: sweep needs >= 4 points")
 
 
+def _check_param(cfg: dict, key: str, rule: Callable) -> None:
+    """Apply the runner's own rule for ``params.key`` at config time."""
+    try:
+        rule(cfg["params"][key])
+    except PreconditionError as exc:
+        raise ConfigError(f"params.{key}: {exc}") from exc
+
+
+def _validate_clock(cfg: dict) -> None:
+    _need_two_levels(cfg)
+    _check_param(cfg, "mode", _check_clock_mode)
+
+
+def _validate_wep(cfg: dict) -> None:
+    _need_two_levels(cfg)
+    _check_param(cfg, "kinds", _wep_kinds)
+
+
 def _run_interferometer(internal: InternalSpace = DEFAULT_INTERNAL,
                         hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
                         height: float = 3.0, total_time: float = 10.0,
@@ -745,7 +737,7 @@ for _def in (
         anchor="Eq. (6)",
         columns=CLOCK_COLUMNS,
         runner=exp_clock_dilation,
-        validate=_need_two_levels,
+        validate=_validate_clock,
     ),
     ExperimentDef(
         name="exp_interferometer",
@@ -771,7 +763,7 @@ for _def in (
         anchor="Eq. (8) + WEP",
         columns=WEP_COLUMNS,
         runner=exp_wep,
-        validate=_need_two_levels,
+        validate=_validate_wep,
     ),
     ExperimentDef(
         name="exp_frame_phase",

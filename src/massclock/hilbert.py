@@ -219,13 +219,13 @@ class CompositeState:
 
     @classmethod
     def create(cls, grid: GridSpec, internal: InternalSpace,
-               amplitudes: np.ndarray, normalize: bool = False) -> "CompositeState":
+               amplitudes: np.ndarray) -> "CompositeState":
+        """The state with these amplitudes scaled to unit norm."""
         amps = np.array(amplitudes, dtype=complex)
-        if normalize:
-            nrm = np.sqrt(np.sum(amps.real**2 + amps.imag**2) * grid.dx)
-            if nrm == 0.0:
-                raise PreconditionError("cannot normalize a zero state")
-            amps /= nrm
+        nrm = np.sqrt(np.sum(amps.real**2 + amps.imag**2) * grid.dx)
+        if nrm == 0.0:
+            raise PreconditionError("cannot normalize a zero state")
+        amps /= nrm
         return cls(grid=grid, internal=internal, amplitudes=amps)
 
     def norm(self) -> float:
@@ -291,7 +291,7 @@ def make_superposition(grid: GridSpec, internal: InternalSpace,
             f"(dim, n_points) = {(internal.dim, grid.n_points)}"
         )
     amps = weights[:, None] * spatial
-    return CompositeState.create(grid, internal, amps, normalize=True)
+    return CompositeState.create(grid, internal, amps)
 
 
 # --- comparison primitives --------------------------------------------------
@@ -325,9 +325,8 @@ def wrap_angle(theta: float) -> float:
     return out
 
 
-def branch_phase(before: CompositeState, after: CompositeState, level: int,
-                 population_tol: float = 1e-8,
-                 fidelity_tol: float = 1e-6) -> BranchPhase:
+def branch_phase(before: CompositeState, after: CompositeState,
+                 level: int) -> BranchPhase:
     """Phase of ``after`` relative to ``before`` on one internal branch.
 
     Returns the principal-value argument of the branch-restricted overlap
@@ -341,15 +340,15 @@ def branch_phase(before: CompositeState, after: CompositeState, level: int,
         raise PreconditionError(
             f"branch {level} norm too small for a phase readout"
         )
-    if abs(pop_before - pop_after) > population_tol:
+    if abs(pop_before - pop_after) > 1e-8:
         raise PreconditionError(
             f"branch {level} populations differ: {pop_before} vs {pop_after}"
         )
     o = np.sum(np.conj(before.amplitudes[level]) * after.amplitudes[level]) * before.grid.dx
     fidelity = abs(o) / pop_before
-    if fidelity < 1.0 - fidelity_tol:
+    if fidelity < 1.0 - 1e-6:
         raise BranchDeformedError(
-            f"branch {level} fidelity {fidelity} < 1 - {fidelity_tol}: "
+            f"branch {level} fidelity {fidelity} < 1 - 1e-6: "
             "states differ by more than a phase"
         )
     return BranchPhase(phase=wrap_angle(float(np.angle(o))), fidelity=float(fidelity))
@@ -386,11 +385,6 @@ def expectation_p(grid: GridSpec, psi: np.ndarray, hbar: float) -> float:
     return float(np.sum(w * grid.p(hbar)))
 
 
-def expectation_p2(grid: GridSpec, psi: np.ndarray, hbar: float) -> float:
-    w = momentum_distribution(grid, psi)
-    return float(np.sum(w * grid.p(hbar) ** 2))
-
-
 def expectation_kinetic(grid: GridSpec, psi: np.ndarray, hbar: float,
                         t_of_p: Callable[[np.ndarray], np.ndarray]) -> float:
     """<T(p)> for an arbitrary momentum-diagonal function."""
@@ -400,26 +394,24 @@ def expectation_kinetic(grid: GridSpec, psi: np.ndarray, hbar: float,
 
 # --- boundary rule ----------------------------------------------------------
 
-def boundary_clearance_violation(grid: GridSpec, amplitudes: np.ndarray,
-                                 n_sigmas: float = CLEARANCE_SIGMAS):
-    """None if every populated branch keeps <x> +/- n_sigmas * sigma_x inside
-    the domain, else a human-readable description of the worst offender."""
+def boundary_clearance_violation(grid: GridSpec, amplitudes: np.ndarray):
+    """None if every populated branch keeps <x> +/- CLEARANCE_SIGMAS * sigma_x
+    inside the domain, else a human-readable description of the worst offender."""
     moments = _kernels.branch_moments(np.atleast_2d(amplitudes), grid.x())
-    return _clearance_from_moments(grid, moments * grid.dx, n_sigmas)
+    return _clearance_from_moments(grid, moments * grid.dx)
 
 
-def _clearance_from_moments(grid: GridSpec, moments: np.ndarray,
-                            n_sigmas: float = CLEARANCE_SIGMAS):
+def _clearance_from_moments(grid: GridSpec, moments: np.ndarray):
     """Same check from precomputed per-branch [prob, sum x w, sum x^2 w] dx."""
     for i, (prob, sx, sxx) in enumerate(moments):
         if prob <= _POPULATED:
             continue
         mean = sx / prob
         var = max(sxx / prob - mean**2, 0.0)
-        half = n_sigmas * np.sqrt(var)
+        half = CLEARANCE_SIGMAS * np.sqrt(var)
         if mean - half < grid.x_min or mean + half > grid.x_max:
             return (
-                f"branch {i}: <x>={mean:.3f}, {n_sigmas} sigma_x={half:.3f} "
+                f"branch {i}: <x>={mean:.3f}, {CLEARANCE_SIGMAS} sigma_x={half:.3f} "
                 f"leaves [{grid.x_min}, {grid.x_max}]"
             )
     return None

@@ -50,8 +50,8 @@ class GalileiElement:
         """Apply to a spacetime point: (x, t) -> (x + w t + a, t + b)."""
         return x + self.w * t + self.a, t + self.b
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return abs(self.w) <= tol and abs(self.a) <= tol and abs(self.b) <= tol
+    def is_identity(self) -> bool:
+        return self.w == 0.0 and self.a == 0.0 and self.b == 0.0
 
 
 def translation_element(a: float) -> GalileiElement:

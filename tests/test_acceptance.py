@@ -31,6 +31,7 @@ from massclock import (
     wrap_angle,
 )
 from massclock.experiments import (
+    DEFAULT_BARGMANN_PAIRS,
     exp_bargmann,
     exp_clock_dilation,
     exp_frame_phase,
@@ -57,7 +58,7 @@ def test_c01_bargmann_loop():
     result = exp_bargmann()  # five default pairs
     abstract_ok = all(
         bargmann_loop_element(a, w).is_identity()
-        for a, w in result.parameters["pairs"]
+        for a, w in DEFAULT_BARGMANN_PAIRS
     )
     branch_rows = [r for r in result.rows if r["branch"] != "relative"]
     worst = max(r["abs_error"] for r in branch_rows)

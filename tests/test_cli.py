@@ -208,16 +208,22 @@ class TestRun:
         ("exp_bargmann", ["params.pairs=[[0.5,0.8]]", "grid.n_points=1024"]),
         ("exp_frame_phase", []),
     ])
-    def test_parameters_echo_the_configured_internal_space(self, tmp_path, name, fast):
-        # E0 and levels reach the experiment as configured, not rebuilt
-        # from the branch masses (which moves E0 to M_1 c^2 = 95 here)
+    def test_meta_is_the_run_record(self, tmp_path, name, fast):
+        # config is the only echo of the settings; E0 and levels stay as
+        # configured, not rebuilt from the branch masses (E0 = M_1 c^2 = 95)
         cfg = parse_config(experiment=name,
                            overrides=["internal.levels=[-5.0,10.0]", *fast])
         cfg.output = str(tmp_path)
-        run(cfg, echo=lambda *a: None)
+        lines = []
+        assert run(cfg, echo=lines.append) == EXIT_PASS
         meta = json.loads((next(tmp_path.iterdir()) / "meta.json").read_text())
-        assert meta["parameters"]["E0"] == meta["config"]["internal"]["E0"] == 100.0
-        assert meta["parameters"]["levels"] == meta["config"]["internal"]["levels"]
+        assert set(meta) == {"artifact_version", "experiment", "passed", "tolerance",
+                             "runtime_seconds", "columns", "details",
+                             "defaulted_keys", "config"}
+        assert meta["experiment"] == name
+        assert meta["runtime_seconds"] > 0
+        assert lines[-1] == f"PASS ({meta['runtime_seconds']:.2f}s)"
+        assert meta["config"]["internal"] == {"E0": 100.0, "levels": [-5.0, 10.0]}
 
     @pytest.mark.parametrize("name, fn", [
         ("exp_bargmann", exp_bargmann),
@@ -352,6 +358,31 @@ class TestMain:
                      "--set", "params.total_time=0.05", "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert ">= 100 samples (design rule), got 6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, override", [
+        ("exp_wep", "params.kinds=[1]"),
+        ("exp_wep", 'params.kinds=["nope"]'),
+        ("exp_wep", 'params.kinds=["exact"]'),
+        ("exp_clock_dilation", "params.mode=wavepaket"),
+    ])
+    def test_runner_rule_checked_at_config_time(self, tmp_path, capsys, name, override):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": name}))
+        assert main(["validate", "--config", str(path), "--set", override]) == EXIT_CONFIG
+        code = main(["run", name, "--set", override, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.count("config error: params.") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n_samples, code, line", [
+        (99, EXIT_PRECONDITION, ">= 100 samples (design rule), got 99"),
+        (100, EXIT_PASS, "PASS"),
+    ])
+    def test_semiclassical_fit_needs_100_samples(self, tmp_path, capsys, n_samples, code,
+                                                 line):
+        assert main(["run", "exp_clock_dilation", "--set", f"params.n_samples={n_samples}",
+                     "--out", str(tmp_path / "o")]) == code
+        assert line in capsys.readouterr().out
 
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep",

@@ -65,6 +65,8 @@ class TestHamiltonianKind:
             HamiltonianKind("newtonian", include_rest=True)
         with pytest.raises(PreconditionError):
             HamiltonianKind("dynamical_mass+rest")  # the suffix is the flag
+        with pytest.raises(PreconditionError, match="named by a string"):
+            HamiltonianKind.from_name(1)
 
     def test_every_label_is_a_table_entry(self):
         assert [HamiltonianKind.from_name(label).label() for label in _KINDS] == list(_KINDS)

@@ -189,6 +189,11 @@ class TestWep:
         assert abs(clock["low_energy"]["measured"]) > 1e-3
         assert clock["low_energy"]["rel_error"] < 0.1
 
+    def test_exact_kind_rejected(self):
+        # v = -g t / sqrt(1 + g^2 t^2 / c^2) is not the predicted -g fall
+        with pytest.raises(PreconditionError, match="exact"):
+            exp_wep(kinds=["low_energy", "exact"])
+
     def test_zero_field(self):
         r = exp_wep(kinds=["newtonian"], g=0.0, x0=0.0)
         accel = [row for row in r.rows if row["quantity"] == "acceleration"]

@@ -167,7 +167,7 @@ class TestCompositeState:
     def test_branch_populations_sum_to_one(self):
         rng = np.random.default_rng(7)
         raw = rng.standard_normal((2, GRID.n_points)) + 1j * rng.standard_normal((2, GRID.n_points))
-        state = CompositeState.create(GRID, TWO_LEVEL, raw, normalize=True)
+        state = CompositeState.create(GRID, TWO_LEVEL, raw)
         assert abs(state.branch_populations().sum() - 1.0) < 1e-10
 
 
@@ -201,8 +201,7 @@ class TestOverlap:
         rng = np.random.default_rng(3)
         mk = lambda: CompositeState.create(
             GRID, TWO_LEVEL,
-            rng.standard_normal((2, GRID.n_points)) + 1j * rng.standard_normal((2, GRID.n_points)),
-            normalize=True)
+            rng.standard_normal((2, GRID.n_points)) + 1j * rng.standard_normal((2, GRID.n_points)))
         for _ in range(20):
             a, b = mk(), mk()
             assert abs(overlap(a, b) - np.conj(overlap(b, a))) < 1e-15
@@ -211,8 +210,7 @@ class TestOverlap:
         rng = np.random.default_rng(17)
         mk = lambda: CompositeState.create(
             GRID, TWO_LEVEL,
-            rng.standard_normal((2, GRID.n_points)) + 1j * rng.standard_normal((2, GRID.n_points)),
-            normalize=True)
+            rng.standard_normal((2, GRID.n_points)) + 1j * rng.standard_normal((2, GRID.n_points)))
         for _ in range(20):
             a, b = mk(), mk()
             assert abs(overlap(a, b)) <= 1.0 + 1e-10

@@ -159,7 +159,7 @@ class TestTranslation:
         for _ in range(5):
             raw = window * (rng.standard_normal((2, GRID.n_points))
                             + 1j * rng.standard_normal((2, GRID.n_points)))
-            state = CompositeState.create(GRID, INTERNAL, raw, normalize=True)
+            state = CompositeState.create(GRID, INTERNAL, raw)
             assert abs(apply_translation(state, 1.3).norm() - 1.0) < 1e-12
             assert abs(apply_boost(state, 0.7, 0.0, PARAMS).norm() - 1.0) < 1e-12
             assert abs(apply_boost(state, 0.7, 1.5, PARAMS).norm() - 1.0) < 1e-12
@@ -286,7 +286,7 @@ class TestCommutatorResidual:
         sp = internal_space_from_masses([1.0], 10.0)
         x = GRID.x()
         raw = np.exp(-(x - 38.5) ** 2 / 4.0)[None, :]
-        state = CompositeState.create(GRID, sp, raw, normalize=True)
+        state = CompositeState.create(GRID, sp, raw)
         params = PhysicalParams(hbar=1.0, c=10.0, E0=sp.E0)
         with pytest.raises(BoundaryViolationError):
             commutator_residual(state, 0.0, params)
