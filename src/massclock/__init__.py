@@ -3,7 +3,7 @@
 Low-energy composite particles carry internal levels whose energies add to
 the rest mass; this package propagates such particles on a 1D spectral
 grid, represents the Galilei group and its central extension on them, and
-ships six scripted experiments checking loop phases, clock time dilation,
+ships seven scripted experiments checking loop phases, clock time dilation,
 frame-transformation phases, free-fall universality and the convergence to
 ordinary Newtonian dynamics.
 """
@@ -83,9 +83,11 @@ from .experiments import (
     EXPERIMENTS,
     ExperimentResult,
     exp_bargmann,
-    exp_clock_dilation,
+    exp_clock_semiclassical,
+    exp_clock_wavepacket,
     exp_frame_phase,
     exp_interferometer,
     exp_newtonian_sweep,
     exp_wep,
+    interferometer_on_paths,
 )

@@ -23,8 +23,11 @@ echoed into the output metadata)::
 The experiment's runner is the single source of its defaults: ``grid``,
 ``internal`` (or ``internal.E0`` alone), ``hbar``, ``c`` and one
 ``params`` key per keyword argument, read from its signature.  A section
-the runner takes nothing from is empty (``exp_interferometer`` has no
-grid; ``exp_newtonian_sweep`` sets its own levels).
+the runner takes nothing from is empty (``exp_clock_semiclassical`` and
+``exp_interferometer`` have no grid; ``exp_newtonian_sweep`` sets its own
+levels).  A ``params`` value has the JSON type of its default: an integer
+default takes only an integer, a float default any number, a list default
+a list.
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values; values parse as JSON fragments,
@@ -154,8 +157,11 @@ def _apply_override(user: dict, dotted: str, raw: str, schema: dict) -> None:
 
 
 def _json_type(value) -> str:
-    """'number' for an int or a float, else the Python type name."""
-    return "number" if type(value) in (int, float) else type(value).__name__
+    """The JSON type of a value, with its article: 'an integer' for an int,
+    'a number' for a float, else 'a' and the Python type name."""
+    if type(value) is int:
+        return "an integer"
+    return "a number" if type(value) is float else f"a {type(value).__name__}"
 
 
 def _validate_user_tree(user: dict, defaults: dict) -> None:
@@ -166,9 +172,9 @@ def _validate_user_tree(user: dict, defaults: dict) -> None:
                 raise ConfigError(f"{section!r} must be an object")
             _check_keys(user[section], list(defaults[section]), section)
     for key, value in user.get("params", {}).items():
-        want = _json_type(defaults["params"][key])
-        if _json_type(value) != want:
-            raise ConfigError(f"params.{key} must be a {want}, got {value!r}")
+        want, got = _json_type(defaults["params"][key]), _json_type(value)
+        if got != want and (want, got) != ("a number", "an integer"):
+            raise ConfigError(f"params.{key} must be {want}, got {value!r}")
 
 
 def build_objects(config: "RunConfig") -> dict:

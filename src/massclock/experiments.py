@@ -6,20 +6,21 @@ closed formulas and the run parameters only).  The two code paths share no
 intermediate values; they meet only in the comparison columns.  All runs
 are deterministic: same configuration, bit-identical rows.
 
-The six experiments:
+The seven experiments:
 
-  exp_bargmann         loop phases -M_i a w / hbar and the mass-energy
-                       relative phase (M2 - M1) a w / hbar
-  exp_clock_dilation   internal frequency shift -v^2/2c^2 + Phi/c^2,
-                       semiclassical and wavepacket modes
-  exp_interferometer   two-path clock visibility |cos(dE dtau / 2 hbar)|
-  exp_newtonian_sweep  split-vs-newtonian discrepancy, linear in
-                       eps = max|E_i|/E0
-  exp_wep              free-fall universality d<v>/dt = -g per branch and
-                       kind, plus clock rates (shifted under low_energy,
-                       unshifted under newtonian)
-  exp_frame_phase      closed-path frame-transform phase (M/hbar) int
-                       xi_dot^2/2 dt and its proper-time reading
+  exp_bargmann             loop phases -M_i a w / hbar and the mass-energy
+                           relative phase (M2 - M1) a w / hbar
+  exp_clock_semiclassical  internal frequency shift -v^2/2c^2 + Phi/c^2
+                           along classical paths
+  exp_clock_wavepacket     the same shift read from a propagated packet
+  exp_interferometer       two-path clock visibility |cos(dE dtau / 2 hbar)|
+  exp_newtonian_sweep      split-vs-newtonian discrepancy, linear in
+                           eps = max|E_i|/E0
+  exp_wep                  free-fall universality d<v>/dt = -g per branch
+                           and kind, plus clock rates (shifted under
+                           low_energy, unshifted under newtonian)
+  exp_frame_phase          closed-path frame-transform phase (M/hbar) int
+                           xi_dot^2/2 dt and its proper-time reading
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ class ExperimentResult:
     tolerance: dict
     passed: bool
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.rows:
+            raise PreconditionError("a run must yield at least one row (design "
+                                    "rule); with none it checks nothing")
 
     def worst_row(self, key: str = "abs_error") -> Optional[int]:
         errs = [abs(r[key]) for r in self.rows if key in r and r[key] is not None]
@@ -166,7 +172,6 @@ DEFAULT_HBAR = 1.0
 DEFAULT_C = 10.0
 DEFAULT_E0 = 100.0
 DEFAULT_INTERNAL = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 10.0))
-DEFAULT_DT = 5e-4  # keeps dt * max|T| / hbar < pi on the default grid
 
 
 def _params_for(internal: InternalSpace, hbar: float, c: float) -> PhysicalParams:
@@ -234,121 +239,113 @@ def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
     )
 
 
-# --- exp_clock_dilation ---------------------------------------------------------
+# --- exp_clock_semiclassical / exp_clock_wavepacket ------------------------------
 
 CLOCK_COLUMNS = ("mode", "v_over_c", "gh_over_c2", "shift_measured",
                  "shift_predicted", "abs_error", "rel_error")
 
-_CLOCK_MODES = ("semiclassical", "wavepacket")
+CLOCK_INTERNAL = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.5))
+CLOCK_V_OVER_C = (0.05, 0.1, 0.2)
+CLOCK_GH_OVER_C2 = (1e-3, 1e-2)
 
 
-def _check_clock_mode(mode: str) -> None:
-    if mode not in _CLOCK_MODES:
-        raise PreconditionError(f"unknown clock mode {mode!r}; known: {_CLOCK_MODES}")
-
-
-def _semiclassical_shift(v_over_c: float, gh_over_c2: float, delta_e: float,
-                         params: PhysicalParams, total_time: float,
-                         n_samples: int) -> float:
-    """Fitted fractional frequency shift of a clock on a classical path."""
-    _require_fit_samples(n_samples, "a semiclassical clock-rate fit")
-    omega0 = delta_e / params.hbar
-    times = np.linspace(0.0, total_time, n_samples)
-    velocities = np.full(n_samples, v_over_c * params.c)
-    potentials = np.full(n_samples, gh_over_c2 * params.c**2)
-    phases = semiclassical_clock_phases(times, velocities, potentials, omega0, params)
-    rate = float(np.polyfit(times, phases, 1)[0])
-    return (rate - omega0) / omega0
-
-
-def _wavepacket_shift(v_over_c: float, gh_over_c2: float, grid: GridSpec,
-                      internal: InternalSpace, sigma: float, total_time: float,
-                      dt: float, hbar: float, c: float) -> Tuple[float, float]:
-    """(measured shift, predicted shift incl. documented spread correction)."""
-    sample_every = 10  # history stride of the clock-rate fit
-    e0 = internal.E0
-    m = e0 / c**2
-    v = v_over_c * c
-    if gh_over_c2 != 0.0:
-        g = 0.5
-        x_start = gh_over_c2 * c**2 / g
-        potential = Potential.uniform_field(g)
-    else:
-        g = 0.0
-        x_start = 0.0 if v >= 0 else 10.0
-        potential = Potential.none()
-    params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
-    omega0 = _level_gap(internal) / hbar
-
-    spread = wavepacket_spread_correction(sigma, m, hbar, c)
-    steps = int(round(total_time / dt))
-    times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
-    predicted = regression_shift_prediction(times_cl, v, g, x_start, sigma,
-                                            m, hbar, c)
-    if abs(spread) > 0.1 * max(abs(predicted), 1e-300):
-        raise SpreadDominatedError(
-            f"spread correction {spread:.3g} exceeds 10% of the predicted "
-            f"shift {predicted:.3g}; enlarge sigma"
-        )
-
-    state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
-    times, states = propagate_history(state, HamiltonianKind.low_energy(), params,
-                                      dt, steps, sample_every=sample_every)
-    rate = fit_clock_rate(times, states)
-    measured = (rate - omega0) / omega0
-    return measured, predicted
-
-
-def exp_clock_dilation(grid: GridSpec = DEFAULT_GRID,
-                       internal: InternalSpace = InternalSpace(E0=DEFAULT_E0,
-                                                               levels=(0.0, 0.5)),
-                       hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
-                       v_over_c: Sequence[float] = (0.05, 0.1, 0.2),
-                       gh_over_c2: Sequence[float] = (1e-3, 1e-2),
-                       mode: str = "semiclassical",
-                       sigma: float = 2.0, total_time: float = 10.0,
-                       dt: float = DEFAULT_DT,
-                       n_samples: int = 2001) -> ExperimentResult:
-    """Fractional clock-frequency shift vs -v^2/2c^2 + Phi/c^2.
-
-    The clock is the gap between the two lowest internal levels.
-    Semiclassical mode integrates the dilated frequency along classical
-    paths (tolerance 1e-6); wavepacket mode propagates a two-level packet
-    and fits the branch coherence phase (tolerance 2%, spread correction
-    included in the predicted column).  Wavepacket runs cap the evolution
-    window at min(total_time, 5) to keep packets clear of the boundary;
-    configurations whose spread correction exceeds 10% of the predicted
-    shift are rejected.
-    """
-    _check_clock_mode(mode)
+def _clock_result(mode: str, v_over_c: Sequence[float], gh_over_c2: Sequence[float],
+                  shift: Callable, tol: float) -> ExperimentResult:
+    """One row per moving clock (v/c, 0) and per raised clock (0, gh/c^2);
+    ``shift(v_r, g_r)`` gives its (measured, predicted) fractional shift."""
     for ratio in list(v_over_c) + list(gh_over_c2):
         if abs(ratio) >= 0.5:
             raise PreconditionError(f"ratio {ratio} is not << 1")
-    wp_time = min(total_time, 5.0)
-    configs = [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
-    delta_e = _level_gap(internal)
-    params = _params_for(internal, hbar, c)
-
-    def one(cfg):
-        v_r, g_r = cfg
-        if mode == "semiclassical":
-            measured = _semiclassical_shift(v_r, g_r, delta_e, params,
-                                            total_time, n_samples)
-            predicted = predicted_clock_shift(v_r, g_r)
-        else:
-            measured, predicted = _wavepacket_shift(
-                v_r, g_r, grid, internal, sigma, wp_time, dt, hbar, c)
+    rows = []
+    for v_r, g_r in [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]:
+        measured, predicted = shift(v_r, g_r)
         abs_err = abs(measured - predicted)
         rel_err = abs_err / abs(predicted) if predicted != 0.0 else abs_err
-        return {"mode": mode, "v_over_c": v_r, "gh_over_c2": g_r,
-                "shift_measured": measured, "shift_predicted": predicted,
-                "abs_error": abs_err, "rel_error": rel_err}
-
-    rows = [one(cfg) for cfg in configs]
-    tol = 1e-6 if mode == "semiclassical" else 2e-2
-    passed = all(r["rel_error"] < tol for r in rows)
+        rows.append({"mode": mode, "v_over_c": v_r, "gh_over_c2": g_r,
+                     "shift_measured": measured, "shift_predicted": predicted,
+                     "abs_error": abs_err, "rel_error": rel_err})
     return ExperimentResult(columns=CLOCK_COLUMNS, rows=rows,
-                            tolerance={"shift_rel": tol}, passed=passed)
+                            tolerance={"shift_rel": tol},
+                            passed=all(r["rel_error"] < tol for r in rows))
+
+
+def exp_clock_semiclassical(internal: InternalSpace = CLOCK_INTERNAL,
+                            hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                            v_over_c: Sequence[float] = CLOCK_V_OVER_C,
+                            gh_over_c2: Sequence[float] = CLOCK_GH_OVER_C2,
+                            total_time: float = 10.0,
+                            n_samples: int = 2001) -> ExperimentResult:
+    """Fractional clock-frequency shift on classical paths vs -v^2/2c^2 + Phi/c^2.
+
+    The clock is the gap between the two lowest internal levels.  The
+    dilated frequency is integrated along each constant-velocity or
+    constant-potential path and its phase fitted by a line over
+    ``n_samples`` (>= 100) samples; tolerance 1e-6 relative.
+    """
+    _require_fit_samples(n_samples, "a semiclassical clock-rate fit")
+    params = _params_for(internal, hbar, c)
+    omega0 = _level_gap(internal) / hbar
+    times = np.linspace(0.0, total_time, n_samples)
+
+    def shift(v_r, g_r):
+        velocities = np.full(n_samples, v_r * c)
+        potentials = np.full(n_samples, g_r * c**2)
+        phases = semiclassical_clock_phases(times, velocities, potentials, omega0, params)
+        rate = float(np.polyfit(times, phases, 1)[0])
+        return (rate - omega0) / omega0, predicted_clock_shift(v_r, g_r)
+
+    return _clock_result("semiclassical", v_over_c, gh_over_c2, shift, 1e-6)
+
+
+def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
+                         internal: InternalSpace = CLOCK_INTERNAL,
+                         hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                         v_over_c: Sequence[float] = CLOCK_V_OVER_C,
+                         gh_over_c2: Sequence[float] = CLOCK_GH_OVER_C2,
+                         sigma: float = 4.0, total_time: float = 5.0,
+                         dt: float = 2e-3) -> ExperimentResult:
+    """Fractional clock-frequency shift of a propagated two-level packet.
+
+    Each row propagates an equal superposition of the two lowest levels
+    under low_energy for ``total_time`` (the per-step clearance check bounds
+    that window) and fits the branch coherence phase; tolerance 2 %, with
+    the packet's spread correction in the predicted column.  A row whose
+    spread correction exceeds 10 % of its predicted shift is rejected.
+    """
+    sample_every = 10  # history stride of the clock-rate fit
+    e0 = internal.E0
+    m = e0 / c**2
+    omega0 = _level_gap(internal) / hbar
+    spread = wavepacket_spread_correction(sigma, m, hbar, c)
+    steps = int(round(total_time / dt))
+    _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
+    times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
+
+    def shift(v_r, g_r):
+        v = v_r * c
+        if g_r != 0.0:
+            g = 0.5
+            x_start = g_r * c**2 / g
+            potential = Potential.uniform_field(g)
+        else:
+            g = 0.0
+            x_start = 0.0 if v >= 0 else 10.0
+            potential = Potential.none()
+        params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
+        predicted = regression_shift_prediction(times_cl, v, g, x_start, sigma,
+                                                m, hbar, c)
+        if abs(spread) > 0.1 * max(abs(predicted), 1e-300):
+            raise SpreadDominatedError(
+                f"spread correction {spread:.3g} exceeds 10% of the predicted "
+                f"shift {predicted:.3g}; enlarge sigma"
+            )
+        state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
+        times, states = propagate_history(state, HamiltonianKind.low_energy(), params,
+                                          dt, steps, sample_every=sample_every)
+        rate = fit_clock_rate(times, states)
+        return (rate - omega0) / omega0, predicted
+
+    return _clock_result("wavepacket", v_over_c, gh_over_c2, shift, 2e-2)
 
 
 # --- exp_interferometer ---------------------------------------------------------
@@ -377,9 +374,9 @@ def path_proper_time_difference(traj1: Trajectory, traj2: Trajectory,
     return float(_kernels.accumulate_phase(integrand, traj1.dt)[-1])
 
 
-def exp_interferometer(traj1: Trajectory, traj2: Trajectory, delta_e: float,
-                       params: PhysicalParams,
-                       tolerance: float = 1e-6) -> ExperimentResult:
+def interferometer_on_paths(traj1: Trajectory, traj2: Trajectory, delta_e: float,
+                            params: PhysicalParams,
+                            tolerance: float = 1e-6) -> ExperimentResult:
     """Two-path visibility of an internal clock, V = |cos(dE dtau / 2 hbar)|."""
     if traj1.times.shape != traj2.times.shape or np.any(traj1.times != traj2.times):
         raise TrajectoryError("paths must share the same time samples")
@@ -401,6 +398,21 @@ def exp_interferometer(traj1: Trajectory, traj2: Trajectory, delta_e: float,
     return ExperimentResult(columns=INTERFEROMETER_COLUMNS, rows=rows,
                             tolerance={"visibility_abs": tolerance},
                             passed=abs_err < tolerance)
+
+
+def exp_interferometer(internal: InternalSpace = DEFAULT_INTERNAL,
+                       hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                       height: float = 3.0, total_time: float = 10.0,
+                       n_samples: int = 2001, g: float = 1.0,
+                       tolerance: float = 1e-6) -> ExperimentResult:
+    """interferometer_on_paths on a static path and a bump of ``height`` in
+    a uniform field ``g``; the clock is the gap of the two lowest levels."""
+    params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
+                            potential=Potential.uniform_field(g))
+    traj1 = static_trajectory(0.0, total_time, n_samples)
+    traj2 = bump_trajectory(height, total_time, n_samples)
+    return interferometer_on_paths(traj1, traj2, delta_e=_level_gap(internal),
+                                   params=params, tolerance=tolerance)
 
 
 # --- exp_newtonian_sweep --------------------------------------------------------
@@ -686,37 +698,13 @@ def _validate_sweep(cfg: dict) -> None:
         raise ConfigError("params.epsilons: sweep needs >= 4 points")
 
 
-def _check_param(cfg: dict, key: str, rule: Callable) -> None:
-    """Apply the runner's own rule for ``params.key`` at config time."""
-    try:
-        rule(cfg["params"][key])
-    except PreconditionError as exc:
-        raise ConfigError(f"params.{key}: {exc}") from exc
-
-
-def _validate_clock(cfg: dict) -> None:
-    _need_two_levels(cfg)
-    _check_param(cfg, "mode", _check_clock_mode)
-
-
 def _validate_wep(cfg: dict) -> None:
+    """Two levels, and the runner's own kind rule applied at config time."""
     _need_two_levels(cfg)
-    _check_param(cfg, "kinds", _wep_kinds)
-
-
-def _run_interferometer(internal: InternalSpace = DEFAULT_INTERNAL,
-                        hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
-                        height: float = 3.0, total_time: float = 10.0,
-                        n_samples: int = 2001, g: float = 1.0,
-                        tolerance: float = 1e-6) -> ExperimentResult:
-    """exp_interferometer on a static path and a bump of ``height`` in a
-    uniform field ``g``; the clock is the gap of the two lowest levels."""
-    params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
-                            potential=Potential.uniform_field(g))
-    traj1 = static_trajectory(0.0, total_time, n_samples)
-    traj2 = bump_trajectory(height, total_time, n_samples)
-    return exp_interferometer(traj1, traj2, delta_e=_level_gap(internal),
-                              params=params, tolerance=tolerance)
+    try:
+        _wep_kinds(cfg["params"]["kinds"])
+    except PreconditionError as exc:
+        raise ConfigError(f"params.kinds: {exc}") from exc
 
 
 EXPERIMENTS: Dict[str, ExperimentDef] = {}
@@ -731,20 +719,29 @@ for _def in (
         validate=_need_two_levels,
     ),
     ExperimentDef(
-        name="exp_clock_dilation",
-        description="internal clock frequency shift -v^2/2c^2 + Phi/c^2, "
-                    "semiclassical or wavepacket",
+        name="exp_clock_semiclassical",
+        description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
+                    "along classical paths",
         anchor="Eq. (6)",
         columns=CLOCK_COLUMNS,
-        runner=exp_clock_dilation,
-        validate=_validate_clock,
+        runner=exp_clock_semiclassical,
+        validate=_need_two_levels,
+    ),
+    ExperimentDef(
+        name="exp_clock_wavepacket",
+        description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
+                    "of a propagated packet",
+        anchor="Eq. (6)",
+        columns=CLOCK_COLUMNS,
+        runner=exp_clock_wavepacket,
+        validate=_need_two_levels,
     ),
     ExperimentDef(
         name="exp_interferometer",
         description="two-path clock visibility |cos(dE dtau / 2 hbar)|",
         anchor="Eq. (6)",
         columns=INTERFEROMETER_COLUMNS,
-        runner=_run_interferometer,
+        runner=exp_interferometer,
         validate=_need_two_levels,
     ),
     ExperimentDef(

@@ -183,11 +183,6 @@ class PhysicalParams:
     def m(self) -> float:
         return self.E0 / self.c**2
 
-    @classmethod
-    def from_mass(cls, m: float, c: float = 10.0, hbar: float = 1.0,
-                  potential: Potential = Potential.none()) -> "PhysicalParams":
-        return cls(hbar=hbar, c=c, E0=m * c**2, potential=potential)
-
     def check_internal(self, internal: InternalSpace) -> None:
         if internal.E0 != self.E0:
             raise IncompatibleSpacesError(

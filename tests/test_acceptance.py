@@ -33,10 +33,9 @@ from massclock import (
 from massclock.experiments import (
     DEFAULT_BARGMANN_PAIRS,
     exp_bargmann,
-    exp_clock_dilation,
+    exp_clock_semiclassical,
+    exp_clock_wavepacket,
     exp_frame_phase,
-    exp_newtonian_sweep,
-    exp_wep,
 )
 
 import oracles
@@ -122,11 +121,12 @@ def test_c04_operational_equivalence():
 
 def test_c05_time_dilation():
     """Semiclassical shifts within 1e-6 relative for the stated ratio sets;
-    wavepacket mode within 2% at v/c = 0.1."""
-    semi = exp_clock_dilation(v_over_c=[0.05, 0.1, 0.2],
-                              gh_over_c2=[1e-3, 1e-2], mode="semiclassical")
+    wavepacket shift within 2% at v/c = 0.1."""
+    semi = exp_clock_semiclassical(v_over_c=[0.05, 0.1, 0.2],
+                                   gh_over_c2=[1e-3, 1e-2])
     semi_worst = max(r["rel_error"] for r in semi.rows)
-    wave = exp_clock_dilation(v_over_c=[0.1], gh_over_c2=[], mode="wavepacket")
+    wave = exp_clock_wavepacket(GridSpec(-40.0, 40.0, 2048), v_over_c=[0.1],
+                                gh_over_c2=[], sigma=2.0, total_time=5.0, dt=5e-4)
     wave_err = wave.rows[0]["rel_error"]
     _report("C05", "clock-time-dilation",
             semi_worst < 1e-6 and wave_err < 2e-2,
@@ -181,19 +181,19 @@ def test_c07_primed_frame_equation():
             f"control residual = {neg[-1]:.2e} vs {res[-1]:.2e}")
 
 
-def test_c08_newtonian_limit_convergence():
+def test_c08_newtonian_limit_convergence(default_sweep):
     """Split-vs-newtonian discrepancy scales as eps with log-log slope
     1.0 +/- 0.1 over eps in [1e-3, 1e-1]."""
-    result = exp_newtonian_sweep()
+    result = default_sweep
     slope = result.details["slope"]
     _report("C08", "newtonian-limit-slope", abs(slope - 1.0) <= 0.1,
             f"slope = {slope:.3f}")
 
 
-def test_c09_weak_equivalence_principle():
+def test_c09_weak_equivalence_principle(default_wep):
     """d<v>/dt = -g within 1e-6 relative for both branches under all four
     kinds; clock rates shift under low_energy but not under newtonian."""
-    result = exp_wep()
+    result = default_wep
     accel_rows = [r for r in result.rows if r["quantity"] == "acceleration"]
     accel_worst = max(r["rel_error"] for r in accel_rows)
     clock = {r["kind"]: r for r in result.rows if r["quantity"] == "clock_shift"}

@@ -1,4 +1,9 @@
+import csv
+import functools
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +19,13 @@ from massclock.cli import (
     main,
     parse_config,
     run,
+    write_rows_csv,
 )
 from massclock.errors import ConfigError
 from massclock.experiments import (
     EXPERIMENTS,
     exp_bargmann,
-    exp_clock_dilation,
+    exp_clock_semiclassical,
     exp_frame_phase,
 )
 
@@ -29,8 +35,10 @@ FAST_BARGMANN = ["--set", "params.pairs=[[0.5,0.8]]",
 GOLDEN_COLUMNS = {
     "exp_bargmann": ("branch", "a", "w", "phase_measured", "phase_predicted",
                      "abs_error"),
-    "exp_clock_dilation": ("mode", "v_over_c", "gh_over_c2", "shift_measured",
-                           "shift_predicted", "abs_error", "rel_error"),
+    "exp_clock_semiclassical": ("mode", "v_over_c", "gh_over_c2", "shift_measured",
+                                "shift_predicted", "abs_error", "rel_error"),
+    "exp_clock_wavepacket": ("mode", "v_over_c", "gh_over_c2", "shift_measured",
+                             "shift_predicted", "abs_error", "rel_error"),
     "exp_interferometer": ("delta_e", "delta_tau", "visibility_measured",
                            "visibility_predicted", "abs_error"),
     "exp_newtonian_sweep": ("epsilon", "phase_discrepancy_measured",
@@ -135,8 +143,8 @@ class TestParseConfig:
                      id="list-for-number"),
         pytest.param("exp_bargmann", "params.pairs=0.5", "params.pairs must be a list",
                      id="number-for-list"),
-        pytest.param("exp_clock_dilation", "params.mode=1", "params.mode must be a str",
-                     id="number-for-string"),
+        pytest.param("exp_frame_phase", "params.n_samples=2001.0",
+                     "params.n_samples must be an integer", id="number-for-integer"),
         pytest.param("exp_newtonian_sweep", "params.epsilons=null",
                      "params.epsilons must be a list", id="null-for-list"),
     ])
@@ -145,9 +153,12 @@ class TestParseConfig:
             parse_config(experiment=name, overrides=[override])
 
     def test_int_and_float_are_both_numbers(self):
-        cfg = parse_config(experiment="exp_frame_phase",
-                           overrides=["params.sigma=2", "params.n_samples=2001.0"])
-        assert cfg.params["sigma"] == 2 and cfg.params["n_samples"] == 2001.0
+        # a float default takes any number; an int default only an integer
+        cfg = parse_config(experiment="exp_frame_phase", overrides=["params.sigma=2"])
+        assert cfg.params["sigma"] == 2
+        with pytest.raises(ConfigError, match="params.n_samples must be an integer"):
+            parse_config(experiment="exp_frame_phase",
+                         overrides=["params.sigma=2", "params.n_samples=2001.0"])
 
 
 class TestRun:
@@ -228,7 +239,7 @@ class TestRun:
     @pytest.mark.parametrize("name, fn", [
         ("exp_bargmann", exp_bargmann),
         ("exp_frame_phase", exp_frame_phase),
-        ("exp_clock_dilation", exp_clock_dilation),
+        ("exp_clock_semiclassical", exp_clock_semiclassical),
     ])
     def test_cli_defaults_equal_python_defaults(self, tmp_path, name, fn):
         cfg = parse_config(experiment=name)
@@ -246,6 +257,20 @@ class TestRun:
         run_dir = next((tmp_path / "runs").iterdir())
         body = (run_dir / "rows.csv").read_text().splitlines()[1]
         assert "0.80000000000000004" in body  # repr-exact 0.8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=8))
+    def test_csv_round_trips_every_finite_float(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            write_rows_csv(path, ("x",), [{"x": v} for v in values])
+            with path.open(newline="", encoding="utf-8") as fh:
+                cells = [row[0] for row in csv.reader(fh)][1:]
+        back = [float(cell) for cell in cells]
+        assert back == values
+        assert [math.copysign(1.0, v) for v in back] == [math.copysign(1.0, v)
+                                                        for v in values]
 
 
 _JSON_VALUES = st.one_of(
@@ -304,7 +329,7 @@ class TestMain:
     def test_list_json(self, capsys):
         assert main(["list", "--format", "json"]) == EXIT_PASS
         entries = json.loads(capsys.readouterr().out)
-        assert len(entries) == 6
+        assert len(entries) == 7
         assert entries[0]["name"] == "exp_bargmann"
         assert entries[0]["anchor"] == "Eq. (2)"
 
@@ -345,6 +370,9 @@ class TestMain:
     @pytest.mark.parametrize("name, override", [
         ("exp_bargmann", 'internal.levels="05"'),
         ("exp_frame_phase", 'params.sigma="x"'),
+        ("exp_frame_phase", "params.n_samples=2001.0"),
+        ("exp_interferometer", "params.n_samples=2001.0"),
+        ("exp_newtonian_sweep", "params.sample_every=10.5"),
     ])
     def test_wrong_typed_value_exits_2(self, tmp_path, capsys, name, override):
         code = main(["run", name, "--set", override, "--out", str(tmp_path / "o")])
@@ -363,7 +391,6 @@ class TestMain:
         ("exp_wep", "params.kinds=[1]"),
         ("exp_wep", 'params.kinds=["nope"]'),
         ("exp_wep", 'params.kinds=["exact"]'),
-        ("exp_clock_dilation", "params.mode=wavepaket"),
     ])
     def test_runner_rule_checked_at_config_time(self, tmp_path, capsys, name, override):
         path = tmp_path / "cfg.json"
@@ -380,12 +407,105 @@ class TestMain:
     ])
     def test_semiclassical_fit_needs_100_samples(self, tmp_path, capsys, n_samples, code,
                                                  line):
-        assert main(["run", "exp_clock_dilation", "--set", f"params.n_samples={n_samples}",
+        assert main(["run", "exp_clock_semiclassical",
+                     "--set", f"params.n_samples={n_samples}",
                      "--out", str(tmp_path / "o")]) == code
         assert line in capsys.readouterr().out
+
+    def test_wavepacket_window_below_100_samples_exits_3(self, tmp_path, capsys):
+        # a zero window leaves one history sample, too few for any fit
+        code = main(["run", "exp_clock_wavepacket", "--set", "params.total_time=0.0",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert ">= 100 samples (design rule), got 1" in capsys.readouterr().out
 
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep",
                      "--set", "params.epsilons=[0.01]",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("exp_wep", ["params.kinds=[]"]),
+        ("exp_bargmann", ["params.pairs=[]"]),
+        ("exp_clock_semiclassical", ["params.v_over_c=[]", "params.gh_over_c2=[]"]),
+    ])
+    def test_run_with_no_rows_exits_3(self, tmp_path, capsys, name, overrides):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["run", name, *sets, "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "at least one row (design rule)" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, override", [
+        ("exp_clock_semiclassical", "params.mode=semiclassical"),
+        ("exp_clock_wavepacket", "params.mode=wavepacket"),
+        ("exp_clock_semiclassical", "grid.n_points=8"),
+        ("exp_clock_semiclassical", "params.sigma=0.001"),
+        ("exp_clock_semiclassical", "params.dt=123.0"),
+        ("exp_clock_wavepacket", "params.n_samples=2001"),
+    ])
+    def test_key_a_clock_runner_does_not_read_exits_2(self, tmp_path, capsys, name,
+                                                      override):
+        code = main(["run", name, "--set", override, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "config error: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_old_clock_name_suggests_a_new_one(self, tmp_path, capsys):
+        code = main(["run", "exp_clock_dilation", "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "did you mean 'exp_clock_semiclassical'" in capsys.readouterr().err
+
+    def test_wavepacket_clock_passes_at_its_defaults(self, tmp_path, capsys):
+        code = main(["run", "exp_clock_wavepacket", "--format", "json",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_PASS
+        rows = json.loads((next(tmp_path.iterdir()) / "rows.json").read_text())
+        assert len(rows) == 5
+        assert all(row["mode"] == "wavepacket" and row["rel_error"] < 2e-2
+                   for row in rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome(name, overrides):
+    """(exit code, rows) of ``massclock run name --set ...``; rows is None
+    when the run writes none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["run", name, *sets, "--format", "json", "--out", tmp])
+        written = list(Path(tmp).glob("*/rows.json"))
+        return code, json.loads(written[0].read_text()) if written else None
+
+
+# A one-row passing base config per clock runner and, for every params leaf
+# (and every grid leaf), a value that must change the rows or the exit code.
+_CLOCK_LEAVES = {
+    "exp_clock_semiclassical": (
+        ("params.v_over_c=[0.1]", "params.gh_over_c2=[]"),
+        {"params.v_over_c": "[0.2]", "params.gh_over_c2": "[0.01]",
+         "params.total_time": "3.0", "params.n_samples": "1001"}),
+    "exp_clock_wavepacket": (
+        ("params.v_over_c=[0.1]", "params.gh_over_c2=[]", "params.total_time=2.0"),
+        {"params.v_over_c": "[0.2]", "params.gh_over_c2": "[0.01]",
+         "params.sigma": "6.0", "params.total_time": "3.0", "params.dt": "1e-3",
+         "grid.x_min": "-30.0", "grid.x_max": "50.0", "grid.n_points": "512"}),
+}
+
+
+class TestNoDeadClockKey:
+    @pytest.mark.parametrize("name", sorted(_CLOCK_LEAVES))
+    def test_every_leaf_is_exercised(self, name):
+        defaults = EXPERIMENTS[name].defaults
+        leaves = {f"{section}.{key}" for section in ("params", "grid")
+                  for key in defaults[section]}
+        assert set(_CLOCK_LEAVES[name][1]) == leaves
+
+    @pytest.mark.parametrize("name, leaf", [
+        (name, leaf) for name, (_, values) in sorted(_CLOCK_LEAVES.items())
+        for leaf in values])
+    def test_leaf_changes_rows_or_exit_code(self, capsys, name, leaf):
+        base, values = _CLOCK_LEAVES[name]
+        code, rows = _outcome(name, base)
+        assert code == EXIT_PASS and len(rows) == 1
+        assert _outcome(name, base + (f"{leaf}={values[leaf]}",)) != (code, rows)

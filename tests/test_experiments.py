@@ -18,11 +18,13 @@ from massclock.errors import SpreadDominatedError
 from massclock.experiments import (
     EXPERIMENTS,
     exp_bargmann,
-    exp_clock_dilation,
+    exp_clock_semiclassical,
+    exp_clock_wavepacket,
     exp_frame_phase,
     exp_interferometer,
     exp_newtonian_sweep,
     exp_wep,
+    interferometer_on_paths,
     path_proper_time_difference,
 )
 
@@ -58,39 +60,44 @@ class TestBargmann:
 
 class TestClockDilation:
     def test_semiclassical_zero_case(self):
-        r = exp_clock_dilation(v_over_c=[0.0], gh_over_c2=[], mode="semiclassical")
+        r = exp_clock_semiclassical(v_over_c=[0.0], gh_over_c2=[])
         assert r.rows[0]["shift_measured"] == pytest.approx(0.0, abs=1e-12)
         assert r.passed
 
     def test_semiclassical_defaults(self):
-        r = exp_clock_dilation()
+        r = exp_clock_semiclassical()
         assert r.passed
         for row in r.rows:
             assert row["rel_error"] < 1e-6
 
     def test_wavepacket_v_row(self):
-        r = exp_clock_dilation(v_over_c=[0.1], gh_over_c2=[], mode="wavepacket")
+        r = exp_clock_wavepacket(v_over_c=[0.1], gh_over_c2=[])
         assert r.passed
         assert r.rows[0]["rel_error"] < 2e-2
         assert r.rows[0]["shift_measured"] < 0  # moving clock runs slow
 
     def test_ratio_must_be_small(self):
         with pytest.raises(PreconditionError):
-            exp_clock_dilation(v_over_c=[0.9])
+            exp_clock_semiclassical(v_over_c=[0.9])
 
     def test_spread_dominated_rejected(self):
         with pytest.raises(SpreadDominatedError):
-            exp_clock_dilation(v_over_c=[0.05], gh_over_c2=[], mode="wavepacket",
-                               sigma=1.0)
+            exp_clock_wavepacket(v_over_c=[0.05], gh_over_c2=[], sigma=1.0)
 
 
 class TestInterferometer:
     PARAMS = PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
                             potential=Potential.uniform_field(1.0))
 
+    def test_runner_defaults_pass(self):
+        # a static path and a bump of height 3 in a uniform field g = 1
+        r = exp_interferometer()
+        assert r.passed and len(r.rows) == 1
+        assert r.rows[0]["delta_e"] == 10.0
+
     def test_identical_paths_full_visibility(self):
         t1 = bump_trajectory(2.0, 10.0, 1001)
-        r = exp_interferometer(t1, t1, delta_e=10.0, params=self.PARAMS)
+        r = interferometer_on_paths(t1, t1, delta_e=10.0, params=self.PARAMS)
         assert r.rows[0]["visibility_measured"] == pytest.approx(1.0, abs=1e-12)
 
     def test_pi_phase_kills_visibility(self):
@@ -98,7 +105,7 @@ class TestInterferometer:
         t2 = bump_trajectory(3.0, 10.0, 1001)
         dtau = path_proper_time_difference(t1, t2, self.PARAMS)
         delta_e = math.pi * self.PARAMS.hbar / dtau
-        r = exp_interferometer(t1, t2, delta_e=delta_e, params=self.PARAMS)
+        r = interferometer_on_paths(t1, t2, delta_e=delta_e, params=self.PARAMS)
         assert r.rows[0]["visibility_measured"] == pytest.approx(0.0, abs=1e-9)
         assert r.passed
 
@@ -107,7 +114,7 @@ class TestInterferometer:
         t2 = bump_trajectory(3.0, 10.0, 1001)
         dtau = path_proper_time_difference(t1, t2, self.PARAMS)
         delta_e = 0.5 * math.pi * self.PARAMS.hbar / dtau
-        r = exp_interferometer(t1, t2, delta_e=delta_e, params=self.PARAMS)
+        r = interferometer_on_paths(t1, t2, delta_e=delta_e, params=self.PARAMS)
         assert r.rows[0]["visibility_measured"] == pytest.approx(
             math.cos(math.pi / 4), abs=1e-6)
         assert r.passed
@@ -116,7 +123,7 @@ class TestInterferometer:
         t1 = static_trajectory(1.0, 10.0, 101)
         t2 = bump_trajectory(3.0, 10.0, 101)
         with pytest.raises(TrajectoryError):
-            exp_interferometer(t1, t2, delta_e=1.0, params=self.PARAMS)
+            interferometer_on_paths(t1, t2, delta_e=1.0, params=self.PARAMS)
 
 
 class TestNewtonianSweep:
@@ -134,8 +141,8 @@ class TestNewtonianSweep:
         b = propagate(state, HamiltonianKind.newtonian(), params, 1e-3, 1000)
         assert abs(1.0 - abs(overlap(a, b)) ** 2) < 1e-10
 
-    def test_slope_is_one(self):
-        r = exp_newtonian_sweep()
+    def test_slope_is_one(self, default_sweep):
+        r = default_sweep
         assert abs(r.details["slope"] - 1.0) <= 0.1
         assert r.passed
 
@@ -154,8 +161,8 @@ class TestNewtonianSweep:
             assert r_l["phase_discrepancy_measured"] == pytest.approx(
                 2.0 * r_s["phase_discrepancy_measured"], rel=1e-3)
 
-    def test_state_distance_scales_linearly(self):
-        r = exp_newtonian_sweep()
+    def test_state_distance_scales_linearly(self, default_sweep):
+        r = default_sweep
         eps = [row["epsilon"] for row in r.rows]
         dist = [row["state_distance"] for row in r.rows]
         slope = np.polyfit(np.log(eps), np.log(dist), 1)[0]
@@ -169,8 +176,8 @@ class TestNewtonianSweep:
 
 
 class TestWep:
-    def test_defaults_pass(self):
-        r = exp_wep()
+    def test_defaults_pass(self, default_wep):
+        r = default_wep
         assert r.passed
         accel = [row for row in r.rows if row["quantity"] == "acceleration"]
         assert len(accel) == 8  # 4 kinds x 2 branches
@@ -234,10 +241,11 @@ class TestFramePhase:
 
 
 class TestRegistry:
-    def test_six_experiments_registered(self):
+    def test_seven_experiments_registered(self):
         assert list(EXPERIMENTS) == [
-            "exp_bargmann", "exp_clock_dilation", "exp_interferometer",
-            "exp_newtonian_sweep", "exp_wep", "exp_frame_phase",
+            "exp_bargmann", "exp_clock_semiclassical", "exp_clock_wavepacket",
+            "exp_interferometer", "exp_newtonian_sweep", "exp_wep",
+            "exp_frame_phase",
         ]
 
     def test_every_entry_has_anchor_and_columns(self):

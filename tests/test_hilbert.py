@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from massclock import (
     BoundaryViolationError,
@@ -18,6 +22,7 @@ from massclock import (
     internal_space_from_masses,
     make_superposition,
     overlap,
+    wrap_angle,
 )
 from massclock.hilbert import wavefunction_moments
 
@@ -264,3 +269,22 @@ class TestBranchPhase:
                                    gaussian_packet(GRID, 0.0, 0.0, 1.0))
         with pytest.raises(PreconditionError):
             branch_phase(state, other, 0)
+
+
+_EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+                math.nextafter(math.pi, math.inf), math.nextafter(-math.pi, -math.inf),
+                math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+                5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+class TestWrapAngle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-10**6, 10**6).map(lambda k: k * math.pi),
+                     st.sampled_from(_EDGE_ANGLES)))
+    def test_principal_value_for_every_finite_input(self, theta):
+        out = wrap_angle(theta)
+        assert -math.pi < out <= math.pi
+        if abs(theta) < 1e6:  # the same angle, up to the rounding of theta + pi
+            assert abs(math.cos(out) - math.cos(theta)) < 1e-9
+            assert abs(math.sin(out) - math.sin(theta)) < 1e-9
