@@ -5,8 +5,10 @@ multiplications over the (level, grid point) amplitude array.  The work
 that runs once per time step, and the trajectory quadrature, lives here:
 
 * ``phase_multiply``   -- in-place  amps *= phases  (one Strang substep)
-* ``branch_moments``   -- fused per-branch norm / <x> / <x^2> pass used for
-                          the per-step boundary-clearance and norm checks
+* ``branch_moments``   -- per-branch norm / <x> / <x^2> weights as one
+                          matmul |a|^2 @ basis against the grid's (N, 3)
+                          moment basis [1, x, x^2] dx, used for the per-step
+                          boundary-clearance and norm checks
 * ``accumulate_phase`` -- cumulative Simpson integration of a sampled
                           frequency (semiclassical clock phase)
 
@@ -22,14 +24,10 @@ def phase_multiply(amps: np.ndarray, phases: np.ndarray) -> None:
     amps *= phases
 
 
-def branch_moments(amps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-branch [sum |a|^2, sum x |a|^2, sum x^2 |a|^2] (no dx factor)."""
-    w = amps.real ** 2 + amps.imag ** 2
-    out = np.empty((amps.shape[0], 3))
-    out[:, 0] = w.sum(axis=1)
-    out[:, 1] = w @ x
-    out[:, 2] = w @ (x * x)
-    return out
+def branch_moments(amps: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Per-branch [sum w dx, sum x w dx, sum x^2 w dx] with w = |a|^2, for
+    the (N, 3) moment basis [1, x, x^2] dx of the grid."""
+    return (amps.real ** 2 + amps.imag ** 2) @ basis
 
 
 def accumulate_phase(omega: np.ndarray, dt: float) -> np.ndarray:

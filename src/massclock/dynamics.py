@@ -57,6 +57,7 @@ from .hilbert import (
     PhysicalParams,
     _check_clearance,
     _clearance_from_moments,
+    _moment_basis,
     expectation_kinetic,
 )
 from .symmetry import _translate
@@ -217,21 +218,22 @@ class _Plan:
             )
         self.exp_t = np.exp(-1j * t_table * dt / params.hbar)
         self.exp_v_half = np.exp(-0.5j * v_table * dt / params.hbar)
-        self.x = grid.x()
-        self.dx = grid.dx
+        self.basis = _moment_basis(grid)
         self.grid = grid
 
     def step(self, amps: np.ndarray) -> np.ndarray:
+        """One Strang step, in place: ``amps`` is the caller's private
+        complex buffer, overwritten and returned."""
         _kernels.phase_multiply(amps, self.exp_v_half)
-        amps = np.fft.fft(amps, axis=1)
+        np.fft.fft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_t)
-        amps = np.fft.ifft(amps, axis=1)
+        np.fft.ifft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_v_half)
         return amps
 
     def check(self, amps: np.ndarray, step_no: int) -> None:
-        moments = _kernels.branch_moments(amps, self.x) * self.dx
-        total = float(moments[:, 0].sum())
+        moments = _kernels.branch_moments(amps, self.basis).tolist()
+        total = sum(row[0] for row in moments)
         if abs(total - 1.0) > 1e-10:
             raise PreconditionError(
                 f"norm drifted to {total!r} at step {step_no}"

@@ -190,6 +190,14 @@ def _equal_superposition(grid: GridSpec, internal: InternalSpace, sigma: float,
     return make_superposition(grid, internal, weights, psi)
 
 
+def _step_count(total_time: float, dt: float) -> int:
+    """Strang steps of size dt that cover total_time; dt is checked before
+    the division, with the propagator's own rule."""
+    if not dt > 0:
+        raise PreconditionError("dt must be positive")
+    return int(round(total_time / dt))
+
+
 # --- exp_bargmann -------------------------------------------------------------
 
 BARGMANN_COLUMNS = ("branch", "a", "w", "phase_measured", "phase_predicted", "abs_error")
@@ -317,7 +325,7 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     m = e0 / c**2
     omega0 = _level_gap(internal) / hbar
     spread = wavepacket_spread_correction(sigma, m, hbar, c)
-    steps = int(round(total_time / dt))
+    steps = _step_count(total_time, dt)
     _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
     times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
 
@@ -446,7 +454,7 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
         raise PreconditionError("eps values must be in (0, 0.5)")
     if max(epsilons) / min(epsilons) < 10.0:
         raise PreconditionError("eps values must span at least a decade")
-    steps = int(round(total_time / dt))
+    steps = _step_count(total_time, dt)
 
     def one(eps):
         internal = InternalSpace(E0=E0, levels=(0.0, eps * E0))
@@ -523,7 +531,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
                             potential=Potential.uniform_field(g))
     omega0 = (internal.levels[1] - internal.levels[0]) / hbar if internal.dim >= 2 else 0.0
     m = params.m
-    steps = int(round(total_time / dt))
+    steps = _step_count(total_time, dt)
 
     def one(kind: HamiltonianKind):
         state = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
@@ -600,7 +608,7 @@ def exp_frame_phase(grid: GridSpec = SMALL_GRID,
     traj = triangular_trajectory(speed, total_time, n_samples)
 
     state = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
-    steps = int(round(total_time / dt))
+    steps = _step_count(total_time, dt)
     lab = propagate(state, HamiltonianKind.dynamical_mass(), params, dt, steps)
 
     primed = frame_transform(lab, traj, total_time, params)

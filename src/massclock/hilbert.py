@@ -17,6 +17,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -389,21 +391,33 @@ def expectation_kinetic(grid: GridSpec, psi: np.ndarray, hbar: float,
 
 # --- boundary rule ----------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _moment_basis(grid: GridSpec) -> np.ndarray:
+    """(N, 3) columns [1, x, x^2] dx: |psi|^2 @ basis gives every branch's
+    [prob, sum x w dx, sum x^2 w dx] in one matmul.  Built once per grid
+    and shared read-only: building it costs more than the check it serves."""
+    x = grid.x()
+    basis = np.stack((np.ones_like(x), x, x * x), axis=1) * grid.dx
+    basis.flags.writeable = False
+    return basis
+
+
 def boundary_clearance_violation(grid: GridSpec, amplitudes: np.ndarray):
     """None if every populated branch keeps <x> +/- CLEARANCE_SIGMAS * sigma_x
     inside the domain, else a human-readable description of the worst offender."""
-    moments = _kernels.branch_moments(np.atleast_2d(amplitudes), grid.x())
-    return _clearance_from_moments(grid, moments * grid.dx)
+    moments = _kernels.branch_moments(np.atleast_2d(amplitudes), _moment_basis(grid))
+    return _clearance_from_moments(grid, moments.tolist())
 
 
-def _clearance_from_moments(grid: GridSpec, moments: np.ndarray):
-    """Same check from precomputed per-branch [prob, sum x w, sum x^2 w] dx."""
+def _clearance_from_moments(grid: GridSpec, moments: Sequence[Sequence[float]]):
+    """Same check from precomputed per-branch [prob, sum x w, sum x^2 w] dx
+    rows, as Python floats (a scalar loop beats masked numpy at this size)."""
     for i, (prob, sx, sxx) in enumerate(moments):
         if prob <= _POPULATED:
             continue
         mean = sx / prob
         var = max(sxx / prob - mean**2, 0.0)
-        half = CLEARANCE_SIGMAS * np.sqrt(var)
+        half = CLEARANCE_SIGMAS * math.sqrt(var)
         if mean - half < grid.x_min or mean + half > grid.x_max:
             return (
                 f"branch {i}: <x>={mean:.3f}, {CLEARANCE_SIGMAS} sigma_x={half:.3f} "

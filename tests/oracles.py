@@ -43,6 +43,19 @@ def dense_loop_phase(grid, mass: float, a: float, w: float, hbar: float,
     return float(np.angle(np.sum(np.conj(psi) * looped) * grid.dx))
 
 
+# --- out-of-place Strang step (vs the in-place propagator step) ---------------
+
+def strang_step(amps: np.ndarray, exp_v_half: np.ndarray,
+                exp_t: np.ndarray) -> np.ndarray:
+    """One Strang step with a fresh array per stage.
+
+    The operands keep the order of ``amps *= phases``: numpy's complex
+    product is not bitwise commutative, so ``phases * amps`` can differ in
+    the last bit.
+    """
+    return np.fft.ifft(np.fft.fft(amps * exp_v_half, axis=1) * exp_t, axis=1) * exp_v_half
+
+
 # --- closed forms --------------------------------------------------------------
 
 def gaussian_overlap_modulus(d: float, sigma: float) -> float:

@@ -419,6 +419,17 @@ class TestMain:
         assert code == EXIT_PRECONDITION
         assert ">= 100 samples (design rule), got 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dt", ["0.0", "-0.001"])
+    @pytest.mark.parametrize("name", ["exp_wep", "exp_frame_phase",
+                                      "exp_newtonian_sweep", "exp_clock_wavepacket"])
+    def test_non_positive_dt_exits_3(self, tmp_path, capsys, name, dt):
+        # the step count total_time / dt is taken only after dt is checked
+        code = main(["run", name, "--set", f"params.dt={dt}",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "dt must be positive" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep",
                      "--set", "params.epsilons=[0.01]",

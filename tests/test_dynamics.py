@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from massclock import (
     AliasingError,
     BoundaryViolationError,
+    CompositeState,
     GridSpec,
     HamiltonianKind,
     InternalSpace,
@@ -40,7 +41,7 @@ from massclock import (
     triangular_trajectory,
 )
 from massclock import _kernels
-from massclock.dynamics import _KINDS, _tables
+from massclock.dynamics import _KINDS, _Plan, _tables
 
 import oracles
 
@@ -296,6 +297,58 @@ class TestPropagate:
         with pytest.raises(PreconditionError):
             propagate_history(state, HamiltonianKind.newtonian(), PARAMS,
                               5e-4, 101, sample_every=20)
+
+    def test_history_states_are_snapshots_of_the_step_buffer(self):
+        # the step overwrites one buffer in place; every sampled state must
+        # keep the amplitudes of its own step while later steps run
+        state = packet_state(p0=1.0)
+        before = state.amplitudes.copy()
+        kind = HamiltonianKind.low_energy()
+        _, states = propagate_history(state, kind, PARAMS, 5e-4, 60, sample_every=20)
+        assert states[0] is state
+        for k, sampled in enumerate(states):
+            fresh = propagate(state, kind, PARAMS, 5e-4, 20 * k)
+            assert np.array_equal(sampled.amplitudes, fresh.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
+
+
+class TestStrangStep:
+    INTERNAL3 = InternalSpace(E0=100.0, levels=(-3.0, 0.0, 7.0))
+
+    @pytest.mark.parametrize("label", list(_KINDS))
+    def test_in_place_step_equals_the_out_of_place_oracle(self, label):
+        params = PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
+                                potential=Potential.uniform_field(0.7))
+        plan = _Plan(GRID, self.INTERNAL3, HamiltonianKind.from_name(label), params, 5e-4)
+        amps = np.array(packet_state(internal=self.INTERNAL3, p0=1.0).amplitudes)
+        expected = amps.copy()
+        for _ in range(10):
+            expected = oracles.strang_step(expected, plan.exp_v_half, plan.exp_t)
+            assert plan.step(amps) is amps
+            assert np.array_equal(amps, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_kind_cases(), fraction=st.floats(0.01, 0.99), steps=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_step_is_unitary(self, case, fraction, steps, seed):
+        # random amplitudes, not packets: unitarity holds for every vector,
+        # so no clearance rule narrows the inputs
+        label, grid, internal, params = case
+        kind = HamiltonianKind.from_name(label)
+        t_table, _ = _tables(kind, grid, internal, params)
+        dt = fraction * np.pi * params.hbar / np.max(np.abs(t_table))  # below the alias limit
+        plan = _Plan(grid, internal, kind, params, dt)
+        rng = np.random.default_rng(seed)
+        shape = (internal.dim, grid.n_points)
+        psi, phi = (CompositeState.create(grid, internal, rng.standard_normal(shape)
+                                          + 1j * rng.standard_normal(shape))
+                    for _ in range(2))
+        a, b = np.array(psi.amplitudes), np.array(phi.amplitudes)
+        for _ in range(steps):
+            a, b = plan.step(a), plan.step(b)
+        assert abs(np.sum(a.real**2 + a.imag**2) * grid.dx - 1.0) <= 1e-12
+        evolved = overlap(psi.with_amplitudes(a), phi.with_amplitudes(b))
+        assert abs(evolved - overlap(psi, phi)) <= 1e-12
 
 
 class TestInternalFrequency:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from massclock import _kernels
+from massclock import GridSpec, _kernels
+from massclock.hilbert import _moment_basis
 
 
 def _random_problem(seed=0, dim=2, n=512):
@@ -19,10 +22,35 @@ def test_numpy_phase_multiply_and_moments():
     work = amps.copy()
     _kernels.phase_multiply(work, phases)
     assert np.array_equal(work, expected)
-    m = _kernels.branch_moments(work, x)
+    dx = x[1] - x[0]
+    m = _kernels.branch_moments(work, np.stack((np.ones_like(x), x, x * x), axis=1) * dx)
     w = np.abs(work) ** 2
-    assert np.allclose(m[:, 0], w.sum(axis=1), rtol=1e-13)
-    assert np.allclose(m[:, 1], w @ x, rtol=1e-12, atol=1e-12)
+    assert np.allclose(m[:, 0], w.sum(axis=1) * dx, rtol=1e-13)
+    assert np.allclose(m[:, 1], (w @ x) * dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(m[:, 2], (w @ (x * x)) * dx, rtol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log2n=st.integers(3, 12), dim=st.integers(1, 3), x_min=st.floats(-100.0, 50.0),
+       length=st.floats(0.5, 200.0), seed=st.integers(0, 2**32 - 1))
+def test_branch_moments_match_exact_per_branch_sums(log2n, dim, x_min, length, seed):
+    # against correctly rounded sums of sum w dx, sum x w dx, sum x^2 w dx,
+    # relative to sum |x|^k w dx (the first moment can cancel to ~0)
+    grid = GridSpec(x_min, x_min + length, 2**log2n)
+    rng = np.random.default_rng(seed)
+    amps = (rng.standard_normal((dim, grid.n_points))
+            + 1j * rng.standard_normal((dim, grid.n_points)))
+    basis = _moment_basis(grid)
+    assert not basis.flags.writeable  # one cached basis per grid, shared
+    m = _kernels.branch_moments(amps, basis)
+    assert m.shape == (dim, 3)
+    x = grid.x()
+    for i in range(dim):
+        w = amps[i].real ** 2 + amps[i].imag ** 2
+        for k in range(3):
+            terms = w * x**k * grid.dx
+            exact = math.fsum(terms)
+            assert abs(m[i, k] - exact) <= 1e-14 * math.fsum(np.abs(terms))
 
 
 _COEFFS = st.lists(st.integers(-1000, 1000).map(lambda k: k / 100.0),
