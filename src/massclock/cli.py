@@ -25,9 +25,11 @@ The experiment's runner is the single source of its defaults: ``grid``,
 ``params`` key per keyword argument, read from its signature.  A section
 the runner takes nothing from is empty (``exp_clock_semiclassical`` and
 ``exp_interferometer`` have no grid; ``exp_newtonian_sweep`` sets its own
-levels).  A ``params`` value has the JSON type of its default: an integer
-default takes only an integer, a float default any number, a list default
-a list.
+levels; ``exp_frame_phase`` runs no propagation, as lab evolution cancels
+in its round trip, so it has no ``dt``).  A ``params`` value has the JSON
+type of its default: an integer default takes only an integer, a float
+default any number, a list default a list.  NaN and +-Infinity, which JSON
+parsing accepts, are a config error anywhere in the tree.
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values; values parse as JSON fragments,
@@ -35,10 +37,11 @@ falling back to bare strings.
 
 Every run writes ``<output>/<experiment>-<timestamp>/rows.{csv|json}`` plus
 ``meta.json``, the run record: artifact version, experiment, pass/fail,
-tolerances, ``runtime_seconds`` (``run`` times the runner call), columns,
-details, defaulted keys and ``config``, the fully resolved config and the
-only echo of the run's settings (fed back through ``parse_config`` it
-reproduces the same RunConfig).
+tolerances, ``runtime_seconds`` (``run`` times the runner call),
+``columns`` (the keys of the first row, which every row shares), details,
+defaulted keys and ``config``, the fully resolved config and the only echo
+of the run's settings (fed back through ``parse_config`` it reproduces the
+same RunConfig).
 
 Exit codes: 0 pass, 2 config error, 3 numerical precondition, 4 tolerance
 fail.
@@ -51,6 +54,7 @@ import copy
 import csv
 import difflib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -164,8 +168,21 @@ def _json_type(value) -> str:
     return "a number" if type(value) is float else f"a {type(value).__name__}"
 
 
+def _check_finite(value, path: str) -> None:
+    """Reject NaN and +-Infinity anywhere below ``path``, lists and tuples too."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+
+
 def _validate_user_tree(user: dict, defaults: dict) -> None:
     _check_keys(user, _TOP_KEYS, "config")
+    _check_finite(user, "")
     for section in _SECTIONS:
         if section in user:
             if not isinstance(user[section], dict):
@@ -285,7 +302,8 @@ def _fmt_cell(value):
     return value
 
 
-def write_rows_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
+def write_rows_csv(path: Path, rows: Sequence[dict]) -> None:
+    columns = list(rows[0])
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
         writer.writerow(columns)
@@ -293,9 +311,8 @@ def write_rows_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> 
             writer.writerow([_fmt_cell(row[col]) for col in columns])
 
 
-def write_rows_json(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    payload = [{col: row[col] for col in columns} for row in rows]
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def write_rows_json(path: Path, rows: Sequence[dict]) -> None:
+    path.write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
 
 
 def _run_directory(base: Path, experiment: str) -> Path:
@@ -325,9 +342,9 @@ def run(config: RunConfig, echo=print) -> int:
     out_dir = _run_directory(Path(config.output), config.experiment)
     rows_path = out_dir / f"rows.{config.format}"
     if config.format == "csv":
-        write_rows_csv(rows_path, result.columns, result.rows)
+        write_rows_csv(rows_path, result.rows)
     else:
-        write_rows_json(rows_path, result.columns, result.rows)
+        write_rows_json(rows_path, result.rows)
     meta = {
         "artifact_version": __version__,
         "experiment": config.experiment,

@@ -3,8 +3,10 @@
 Every experiment returns an ExperimentResult whose rows pair a measured
 number (from the simulation pipeline only) with a predicted number (from
 closed formulas and the run parameters only).  The two code paths share no
-intermediate values; they meet only in the comparison columns.  All runs
-are deterministic: same configuration, bit-identical rows.
+intermediate values; they meet only in the comparison columns, which are
+the keys of the first row (every row has the same keys, in order).  A
+registry entry is named by its runner.  All runs are deterministic: same
+configuration, bit-identical rows.
 
 The seven experiments:
 
@@ -20,7 +22,8 @@ The seven experiments:
                            and kind, plus clock rates (shifted under
                            low_energy, unshifted under newtonian)
   exp_frame_phase          closed-path frame-transform phase (M/hbar) int
-                           xi_dot^2/2 dt and its proper-time reading
+                           xi_dot^2/2 dt and its proper-time reading, read on
+                           the initial packet (lab evolution cancels in it)
 """
 
 from __future__ import annotations
@@ -35,14 +38,12 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import (
-    _KINDS,
     HamiltonianKind,
     Trajectory,
     bump_trajectory,
     expectation_velocity,
     fit_clock_rate,
     frame_transform,
-    propagate,
     _require_fit_samples,
     propagate_history,
     semiclassical_clock_phases,
@@ -67,7 +68,6 @@ from .symmetry import apply_boost, bargmann_loop_element, loop_phase
 
 @dataclass
 class ExperimentResult:
-    columns: Tuple[str, ...]
     rows: List[dict]
     tolerance: dict
     passed: bool
@@ -77,6 +77,15 @@ class ExperimentResult:
         if not self.rows:
             raise PreconditionError("a run must yield at least one row (design "
                                     "rule); with none it checks nothing")
+        for i, row in enumerate(self.rows):
+            if tuple(row) != self.columns:
+                raise PreconditionError(f"row {i} has keys {tuple(row)}, not the columns "
+                                        f"{self.columns} of row 0 (design rule)")
+
+    @property
+    def columns(self) -> Tuple[str, ...]:
+        """The keys of the first row, in order; every row has the same."""
+        return tuple(self.rows[0])
 
     def worst_row(self, key: str = "abs_error") -> Optional[int]:
         errs = [abs(r[key]) for r in self.rows if key in r and r[key] is not None]
@@ -200,8 +209,6 @@ def _step_count(total_time: float, dt: float) -> int:
 
 # --- exp_bargmann -------------------------------------------------------------
 
-BARGMANN_COLUMNS = ("branch", "a", "w", "phase_measured", "phase_predicted", "abs_error")
-
 DEFAULT_BARGMANN_PAIRS = ((0.5, 0.8), (1.0, 0.3), (-0.7, 0.5),
                           (0.25, -1.2), (2.0, 1.0))
 
@@ -241,16 +248,12 @@ def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
             })
     passed = loop_is_identity and all(r["abs_error"] < tolerance for r in rows)
     return ExperimentResult(
-        columns=BARGMANN_COLUMNS, rows=rows,
-        tolerance={"phase_abs": tolerance}, passed=passed,
+        rows=rows, tolerance={"phase_abs": tolerance}, passed=passed,
         details={"abstract_loop_is_identity": loop_is_identity},
     )
 
 
 # --- exp_clock_semiclassical / exp_clock_wavepacket ------------------------------
-
-CLOCK_COLUMNS = ("mode", "v_over_c", "gh_over_c2", "shift_measured",
-                 "shift_predicted", "abs_error", "rel_error")
 
 CLOCK_INTERNAL = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.5))
 CLOCK_V_OVER_C = (0.05, 0.1, 0.2)
@@ -272,8 +275,7 @@ def _clock_result(mode: str, v_over_c: Sequence[float], gh_over_c2: Sequence[flo
         rows.append({"mode": mode, "v_over_c": v_r, "gh_over_c2": g_r,
                      "shift_measured": measured, "shift_predicted": predicted,
                      "abs_error": abs_err, "rel_error": rel_err})
-    return ExperimentResult(columns=CLOCK_COLUMNS, rows=rows,
-                            tolerance={"shift_rel": tol},
+    return ExperimentResult(rows=rows, tolerance={"shift_rel": tol},
                             passed=all(r["rel_error"] < tol for r in rows))
 
 
@@ -358,9 +360,6 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
 
 # --- exp_interferometer ---------------------------------------------------------
 
-INTERFEROMETER_COLUMNS = ("delta_e", "delta_tau", "visibility_measured",
-                          "visibility_predicted", "abs_error")
-
 
 def clock_path_phase(traj: Trajectory, delta_e: float,
                      params: PhysicalParams) -> float:
@@ -403,8 +402,7 @@ def interferometer_on_paths(traj1: Trajectory, traj2: Trajectory, delta_e: float
     rows = [{"delta_e": delta_e, "delta_tau": delta_tau,
              "visibility_measured": measured, "visibility_predicted": predicted,
              "abs_error": abs_err}]
-    return ExperimentResult(columns=INTERFEROMETER_COLUMNS, rows=rows,
-                            tolerance={"visibility_abs": tolerance},
+    return ExperimentResult(rows=rows, tolerance={"visibility_abs": tolerance},
                             passed=abs_err < tolerance)
 
 
@@ -424,9 +422,6 @@ def exp_interferometer(internal: InternalSpace = DEFAULT_INTERNAL,
 
 
 # --- exp_newtonian_sweep --------------------------------------------------------
-
-SWEEP_COLUMNS = ("epsilon", "phase_discrepancy_measured",
-                 "phase_discrepancy_predicted", "state_distance", "infidelity")
 
 
 def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
@@ -485,16 +480,12 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
                              1)[0])
     passed = abs(slope - 1.0) <= slope_tolerance
     return ExperimentResult(
-        columns=SWEEP_COLUMNS, rows=rows,
-        tolerance={"slope": slope_tolerance}, passed=passed,
+        rows=rows, tolerance={"slope": slope_tolerance}, passed=passed,
         details={"slope": slope},
     )
 
 
 # --- exp_wep ---------------------------------------------------------------------
-
-WEP_COLUMNS = ("kind", "quantity", "branch", "measured", "predicted",
-               "abs_error", "rel_error")
 
 DEFAULT_WEP_KINDS = ("dynamical_mass", "low_energy", "split", "newtonian")
 
@@ -527,6 +518,8 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     omega0 under newtonian; both records are kept.
     """
     kind_objs = _wep_kinds(kinds)
+    tolerance = {"accel_rel": accel_tolerance, "newtonian_shift_abs": 1e-8,
+                 "low_energy_shift_rel": 0.1, "low_energy_shift_floor": 1e-6}
     params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
                             potential=Potential.uniform_field(g))
     omega0 = (internal.levels[1] - internal.levels[0]) / hbar if internal.dim >= 2 else 0.0
@@ -549,12 +542,14 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
         if internal.dim >= 2 and omega0 > 0.0:
             rate = fit_clock_rate(times, states)
             measured_shift = (rate - omega0) / omega0
-            baseline = 1.0 if _KINDS[kind.label()].carries_rest else 0.0
-            if kind.name == "newtonian":
+            if kind.name == "newtonian":  # one mass m for every level
                 predicted_shift = 0.0
             else:
-                predicted_shift = (baseline - 1.0) + regression_shift_prediction(
+                predicted_shift = regression_shift_prediction(
                     times, 0.0, g, x0, sigma, m, hbar, c)
+                if kind.label() == "dynamical_mass":
+                    # no rest term E_i in H: the clock runs at omega0 * shift
+                    predicted_shift -= 1.0
             abs_err = abs(measured_shift - predicted_shift)
             rel = abs_err / abs(predicted_shift) if predicted_shift != 0.0 else abs_err
             rows.append({"kind": kind.label(), "quantity": "clock_shift",
@@ -569,22 +564,16 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     clock_rows = {r["kind"]: r for r in rows if r["quantity"] == "clock_shift"}
     clock_ok = True
     if "newtonian" in clock_rows:
-        clock_ok &= abs(clock_rows["newtonian"]["measured"]) < 1e-8
+        clock_ok &= (abs(clock_rows["newtonian"]["measured"])
+                     < tolerance["newtonian_shift_abs"])
     if "low_energy" in clock_rows:
         row = clock_rows["low_energy"]
-        clock_ok &= row["rel_error"] < 0.1 and abs(row["measured"]) > 1e-6
-    return ExperimentResult(
-        columns=WEP_COLUMNS, rows=rows,
-        tolerance={"accel_rel": accel_tolerance, "newtonian_shift_abs": 1e-8,
-                   "low_energy_shift_rel": 0.1},
-        passed=accel_ok and clock_ok,
-    )
+        clock_ok &= (row["rel_error"] < tolerance["low_energy_shift_rel"]
+                     and abs(row["measured"]) > tolerance["low_energy_shift_floor"])
+    return ExperimentResult(rows=rows, tolerance=tolerance, passed=accel_ok and clock_ok)
 
 
 # --- exp_frame_phase --------------------------------------------------------------
-
-FRAME_COLUMNS = ("branch", "phase_measured", "phase_predicted", "abs_error",
-                 "phase_proper_time", "proper_time_gap")
 
 
 def exp_frame_phase(grid: GridSpec = SMALL_GRID,
@@ -593,32 +582,30 @@ def exp_frame_phase(grid: GridSpec = SMALL_GRID,
                     speed: float = 1.0, total_time: float = 1.0,
                     n_samples: int = 2001,
                     sigma: float = 1.0, x0: float = 0.0,
-                    dt: float = 1e-3,
                     tolerance: float = 1e-6) -> ExperimentResult:
     """Round-trip phase of the frame riding a closed triangular path.
 
-    The lab state is evolved freely; at t = T the frame transform is applied
-    and the residual boost (the triangle ends with xi_dot = -speed) is
-    undone, completing the round trip.  The remaining branch phase is read
-    against the lab state and compared with (M_i/hbar) integral xi_dot^2/2 dt
-    and with its proper-time reading M_i c^2 (T - T')/hbar.
+    At t = T the frame transform is applied to the packet and the residual
+    boost (the triangle ends with xi_dot = -speed) is undone, completing
+    the round trip.  The remaining branch phase is read against the packet
+    and compared with (M_i/hbar) integral xi_dot^2/2 dt and with its
+    proper-time reading M_i c^2 (T - T')/hbar.  The path is closed, so the
+    round trip acts on each branch as a pure phase whatever the lab state:
+    lab evolution up to T cancels in the readout, and none is run.
     """
     params = _params_for(internal, hbar, c)
     mass_values = internal.mass_energies(c)
     traj = triangular_trajectory(speed, total_time, n_samples)
 
-    state = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
-    steps = _step_count(total_time, dt)
-    lab = propagate(state, HamiltonianKind.dynamical_mass(), params, dt, steps)
-
-    primed = frame_transform(lab, traj, total_time, params)
+    packet = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
+    primed = frame_transform(packet, traj, total_time, params)
     _, v_end, _ = traj.at(total_time)
     unboosted = apply_boost(primed, v_end, 0.0, params)
 
     rows = []
     measured_phases = []
     for i in range(internal.dim):
-        bp = branch_phase(unboosted, lab, i)
+        bp = branch_phase(unboosted, packet, i)
         measured_phases.append(bp.phase)
         pred = wrap_angle(predicted_triangle_phase(mass_values[i], speed,
                                                    total_time, hbar))
@@ -644,8 +631,7 @@ def exp_frame_phase(grid: GridSpec = SMALL_GRID,
             "proper_time_gap": abs(wrap_angle(rel - proper)),
         })
     passed = all(r["abs_error"] < tolerance for r in rows)
-    return ExperimentResult(columns=FRAME_COLUMNS, rows=rows,
-                            tolerance={"phase_abs": tolerance}, passed=passed)
+    return ExperimentResult(rows=rows, tolerance={"phase_abs": tolerance}, passed=passed)
 
 
 # --- registry (consumed by the CLI) --------------------------------------------
@@ -668,12 +654,15 @@ def _as_json(value):
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    name: str
     description: str
     anchor: str
-    columns: Tuple[str, ...]
     runner: Callable
     validate: Optional[Callable] = None
+
+    @property
+    def name(self) -> str:
+        """The registry name: the runner's own name."""
+        return self.runner.__name__
 
     @property
     def defaults(self) -> dict:
@@ -715,69 +704,53 @@ def _validate_wep(cfg: dict) -> None:
         raise ConfigError(f"params.kinds: {exc}") from exc
 
 
-EXPERIMENTS: Dict[str, ExperimentDef] = {}
-for _def in (
+EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
     ExperimentDef(
-        name="exp_bargmann",
         description="translate-boost loop phases per branch and the "
                     "mass-energy relative phase",
         anchor="Eq. (2)",
-        columns=BARGMANN_COLUMNS,
         runner=exp_bargmann,
         validate=_need_two_levels,
     ),
     ExperimentDef(
-        name="exp_clock_semiclassical",
         description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
                     "along classical paths",
         anchor="Eq. (6)",
-        columns=CLOCK_COLUMNS,
         runner=exp_clock_semiclassical,
         validate=_need_two_levels,
     ),
     ExperimentDef(
-        name="exp_clock_wavepacket",
         description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
                     "of a propagated packet",
         anchor="Eq. (6)",
-        columns=CLOCK_COLUMNS,
         runner=exp_clock_wavepacket,
         validate=_need_two_levels,
     ),
     ExperimentDef(
-        name="exp_interferometer",
         description="two-path clock visibility |cos(dE dtau / 2 hbar)|",
         anchor="Eq. (6)",
-        columns=INTERFEROMETER_COLUMNS,
         runner=exp_interferometer,
         validate=_need_two_levels,
     ),
     ExperimentDef(
-        name="exp_newtonian_sweep",
         description="split-form vs newtonian discrepancy, linear in "
                     "eps = max|E_i|/E0",
         anchor="Eqs. (7)-(8)",
-        columns=SWEEP_COLUMNS,
         runner=exp_newtonian_sweep,
         validate=_validate_sweep,
     ),
     ExperimentDef(
-        name="exp_wep",
         description="free-fall universality per branch and kind, with "
                     "clock-rate records",
         anchor="Eq. (8) + WEP",
-        columns=WEP_COLUMNS,
         runner=exp_wep,
         validate=_validate_wep,
     ),
     ExperimentDef(
-        name="exp_frame_phase",
         description="closed-path moving-frame phase = time dilation in "
                     "phase units",
         anchor="Eqs. (1)-(2)",
-        columns=FRAME_COLUMNS,
         runner=exp_frame_phase,
         validate=_need_two_levels,
     ),
-):
-    EXPERIMENTS[_def.name] = _def
+)}

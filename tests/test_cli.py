@@ -152,6 +152,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(experiment=name, overrides=[override])
 
+    def test_non_finite_number_in_a_dict_tuple_rejected(self):
+        # a dict config from Python may hold tuples, which JSON never does
+        with pytest.raises(ConfigError,
+                           match=r"internal\.levels\[1\] must be a finite number"):
+            parse_config({"experiment": "exp_bargmann",
+                          "internal": {"levels": (0.0, float("nan"))}})
+
     def test_int_and_float_are_both_numbers(self):
         # a float default takes any number; an int default only an integer
         cfg = parse_config(experiment="exp_frame_phase", overrides=["params.sigma=2"])
@@ -247,9 +254,7 @@ class TestRun:
         cfg.format = "json"
         run(cfg, echo=lambda *a: None)
         cli_rows = json.loads((next(tmp_path.iterdir()) / "rows.json").read_text())
-        result = fn()
-        assert cli_rows == [{col: row[col] for col in result.columns}
-                            for row in result.rows]
+        assert cli_rows == fn().rows
 
     def test_csv_floats_have_17_significant_digits(self, tmp_path):
         cfg = self._config(tmp_path)
@@ -264,7 +269,7 @@ class TestRun:
     def test_csv_round_trips_every_finite_float(self, values):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rows.csv"
-            write_rows_csv(path, ("x",), [{"x": v} for v in values])
+            write_rows_csv(path, [{"x": v} for v in values])
             with path.open(newline="", encoding="utf-8") as fh:
                 cells = [row[0] for row in csv.reader(fh)][1:]
         back = [float(cell) for cell in cells]
@@ -300,11 +305,19 @@ class TestConfigRoundTrip:
 
 
 class TestGoldenSchemas:
-    def test_columns_frozen(self):
-        from massclock.experiments import EXPERIMENTS
-
-        for name, columns in GOLDEN_COLUMNS.items():
-            assert EXPERIMENTS[name].columns == columns
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COLUMNS))
+    def test_columns_frozen(self, request, name):
+        # columns of runs the suite makes anyway: the session fixtures and the
+        # clock runners' cached one-row CLI runs; the other runners take
+        # milliseconds at their defaults
+        fixtures = {"exp_newtonian_sweep": "default_sweep", "exp_wep": "default_wep"}
+        if name in fixtures:
+            columns = request.getfixturevalue(fixtures[name]).columns
+        elif name in _CLOCK_LEAVES:
+            columns = tuple(_outcome(name, _CLOCK_LEAVES[name][0])[1][0])
+        else:
+            columns = EXPERIMENTS[name].runner().columns
+        assert columns == GOLDEN_COLUMNS[name]
 
 
 class TestShippedConfigs:
@@ -357,9 +370,12 @@ class TestMain:
         assert (tmp_path / "o").exists()
 
     def test_run_numerical_precondition_exit_3(self, tmp_path, capsys):
-        code = main(["run", "exp_frame_phase", "--set", "params.dt=0.1",
+        # dt = 0.1 puts the kinetic phase per step above pi: the alias limit
+        code = main(["run", "exp_wep", "--set", "params.dt=0.1",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
+        assert "dt*max|T|/hbar" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
 
     def test_jobs_flag_rejected(self, tmp_path, capsys):
         code = main(["run", "exp_bargmann", *FAST_BARGMANN, "--jobs", "2",
@@ -373,11 +389,29 @@ class TestMain:
         ("exp_frame_phase", "params.n_samples=2001.0"),
         ("exp_interferometer", "params.n_samples=2001.0"),
         ("exp_newtonian_sweep", "params.sample_every=10.5"),
+        ("exp_wep", "params.total_time=NaN"),
+        ("exp_wep", "params.total_time=Infinity"),
+        ("exp_wep", "params.g=NaN"),
+        ("exp_newtonian_sweep", "params.epsilons=[NaN,0.01,0.1,0.05]"),
+        ("exp_wep", "grid.x_max=Infinity"),
+        ("exp_bargmann", "params.pairs=[[0.5,-Infinity]]"),
     ])
     def test_wrong_typed_value_exits_2(self, tmp_path, capsys, name, override):
         code = main(["run", name, "--set", override, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert override.partition("=")[0].rpartition(".")[2] in err  # names the key
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_number_in_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"experiment": "exp_newtonian_sweep", '
+                        '"params": {"epsilons": [0.001, 0.01, 0.1, NaN]}}')
+        assert main(["run", "--config", str(path), "exp_newtonian_sweep",
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert ("config error: params.epsilons[3] must be a finite number, got nan"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_phase_fit_below_100_samples_exits_3(self, tmp_path, capsys):
@@ -420,8 +454,8 @@ class TestMain:
         assert ">= 100 samples (design rule), got 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("dt", ["0.0", "-0.001"])
-    @pytest.mark.parametrize("name", ["exp_wep", "exp_frame_phase",
-                                      "exp_newtonian_sweep", "exp_clock_wavepacket"])
+    @pytest.mark.parametrize("name", ["exp_wep", "exp_newtonian_sweep",
+                                      "exp_clock_wavepacket"])
     def test_non_positive_dt_exits_3(self, tmp_path, capsys, name, dt):
         # the step count total_time / dt is taken only after dt is checked
         code = main(["run", name, "--set", f"params.dt={dt}",
@@ -455,8 +489,9 @@ class TestMain:
         ("exp_clock_semiclassical", "params.sigma=0.001"),
         ("exp_clock_semiclassical", "params.dt=123.0"),
         ("exp_clock_wavepacket", "params.n_samples=2001"),
+        ("exp_frame_phase", "params.dt=0.001"),
     ])
-    def test_key_a_clock_runner_does_not_read_exits_2(self, tmp_path, capsys, name,
+    def test_key_a_runner_does_not_read_exits_2(self, tmp_path, capsys, name,
                                                       override):
         code = main(["run", name, "--set", override, "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG

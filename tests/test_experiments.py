@@ -17,6 +17,7 @@ from massclock import (
 from massclock.errors import SpreadDominatedError
 from massclock.experiments import (
     EXPERIMENTS,
+    ExperimentResult,
     exp_bargmann,
     exp_clock_semiclassical,
     exp_clock_wavepacket,
@@ -210,7 +211,7 @@ class TestWep:
 
 class TestFramePhase:
     def test_static_path_gives_zero_phases(self):
-        r = exp_frame_phase(speed=0.0, total_time=1.0, n_samples=201, dt=2e-3)
+        r = exp_frame_phase(speed=0.0, total_time=1.0, n_samples=201)
         for row in r.rows:
             assert row["phase_measured"] == pytest.approx(0.0, abs=1e-10)
         assert r.passed
@@ -248,8 +249,21 @@ class TestRegistry:
             "exp_frame_phase",
         ]
 
-    def test_every_entry_has_anchor_and_columns(self):
-        for exp in EXPERIMENTS.values():
+    def test_every_entry_has_anchor_and_its_runners_name(self):
+        for name, exp in EXPERIMENTS.items():
             assert exp.anchor.startswith("Eq")
-            assert len(exp.columns) >= 5
+            assert exp.name == exp.runner.__name__ == name
             assert set(exp.defaults) == {"grid", "internal", "physical", "params"}
+
+
+class TestExperimentResult:
+    ROW = {"branch": "1", "measured": 0.5, "abs_error": 0.0}
+
+    @pytest.mark.parametrize("second", [
+        pytest.param({"branch": "2", "measured": 0.5}, id="missing-key"),
+        pytest.param({**ROW, "extra": 1.0}, id="extra-key"),
+        pytest.param({"measured": 0.5, "branch": "2", "abs_error": 0.0}, id="reordered"),
+    ])
+    def test_rows_that_differ_in_keys_are_rejected(self, second):
+        with pytest.raises(PreconditionError, match="row 1 has keys"):
+            ExperimentResult(rows=[dict(self.ROW), second], tolerance={}, passed=True)

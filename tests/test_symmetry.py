@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from massclock import (
     BoundaryViolationError,
@@ -49,6 +53,21 @@ def two_branch_state(grid=GRID, sigma=1.0):
     return make_superposition(grid, INTERNAL, w, psi)
 
 
+# Group elements and spacetime points drawn for the pointwise group laws.
+_COORD = st.floats(-5.0, 5.0)
+_GALILEI = st.builds(GalileiElement, _COORD, _COORD, _COORD)
+_EXTENDED = st.builds(ExtendedGalileiElement, _COORD, _GALILEI)
+
+
+def _fold(compose, elements):
+    """The composite of ``elements``, acting as the first one first."""
+    return functools.reduce(lambda acc, g: compose(g, acc), elements)
+
+
+def _galilei_actions(elements):
+    return [(g.w, g.a, g.b) for g in elements]
+
+
 class TestAbstractGroup:
     def test_identity_composition(self):
         g = GalileiElement(w=1.2, a=-0.4, b=0.9)
@@ -59,41 +78,38 @@ class TestAbstractGroup:
         g = compose_galilei(translation_element(1.0), translation_element(2.0))
         assert g == GalileiElement(w=0.0, a=3.0, b=0.0)
 
-    def test_boost_after_time_shift_action(self):
-        # oracle: pointwise comparison on 100 random spacetime points
-        g2, g1 = boost_element(1.0), time_shift_element(2.0)
-        comp = compose_galilei(g2, g1)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            x, t = rng.uniform(-5, 5, size=2)
-            seq = oracles.chain_galilei_points(
-                [(g1.w, g1.a, g1.b), (g2.w, g2.a, g2.b)], x, t)
-            assert np.allclose(comp.action(x, t), seq, rtol=0, atol=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_GALILEI, min_size=2, max_size=4), _COORD, _COORD)
+    @example([time_shift_element(2.0), boost_element(1.0)], 5.0, -5.0)
+    def test_composition_matches_pointwise_action(self, elements, x, t):
+        comp = _fold(compose_galilei, elements)
+        seq = oracles.chain_galilei_points(_galilei_actions(elements), x, t)
+        assert np.allclose(comp.action(x, t), seq, rtol=0, atol=1e-12)
 
-    def test_associativity_and_inverse_thousand_random_triples(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            w1, a1, b1, w2, a2, b2, w3, a3, b3 = rng.uniform(-2, 2, size=9)
-            g1, g2, g3 = (GalileiElement(w1, a1, b1), GalileiElement(w2, a2, b2),
-                          GalileiElement(w3, a3, b3))
-            left = compose_galilei(compose_galilei(g3, g2), g1)
-            right = compose_galilei(g3, compose_galilei(g2, g1))
-            for attr in ("w", "a", "b"):
-                assert abs(getattr(left, attr) - getattr(right, attr)) < 1e-12
-            ident = compose_galilei(g1, invert_galilei(g1))
-            assert abs(ident.w) < 1e-12 and abs(ident.a) < 1e-12 and abs(ident.b) < 1e-12
+    @settings(max_examples=100, deadline=None)
+    @given(_GALILEI, _GALILEI, _GALILEI, _COORD, _COORD)
+    def test_associativity_and_inverse(self, g1, g2, g3, x, t):
+        left = compose_galilei(compose_galilei(g3, g2), g1)
+        right = compose_galilei(g3, compose_galilei(g2, g1))
+        for attr in ("w", "a", "b"):
+            assert abs(getattr(left, attr) - getattr(right, attr)) < 1e-12
+        inv = invert_galilei(g1)
+        for pair in ((g1, inv), (inv, g1)):
+            back = oracles.chain_galilei_points(_galilei_actions(pair), x, t)
+            assert np.allclose(back, (x, t), rtol=0, atol=1e-12)
+            ident = _fold(compose_galilei, pair)
+            assert max(abs(ident.w), abs(ident.a), abs(ident.b)) < 1e-12
 
-    def test_bargmann_loop_is_identity(self):
-        for a, w in [(2.0, 3.0), (0.0, 5.0), (-1.3, 0.7)]:
-            el = bargmann_loop_element(a, w)
-            assert el.is_identity()
-            # action oracle on random coordinates
-            rng = np.random.default_rng(5)
-            for _ in range(20):
-                x, t = rng.uniform(-3, 3, size=2)
-                seq = oracles.chain_galilei_points(
-                    [(w, 0, 0), (0, a, 0), (-w, 0, 0), (0, -a, 0)], x, t)
-                assert np.allclose(seq, (x, t), rtol=0, atol=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(_COORD, _COORD, _COORD, _COORD)
+    @example(2.0, 3.0, 3.0, -3.0)
+    @example(0.0, 5.0, -5.0, 5.0)
+    @example(-1.3, 0.7, 1.0, 2.0)
+    def test_bargmann_loop_is_identity(self, a, w, x, t):
+        assert bargmann_loop_element(a, w).is_identity()
+        seq = oracles.chain_galilei_points(
+            [(w, 0, 0), (0, a, 0), (-w, 0, 0), (0, -a, 0)], x, t)
+        assert np.allclose(seq, (x, t), rtol=0, atol=1e-12)
 
 
 class TestExtendedGroup:
@@ -103,17 +119,13 @@ class TestExtendedGroup:
         eq, ex, et = oracles.extended_point(0.3, 1.0, 2.0, 0.5, 0.1, 0.7, -0.2)
         assert (q, x, t) == (eq, ex, et)
 
-    def test_composition_matches_pointwise_action(self):
-        rng = np.random.default_rng(12)
-        for _ in range(1000):
-            a1, w1, b1, al1, a2, w2, b2, al2 = rng.uniform(-2, 2, size=8)
-            h1 = ExtendedGalileiElement(al1, GalileiElement(w1, a1, b1))
-            h2 = ExtendedGalileiElement(al2, GalileiElement(w2, a2, b2))
-            comp = compose_extended(h2, h1)
-            q, x, t = rng.uniform(-3, 3, size=3)
-            step = oracles.chain_extended_points(
-                [(al1, w1, a1, b1), (al2, w2, a2, b2)], q, x, t)
-            assert np.allclose(comp.action(q, x, t), step, rtol=0, atol=1e-10)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_EXTENDED, min_size=2, max_size=4), _COORD, _COORD, _COORD)
+    def test_composition_matches_pointwise_action(self, elements, q, x, t):
+        comp = _fold(compose_extended, elements)
+        seq = oracles.chain_extended_points(
+            [(h.alpha, h.g.w, h.g.a, h.g.b) for h in elements], q, x, t)
+        assert np.allclose(comp.action(q, x, t), seq, rtol=0, atol=1e-10)
 
     def test_loop_shifts_internal_coordinate(self):
         el = extended_loop_element(2.0, 3.0)
