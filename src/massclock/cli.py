@@ -11,9 +11,9 @@ Config files are JSON with the schema (all keys optional; defaults are
 echoed into the output metadata)::
 
     {
-      "experiment": "exp_bargmann",
-      "grid":      {"x_min": -40.0, "x_max": 40.0, "n_points": 2048},
-      "internal":  {"E0": 100.0, "levels": [0.0, 10.0]},
+      "experiment": "exp_wep",
+      "grid":      {"x_min": -40.0, "x_max": 40.0, "n_points": 1024},
+      "internal":  {"E0": 100.0, "levels": [0.0, 0.01]},
       "physical":  {"hbar": 1.0, "c": 10.0},
       "params":    { ... experiment-specific ... },
       "output":    "runs",
@@ -22,14 +22,14 @@ echoed into the output metadata)::
 
 The experiment's runner is the single source of its defaults: ``grid``,
 ``internal`` (or ``internal.E0`` alone), ``hbar``, ``c`` and one
-``params`` key per keyword argument, read from its signature.  A section
-the runner takes nothing from is empty (``exp_clock_semiclassical`` and
-``exp_interferometer`` have no grid; ``exp_newtonian_sweep`` sets its own
-levels; ``exp_frame_phase`` runs no propagation, as lab evolution cancels
-in its round trip, so it has no ``dt``).  A ``params`` value has the JSON
-type of its default: an integer default takes only an integer, a float
-default any number, a list default a list.  NaN and +-Infinity, which JSON
-parsing accepts, are a config error anywhere in the tree.
+``params`` key per keyword argument, read from its signature.  A runner
+takes only the keys that move its rows, so a section it takes nothing from
+is empty; ``massclock list`` prints each runner's keys.  A ``params`` value
+has the JSON type of its default: an integer default takes only an
+integer, a float default any number, a list default a list whose items
+have the type of the default's items (a pair stays a pair).  NaN and
++-Infinity, which JSON parsing accepts, are a config error anywhere in the
+tree.
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values; values parse as JSON fragments,
@@ -180,6 +180,22 @@ def _check_finite(value, path: str) -> None:
             _check_finite(item, f"{path}[{i}]")
 
 
+def _check_type(value, default, path: str, fixed_length: bool = False) -> None:
+    """Reject a value whose JSON type differs from its default's.  The
+    items of a list take the type of the default's first item; a list
+    inside a list (a pair) keeps its length, item by item."""
+    want, got = _json_type(default), _json_type(value)
+    if got != want and (want, got) != ("a number", "an integer"):
+        raise ConfigError(f"{path} must be {want}, got {value!r}")
+    if got != "a list" or not default:
+        return
+    if fixed_length and len(value) != len(default):
+        raise ConfigError(f"{path} must have {len(default)} items, got {value!r}")
+    for i, item in enumerate(value):
+        _check_type(item, default[i] if fixed_length else default[0],
+                    f"{path}[{i}]", fixed_length=True)
+
+
 def _validate_user_tree(user: dict, defaults: dict) -> None:
     _check_keys(user, _TOP_KEYS, "config")
     _check_finite(user, "")
@@ -189,17 +205,16 @@ def _validate_user_tree(user: dict, defaults: dict) -> None:
                 raise ConfigError(f"{section!r} must be an object")
             _check_keys(user[section], list(defaults[section]), section)
     for key, value in user.get("params", {}).items():
-        want, got = _json_type(defaults["params"][key]), _json_type(value)
-        if got != want and (want, got) != ("a number", "an integer"):
-            raise ConfigError(f"params.{key} must be {want}, got {value!r}")
+        _check_type(value, defaults["params"][key], f"params.{key}")
 
 
 def build_objects(config: "RunConfig") -> dict:
     """The runner's keyword arguments for a RunConfig.
 
-    Builds the GridSpec and InternalSpace the runner takes and re-runs every
-    GridSpec/InternalSpace/PhysicalParams invariant; any violation, or a
-    value of the wrong type, surfaces as a ConfigError naming the section.
+    Builds the GridSpec and InternalSpace the runner takes and re-runs the
+    GridSpec/InternalSpace/PhysicalParams invariants on the sections it
+    takes; any violation, or a value of the wrong type, surfaces as a
+    ConfigError naming the section.
     """
     kwargs = {**config.params, **config.physical}
     try:
@@ -214,9 +229,9 @@ def build_objects(config: "RunConfig") -> dict:
             kwargs.update(config.internal)
     except _BAD_VALUE as exc:
         raise ConfigError(f"internal: {exc}") from exc
-    try:
-        PhysicalParams(hbar=config.physical["hbar"], c=config.physical["c"],
-                       E0=config.internal["E0"])
+    try:  # hbar, c and E0 as far as the runner takes them
+        PhysicalParams(**config.physical,
+                       **{k: v for k, v in config.internal.items() if k == "E0"})
     except _BAD_VALUE as exc:
         raise ConfigError(f"physical: {exc}") from exc
     return kwargs
@@ -371,10 +386,10 @@ def run(config: RunConfig, echo=print) -> int:
 
 
 def list_experiments(fmt: str = "text", echo=print) -> int:
-    """Table of experiment names, required keys and formula anchors."""
+    """Table of experiment names, formula anchors and dotted config keys."""
     entries = [
         {"name": d.name, "anchor": d.anchor, "description": d.description,
-         "required_keys": list(d.required_keys)}
+         "keys": sorted(_leaf_paths(d.defaults))}
         for d in EXPERIMENTS.values()
     ]
     if fmt == "json":
@@ -383,7 +398,7 @@ def list_experiments(fmt: str = "text", echo=print) -> int:
     width = max(len(e["name"]) for e in entries)
     for e in entries:
         echo(f"{e['name']:<{width}}  {e['anchor']:<14} {e['description']}")
-        echo(f"{'':<{width}}  keys: {', '.join(e['required_keys'])}")
+        echo(f"{'':<{width}}  keys: {', '.join(e['keys'])}")
     return EXIT_PASS
 
 

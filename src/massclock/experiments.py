@@ -24,6 +24,12 @@ The seven experiments:
   exp_frame_phase          closed-path frame-transform phase (M/hbar) int
                            xi_dot^2/2 dt and its proper-time reading, read on
                            the initial packet (lab evolution cancels in it)
+
+A runner takes only what moves its rows.  The loop and frame phases belong
+to the representation, through the branch masses M_i, not to the state, so
+exp_bargmann and exp_frame_phase read them on one fixed probe packet and
+take no grid or packet; a fractional clock shift is dimensionless, so
+exp_clock_semiclassical takes only v/c and gh/c^2.
 """
 
 from __future__ import annotations
@@ -187,9 +193,10 @@ def _params_for(internal: InternalSpace, hbar: float, c: float) -> PhysicalParam
     return PhysicalParams(hbar=hbar, c=c, E0=internal.E0)
 
 
-def _level_gap(internal: InternalSpace) -> float:
-    """Clock energy E_2 - E_1 of the two lowest levels."""
-    return internal.levels[1] - internal.levels[0]
+def _probe(internal: InternalSpace, hbar: float) -> CompositeState:
+    """The packet a loop or frame phase is read on.  The phase is a pure
+    phase per branch whatever the packet, so the packet is fixed."""
+    return _equal_superposition(DEFAULT_GRID, internal, 1.0, 0.0, 0.0, hbar)
 
 
 def _equal_superposition(grid: GridSpec, internal: InternalSpace, sigma: float,
@@ -213,15 +220,14 @@ DEFAULT_BARGMANN_PAIRS = ((0.5, 0.8), (1.0, 0.3), (-0.7, 0.5),
                           (0.25, -1.2), (2.0, 1.0))
 
 
-def exp_bargmann(grid: GridSpec = DEFAULT_GRID,
-                 internal: InternalSpace = DEFAULT_INTERNAL,
+def exp_bargmann(internal: InternalSpace = DEFAULT_INTERNAL,
                  hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
                  pairs: Sequence[Sequence[float]] = DEFAULT_BARGMANN_PAIRS,
-                 sigma: float = 1.0, x0: float = 0.0, p0: float = 0.0,
                  tolerance: float = 1e-8) -> ExperimentResult:
-    """Loop phases per branch and the relative phase, over (a, w) pairs."""
+    """Loop phases per branch and the relative phase, over (a, w) pairs,
+    read on the probe packet."""
     params = _params_for(internal, hbar, c)
-    state = _equal_superposition(grid, internal, sigma, x0, p0, hbar)
+    state = _probe(internal, hbar)
     mass_values = internal.mass_energies(c)
 
     loop_is_identity = all(
@@ -279,30 +285,26 @@ def _clock_result(mode: str, v_over_c: Sequence[float], gh_over_c2: Sequence[flo
                             passed=all(r["rel_error"] < tol for r in rows))
 
 
-def exp_clock_semiclassical(internal: InternalSpace = CLOCK_INTERNAL,
-                            hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
-                            v_over_c: Sequence[float] = CLOCK_V_OVER_C,
-                            gh_over_c2: Sequence[float] = CLOCK_GH_OVER_C2,
-                            total_time: float = 10.0,
-                            n_samples: int = 2001) -> ExperimentResult:
+def exp_clock_semiclassical(*, v_over_c: Sequence[float] = CLOCK_V_OVER_C,
+                            gh_over_c2: Sequence[float] = CLOCK_GH_OVER_C2
+                            ) -> ExperimentResult:
     """Fractional clock-frequency shift on classical paths vs -v^2/2c^2 + Phi/c^2.
 
-    The clock is the gap between the two lowest internal levels.  The
-    dilated frequency is integrated along each constant-velocity or
-    constant-potential path and its phase fitted by a line over
-    ``n_samples`` (>= 100) samples; tolerance 1e-6 relative.
+    The shift is dimensionless, so the run works in units omega0 = c = 1,
+    where v = v/c and Phi = gh/c^2.  The dilated frequency is integrated
+    along each constant-velocity or constant-potential path and its phase
+    fitted by a line over T = 10 in 2001 samples (the phase of a constant
+    frequency is exactly linear); tolerance 1e-6 relative.
     """
-    _require_fit_samples(n_samples, "a semiclassical clock-rate fit")
-    params = _params_for(internal, hbar, c)
-    omega0 = _level_gap(internal) / hbar
-    times = np.linspace(0.0, total_time, n_samples)
+    params = PhysicalParams(hbar=1.0, c=1.0, E0=1.0)
+    times = np.linspace(0.0, 10.0, 2001)
 
     def shift(v_r, g_r):
-        velocities = np.full(n_samples, v_r * c)
-        potentials = np.full(n_samples, g_r * c**2)
-        phases = semiclassical_clock_phases(times, velocities, potentials, omega0, params)
+        velocities = np.full(times.size, v_r)
+        potentials = np.full(times.size, g_r)
+        phases = semiclassical_clock_phases(times, velocities, potentials, 1.0, params)
         rate = float(np.polyfit(times, phases, 1)[0])
-        return (rate - omega0) / omega0, predicted_clock_shift(v_r, g_r)
+        return rate - 1.0, predicted_clock_shift(v_r, g_r)
 
     return _clock_result("semiclassical", v_over_c, gh_over_c2, shift, 1e-6)
 
@@ -325,7 +327,7 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     sample_every = 10  # history stride of the clock-rate fit
     e0 = internal.E0
     m = e0 / c**2
-    omega0 = _level_gap(internal) / hbar
+    omega0 = (internal.levels[1] - internal.levels[0]) / hbar
     spread = wavepacket_spread_correction(sigma, m, hbar, c)
     steps = _step_count(total_time, dt)
     _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
@@ -406,18 +408,16 @@ def interferometer_on_paths(traj1: Trajectory, traj2: Trajectory, delta_e: float
                             passed=abs_err < tolerance)
 
 
-def exp_interferometer(internal: InternalSpace = DEFAULT_INTERNAL,
-                       hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
-                       height: float = 3.0, total_time: float = 10.0,
-                       n_samples: int = 2001, g: float = 1.0,
-                       tolerance: float = 1e-6) -> ExperimentResult:
+def exp_interferometer(hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                       delta_e: float = 10.0, height: float = 3.0,
+                       total_time: float = 10.0, n_samples: int = 2001,
+                       g: float = 1.0, tolerance: float = 1e-6) -> ExperimentResult:
     """interferometer_on_paths on a static path and a bump of ``height`` in
-    a uniform field ``g``; the clock is the gap of the two lowest levels."""
-    params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
-                            potential=Potential.uniform_field(g))
+    a uniform field ``g``, for a clock of energy gap ``delta_e``."""
+    params = PhysicalParams(hbar=hbar, c=c, potential=Potential.uniform_field(g))
     traj1 = static_trajectory(0.0, total_time, n_samples)
     traj2 = bump_trajectory(height, total_time, n_samples)
-    return interferometer_on_paths(traj1, traj2, delta_e=_level_gap(internal),
+    return interferometer_on_paths(traj1, traj2, delta_e=delta_e,
                                    params=params, tolerance=tolerance)
 
 
@@ -576,28 +576,27 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
 # --- exp_frame_phase --------------------------------------------------------------
 
 
-def exp_frame_phase(grid: GridSpec = SMALL_GRID,
-                    internal: InternalSpace = DEFAULT_INTERNAL,
+def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
                     hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
                     speed: float = 1.0, total_time: float = 1.0,
-                    n_samples: int = 2001,
-                    sigma: float = 1.0, x0: float = 0.0,
                     tolerance: float = 1e-6) -> ExperimentResult:
     """Round-trip phase of the frame riding a closed triangular path.
 
     At t = T the frame transform is applied to the packet and the residual
     boost (the triangle ends with xi_dot = -speed) is undone, completing
-    the round trip.  The remaining branch phase is read against the packet
-    and compared with (M_i/hbar) integral xi_dot^2/2 dt and with its
+    the round trip.  The remaining branch phase is read against the probe
+    packet and compared with (M_i/hbar) integral xi_dot^2/2 dt and with its
     proper-time reading M_i c^2 (T - T')/hbar.  The path is closed, so the
     round trip acts on each branch as a pure phase whatever the lab state:
-    lab evolution up to T cancels in the readout, and none is run.
+    lab evolution up to T cancels in the readout, and none is run.  The
+    triangle is sampled at 2001 points; Simpson's rule is exact on its
+    constant |xi_dot|^2.
     """
     params = _params_for(internal, hbar, c)
     mass_values = internal.mass_energies(c)
-    traj = triangular_trajectory(speed, total_time, n_samples)
+    traj = triangular_trajectory(speed, total_time, 2001)
 
-    packet = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
+    packet = _probe(internal, hbar)
     primed = frame_transform(packet, traj, total_time, params)
     _, v_end, _ = traj.at(total_time)
     unboosted = apply_boost(primed, v_end, 0.0, params)
@@ -680,10 +679,6 @@ class ExperimentDef:
                 tree[_LEAF_SECTIONS.get(name, "params")][name] = value
         return tree
 
-    @property
-    def required_keys(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.defaults["params"]))
-
 
 def _need_two_levels(cfg: dict) -> None:
     if len(cfg["internal"]["levels"]) < 2:
@@ -717,7 +712,6 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
                     "along classical paths",
         anchor="Eq. (6)",
         runner=exp_clock_semiclassical,
-        validate=_need_two_levels,
     ),
     ExperimentDef(
         description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
@@ -730,7 +724,6 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
         description="two-path clock visibility |cos(dE dtau / 2 hbar)|",
         anchor="Eq. (6)",
         runner=exp_interferometer,
-        validate=_need_two_levels,
     ),
     ExperimentDef(
         description="split-form vs newtonian discrepancy, linear in "

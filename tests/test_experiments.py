@@ -29,14 +29,10 @@ from massclock.experiments import (
     path_proper_time_difference,
 )
 
-SMALL_GRID = {"grid": GridSpec(-40.0, 40.0, 1024)}
-
-
 class TestBargmann:
     def test_equal_masses_trivial_relative_phase(self):
         r = exp_bargmann(pairs=[(0.5, 0.8)],
-                         internal=internal_space_from_masses([1.0, 1.0], 10.0),
-                         **SMALL_GRID)
+                         internal=internal_space_from_masses([1.0, 1.0], 10.0))
         rel = [row for row in r.rows if row["branch"] == "relative"][0]
         assert rel["phase_measured"] == pytest.approx(0.0, abs=1e-10)
         assert r.passed
@@ -49,13 +45,13 @@ class TestBargmann:
         assert all(row["abs_error"] < 1e-8 for row in r.rows)
 
     def test_relative_phase_value(self):
-        r = exp_bargmann(pairs=[(0.5, 0.8)], **SMALL_GRID)
+        r = exp_bargmann(pairs=[(0.5, 0.8)])
         rel = [row for row in r.rows if row["branch"] == "relative"][0]
         assert rel["phase_measured"] == pytest.approx(0.04, abs=1e-8)
 
     def test_deterministic_rows(self):
-        a = exp_bargmann(pairs=[(0.5, 0.8)], **SMALL_GRID)
-        b = exp_bargmann(pairs=[(0.5, 0.8)], **SMALL_GRID)
+        a = exp_bargmann(pairs=[(0.5, 0.8)])
+        b = exp_bargmann(pairs=[(0.5, 0.8)])
         assert a.rows == b.rows
 
 
@@ -211,7 +207,7 @@ class TestWep:
 
 class TestFramePhase:
     def test_static_path_gives_zero_phases(self):
-        r = exp_frame_phase(speed=0.0, total_time=1.0, n_samples=201)
+        r = exp_frame_phase(speed=0.0, total_time=1.0)
         for row in r.rows:
             assert row["phase_measured"] == pytest.approx(0.0, abs=1e-10)
         assert r.passed
