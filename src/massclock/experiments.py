@@ -208,10 +208,16 @@ def _equal_superposition(grid: GridSpec, internal: InternalSpace, sigma: float,
 
 def _step_count(total_time: float, dt: float) -> int:
     """Strang steps of size dt that cover total_time; dt is checked before
-    the division, with the propagator's own rule."""
+    the division, with the propagator's own rule, and the window must hold
+    at least one step."""
     if not dt > 0:
         raise PreconditionError("dt must be positive")
-    return int(round(total_time / dt))
+    steps = int(round(total_time / dt))
+    if steps < 1:
+        raise PreconditionError(
+            f"total_time / dt must round to at least one step, got "
+            f"total_time={total_time!r}, dt={dt!r}")
+    return steps
 
 
 # --- exp_bargmann -------------------------------------------------------------

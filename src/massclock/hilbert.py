@@ -208,9 +208,7 @@ class CompositeState:
             raise PreconditionError(
                 f"amplitude shape {amps.shape} != (dim, n_points) = {expected}"
             )
-        nrm = np.sqrt(np.sum(amps.real**2 + amps.imag**2) * self.grid.dx)
-        if abs(nrm - 1.0) > 1e-10:
-            raise PreconditionError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
+        _require_unit_norm(np.sqrt(np.sum(amps.real**2 + amps.imag**2) * self.grid.dx))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -239,6 +237,29 @@ class CompositeState:
     def with_amplitudes(self, amplitudes: np.ndarray) -> "CompositeState":
         return CompositeState(grid=self.grid, internal=self.internal,
                               amplitudes=amplitudes)
+
+    def _with_owned_amplitudes(self, amps: np.ndarray, total: float) -> "CompositeState":
+        """The state on this state's spaces that owns ``amps``.
+
+        ``amps`` is a fresh complex (dim, N) array nobody else holds, and
+        ``total`` is its probability sum |amps|^2 dx, as the moments pass
+        of a clearance or step check just read it.  The norm rule is the
+        constructor's, applied to that total; ``amps`` becomes read-only
+        in place, without the constructor's copy and second norm pass.
+        """
+        _require_unit_norm(math.sqrt(total))
+        amps.flags.writeable = False
+        state = object.__new__(CompositeState)
+        object.__setattr__(state, "grid", self.grid)
+        object.__setattr__(state, "internal", self.internal)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
+
+
+def _require_unit_norm(nrm: float) -> None:
+    """The state norm rule |norm - 1| <= 1e-10 (a NaN norm fails it too)."""
+    if not abs(nrm - 1.0) <= 1e-10:
+        raise PreconditionError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
 
 
 # --- construction -----------------------------------------------------------
@@ -391,27 +412,34 @@ def expectation_kinetic(grid: GridSpec, psi: np.ndarray, hbar: float,
 
 # --- boundary rule ----------------------------------------------------------
 
+class _GridTables(NamedTuple):
+    """Read-only tables of one grid: the positions x_n, the fft-ordered
+    frequencies k / L, and the (N, 3) moment basis [1, x, x^2] dx, whose
+    product |psi|^2 @ basis gives every branch's [prob, sum x w dx,
+    sum x^2 w dx] in one matmul."""
+
+    x: np.ndarray
+    freq: np.ndarray
+    basis: np.ndarray
+
+
 @functools.lru_cache(maxsize=8)
-def _moment_basis(grid: GridSpec) -> np.ndarray:
-    """(N, 3) columns [1, x, x^2] dx: |psi|^2 @ basis gives every branch's
-    [prob, sum x w dx, sum x^2 w dx] in one matmul.  Built once per grid
-    and shared read-only: building it costs more than the check it serves."""
+def _grid_tables(grid: GridSpec) -> _GridTables:
+    """The grid's tables, built once per grid and shared read-only:
+    building them costs more than the per-sample work they serve."""
     x = grid.x()
+    freq = np.fft.fftfreq(grid.n_points, d=grid.dx)
     basis = np.stack((np.ones_like(x), x, x * x), axis=1) * grid.dx
-    basis.flags.writeable = False
-    return basis
-
-
-def boundary_clearance_violation(grid: GridSpec, amplitudes: np.ndarray):
-    """None if every populated branch keeps <x> +/- CLEARANCE_SIGMAS * sigma_x
-    inside the domain, else a human-readable description of the worst offender."""
-    moments = _kernels.branch_moments(np.atleast_2d(amplitudes), _moment_basis(grid))
-    return _clearance_from_moments(grid, moments.tolist())
+    for table in (x, freq, basis):
+        table.flags.writeable = False
+    return _GridTables(x, freq, basis)
 
 
 def _clearance_from_moments(grid: GridSpec, moments: Sequence[Sequence[float]]):
-    """Same check from precomputed per-branch [prob, sum x w, sum x^2 w] dx
-    rows, as Python floats (a scalar loop beats masked numpy at this size)."""
+    """None if every populated branch keeps <x> +/- CLEARANCE_SIGMAS * sigma_x
+    inside the domain, else a human-readable description of the worst
+    offender; read from per-branch [prob, sum x w, sum x^2 w] dx rows, as
+    Python floats (a scalar loop beats masked numpy at this size)."""
     for i, (prob, sx, sxx) in enumerate(moments):
         if prob <= _POPULATED:
             continue
@@ -426,7 +454,11 @@ def _clearance_from_moments(grid: GridSpec, moments: Sequence[Sequence[float]]):
     return None
 
 
-def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, context: str) -> None:
-    msg = boundary_clearance_violation(grid, amplitudes)
+def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, context: str) -> float:
+    """Enforce the clearance rule on (dim, N) amplitudes and return their
+    total probability, read from the same moments pass."""
+    moments = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).tolist()
+    msg = _clearance_from_moments(grid, moments)
     if msg is not None:
         raise BoundaryViolationError(f"{context}: {msg}")
+    return sum(row[0] for row in moments)

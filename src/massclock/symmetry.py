@@ -28,6 +28,7 @@ from .hilbert import (
     CompositeState,
     PhysicalParams,
     _check_clearance,
+    _grid_tables,
     branch_phase,
 )
 
@@ -136,17 +137,22 @@ def extended_loop_element(a: float, w: float) -> ExtendedGalileiElement:
 
 
 def _translate(grid, amps: np.ndarray, a: float) -> np.ndarray:
-    """Raw (dim, N) amplitudes shifted by a: exp(-i p_k a / hbar) in Fourier
-    space, where p_k a / hbar = 2 pi k a / L is hbar-free on the grid."""
-    phase = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * a)
-    return np.fft.ifft(np.fft.fft(amps, axis=1) * phase, axis=1)
+    """Raw (dim, N) amplitudes shifted by a, as a fresh array:
+    exp(-i p_k a / hbar) in Fourier space, where p_k a / hbar = 2 pi k a / L
+    is hbar-free on the grid.  The phase argument (-2 pi k / L) a is real,
+    the same bits as the imaginary part of the complex product
+    -2j pi (k / L) a."""
+    phase = np.exp(1j * ((-2.0 * np.pi * _grid_tables(grid).freq) * a))
+    out = np.fft.fft(amps, axis=1)
+    out *= phase
+    return np.fft.ifft(out, axis=1, out=out)
 
 
 def apply_translation(state: CompositeState, a: float) -> CompositeState:
     """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar)."""
     out = _translate(state.grid, state.amplitudes, a)
-    _check_clearance(state.grid, out, f"translation by a={a}")
-    return state.with_amplitudes(out)
+    total = _check_clearance(state.grid, out, f"translation by a={a}")
+    return state._with_owned_amplitudes(out, total)
 
 
 def seam_mismatch(state: CompositeState, w: float, params: PhysicalParams) -> np.ndarray:
@@ -185,16 +191,17 @@ def apply_boost(state: CompositeState, w: float, t: float,
                 "relies on compact support away from the boundary",
                 stacklevel=2,
             )
-    amps = np.array(state.amplitudes)
     if t != 0.0:
-        amps = _translate(grid, amps, w * t)
-    x = grid.x()
+        amps = _translate(grid, state.amplitudes, w * t)
+    else:
+        amps = np.array(state.amplitudes)
+    x = _grid_tables(grid).x
     phases = np.exp(1j * (masses[:, None] * w * x[None, :]) / params.hbar)
     if t != 0.0:
         phases = phases * np.exp(-1j * masses * w**2 * t / (2.0 * params.hbar))[:, None]
     amps *= phases
-    _check_clearance(grid, amps, f"boost w={w} at t={t}")
-    return state.with_amplitudes(amps)
+    total = _check_clearance(grid, amps, f"boost w={w} at t={t}")
+    return state._with_owned_amplitudes(amps, total)
 
 
 def loop_phase(state: CompositeState, a: float, w: float,

@@ -56,6 +56,50 @@ def strang_step(amps: np.ndarray, exp_v_half: np.ndarray,
     return np.fft.ifft(np.fft.fft(amps * exp_v_half, axis=1) * exp_t, axis=1) * exp_v_half
 
 
+# --- per-sample references (vs the blocked residual and the cached frame path) --
+
+def per_sample_residual(history, dt: float, t_table: np.ndarray, v_table: np.ndarray,
+                        masses: np.ndarray, hbar: float,
+                        non_inertial_accel=None) -> float:
+    """Max || i hbar d phi/dt - H phi || over the interior samples, one
+    sample at a time, from the kind's (dim, N) tables T_i(p_k), V_i(x_n)
+    and the branch mass-energies.
+
+    The reference the blocked ``schrodinger_residual`` must match bit for bit.
+    """
+    grid = history[0].grid
+    x = grid.x()
+    worst = 0.0
+    for k in range(1, len(history) - 1):
+        phi = history[k].amplitudes
+        dphi = (history[k + 1].amplitudes - history[k - 1].amplitudes) / (2.0 * dt)
+        h_phi = np.fft.ifft(t_table * np.fft.fft(phi, axis=1), axis=1) + v_table * phi
+        if non_inertial_accel is not None:
+            h_phi = h_phi + (masses[:, None] * non_inertial_accel[k]) * x[None, :] * phi
+        resid = 1j * hbar * dphi - h_phi
+        worst = max(worst, float(np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx)))
+    return worst
+
+
+def frame_transform_amplitudes(amps: np.ndarray, grid, masses: np.ndarray,
+                               xi: float, v: float, action: float, hbar: float,
+                               inverse: bool = False) -> np.ndarray:
+    """Moving-frame map of raw (dim, N) amplitudes with complex phase
+    arguments, a fresh frequency table and out-of-place FFTs.
+
+    The reference ``frame_transform`` must match bit for bit.
+    """
+    def translate(arr, a):
+        phase = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * a)
+        return np.fft.ifft(np.fft.fft(arr, axis=1) * phase, axis=1)
+
+    x = grid.x()
+    phase = np.exp(-1j * (masses[:, None] * (v * x[None, :] + action)) / hbar)
+    if inverse:
+        return translate(amps * np.conj(phase), xi)
+    return translate(amps, -xi) * phase
+
+
 # --- closed forms --------------------------------------------------------------
 
 def gaussian_overlap_modulus(d: float, sigma: float) -> float:

@@ -456,11 +456,11 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_wavepacket_window_below_100_samples_exits_3(self, tmp_path, capsys):
-        # a zero window leaves one history sample, too few for any fit
-        code = main(["run", "exp_clock_wavepacket", "--set", "params.total_time=0.0",
+        # 50 steps sampled every 10 leave 6 history samples, too few for any fit
+        code = main(["run", "exp_clock_wavepacket", "--set", "params.total_time=0.1",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
-        assert ">= 100 samples (design rule), got 1" in capsys.readouterr().out
+        assert ">= 100 samples (design rule), got 6" in capsys.readouterr().out
 
     @pytest.mark.parametrize("dt", ["0.0", "-0.001"])
     @pytest.mark.parametrize("name", ["exp_wep", "exp_newtonian_sweep",
@@ -471,6 +471,17 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert "dt must be positive" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("total_time", ["0.0", "-0.5", "0.0004"])
+    @pytest.mark.parametrize("name", ["exp_wep", "exp_newtonian_sweep",
+                                      "exp_clock_wavepacket"])
+    def test_window_without_a_step_exits_3(self, tmp_path, capsys, name, total_time):
+        # every runner that counts Strang steps refuses a window of none
+        code = main(["run", name, "--set", f"params.total_time={total_time}",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "must round to at least one step" in capsys.readouterr().out
         assert not (tmp_path / "o").exists()
 
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):

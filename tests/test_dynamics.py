@@ -9,6 +9,7 @@ from massclock import (
     CompositeState,
     GridSpec,
     HamiltonianKind,
+    IncompatibleSpacesError,
     InternalSpace,
     PhysicalParams,
     Potential,
@@ -41,7 +42,7 @@ from massclock import (
     triangular_trajectory,
 )
 from massclock import _kernels
-from massclock.dynamics import _KINDS, _Plan, _tables
+from massclock.dynamics import _KINDS, _RESIDUAL_BLOCK, _Plan, _tables
 
 import oracles
 
@@ -248,6 +249,27 @@ class TestPropagate:
         state = packet_state()
         with pytest.raises(AliasingError):
             propagate(state, HamiltonianKind.newtonian(), PARAMS, 5e-2, 1)
+
+    def test_negative_step_count_refused(self):
+        state = packet_state()
+        kind = HamiltonianKind.newtonian()
+        with pytest.raises(PreconditionError, match="non-negative"):
+            propagate(state, kind, PARAMS, 1e-3, -5)
+        with pytest.raises(PreconditionError, match="non-negative"):
+            propagate_history(state, kind, PARAMS, 1e-3, -4, sample_every=2)
+
+    def test_zero_steps_return_the_state(self):
+        state = packet_state()
+        assert propagate(state, HamiltonianKind.newtonian(), PARAMS, 1e-3, 0) is state
+
+    def test_history_samples_own_read_only_copies(self):
+        state = packet_state(p0=1.0)
+        kind = HamiltonianKind.low_energy()
+        _, states = propagate_history(state, kind, PARAMS, 5e-4, 40, sample_every=20)
+        final = propagate(state, kind, PARAMS, 5e-4, 40)
+        assert np.array_equal(states[-1].amplitudes, final.amplitudes)
+        assert not np.shares_memory(states[1].amplitudes, states[2].amplitudes)
+        assert not any(s.amplitudes.flags.writeable for s in states + [final])
 
     def test_boundary_checked_during_run(self):
         state = packet_state(x0=30.0, p0=4.0)
@@ -599,6 +621,26 @@ class TestFrameTransform:
         back = frame_transform(fwd, traj, 0.37, PARAMS, inverse=True)
         assert abs(overlap(state, back) - 1.0) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(0.0, 1.0), height=st.floats(-3.0, 3.0),
+           hbar=st.floats(0.2, 5.0), p0=st.floats(-2.0, 2.0),
+           levels=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
+           inverse=st.booleans())
+    def test_matches_the_per_sample_oracle_bit_for_bit(self, t, height, hbar, p0,
+                                                       levels, inverse):
+        grid = GridSpec(-20.0, 20.0, 256)
+        internal = InternalSpace(E0=100.0, levels=tuple(sorted(levels)))
+        params = PhysicalParams(hbar=hbar, c=10.0, E0=100.0)
+        state = packet_state(grid, internal, p0=p0)
+        traj = bump_trajectory(height, 1.0, 101)
+        out = frame_transform(state, traj, t, params, inverse=inverse)
+        xi, v, action = traj.at(t)
+        expected = oracles.frame_transform_amplitudes(
+            state.amplitudes, grid, internal.mass_energies(params.c),
+            xi, v, action, hbar, inverse=inverse)
+        assert np.array_equal(out.amplitudes, expected)
+        assert not out.amplitudes.flags.writeable
+
 
 class TestSchrodingerResidual:
     def _history(self, dt, with_term):
@@ -662,6 +704,38 @@ class TestSchrodingerResidual:
         with pytest.raises(PreconditionError):
             schrodinger_residual([state, state], 1e-3,
                                  HamiltonianKind.newtonian(), PARAMS)
+
+    @pytest.mark.parametrize("middle", [
+        packet_state(GridSpec(-10.0, 30.0, 256), InternalSpace(E0=100.0, levels=(0.0,))),
+        packet_state(GridSpec(-20.0, 20.0, 256), InternalSpace(E0=100.0, levels=(0.0, 5.0))),
+    ], ids=["shifted_grid", "dim_2"])
+    def test_history_that_mixes_spaces_is_refused(self, middle):
+        state = packet_state(GridSpec(-20.0, 20.0, 256), InternalSpace(E0=100.0, levels=(0.0,)))
+        with pytest.raises(IncompatibleSpacesError):
+            schrodinger_residual([state, middle, state], 1e-3,
+                                 HamiltonianKind.newtonian(), PARAMS)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), length=st.integers(3, 3 * _RESIDUAL_BLOCK + 2),
+           with_term=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_sample_oracle_bit_for_bit(self, data, length,
+                                                       with_term, seed):
+        # history lengths cover one short block up to three full blocks
+        label, grid, internal, params = data.draw(_kind_cases())
+        internal = InternalSpace(E0=internal.E0, levels=internal.levels[:3])
+        rng = np.random.default_rng(seed)
+        shape = (length, internal.dim, grid.n_points)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        history = [CompositeState.create(grid, internal, a) for a in raw]
+        dt = data.draw(st.floats(1e-4, 1e-1))
+        accel = rng.standard_normal(length) if with_term else None
+        kind = HamiltonianKind.from_name(label)
+        got = schrodinger_residual(history, dt, kind, params, non_inertial_accel=accel)
+        t_table, v_table = _tables(kind, grid, internal, params)
+        expected = oracles.per_sample_residual(
+            history, dt, t_table, v_table, internal.mass_energies(params.c),
+            params.hbar, non_inertial_accel=accel)
+        assert got == expected
 
 
 class TestClockHelpers:

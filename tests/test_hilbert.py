@@ -169,6 +169,37 @@ class TestCompositeState:
         with pytest.raises(ValueError):
             state.amplitudes[0, 0] = 1.0
 
+    @pytest.mark.parametrize("total", [1.0 + 3e-10, 1.0 - 3e-10, 4.0, 0.0, math.nan])
+    def test_owning_path_refuses_a_total_off_unit_norm(self, total):
+        state = equal_state()
+        with pytest.raises(PreconditionError, match="beyond 1e-10"):
+            state._with_owned_amplitudes(np.array(state.amplitudes), total)
+
+    def test_owning_path_takes_the_array_read_only(self):
+        state = equal_state()
+        amps = np.array(state.amplitudes)
+        owned = state._with_owned_amplitudes(amps, 1.0 + 1e-10)
+        assert owned.amplitudes is amps
+        assert not amps.flags.writeable
+        with pytest.raises(ValueError):
+            owned.amplitudes[0, 0] = 1.0
+        assert (owned.grid, owned.internal) == (state.grid, state.internal)
+
+    def test_moving_operations_apply_the_rule_to_the_checks_total(self, monkeypatch):
+        # a moments pass that reads a total 1e-9 high must fail the norm rule
+        from massclock import _kernels, apply_translation
+        real = _kernels.branch_moments
+
+        def inflated(amps, basis):
+            m = real(amps, basis)
+            m[:, 0] *= 1.0 + 1e-9
+            return m
+
+        state = equal_state()
+        monkeypatch.setattr(_kernels, "branch_moments", inflated)
+        with pytest.raises(PreconditionError, match="beyond 1e-10"):
+            apply_translation(state, 0.5)
+
     def test_branch_populations_sum_to_one(self):
         rng = np.random.default_rng(7)
         raw = rng.standard_normal((2, GRID.n_points)) + 1j * rng.standard_normal((2, GRID.n_points))

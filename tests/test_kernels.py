@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from massclock import GridSpec, _kernels
-from massclock.hilbert import _moment_basis
+from massclock.hilbert import _grid_tables
 
 
 def _random_problem(seed=0, dim=2, n=512):
@@ -40,7 +40,7 @@ def test_branch_moments_match_exact_per_branch_sums(log2n, dim, x_min, length, s
     rng = np.random.default_rng(seed)
     amps = (rng.standard_normal((dim, grid.n_points))
             + 1j * rng.standard_normal((dim, grid.n_points)))
-    basis = _moment_basis(grid)
+    basis = _grid_tables(grid).basis
     assert not basis.flags.writeable  # one cached basis per grid, shared
     m = _kernels.branch_moments(amps, basis)
     assert m.shape == (dim, 3)
