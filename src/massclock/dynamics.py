@@ -24,8 +24,13 @@ dynamical_mass with the rest flag are the same operator by construction.
 Propagation is Strang splitting,
 exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
 per branch per step: exactly unitary, second order in dt.  Per-step checks:
-norm within 1e-10 and the boundary-clearance rule, both read from one
-moments pass; a sampled or final state takes its norm from that pass too.
+total probability within 1e-10 of 1 and the boundary-clearance rule, both
+read from one moments pass; a sampled or final state takes its norm from
+that pass too.  One step loop serves every propagation: a runner's
+independent runs on one grid share one stacked (sum dim_r, N) buffer, and
+the step acts row by row, so each run keeps the bits it has alone; the
+checks apply to each run's own rows, and the runners read their samples
+from the live buffer.
 
 Trajectories xi(t) of a moving frame are stored as uniform samples;
 velocity/acceleration use stored exact samples when a factory provides
@@ -44,7 +49,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +57,7 @@ from . import _kernels
 from .errors import (
     AliasingError,
     BoundaryViolationError,
+    IncompatibleSpacesError,
     PreconditionError,
     SuperluminalError,
     TrajectoryError,
@@ -65,6 +71,7 @@ from .hilbert import (
     _check_same_spaces,
     _clearance_from_moments,
     _grid_tables,
+    _require_unit_norm,
     expectation_kinetic,
 )
 from .symmetry import _translate
@@ -210,21 +217,40 @@ def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
 # --- split-operator propagation ----------------------------------------------
 
 class _Plan:
-    """Precomputed per-branch phase tables for one (state-shape, kind, dt)."""
+    """Phase tables of independent runs ``(state, kind, params)`` on one
+    grid, stacked into one (sum dim_r, N) buffer for one dt; run r owns
+    the rows ``rows[r]``, in run order.
 
-    def __init__(self, grid: GridSpec, internal: InternalSpace,
-                 kind: HamiltonianKind, params: PhysicalParams, dt: float):
-        t_table, v_table = _tables(kind, grid, internal, params)
+    The Strang step acts row by row (elementwise phase multiplies and a
+    row-wise FFT pair), so every run keeps the bits it has alone.
+    """
+
+    def __init__(self, runs: Sequence[tuple], dt: float):
+        grid = runs[0][0].grid
+        tables = []
+        for state, kind, params in runs:
+            if state.grid != grid:
+                raise IncompatibleSpacesError(
+                    f"stacked runs must share one grid: {state.grid} != {grid}")
+            tables.append(_tables(kind, grid, state.internal, params))
         if dt <= 0:
             raise PreconditionError("dt must be positive")
-        worst = float(np.max(np.abs(t_table))) * dt / params.hbar
-        if worst >= math.pi:
-            raise AliasingError(
-                f"kinetic phase per step dt*max|T|/hbar = {worst:.3f} >= pi; "
-                "reduce dt or coarsen the momentum grid"
-            )
-        self.exp_t = np.exp(-1j * t_table * dt / params.hbar)
-        self.exp_v_half = np.exp(-0.5j * v_table * dt / params.hbar)
+        shape = (sum(state.internal.dim for state, _, _ in runs), grid.n_points)
+        self.exp_t = np.empty(shape, dtype=complex)
+        self.exp_v_half = np.empty(shape, dtype=complex)
+        self.rows = []
+        for (state, _, params), (t_table, v_table) in zip(runs, tables):
+            worst = float(np.max(np.abs(t_table))) * dt / params.hbar
+            if worst >= math.pi:
+                raise AliasingError(
+                    f"kinetic phase per step dt*max|T|/hbar = {worst:.3f} >= pi; "
+                    "reduce dt or coarsen the momentum grid"
+                )
+            lo = self.rows[-1].stop if self.rows else 0
+            rows = slice(lo, lo + state.internal.dim)
+            np.exp(-1j * t_table * dt / params.hbar, out=self.exp_t[rows])
+            np.exp(-0.5j * v_table * dt / params.hbar, out=self.exp_v_half[rows])
+            self.rows.append(rows)
         self.basis = _grid_tables(grid).basis
         self.grid = grid
 
@@ -238,24 +264,58 @@ class _Plan:
         _kernels.phase_multiply(amps, self.exp_v_half)
         return amps
 
-    def check(self, amps: np.ndarray, step_no: int) -> float:
-        """Enforce the norm and clearance rules after a step; returns the
-        total probability the check read."""
+    def check(self, amps: np.ndarray, step_no: int) -> List[float]:
+        """Enforce the norm and clearance rules on each run's rows after a
+        step, run by run; returns each run's total probability.
+
+        One moments matmul serves every run.  BLAS may tile a taller matrix
+        differently, so a run's total can differ from its solo value in the
+        last bits; the amplitudes never do.
+        """
         moments = _kernels.branch_moments(amps, self.basis).tolist()
-        total = sum(row[0] for row in moments)
-        if abs(total - 1.0) > 1e-10:
-            raise PreconditionError(
-                f"norm drifted to {total!r} at step {step_no}"
-            )
-        msg = _clearance_from_moments(self.grid, moments)
-        if msg is not None:
-            raise BoundaryViolationError(f"step {step_no}: {msg}")
-        return total
+        totals = []
+        for rows in self.rows:
+            own = moments[rows]
+            total = sum(row[0] for row in own)
+            try:
+                _require_unit_norm(total)
+            except PreconditionError:
+                raise PreconditionError(
+                    f"norm drifted to {total!r} at step {step_no}") from None
+            msg = _clearance_from_moments(self.grid, own)
+            if msg is not None:
+                raise BoundaryViolationError(f"step {step_no}: {msg}")
+            totals.append(total)
+        return totals
 
 
-def _require_step_count(steps: int) -> None:
+def _evolve(runs: Sequence[tuple], dt: float, steps: int,
+            sample_every: int) -> Iterator[Tuple[int, np.ndarray, Optional[List[float]]]]:
+    """Advance independent runs ``(state, kind, params)`` on one grid by
+    ``steps`` Strang steps of size dt, as one stacked buffer; the checks
+    run every step, per run.
+
+    Yields ``(step_no, amps, totals)`` at step 0 and after every
+    ``sample_every`` steps: ``amps`` is the live (sum dim_r, N) buffer,
+    rows in run order, which the next step overwrites; ``totals`` holds
+    each run's total probability as that step's check read it (None at
+    step 0, where no step ran).  ``steps`` must be a non-negative multiple
+    of ``sample_every``.  No runs yield nothing.
+    """
     if steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {steps}")
+    if sample_every < 1 or steps % sample_every != 0:
+        raise PreconditionError("steps must be a multiple of sample_every")
+    if not runs:
+        return
+    plan = _Plan(runs, dt)
+    amps = np.concatenate([state.amplitudes for state, _, _ in runs])
+    yield 0, amps, None
+    for k in range(1, steps + 1):
+        amps = plan.step(amps)
+        totals = plan.check(amps, k)
+        if k % sample_every == 0:
+            yield k, amps, totals
 
 
 def propagate(state: CompositeState, kind: HamiltonianKind,
@@ -264,15 +324,11 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
 
     Zero steps return ``state`` itself; a negative count is refused.
     """
-    _require_step_count(steps)
-    plan = _Plan(state.grid, state.internal, kind, params, dt)
-    if steps == 0:
+    for _, amps, totals in _evolve([(state, kind, params)], dt, steps, max(steps, 1)):
+        pass
+    if totals is None:
         return state
-    amps = np.array(state.amplitudes)
-    for k in range(steps):
-        amps = plan.step(amps)
-        total = plan.check(amps, k + 1)
-    return state._with_owned_amplitudes(amps, total)
+    return state._with_owned_amplitudes(amps, totals[0])
 
 
 def propagate_history(state: CompositeState, kind: HamiltonianKind,
@@ -284,20 +340,35 @@ def propagate_history(state: CompositeState, kind: HamiltonianKind,
     non-negative multiple of ``sample_every``.  Each sample owns a copy of
     the step buffer, whose norm the step's check has just read.
     """
-    _require_step_count(steps)
-    if sample_every < 1 or steps % sample_every != 0:
-        raise PreconditionError("steps must be a multiple of sample_every")
-    plan = _Plan(state.grid, state.internal, kind, params, dt)
-    amps = np.array(state.amplitudes)
-    out = [state]
-    times = [0.0]
-    for k in range(steps):
-        amps = plan.step(amps)
-        total = plan.check(amps, k + 1)
-        if (k + 1) % sample_every == 0:
-            out.append(state._with_owned_amplitudes(amps.copy(), total))
-            times.append((k + 1) * dt)
+    times, out = [], []
+    for k, amps, totals in _evolve([(state, kind, params)], dt, steps, sample_every):
+        times.append(k * dt)
+        out.append(state if totals is None
+                   else state._with_owned_amplitudes(amps.copy(), totals[0]))
     return np.asarray(times), out
+
+
+def _velocity_table(runs: Sequence[tuple]) -> np.ndarray:
+    """dT_i/dp on the momentum grid for every row of the runs' stacked
+    buffer, each row as ``branch_velocity`` gives it."""
+    return np.stack([
+        branch_velocity(kind, state.internal, params, level)(state.grid.p(params.hbar))
+        for state, kind, params in runs for level in range(state.internal.dim)])
+
+
+def _read_velocities(amps: np.ndarray, velocity_table: np.ndarray) -> np.ndarray:
+    """<dT_i/dp> of every row of a stacked buffer from one batched FFT,
+    with the operand order of ``expectation_velocity``, so each value has
+    its bits."""
+    w = np.abs(np.fft.fft(amps, axis=1)) ** 2
+    w = w / np.sum(w, axis=1, keepdims=True)
+    return np.sum(w * velocity_table, axis=1)
+
+
+def _read_overlaps(amps: np.ndarray, first_rows: np.ndarray, dx: float) -> np.ndarray:
+    """<branch 0 | branch 1> of every run whose branch 0 sits at a row of
+    ``first_rows``, with the operand order of ``branch_overlap``."""
+    return np.sum(np.conj(amps[first_rows]) * amps[first_rows + 1], axis=1) * dx
 
 
 # --- internal clock ----------------------------------------------------------

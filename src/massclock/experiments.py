@@ -46,12 +46,14 @@ from . import _kernels
 from .dynamics import (
     HamiltonianKind,
     Trajectory,
-    bump_trajectory,
-    expectation_velocity,
-    fit_clock_rate,
-    frame_transform,
+    _evolve,
+    _read_overlaps,
+    _read_velocities,
     _require_fit_samples,
-    propagate_history,
+    _velocity_table,
+    bump_trajectory,
+    fit_phase_rate,
+    frame_transform,
     semiclassical_clock_phases,
     static_trajectory,
     triangular_trajectory,
@@ -273,15 +275,16 @@ CLOCK_GH_OVER_C2 = (1e-3, 1e-2)
 
 
 def _clock_result(mode: str, v_over_c: Sequence[float], gh_over_c2: Sequence[float],
-                  shift: Callable, tol: float) -> ExperimentResult:
+                  shifts: Callable, tol: float) -> ExperimentResult:
     """One row per moving clock (v/c, 0) and per raised clock (0, gh/c^2);
-    ``shift(v_r, g_r)`` gives its (measured, predicted) fractional shift."""
+    ``shifts(cases)`` gives every case's (measured, predicted) fractional
+    shift."""
     for ratio in list(v_over_c) + list(gh_over_c2):
         if abs(ratio) >= 0.5:
             raise PreconditionError(f"ratio {ratio} is not << 1")
+    cases = [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
     rows = []
-    for v_r, g_r in [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]:
-        measured, predicted = shift(v_r, g_r)
+    for (v_r, g_r), (measured, predicted) in zip(cases, shifts(cases)):
         abs_err = abs(measured - predicted)
         rel_err = abs_err / abs(predicted) if predicted != 0.0 else abs_err
         rows.append({"mode": mode, "v_over_c": v_r, "gh_over_c2": g_r,
@@ -312,7 +315,8 @@ def exp_clock_semiclassical(*, v_over_c: Sequence[float] = CLOCK_V_OVER_C,
         rate = float(np.polyfit(times, phases, 1)[0])
         return rate - 1.0, predicted_clock_shift(v_r, g_r)
 
-    return _clock_result("semiclassical", v_over_c, gh_over_c2, shift, 1e-6)
+    return _clock_result("semiclassical", v_over_c, gh_over_c2,
+                         lambda cases: [shift(v_r, g_r) for v_r, g_r in cases], 1e-6)
 
 
 def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
@@ -330,7 +334,7 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     the packet's spread correction in the predicted column.  A row whose
     spread correction exceeds 10 % of its predicted shift is rejected.
     """
-    sample_every = 10  # history stride of the clock-rate fit
+    sample_every = 10  # sample stride of the clock-rate fit
     e0 = internal.E0
     m = e0 / c**2
     omega0 = (internal.levels[1] - internal.levels[0]) / hbar
@@ -339,31 +343,39 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
     times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
 
-    def shift(v_r, g_r):
-        v = v_r * c
-        if g_r != 0.0:
-            g = 0.5
-            x_start = g_r * c**2 / g
-            potential = Potential.uniform_field(g)
-        else:
-            g = 0.0
-            x_start = 0.0 if v >= 0 else 10.0
-            potential = Potential.none()
-        params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
-        predicted = regression_shift_prediction(times_cl, v, g, x_start, sigma,
-                                                m, hbar, c)
-        if abs(spread) > 0.1 * max(abs(predicted), 1e-300):
-            raise SpreadDominatedError(
-                f"spread correction {spread:.3g} exceeds 10% of the predicted "
-                f"shift {predicted:.3g}; enlarge sigma"
-            )
-        state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
-        times, states = propagate_history(state, HamiltonianKind.low_energy(), params,
-                                          dt, steps, sample_every=sample_every)
-        rate = fit_clock_rate(times, states)
-        return (rate - omega0) / omega0, predicted
+    def shifts(cases):
+        runs, predicted = [], []
+        for v_r, g_r in cases:
+            v = v_r * c
+            if g_r != 0.0:
+                g = 0.5
+                x_start = g_r * c**2 / g
+                potential = Potential.uniform_field(g)
+            else:
+                g = 0.0
+                x_start = 0.0 if v >= 0 else 10.0
+                potential = Potential.none()
+            params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
+            pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, hbar, c)
+            if abs(spread) > 0.1 * max(abs(pred), 1e-300):
+                raise SpreadDominatedError(
+                    f"spread correction {spread:.3g} exceeds 10% of the predicted "
+                    f"shift {pred:.3g}; enlarge sigma"
+                )
+            predicted.append(pred)
+            state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
+            runs.append((state, HamiltonianKind.low_energy(), params))
+        # every clock runs in one stack; each sample is read in flight
+        first_rows = np.arange(len(runs)) * internal.dim
+        times, overlaps = [], []
+        for k, amps, _ in _evolve(runs, dt, steps, sample_every):
+            times.append(k * dt)
+            overlaps.append(_read_overlaps(amps, first_rows, grid.dx))
+        # each run's column of <0|1>, fitted as fit_clock_rate fits a history
+        rates = [-fit_phase_rate(times, z) for z in zip(*overlaps)]
+        return [((rate - omega0) / omega0, pred) for rate, pred in zip(rates, predicted)]
 
-    return _clock_result("wavepacket", v_over_c, gh_over_c2, shift, 2e-2)
+    return _clock_result("wavepacket", v_over_c, gh_over_c2, shifts, 2e-2)
 
 
 # --- exp_interferometer ---------------------------------------------------------
@@ -456,21 +468,26 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
     if max(epsilons) / min(epsilons) < 10.0:
         raise PreconditionError("eps values must span at least a decade")
     steps = _step_count(total_time, dt)
+    params = PhysicalParams(hbar=hbar, c=c, E0=E0, potential=Potential.uniform_field(g))
 
-    def one(eps):
+    # split and newtonian per eps, every run in one stack
+    runs = []
+    for eps in epsilons:
         internal = InternalSpace(E0=E0, levels=(0.0, eps * E0))
-        params = PhysicalParams(hbar=hbar, c=c, E0=E0,
-                                potential=Potential.uniform_field(g))
         state = _equal_superposition(grid, internal, sigma, x0, p0, hbar)
-        runs = {}
-        for kind in (HamiltonianKind.split(), HamiltonianKind.newtonian()):
-            times, states = propagate_history(state, kind, params, dt, steps,
-                                              sample_every=sample_every)
-            z = np.array([s.branch_overlap(0, 1) for s in states])
-            runs[kind.name] = (np.unwrap(np.angle(z)), states[-1])
-        phase_split, final_split = runs["split"]
-        phase_newt, final_newt = runs["newtonian"]
-        measured = float(phase_split[-1] - phase_newt[-1])
+        runs += [(state, HamiltonianKind.split(), params),
+                 (state, HamiltonianKind.newtonian(), params)]
+    first_rows = np.arange(len(runs)) * 2
+    overlaps = []
+    for _, amps, totals in _evolve(runs, dt, steps, sample_every):
+        overlaps.append(_read_overlaps(amps, first_rows, grid.dx))
+    phases = np.unwrap(np.angle(np.asarray(overlaps)), axis=0)
+    finals = [state._with_owned_amplitudes(amps[2 * r:2 * r + 2].copy(), totals[r])
+              for r, (state, _, _) in enumerate(runs)]
+
+    def one(i, eps):
+        final_split, final_newt = finals[2 * i], finals[2 * i + 1]
+        measured = float(phases[-1, 2 * i] - phases[-1, 2 * i + 1])
         predicted = predicted_sweep_discrepancy(eps, E0, p0, g, x0,
                                                 total_time, sigma, hbar, c)
         diff = final_split.amplitudes - final_newt.amplitudes
@@ -480,7 +497,7 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
                 "phase_discrepancy_predicted": predicted,
                 "state_distance": distance, "infidelity": infid}
 
-    rows = [one(eps) for eps in epsilons]
+    rows = [one(i, eps) for i, eps in enumerate(epsilons)]
     slope = float(np.polyfit(np.log(epsilons),
                              np.log([abs(r["phase_discrepancy_measured"]) for r in rows]),
                              1)[0])
@@ -532,22 +549,34 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     m = params.m
     steps = _step_count(total_time, dt)
 
-    def one(kind: HamiltonianKind):
-        state = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
-        times, states = propagate_history(state, kind, params, dt, steps,
-                                          sample_every=sample_every)
+    # every kind runs in one stack; each sample is read in flight
+    state = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
+    runs = [(state, kind, params) for kind in kind_objs]
+    velocity_table = _velocity_table(runs) if runs else None
+    first_rows = np.arange(len(runs)) * internal.dim
+    clock = internal.dim >= 2 and omega0 > 0.0
+    times, velocities, overlaps = [], [], []
+    for k, amps, _ in _evolve(runs, dt, steps, sample_every):
+        times.append(k * dt)
+        velocities.append(_read_velocities(amps, velocity_table))
+        if clock:
+            overlaps.append(_read_overlaps(amps, first_rows, grid.dx))
+    times = np.asarray(times)
+    velocities = np.asarray(velocities)
+    rates = [-fit_phase_rate(times, z) for z in zip(*overlaps)]
+
+    def one(r: int, kind: HamiltonianKind):
         rows = []
         for level in range(internal.dim):
-            vels = [expectation_velocity(s, kind, params, level) for s in states]
+            vels = velocities[:, first_rows[r] + level]
             accel = float(np.polyfit(times, vels, 1)[0])
             abs_err = abs(accel - (-g))
             rows.append({"kind": kind.label(), "quantity": "acceleration",
                          "branch": str(level + 1), "measured": accel,
                          "predicted": -g, "abs_error": abs_err,
                          "rel_error": abs_err / abs(g) if g != 0.0 else abs_err})
-        if internal.dim >= 2 and omega0 > 0.0:
-            rate = fit_clock_rate(times, states)
-            measured_shift = (rate - omega0) / omega0
+        if clock:
+            measured_shift = (rates[r] - omega0) / omega0
             if kind.name == "newtonian":  # one mass m for every level
                 predicted_shift = 0.0
             else:
@@ -564,7 +593,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
                          "rel_error": rel})
         return rows
 
-    rows = [r for kind in kind_objs for r in one(kind)]
+    rows = [row for r, kind in enumerate(kind_objs) for row in one(r, kind)]
     accel_ok = all(r["rel_error"] < accel_tolerance
                    for r in rows if r["quantity"] == "acceleration")
     clock_rows = {r["kind"]: r for r in rows if r["quantity"] == "clock_shift"}

@@ -208,7 +208,7 @@ class CompositeState:
             raise PreconditionError(
                 f"amplitude shape {amps.shape} != (dim, n_points) = {expected}"
             )
-        _require_unit_norm(np.sqrt(np.sum(amps.real**2 + amps.imag**2) * self.grid.dx))
+        _require_unit_norm(float(np.sum(amps.real**2 + amps.imag**2) * self.grid.dx))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -247,7 +247,7 @@ class CompositeState:
         constructor's, applied to that total; ``amps`` becomes read-only
         in place, without the constructor's copy and second norm pass.
         """
-        _require_unit_norm(math.sqrt(total))
+        _require_unit_norm(total)
         amps.flags.writeable = False
         state = object.__new__(CompositeState)
         object.__setattr__(state, "grid", self.grid)
@@ -256,10 +256,12 @@ class CompositeState:
         return state
 
 
-def _require_unit_norm(nrm: float) -> None:
-    """The state norm rule |norm - 1| <= 1e-10 (a NaN norm fails it too)."""
-    if not abs(nrm - 1.0) <= 1e-10:
-        raise PreconditionError(f"state norm {nrm!r} deviates from 1 beyond 1e-10")
+def _require_unit_norm(total: float) -> None:
+    """The norm rule on the total probability, |sum |psi|^2 dx - 1| <= 1e-10
+    (a NaN total fails it too): one rule for states and for every step."""
+    if not abs(total - 1.0) <= 1e-10:
+        raise PreconditionError(
+            f"total probability {total!r} deviates from 1 beyond 1e-10")
 
 
 # --- construction -----------------------------------------------------------

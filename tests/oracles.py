@@ -56,6 +56,23 @@ def strang_step(amps: np.ndarray, exp_v_half: np.ndarray,
     return np.fft.ifft(np.fft.fft(amps * exp_v_half, axis=1) * exp_t, axis=1) * exp_v_half
 
 
+def per_run_strang(initial, tables, steps: int, sample_every: int):
+    """Each run stepped alone on its own (dim, N) buffer by ``strang_step``.
+
+    ``initial`` holds each run's amplitudes and ``tables`` its
+    ``(exp_v_half, exp_t)``; returns, at step 0 and after every
+    ``sample_every`` steps, the list of every run's amplitudes.  The
+    reference a stacked buffer must match bit for bit, run by run.
+    """
+    amps = [np.array(a) for a in initial]
+    samples = [amps]
+    for k in range(1, steps + 1):
+        amps = [strang_step(a, v_half, t) for a, (v_half, t) in zip(amps, tables)]
+        if k % sample_every == 0:
+            samples.append(amps)
+    return samples
+
+
 # --- per-sample references (vs the blocked residual and the cached frame path) --
 
 def per_sample_residual(history, dt: float, t_table: np.ndarray, v_table: np.ndarray,

@@ -494,6 +494,7 @@ class TestMain:
         ("exp_wep", ["params.kinds=[]"]),
         ("exp_bargmann", ["params.pairs=[]"]),
         ("exp_clock_semiclassical", ["params.v_over_c=[]", "params.gh_over_c2=[]"]),
+        ("exp_clock_wavepacket", ["params.v_over_c=[]", "params.gh_over_c2=[]"]),
     ])
     def test_run_with_no_rows_exits_3(self, tmp_path, capsys, name, overrides):
         sets = [arg for override in overrides for arg in ("--set", override)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from massclock import (
     bump_trajectory,
     closed_path_phase,
     expectation_p,
+    expectation_velocity,
     expectation_x,
     fit_clock_rate,
     fit_phase_rate,
@@ -42,7 +45,16 @@ from massclock import (
     triangular_trajectory,
 )
 from massclock import _kernels
-from massclock.dynamics import _KINDS, _RESIDUAL_BLOCK, _Plan, _tables
+from massclock.dynamics import (
+    _KINDS,
+    _RESIDUAL_BLOCK,
+    _Plan,
+    _evolve,
+    _read_overlaps,
+    _read_velocities,
+    _tables,
+    _velocity_table,
+)
 
 import oracles
 
@@ -341,8 +353,9 @@ class TestStrangStep:
     def test_in_place_step_equals_the_out_of_place_oracle(self, label):
         params = PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
                                 potential=Potential.uniform_field(0.7))
-        plan = _Plan(GRID, self.INTERNAL3, HamiltonianKind.from_name(label), params, 5e-4)
-        amps = np.array(packet_state(internal=self.INTERNAL3, p0=1.0).amplitudes)
+        state = packet_state(internal=self.INTERNAL3, p0=1.0)
+        plan = _Plan([(state, HamiltonianKind.from_name(label), params)], 5e-4)
+        amps = np.array(state.amplitudes)
         expected = amps.copy()
         for _ in range(10):
             expected = oracles.strang_step(expected, plan.exp_v_half, plan.exp_t)
@@ -359,18 +372,144 @@ class TestStrangStep:
         kind = HamiltonianKind.from_name(label)
         t_table, _ = _tables(kind, grid, internal, params)
         dt = fraction * np.pi * params.hbar / np.max(np.abs(t_table))  # below the alias limit
-        plan = _Plan(grid, internal, kind, params, dt)
         rng = np.random.default_rng(seed)
         shape = (internal.dim, grid.n_points)
         psi, phi = (CompositeState.create(grid, internal, rng.standard_normal(shape)
                                           + 1j * rng.standard_normal(shape))
                     for _ in range(2))
+        plan = _Plan([(psi, kind, params)], dt)
         a, b = np.array(psi.amplitudes), np.array(phi.amplitudes)
         for _ in range(steps):
             a, b = plan.step(a), plan.step(b)
         assert abs(np.sum(a.real**2 + a.imag**2) * grid.dx - 1.0) <= 1e-12
         evolved = overlap(psi.with_amplitudes(a), phi.with_amplitudes(b))
         assert abs(evolved - overlap(psi, phi)) <= 1e-12
+
+
+@st.composite
+def _stacked_cases(draw):
+    """One grid and 1-4 runs on it, each with its own kind, dim 1-3, hbar, c,
+    rest energy and potential; a centred packet of width L/32 stays clear of
+    the seam for the few alias-limited steps drawn."""
+    grid = GridSpec(draw(st.floats(-50.0, -5.0)), draw(st.floats(5.0, 50.0)),
+                    2 ** draw(st.integers(7, 8)))
+    centre = 0.5 * (grid.x_min + grid.x_max)
+    psi = gaussian_packet(grid, centre, 0.0, grid.length / 32.0)
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        e0 = draw(st.floats(1.0, 1e3))
+        fractions = draw(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3))
+        internal = InternalSpace(E0=e0, levels=sorted(f * e0 for f in fractions))
+        potential = draw(st.sampled_from([
+            Potential.none(), Potential.uniform_field(0.7),
+            Potential.tabulated([grid.x_min, centre, grid.x_max], [0.3, -1.2, 2.0])]))
+        params = PhysicalParams(hbar=draw(st.floats(0.1, 5.0)),
+                                c=draw(st.floats(0.5, 50.0)), E0=e0, potential=potential)
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=internal.dim,
+                                max_size=internal.dim))
+        state = make_superposition(grid, internal, weights, psi)
+        kind = HamiltonianKind.from_name(draw(st.sampled_from(list(_KINDS))))
+        runs.append((state, kind, params))
+    return grid, runs
+
+
+class TestStackedRuns:
+    """_evolve advances independent runs as one buffer with the bits of
+    separate runs."""
+
+    FIELD = PhysicalParams(hbar=1.0, c=10.0, E0=100.0, potential=Potential.uniform_field(1.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stacked_cases(), fraction=st.floats(0.01, 0.9),
+           sample_every=st.integers(1, 4), samples=st.integers(1, 3))
+    def test_every_sample_matches_separate_runs_bit_for_bit(self, case, fraction,
+                                                            sample_every, samples):
+        grid, runs = case
+        tables = []
+        for state, kind, params in runs:
+            t_table, v_table = _tables(kind, grid, state.internal, params)
+            tables.append((t_table, v_table, params.hbar))
+        # one dt below every run's alias limit
+        dt = fraction * min(np.pi * hbar / np.max(np.abs(t)) for t, _, hbar in tables)
+        steps = sample_every * samples
+        expected = oracles.per_run_strang(
+            [state.amplitudes for state, _, _ in runs],
+            [(np.exp(-0.5j * v * dt / hbar), np.exp(-1j * t * dt / hbar))
+             for t, v, hbar in tables], steps, sample_every)
+        got = 0
+        for k, amps, totals in _evolve(runs, dt, steps, sample_every):
+            assert k == got * sample_every
+            lo = 0
+            for r, own in enumerate(expected[got]):
+                assert amps[lo:lo + own.shape[0]].tobytes() == own.tobytes()
+                lo += own.shape[0]
+                if totals is not None:
+                    assert totals[r] == pytest.approx(
+                        np.sum(np.abs(own) ** 2) * grid.dx, abs=1e-13)
+            assert lo == amps.shape[0] and (totals is None) == (k == 0)
+            got += 1
+        assert got == samples + 1
+
+    def test_in_flight_reads_equal_the_history_readouts_bit_for_bit(self):
+        state = packet_state(x0=5.0)
+        kinds = [HamiltonianKind.from_name(k)
+                 for k in ("low_energy", "split", "dynamical_mass", "newtonian")]
+        runs = [(state, kind, self.FIELD) for kind in kinds]
+        velocity_table = _velocity_table(runs)
+        first_rows = np.arange(len(runs)) * 2
+        histories = [propagate_history(state, kind, self.FIELD, 5e-4, 60, sample_every=20)[1]
+                     for kind in kinds]
+        for n, (_, amps, _) in enumerate(_evolve(runs, 5e-4, 60, 20)):
+            velocities = _read_velocities(amps, velocity_table)
+            overlaps = _read_overlaps(amps, first_rows, GRID.dx)
+            for r, kind in enumerate(kinds):
+                sample = histories[r][n]
+                assert overlaps[r] == sample.branch_overlap(0, 1)
+                for level in range(2):
+                    assert velocities[2 * r + level] == expectation_velocity(
+                        sample, kind, self.FIELD, level)
+
+    def test_no_runs_yield_nothing(self):
+        assert list(_evolve([], 1e-3, 10, 5)) == []
+
+    def test_runs_on_different_grids_are_refused(self):
+        other = packet_state(GridSpec(-30.0, 30.0, 1024))
+        runs = [(packet_state(), HamiltonianKind.newtonian(), PARAMS),
+                (other, HamiltonianKind.newtonian(), PARAMS)]
+        with pytest.raises(IncompatibleSpacesError, match="share one grid"):
+            next(_evolve(runs, 1e-3, 1, 1))
+
+    def test_each_run_checks_its_own_internal_space(self):
+        runs = [(packet_state(), HamiltonianKind.newtonian(), PARAMS),
+                (packet_state(), HamiltonianKind.newtonian(), PhysicalParams(E0=90.0))]
+        with pytest.raises(IncompatibleSpacesError, match="E0=90.0"):
+            next(_evolve(runs, 1e-3, 1, 1))
+
+    @pytest.mark.parametrize("failing, dt, steps, error, message", [
+        ((packet_state(x0=30.0, p0=4.0), HamiltonianKind.newtonian(), PARAMS),
+         1e-3, 4000, BoundaryViolationError,
+         "step 1272: branch 0: <x>=35.086, 4.0 sigma_x=4.921 leaves [-40.0, 40.0]"),
+        ((packet_state(), HamiltonianKind.newtonian(), PARAMS), 5e-2, 1, AliasingError,
+         "kinetic phase per step dt*max|T|/hbar = 40.426 >= pi; "
+         "reduce dt or coarsen the momentum grid"),
+        ((packet_state(), HamiltonianKind.newtonian(), PhysicalParams(E0=90.0)),
+         1e-3, 1, IncompatibleSpacesError,
+         "PhysicalParams.E0=90.0 != InternalSpace.E0=100.0; both must hold the same "
+         "stored number"),
+    ], ids=["clearance", "alias", "internal"])
+    def test_a_failing_run_fails_alone_and_in_a_stack(self, failing, dt, steps, error,
+                                                     message):
+        # alone, the message is word for word the one a single propagation
+        # always gave; second in a stack, behind a heavy newtonian run that
+        # passes every rule, the same rule fires with its class
+        with pytest.raises(error) as alone:
+            propagate(*failing, dt, steps)
+        assert str(alone.value) == message
+        benign = (packet_state(), HamiltonianKind.newtonian(),
+                      PhysicalParams(hbar=1.0, c=1.0, E0=100.0))
+        with pytest.raises(error, match=re.escape(message.split(":")[0].split(";")[0])):
+            for _ in _evolve([benign, failing], dt, steps, steps):
+                pass
 
 
 class TestInternalFrequency:

@@ -178,7 +178,7 @@ class TestCompositeState:
     def test_owning_path_takes_the_array_read_only(self):
         state = equal_state()
         amps = np.array(state.amplitudes)
-        owned = state._with_owned_amplitudes(amps, 1.0 + 1e-10)
+        owned = state._with_owned_amplitudes(amps, 1.0 + 5e-11)
         assert owned.amplitudes is amps
         assert not amps.flags.writeable
         with pytest.raises(ValueError):
@@ -199,6 +199,21 @@ class TestCompositeState:
         monkeypatch.setattr(_kernels, "branch_moments", inflated)
         with pytest.raises(PreconditionError, match="beyond 1e-10"):
             apply_translation(state, 0.5)
+
+    def test_one_norm_rule_refuses_a_drift_of_7e_11_on_every_path(self, monkeypatch):
+        # the rule bounds the total |psi|^2 dx: a norm 7e-11 high is a total
+        # 1.4e-10 high, which states and steps both refuse
+        from massclock import HamiltonianKind, _kernels, propagate
+        drift = 1.0 + 7e-11
+        state = equal_state()
+        with pytest.raises(PreconditionError, match="beyond 1e-10"):
+            CompositeState(GRID, TWO_LEVEL, state.amplitudes * drift)
+        with pytest.raises(PreconditionError, match="beyond 1e-10"):
+            state._with_owned_amplitudes(np.array(state.amplitudes), drift**2)
+        real = _kernels.branch_moments
+        monkeypatch.setattr(_kernels, "branch_moments", lambda a, b: real(a * drift, b))
+        with pytest.raises(PreconditionError, match="norm drifted to .* at step 1$"):
+            propagate(state, HamiltonianKind.newtonian(), PhysicalParams(), 5e-4, 1)
 
     def test_branch_populations_sum_to_one(self):
         rng = np.random.default_rng(7)
