@@ -72,7 +72,7 @@ from .hilbert import (
     _clearance_from_moments,
     _grid_tables,
     _require_unit_norm,
-    expectation_kinetic,
+    momentum_distribution,
 )
 from .symmetry import _translate
 
@@ -210,8 +210,16 @@ def branch_potential(kind: HamiltonianKind, internal: InternalSpace,
 def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
                          params: PhysicalParams, level: int) -> float:
     """<dT_i/dp> on one branch (== d<x>/dt by Ehrenfest for these kinds)."""
-    return expectation_kinetic(state.grid, state.amplitudes[level], params.hbar,
-                               branch_velocity(kind, state.internal, params, level))
+    table = branch_velocity(kind, state.internal, params, level)(state.grid.p(params.hbar))
+    return float(_read_velocities(state.grid, state.amplitudes[level], table))
+
+
+def _read_velocities(grid: GridSpec, amps: np.ndarray,
+                     velocity_table: np.ndarray) -> np.ndarray:
+    """<dT_i/dp> of each row of ``amps``, one row or a stack read by one
+    batched FFT, against its row of ``velocity_table``; each value has
+    the bits it has alone."""
+    return np.sum(momentum_distribution(grid, amps) * velocity_table, axis=-1)
 
 
 # --- split-operator propagation ----------------------------------------------
@@ -356,21 +364,6 @@ def _velocity_table(runs: Sequence[tuple]) -> np.ndarray:
         for state, kind, params in runs for level in range(state.internal.dim)])
 
 
-def _read_velocities(amps: np.ndarray, velocity_table: np.ndarray) -> np.ndarray:
-    """<dT_i/dp> of every row of a stacked buffer from one batched FFT,
-    with the operand order of ``expectation_velocity``, so each value has
-    its bits."""
-    w = np.abs(np.fft.fft(amps, axis=1)) ** 2
-    w = w / np.sum(w, axis=1, keepdims=True)
-    return np.sum(w * velocity_table, axis=1)
-
-
-def _read_overlaps(amps: np.ndarray, first_rows: np.ndarray, dx: float) -> np.ndarray:
-    """<branch 0 | branch 1> of every run whose branch 0 sits at a row of
-    ``first_rows``, with the operand order of ``branch_overlap``."""
-    return np.sum(np.conj(amps[first_rows]) * amps[first_rows + 1], axis=1) * dx
-
-
 # --- internal clock ----------------------------------------------------------
 
 def internal_frequency(omega0: float, v, phi, params: PhysicalParams):
@@ -420,8 +413,13 @@ def fit_phase_rate(times: np.ndarray, values: np.ndarray) -> float:
 def fit_clock_rate(times: np.ndarray, states: Sequence[CompositeState]) -> float:
     """Fitted rate of arg <branch 0 | branch 1>, the clock of the two lowest
     levels, over a state history."""
-    z = np.array([s.branch_overlap(0, 1) for s in states])
-    return -fit_phase_rate(times, z)
+    return _fit_clock_rate(times, np.array([s.branch_overlap(0, 1) for s in states]))
+
+
+def _fit_clock_rate(times: np.ndarray, overlaps: np.ndarray) -> float:
+    """Fitted clock rate from samples of <branch 0 | branch 1>, whose phase
+    turns backwards at the clock's rate."""
+    return -fit_phase_rate(times, overlaps)
 
 
 # --- trajectories ------------------------------------------------------------

@@ -47,12 +47,11 @@ from .dynamics import (
     HamiltonianKind,
     Trajectory,
     _evolve,
-    _read_overlaps,
+    _fit_clock_rate,
     _read_velocities,
     _require_fit_samples,
     _velocity_table,
     bump_trajectory,
-    fit_phase_rate,
     frame_transform,
     semiclassical_clock_phases,
     static_trajectory,
@@ -65,6 +64,7 @@ from .hilbert import (
     InternalSpace,
     PhysicalParams,
     Potential,
+    _overlaps,
     branch_phase,
     gaussian_packet,
     make_superposition,
@@ -274,17 +274,22 @@ CLOCK_V_OVER_C = (0.05, 0.1, 0.2)
 CLOCK_GH_OVER_C2 = (1e-3, 1e-2)
 
 
-def _clock_result(mode: str, v_over_c: Sequence[float], gh_over_c2: Sequence[float],
-                  shifts: Callable, tol: float) -> ExperimentResult:
-    """One row per moving clock (v/c, 0) and per raised clock (0, gh/c^2);
-    ``shifts(cases)`` gives every case's (measured, predicted) fractional
-    shift."""
+def _clock_cases(v_over_c: Sequence[float],
+                 gh_over_c2: Sequence[float]) -> List[Tuple[float, float]]:
+    """The clocks (v/c, gh/c^2): one per moving clock (v/c, 0) and per
+    raised clock (0, gh/c^2); every ratio must be << 1."""
     for ratio in list(v_over_c) + list(gh_over_c2):
         if abs(ratio) >= 0.5:
             raise PreconditionError(f"ratio {ratio} is not << 1")
-    cases = [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
+    return [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
+
+
+def _clock_result(mode: str, cases: Sequence[Tuple[float, float]],
+                  shifts: Sequence[Tuple[float, float]], tol: float) -> ExperimentResult:
+    """One row per clock of ``cases``, whose (measured, predicted)
+    fractional shift is its entry of ``shifts``."""
     rows = []
-    for (v_r, g_r), (measured, predicted) in zip(cases, shifts(cases)):
+    for (v_r, g_r), (measured, predicted) in zip(cases, shifts):
         abs_err = abs(measured - predicted)
         rel_err = abs_err / abs(predicted) if predicted != 0.0 else abs_err
         rows.append({"mode": mode, "v_over_c": v_r, "gh_over_c2": g_r,
@@ -307,16 +312,15 @@ def exp_clock_semiclassical(*, v_over_c: Sequence[float] = CLOCK_V_OVER_C,
     """
     params = PhysicalParams(hbar=1.0, c=1.0, E0=1.0)
     times = np.linspace(0.0, 10.0, 2001)
-
-    def shift(v_r, g_r):
+    cases = _clock_cases(v_over_c, gh_over_c2)
+    shifts = []
+    for v_r, g_r in cases:
         velocities = np.full(times.size, v_r)
         potentials = np.full(times.size, g_r)
         phases = semiclassical_clock_phases(times, velocities, potentials, 1.0, params)
         rate = float(np.polyfit(times, phases, 1)[0])
-        return rate - 1.0, predicted_clock_shift(v_r, g_r)
-
-    return _clock_result("semiclassical", v_over_c, gh_over_c2,
-                         lambda cases: [shift(v_r, g_r) for v_r, g_r in cases], 1e-6)
+        shifts.append((rate - 1.0, predicted_clock_shift(v_r, g_r)))
+    return _clock_result("semiclassical", cases, shifts, 1e-6)
 
 
 def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
@@ -342,40 +346,37 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     steps = _step_count(total_time, dt)
     _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
     times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
-
-    def shifts(cases):
-        runs, predicted = [], []
-        for v_r, g_r in cases:
-            v = v_r * c
-            if g_r != 0.0:
-                g = 0.5
-                x_start = g_r * c**2 / g
-                potential = Potential.uniform_field(g)
-            else:
-                g = 0.0
-                x_start = 0.0 if v >= 0 else 10.0
-                potential = Potential.none()
-            params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
-            pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, hbar, c)
-            if abs(spread) > 0.1 * max(abs(pred), 1e-300):
-                raise SpreadDominatedError(
-                    f"spread correction {spread:.3g} exceeds 10% of the predicted "
-                    f"shift {pred:.3g}; enlarge sigma"
-                )
-            predicted.append(pred)
-            state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
-            runs.append((state, HamiltonianKind.low_energy(), params))
-        # every clock runs in one stack; each sample is read in flight
-        first_rows = np.arange(len(runs)) * internal.dim
-        times, overlaps = [], []
-        for k, amps, _ in _evolve(runs, dt, steps, sample_every):
-            times.append(k * dt)
-            overlaps.append(_read_overlaps(amps, first_rows, grid.dx))
-        # each run's column of <0|1>, fitted as fit_clock_rate fits a history
-        rates = [-fit_phase_rate(times, z) for z in zip(*overlaps)]
-        return [((rate - omega0) / omega0, pred) for rate, pred in zip(rates, predicted)]
-
-    return _clock_result("wavepacket", v_over_c, gh_over_c2, shifts, 2e-2)
+    cases = _clock_cases(v_over_c, gh_over_c2)
+    runs, predicted = [], []
+    for v_r, g_r in cases:
+        v = v_r * c
+        if g_r != 0.0:
+            g = 0.5
+            x_start = g_r * c**2 / g
+            potential = Potential.uniform_field(g)
+        else:
+            g = 0.0
+            x_start = 0.0 if v >= 0 else 10.0
+            potential = Potential.none()
+        params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
+        pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, hbar, c)
+        if abs(spread) > 0.1 * max(abs(pred), 1e-300):
+            raise SpreadDominatedError(
+                f"spread correction {spread:.3g} exceeds 10% of the predicted "
+                f"shift {pred:.3g}; enlarge sigma"
+            )
+        predicted.append(pred)
+        state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
+        runs.append((state, HamiltonianKind.low_energy(), params))
+    # every clock runs in one stack; each sample is read in flight
+    first_rows = np.arange(len(runs)) * internal.dim
+    times, overlaps = [], []
+    for k, amps, _ in _evolve(runs, dt, steps, sample_every):
+        times.append(k * dt)
+        overlaps.append(_overlaps(amps[first_rows], amps[first_rows + 1], grid.dx))
+    shifts = [((_fit_clock_rate(times, z) - omega0) / omega0, pred)
+              for z, pred in zip(zip(*overlaps), predicted)]
+    return _clock_result("wavepacket", cases, shifts, 2e-2)
 
 
 # --- exp_interferometer ---------------------------------------------------------
@@ -480,7 +481,7 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
     first_rows = np.arange(len(runs)) * 2
     overlaps = []
     for _, amps, totals in _evolve(runs, dt, steps, sample_every):
-        overlaps.append(_read_overlaps(amps, first_rows, grid.dx))
+        overlaps.append(_overlaps(amps[first_rows], amps[first_rows + 1], grid.dx))
     phases = np.unwrap(np.angle(np.asarray(overlaps)), axis=0)
     finals = [state._with_owned_amplitudes(amps[2 * r:2 * r + 2].copy(), totals[r])
               for r, (state, _, _) in enumerate(runs)]
@@ -558,12 +559,12 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     times, velocities, overlaps = [], [], []
     for k, amps, _ in _evolve(runs, dt, steps, sample_every):
         times.append(k * dt)
-        velocities.append(_read_velocities(amps, velocity_table))
+        velocities.append(_read_velocities(grid, amps, velocity_table))
         if clock:
-            overlaps.append(_read_overlaps(amps, first_rows, grid.dx))
+            overlaps.append(_overlaps(amps[first_rows], amps[first_rows + 1], grid.dx))
     times = np.asarray(times)
     velocities = np.asarray(velocities)
-    rates = [-fit_phase_rate(times, z) for z in zip(*overlaps)]
+    rates = [_fit_clock_rate(times, z) for z in zip(*overlaps)]
 
     def one(r: int, kind: HamiltonianKind):
         rows = []

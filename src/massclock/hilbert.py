@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,7 +232,7 @@ class CompositeState:
     def branch_overlap(self, i: int, j: int) -> complex:
         """<branch i | branch j> of this state (internal coherence readout)."""
         a = self.amplitudes
-        return complex(np.sum(np.conj(a[i]) * a[j]) * self.grid.dx)
+        return complex(_overlaps(a[i], a[j], self.grid.dx))
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "CompositeState":
         return CompositeState(grid=self.grid, internal=self.internal,
@@ -394,10 +394,11 @@ def expectation_x(grid: GridSpec, psi: np.ndarray) -> float:
 
 
 def momentum_distribution(grid: GridSpec, psi: np.ndarray) -> np.ndarray:
-    """|psi~(p_k)|^2 in fft ordering, normalized to unit sum."""
+    """|psi~(p_k)|^2 in fft ordering, normalized to unit sum; row by row
+    for a stack of rows, each row with the bits it has alone."""
     ft = np.fft.fft(psi)
     w = np.abs(ft) ** 2
-    return w / np.sum(w)
+    return w / np.sum(w, axis=-1, keepdims=True)
 
 
 def expectation_p(grid: GridSpec, psi: np.ndarray, hbar: float) -> float:
@@ -405,11 +406,10 @@ def expectation_p(grid: GridSpec, psi: np.ndarray, hbar: float) -> float:
     return float(np.sum(w * grid.p(hbar)))
 
 
-def expectation_kinetic(grid: GridSpec, psi: np.ndarray, hbar: float,
-                        t_of_p: Callable[[np.ndarray], np.ndarray]) -> float:
-    """<T(p)> for an arbitrary momentum-diagonal function."""
-    w = momentum_distribution(grid, psi)
-    return float(np.sum(w * t_of_p(grid.p(hbar))))
+def _overlaps(bra: np.ndarray, ket: np.ndarray, dx: float) -> np.ndarray:
+    """<bra|ket> of two rows, or row by row of two stacks, each value with
+    the bits it has alone: ``branch_overlap``'s formula."""
+    return np.sum(np.conj(bra) * ket, axis=-1) * dx
 
 
 # --- boundary rule ----------------------------------------------------------

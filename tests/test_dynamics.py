@@ -50,11 +50,11 @@ from massclock.dynamics import (
     _RESIDUAL_BLOCK,
     _Plan,
     _evolve,
-    _read_overlaps,
     _read_velocities,
     _tables,
     _velocity_table,
 )
+from massclock.hilbert import _overlaps
 
 import oracles
 
@@ -460,8 +460,8 @@ class TestStackedRuns:
         histories = [propagate_history(state, kind, self.FIELD, 5e-4, 60, sample_every=20)[1]
                      for kind in kinds]
         for n, (_, amps, _) in enumerate(_evolve(runs, 5e-4, 60, 20)):
-            velocities = _read_velocities(amps, velocity_table)
-            overlaps = _read_overlaps(amps, first_rows, GRID.dx)
+            velocities = _read_velocities(GRID, amps, velocity_table)
+            overlaps = _overlaps(amps[first_rows], amps[first_rows + 1], GRID.dx)
             for r, kind in enumerate(kinds):
                 sample = histories[r][n]
                 assert overlaps[r] == sample.branch_overlap(0, 1)

@@ -5,17 +5,18 @@ Usage, from the repository root::
     python3 tools/bench_pairs.py --parent ../parent --change . --label <label> \\
         --parent-commit <sha> --note "what the change does" --claim "what it claims"
 
-For every workload and pair i = 1..--pairs, ``perfbench/run.py --workload
-<w> --seed i --seconds <s> --trace 0`` runs once in each checkout, back to
-back with the same seed; the side that runs first alternates between
-pairs.  Each run is a fresh process, started in its own checkout, so it
-imports that checkout's ``src/``.  The record holds, per workload and side,
-every run's ``wall_s``, ``setup_s`` and ``peak_rss_mb`` with their median
-and interquartile range, the attempted and failed iteration counts and the
-rows digests; per workload, the change/parent ratio of the medians, the
-number of pairs the change wins (lower is better for every metric) and
-whether the two sides wrote the same rows in every pair.  Only the
-standard library is used.
+For every workload of ``BENCHMARK.json`` and pair i = 1..10,
+``perfbench/run.py --workload <w> --seed i --seconds <run_seconds> --trace 0``
+runs once in each checkout, back to back with the same seed; the side that
+runs first alternates between pairs.  Each run is a fresh process, started
+in its own checkout, so it imports that checkout's ``src/``.  The record
+holds, per workload and side, every run's end-to-end metrics with their
+median and interquartile range, the attempted and failed iteration counts
+and the rows digests; per workload, the change/parent ratio of the
+medians, the number of pairs the change wins (lower is better for every
+metric) and whether the two sides wrote the same rows in every pair.  The
+record is written at the root of the repository this file sits in.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -28,15 +29,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("propagate_long", "free_fall", "primed_frame")
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: its result line and rows digests."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record_path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
@@ -79,20 +84,16 @@ def main(argv=None) -> int:
     parser.add_argument("--parent-commit", required=True)
     parser.add_argument("--note", required=True, help="what the change does")
     parser.add_argument("--claim", default="none")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads, environment = {}, None
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for side in order:
-                run = run_once(sides[side], workload, seed, args.seconds)
+                run = run_once(sides[side], workload, seed)
                 runs[side].append(run)
                 environment = run["environment"]
                 wall = run["result"]["metrics"]["wall_s"]["value"]
@@ -109,15 +110,15 @@ def main(argv=None) -> int:
         "change": args.note,
         "claim": args.claim,
         "command": (f"python3 perfbench/run.py --workload <w> --seed <pair> "
-                    f"--seconds {args.seconds:g} --trace 0"),
-        "protocol": (f"{args.pairs} pairs per workload; parent and change run back to "
+                    f"--seconds {SECONDS:g} --trace 0"),
+        "protocol": (f"{PAIRS} pairs per workload; parent and change run back to "
                      "back with the same seed, the side that runs first alternating "
                      "between pairs; parent is the commit this change sits on, run "
                      "from a separate checkout"),
         "workloads": workloads,
         "environment": environment or {"python": platform.python_version()},
     }
-    path = args.out_dir / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
