@@ -14,22 +14,21 @@ echoed into the output metadata)::
       "experiment": "exp_wep",
       "grid":      {"x_min": -40.0, "x_max": 40.0, "n_points": 1024},
       "internal":  {"E0": 100.0, "levels": [0.0, 0.01]},
-      "physical":  {"hbar": 1.0, "c": 10.0},
+      "physical":  {"c": 10.0},
       "params":    { ... experiment-specific ... },
       "output":    "runs",
       "format":    "csv"
     }
 
 The experiment's runner is the single source of its defaults: ``grid``,
-``internal`` (or ``internal.E0`` alone), ``hbar``, ``c`` and one
-``params`` key per keyword argument, read from its signature.  A runner
-takes only the keys that move its rows, so a section it takes nothing from
-is empty; ``massclock list`` prints each runner's keys.  A ``params`` value
-has the JSON type of its default: an integer default takes only an
-integer, a float default any number, a list default a list whose items
-have the type of the default's items (a pair stays a pair).  NaN and
-+-Infinity, which JSON parsing accepts, are a config error anywhere in the
-tree.
+``internal``, ``c`` and one ``params`` key per keyword argument, read from
+its signature.  A runner takes one key per quantity that moves its rows
+(units hbar = 1), so a section it takes nothing from is empty; ``massclock
+list`` prints each runner's keys.  A ``params`` value has the JSON type of
+its default: an integer default takes only an integer, a float default any
+number, a list default a list whose items have the type of the default's
+items (a pair stays a pair).  NaN and +-Infinity, which JSON parsing
+accepts, are a config error anywhere in the tree.
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values; values parse as JSON fragments,
@@ -223,15 +222,12 @@ def build_objects(config: "RunConfig") -> dict:
     except _BAD_VALUE as exc:
         raise ConfigError(f"grid: {exc}") from exc
     try:
-        if "levels" in config.internal:
+        if config.internal:
             kwargs["internal"] = InternalSpace(**config.internal)
-        else:  # a runner that sets its own levels takes E0 alone
-            kwargs.update(config.internal)
     except _BAD_VALUE as exc:
         raise ConfigError(f"internal: {exc}") from exc
-    try:  # hbar, c and E0 as far as the runner takes them
-        PhysicalParams(**config.physical,
-                       **{k: v for k, v in config.internal.items() if k == "E0"})
+    try:  # c, if the runner takes it; InternalSpace has checked E0
+        PhysicalParams(**config.physical)
     except _BAD_VALUE as exc:
         raise ConfigError(f"physical: {exc}") from exc
     return kwargs

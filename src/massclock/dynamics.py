@@ -505,6 +505,8 @@ class Trajectory:
     def acceleration(self) -> np.ndarray:
         if self.xi_ddot is not None:
             return self.xi_ddot
+        if self.xi.size < 4:
+            raise TrajectoryError("acceleration needs at least 4 samples")
         h = self.dt
         a = np.empty_like(self.xi)
         a[1:-1] = (self.xi[2:] - 2.0 * self.xi[1:-1] + self.xi[:-2]) / h**2

@@ -11,13 +11,14 @@ configuration, bit-identical rows.
 The seven experiments:
 
   exp_bargmann             loop phases -M_i a w / hbar and the mass-energy
-                           relative phase (M2 - M1) a w / hbar
+                           relative phase (M2 - M1) a w / hbar, for the
+                           configured masses M_i
   exp_clock_semiclassical  internal frequency shift -v^2/2c^2 + Phi/c^2
                            along classical paths
   exp_clock_wavepacket     the same shift read from a propagated packet
   exp_interferometer       two-path clock visibility |cos(dE dtau / 2 hbar)|
   exp_newtonian_sweep      split-vs-newtonian discrepancy, linear in
-                           eps = max|E_i|/E0
+                           eps = E_i/(m c^2), for one mass parameter m
   exp_wep                  free-fall universality d<v>/dt = -g per branch
                            and kind, plus clock rates (shifted under
                            low_energy, unshifted under newtonian)
@@ -25,11 +26,14 @@ The seven experiments:
                            xi_dot^2/2 dt and its proper-time reading, read on
                            the initial packet (lab evolution cancels in it)
 
-A runner takes only what moves its rows.  The loop and frame phases belong
-to the representation, through the branch masses M_i, not to the state, so
-exp_bargmann and exp_frame_phase read them on one fixed probe packet and
-take no grid or packet; a fractional clock shift is dimensionless, so
-exp_clock_semiclassical takes only v/c and gh/c^2.
+A runner takes one key per quantity of its rows: keys that move together
+without moving a row become one.  So every runner works in units hbar = 1,
+and the closed-form helpers take hbar = 1.0.  The loop and frame phases
+belong to the representation, through the branch masses M_i, so
+exp_bargmann (which takes the masses alone) and exp_frame_phase read them
+on one fixed probe packet; a clock shift is dimensionless, so
+exp_clock_semiclassical takes only v/c and gh/c^2; c cancels from the
+Newtonian limit, so exp_newtonian_sweep takes the mass parameter m alone.
 """
 
 from __future__ import annotations
@@ -67,8 +71,8 @@ from .hilbert import (
     _overlaps,
     branch_phase,
     gaussian_packet,
+    internal_space_from_masses,
     make_superposition,
-    overlap,
     wrap_angle,
 )
 from .symmetry import apply_boost, bargmann_loop_element, loop_phase
@@ -148,22 +152,20 @@ def predicted_visibility(delta_e: float, delta_tau: float, hbar: float) -> float
     return abs(math.cos(delta_e * delta_tau / (2.0 * hbar)))
 
 
-def predicted_sweep_discrepancy(eps: float, e0: float, p0: float, g: float,
+def predicted_sweep_discrepancy(eps: float, m: float, p0: float, g: float,
                                 x0: float, total_time: float, sigma: float,
-                                hbar: float, c: float) -> float:
+                                hbar: float) -> float:
     """Branch relative-phase discrepancy between split and newtonian runs.
 
-    (E_i / hbar) integral [ <p^2> c^2 / 2 E0^2 - <Phi> / c^2 ] dt with the
-    classical <p^2>(t) = (p0 - m g t)^2 + sigma_p^2 and <Phi> = g x_cl(t)
-    (exact for a uniform field).
+    (eps / hbar) integral [ <p^2> / 2m - m <Phi> ] dt with the classical
+    <p^2>(t) = (p0 - m g t)^2 + sigma_p^2 and <Phi> = g x_cl(t) (exact for a
+    uniform field); c cancels from it.
     """
-    m = e0 / c**2
     t = total_time
     sigma_p = hbar / (2.0 * sigma)
     int_p2 = p0**2 * t - p0 * m * g * t**2 + (m * g) ** 2 * t**3 / 3.0 + sigma_p**2 * t
     int_phi = g * (x0 * t + p0 * t**2 / (2.0 * m) - g * t**3 / 6.0)
-    e_i = eps * e0
-    return (e_i / hbar) * (int_p2 * c**2 / (2.0 * e0**2) - int_phi / c**2)
+    return (eps / hbar) * (int_p2 / (2.0 * m) - m * int_phi)
 
 
 def predicted_triangle_phase(mass: float, speed: float, total_time: float,
@@ -185,25 +187,20 @@ def predicted_triangle_proper_phase(mass: float, speed: float, total_time: float
 # reads its config schema from there (see ExperimentDef.defaults).
 DEFAULT_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=2048)
 SMALL_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=1024)
-DEFAULT_HBAR = 1.0
 DEFAULT_C = 10.0
 DEFAULT_E0 = 100.0
 DEFAULT_INTERNAL = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 10.0))
 
 
-def _params_for(internal: InternalSpace, hbar: float, c: float) -> PhysicalParams:
-    return PhysicalParams(hbar=hbar, c=c, E0=internal.E0)
-
-
-def _probe(internal: InternalSpace, hbar: float) -> CompositeState:
+def _probe(internal: InternalSpace) -> CompositeState:
     """The packet a loop or frame phase is read on.  The phase is a pure
     phase per branch whatever the packet, so the packet is fixed."""
-    return _equal_superposition(DEFAULT_GRID, internal, 1.0, 0.0, 0.0, hbar)
+    return _equal_superposition(DEFAULT_GRID, internal, 1.0, 0.0, 0.0)
 
 
 def _equal_superposition(grid: GridSpec, internal: InternalSpace, sigma: float,
-                         x0: float, p0: float, hbar: float) -> CompositeState:
-    psi = gaussian_packet(grid, x0=x0, p0=p0, sigma=sigma, hbar=hbar)
+                         x0: float, p0: float) -> CompositeState:
+    psi = gaussian_packet(grid, x0=x0, p0=p0, sigma=sigma)
     weights = np.full(internal.dim, 1.0 / math.sqrt(internal.dim))
     return make_superposition(grid, internal, weights, psi)
 
@@ -228,25 +225,24 @@ DEFAULT_BARGMANN_PAIRS = ((0.5, 0.8), (1.0, 0.3), (-0.7, 0.5),
                           (0.25, -1.2), (2.0, 1.0))
 
 
-def exp_bargmann(internal: InternalSpace = DEFAULT_INTERNAL,
-                 hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+def exp_bargmann(masses: Sequence[float] = (1.0, 1.1), *,
                  pairs: Sequence[Sequence[float]] = DEFAULT_BARGMANN_PAIRS,
                  tolerance: float = 1e-8) -> ExperimentResult:
     """Loop phases per branch and the relative phase, over (a, w) pairs,
-    read on the probe packet."""
-    params = _params_for(internal, hbar, c)
-    state = _probe(internal, hbar)
-    mass_values = internal.mass_energies(c)
+    read on the probe packet of branches with mass-energies ``masses``
+    (units c = 1); the predicted column reads the masses as given."""
+    mass_values = [float(m) for m in masses]
+    internal = internal_space_from_masses(mass_values, 1.0)
+    params = PhysicalParams(c=1.0, E0=internal.E0)
+    state = _probe(internal)
 
-    loop_is_identity = all(
-        bargmann_loop_element(a, w).is_identity() for a, w in pairs
-    )
+    loop_is_identity = all(bargmann_loop_element(a, w).is_identity() for a, w in pairs)
 
     rows = []
     for a, w in pairs:
         measured = loop_phase(state, a, w, params)
         for i, bp in enumerate(measured):
-            pred = predicted_loop_phase(mass_values[i], a, w, hbar)
+            pred = predicted_loop_phase(mass_values[i], a, w, 1.0)
             rows.append({
                 "branch": str(i + 1), "a": a, "w": w,
                 "phase_measured": bp.phase, "phase_predicted": pred,
@@ -254,7 +250,7 @@ def exp_bargmann(internal: InternalSpace = DEFAULT_INTERNAL,
             })
         if internal.dim >= 2:
             rel = wrap_angle(measured[0].phase - measured[1].phase)
-            pred = predicted_relative_loop_phase(mass_values[0], mass_values[1], a, w, hbar)
+            pred = predicted_relative_loop_phase(mass_values[0], mass_values[1], a, w, 1.0)
             rows.append({
                 "branch": "relative", "a": a, "w": w,
                 "phase_measured": rel, "phase_predicted": pred,
@@ -325,7 +321,7 @@ def exp_clock_semiclassical(*, v_over_c: Sequence[float] = CLOCK_V_OVER_C,
 
 def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
                          internal: InternalSpace = CLOCK_INTERNAL,
-                         hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                         c: float = DEFAULT_C, *,
                          v_over_c: Sequence[float] = CLOCK_V_OVER_C,
                          gh_over_c2: Sequence[float] = CLOCK_GH_OVER_C2,
                          sigma: float = 4.0, total_time: float = 5.0,
@@ -341,8 +337,8 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     sample_every = 10  # sample stride of the clock-rate fit
     e0 = internal.E0
     m = e0 / c**2
-    omega0 = (internal.levels[1] - internal.levels[0]) / hbar
-    spread = wavepacket_spread_correction(sigma, m, hbar, c)
+    omega0 = internal.levels[1] - internal.levels[0]
+    spread = wavepacket_spread_correction(sigma, m, 1.0, c)
     steps = _step_count(total_time, dt)
     _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
     times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
@@ -358,15 +354,15 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
             g = 0.0
             x_start = 0.0 if v >= 0 else 10.0
             potential = Potential.none()
-        params = PhysicalParams(hbar=hbar, c=c, E0=e0, potential=potential)
-        pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, hbar, c)
+        params = PhysicalParams(c=c, E0=e0, potential=potential)
+        pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, 1.0, c)
         if abs(spread) > 0.1 * max(abs(pred), 1e-300):
             raise SpreadDominatedError(
                 f"spread correction {spread:.3g} exceeds 10% of the predicted "
                 f"shift {pred:.3g}; enlarge sigma"
             )
         predicted.append(pred)
-        state = _equal_superposition(grid, internal, sigma, x_start, m * v, hbar)
+        state = _equal_superposition(grid, internal, sigma, x_start, m * v)
         runs.append((state, HamiltonianKind.low_energy(), params))
     # every clock runs in one stack; each sample is read in flight
     first_rows = np.arange(len(runs)) * internal.dim
@@ -427,15 +423,17 @@ def interferometer_on_paths(traj1: Trajectory, traj2: Trajectory, delta_e: float
                             passed=abs_err < tolerance)
 
 
-def exp_interferometer(hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+def exp_interferometer(c: float = DEFAULT_C, *,
                        delta_e: float = 10.0, height: float = 3.0,
-                       total_time: float = 10.0, n_samples: int = 2001,
+                       total_time: float = 10.0,
                        g: float = 1.0, tolerance: float = 1e-6) -> ExperimentResult:
     """interferometer_on_paths on a static path and a bump of ``height`` in
-    a uniform field ``g``, for a clock of energy gap ``delta_e``."""
-    params = PhysicalParams(hbar=hbar, c=c, potential=Potential.uniform_field(g))
-    traj1 = static_trajectory(0.0, total_time, n_samples)
-    traj2 = bump_trajectory(height, total_time, n_samples)
+    a uniform field ``g``, for a clock of energy gap ``delta_e``.  Both
+    paths are sampled at 2001 points; Simpson's rule is exact on the bump
+    from 7 samples up, so the count moves no row."""
+    params = PhysicalParams(c=c, potential=Potential.uniform_field(g))
+    traj1 = static_trajectory(0.0, total_time, 2001)
+    traj2 = bump_trajectory(height, total_time, 2001)
     return interferometer_on_paths(traj1, traj2, delta_e=delta_e,
                                    params=params, tolerance=tolerance)
 
@@ -443,23 +441,21 @@ def exp_interferometer(hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
 # --- exp_newtonian_sweep --------------------------------------------------------
 
 
-def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
-                        hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
                         epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2,
                                                      10**-1.5, 1e-1),
                         p0: float = 1.0, g: float = 0.5,
                         total_time: float = 3.0,
                         sigma: float = 2.0, x0: float = 0.0,
-                        dt: float = 1e-3, sample_every: int = 10,
+                        dt: float = 1e-3,
                         slope_tolerance: float = 0.1) -> ExperimentResult:
-    """Split-vs-newtonian discrepancy per eps = max|E_i|/E0; slope must be 1.
+    """Split-vs-newtonian discrepancy per eps = E_i/(m c^2); slope must be 1.
 
-    Each point runs the levels (0, eps E0), so the sweep takes the rest
-    energy E0 and no level list.
-
-    The measured discrepancy is the difference of unwrapped branch relative
-    phases at t = T between the two propagations; the L2 state distance and
-    the overlap infidelity are recorded alongside.
+    Each point runs the levels (0, eps m c^2) at the fixed c = DEFAULT_C,
+    which cancels from every row.  The measured discrepancy is the angle of
+    z_split conj(z_newt), z the branch overlap <0|1> of a final state, so a
+    point whose predicted |discrepancy| reaches pi/2 is refused; the L2
+    state distance and the overlap infidelity are recorded alongside.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) < 2:
@@ -468,40 +464,34 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, E0: float = DEFAULT_E0,
         raise PreconditionError("eps values must be in (0, 0.5)")
     if max(epsilons) / min(epsilons) < 10.0:
         raise PreconditionError("eps values must span at least a decade")
+    predicted = [predicted_sweep_discrepancy(eps, m, p0, g, x0, total_time, sigma, 1.0)
+                 for eps in epsilons]
+    if max(map(abs, predicted)) >= math.pi / 2:
+        raise PreconditionError("a predicted discrepancy reaches pi/2, beyond the "
+                                "principal-valued phase readout")
     steps = _step_count(total_time, dt)
-    params = PhysicalParams(hbar=hbar, c=c, E0=E0, potential=Potential.uniform_field(g))
+    e0 = m * DEFAULT_C**2
+    params = PhysicalParams(c=DEFAULT_C, E0=e0, potential=Potential.uniform_field(g))
 
     # split and newtonian per eps, every run in one stack
     runs = []
     for eps in epsilons:
-        internal = InternalSpace(E0=E0, levels=(0.0, eps * E0))
-        state = _equal_superposition(grid, internal, sigma, x0, p0, hbar)
+        internal = InternalSpace(E0=e0, levels=(0.0, eps * e0))
+        state = _equal_superposition(grid, internal, sigma, x0, p0)
         runs += [(state, HamiltonianKind.split(), params),
                  (state, HamiltonianKind.newtonian(), params)]
-    first_rows = np.arange(len(runs)) * 2
-    overlaps = []
-    for _, amps, totals in _evolve(runs, dt, steps, sample_every):
-        overlaps.append(_overlaps(amps[first_rows], amps[first_rows + 1], grid.dx))
-    phases = np.unwrap(np.angle(np.asarray(overlaps)), axis=0)
-    finals = [state._with_owned_amplitudes(amps[2 * r:2 * r + 2].copy(), totals[r])
-              for r, (state, _, _) in enumerate(runs)]
-
-    def one(i, eps):
-        final_split, final_newt = finals[2 * i], finals[2 * i + 1]
-        measured = float(phases[-1, 2 * i] - phases[-1, 2 * i + 1])
-        predicted = predicted_sweep_discrepancy(eps, E0, p0, g, x0,
-                                                total_time, sigma, hbar, c)
-        diff = final_split.amplitudes - final_newt.amplitudes
-        distance = float(np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dx))
-        infid = 1.0 - abs(overlap(final_split, final_newt)) ** 2
-        return {"epsilon": eps, "phase_discrepancy_measured": measured,
-                "phase_discrepancy_predicted": predicted,
-                "state_distance": distance, "infidelity": infid}
-
-    rows = [one(i, eps) for i, eps in enumerate(epsilons)]
-    slope = float(np.polyfit(np.log(epsilons),
-                             np.log([abs(r["phase_discrepancy_measured"]) for r in rows]),
-                             1)[0])
+    *_, (_, amps, _) = _evolve(runs, dt, steps, steps)  # the final buffer
+    z = _overlaps(amps[0::2], amps[1::2], grid.dx)  # <0|1> of every run
+    finals = amps.reshape(len(runs), -1)  # one row per run
+    split, newt = finals[0::2], finals[1::2]
+    measured = np.angle(z[0::2] * np.conj(z[1::2]))
+    distance = np.sqrt(np.sum(np.abs(split - newt) ** 2, axis=-1) * grid.dx)
+    fidelity = [abs(complex(o)) ** 2 for o in _overlaps(split, newt, grid.dx)]
+    rows = [{"epsilon": eps, "phase_discrepancy_measured": float(measured[i]),
+             "phase_discrepancy_predicted": predicted[i],
+             "state_distance": float(distance[i]), "infidelity": 1.0 - fidelity[i]}
+            for i, eps in enumerate(epsilons)]
+    slope = float(np.polyfit(np.log(epsilons), np.log(np.abs(measured)), 1)[0])
     passed = abs(slope - 1.0) <= slope_tolerance
     return ExperimentResult(
         rows=rows, tolerance={"slope": slope_tolerance}, passed=passed,
@@ -528,7 +518,7 @@ def _wep_kinds(kinds: Sequence[str]) -> List[HamiltonianKind]:
 
 def exp_wep(grid: GridSpec = SMALL_GRID,
             internal: InternalSpace = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 0.01)),
-            hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+            c: float = DEFAULT_C, *,
             kinds: Sequence[str] = DEFAULT_WEP_KINDS,
             g: float = 1.0, total_time: float = 3.0,
             sigma: float = 2.0, x0: float = 5.0,
@@ -544,14 +534,13 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     kind_objs = _wep_kinds(kinds)
     tolerance = {"accel_rel": accel_tolerance, "newtonian_shift_abs": 1e-8,
                  "low_energy_shift_rel": 0.1, "low_energy_shift_floor": 1e-6}
-    params = PhysicalParams(hbar=hbar, c=c, E0=internal.E0,
-                            potential=Potential.uniform_field(g))
-    omega0 = (internal.levels[1] - internal.levels[0]) / hbar if internal.dim >= 2 else 0.0
+    params = PhysicalParams(c=c, E0=internal.E0, potential=Potential.uniform_field(g))
+    omega0 = internal.levels[1] - internal.levels[0] if internal.dim >= 2 else 0.0
     m = params.m
     steps = _step_count(total_time, dt)
 
     # every kind runs in one stack; each sample is read in flight
-    state = _equal_superposition(grid, internal, sigma, x0, 0.0, hbar)
+    state = _equal_superposition(grid, internal, sigma, x0, 0.0)
     runs = [(state, kind, params) for kind in kind_objs]
     velocity_table = _velocity_table(runs) if runs else None
     first_rows = np.arange(len(runs)) * internal.dim
@@ -582,7 +571,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
                 predicted_shift = 0.0
             else:
                 predicted_shift = regression_shift_prediction(
-                    times, 0.0, g, x0, sigma, m, hbar, c)
+                    times, 0.0, g, x0, sigma, m, 1.0, c)
                 if kind.label() == "dynamical_mass":
                     # no rest term E_i in H: the clock runs at omega0 * shift
                     predicted_shift -= 1.0
@@ -613,7 +602,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
 
 
 def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
-                    hbar: float = DEFAULT_HBAR, c: float = DEFAULT_C, *,
+                    c: float = DEFAULT_C, *,
                     speed: float = 1.0, total_time: float = 1.0,
                     tolerance: float = 1e-6) -> ExperimentResult:
     """Round-trip phase of the frame riding a closed triangular path.
@@ -628,11 +617,11 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
     triangle is sampled at 2001 points; Simpson's rule is exact on its
     constant |xi_dot|^2.
     """
-    params = _params_for(internal, hbar, c)
+    params = PhysicalParams(c=c, E0=internal.E0)
     mass_values = internal.mass_energies(c)
     traj = triangular_trajectory(speed, total_time, 2001)
 
-    packet = _probe(internal, hbar)
+    packet = _probe(internal)
     primed = frame_transform(packet, traj, total_time, params)
     _, v_end, _ = traj.at(total_time)
     unboosted = apply_boost(primed, v_end, 0.0, params)
@@ -643,9 +632,9 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
         bp = branch_phase(unboosted, packet, i)
         measured_phases.append(bp.phase)
         pred = wrap_angle(predicted_triangle_phase(mass_values[i], speed,
-                                                   total_time, hbar))
+                                                   total_time, 1.0))
         proper = wrap_angle(predicted_triangle_proper_phase(
-            mass_values[i], speed, total_time, hbar, c))
+            mass_values[i], speed, total_time, 1.0, c))
         rows.append({
             "branch": str(i + 1), "phase_measured": bp.phase,
             "phase_predicted": pred,
@@ -656,9 +645,9 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
     if internal.dim >= 2:
         rel = wrap_angle(measured_phases[1] - measured_phases[0])
         pred = wrap_angle(predicted_triangle_phase(mass_values[1] - mass_values[0],
-                                                   speed, total_time, hbar))
+                                                   speed, total_time, 1.0))
         proper = wrap_angle(predicted_triangle_proper_phase(
-            mass_values[1] - mass_values[0], speed, total_time, hbar, c))
+            mass_values[1] - mass_values[0], speed, total_time, 1.0, c))
         rows.append({
             "branch": "relative", "phase_measured": rel,
             "phase_predicted": pred, "abs_error": abs(wrap_angle(rel - pred)),
@@ -670,11 +659,6 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
 
 
 # --- registry (consumed by the CLI) --------------------------------------------
-
-# Runner arguments that are single config leaves outside ``params``;
-# ``grid`` and ``internal`` are whole sections.
-_LEAF_SECTIONS = {"E0": "internal", "hbar": "physical", "c": "physical"}
-
 
 def _as_json(value):
     """A default as it reads in a JSON config: specs as objects, tuples as lists."""
@@ -709,10 +693,10 @@ class ExperimentDef:
         tree = {"grid": {}, "internal": {}, "physical": {}, "params": {}}
         for name, param in inspect.signature(self.runner).parameters.items():
             value = _as_json(param.default)
-            if name in ("grid", "internal"):
+            if name in ("grid", "internal"):  # whole sections
                 tree[name] = value
-            else:
-                tree[_LEAF_SECTIONS.get(name, "params")][name] = value
+            else:  # c is the one leaf outside params
+                tree["physical" if name == "c" else "params"][name] = value
         return tree
 
 
@@ -721,9 +705,22 @@ def _need_two_levels(cfg: dict) -> None:
         raise ConfigError("internal.levels: this experiment needs two internal levels")
 
 
+def _validate_bargmann(cfg: dict) -> None:
+    """Two masses, which must make an internal space."""
+    masses = cfg["params"]["masses"]
+    if len(masses) < 2:
+        raise ConfigError("params.masses: this experiment needs two masses")
+    try:
+        internal_space_from_masses(masses, 1.0)
+    except PreconditionError as exc:
+        raise ConfigError(f"params.masses: {exc}") from exc
+
+
 def _validate_sweep(cfg: dict) -> None:
     if len(cfg["params"]["epsilons"]) < 4:
         raise ConfigError("params.epsilons: sweep needs >= 4 points")
+    if not cfg["params"]["m"] > 0:
+        raise ConfigError("params.m must be positive")
 
 
 def _validate_wep(cfg: dict) -> None:
@@ -741,7 +738,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
                     "mass-energy relative phase",
         anchor="Eq. (2)",
         runner=exp_bargmann,
-        validate=_need_two_levels,
+        validate=_validate_bargmann,
     ),
     ExperimentDef(
         description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
@@ -763,7 +760,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
     ),
     ExperimentDef(
         description="split-form vs newtonian discrepancy, linear in "
-                    "eps = max|E_i|/E0",
+                    "eps = E_i/(m c^2)",
         anchor="Eqs. (7)-(8)",
         runner=exp_newtonian_sweep,
         validate=_validate_sweep,

@@ -118,6 +118,8 @@ def internal_space_from_masses(masses: Sequence[float], c: float) -> InternalSpa
     mass parameter equals the first mass.
     """
     masses = [float(m) for m in masses]
+    if not masses:
+        raise PreconditionError("need at least one mass")
     if any(b < a for a, b in zip(masses, masses[1:])):
         raise PreconditionError("masses must be sorted ascending")
     e0 = masses[0] * c**2

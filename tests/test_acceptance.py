@@ -68,8 +68,7 @@ def test_c01_bargmann_loop():
 def test_c02_mass_energy_relative_phase():
     """Relative phase (M2 - M1) a w / hbar = 0.04 within 1e-8, with the
     dense-matrix oracle cross-check at N = 64."""
-    result = exp_bargmann(pairs=[(0.5, 0.8)],
-                          internal=internal_space_from_masses([1.0, 1.1], 10.0))
+    result = exp_bargmann(masses=[1.0, 1.1], pairs=[(0.5, 0.8)])
     rel = [r for r in result.rows if r["branch"] == "relative"][0]
     err = abs(rel["phase_measured"] - 0.04)
 

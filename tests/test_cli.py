@@ -68,7 +68,7 @@ class TestParseConfig:
 
     def test_invariant_violation_names_section(self):
         with pytest.raises(ConfigError, match="internal"):
-            parse_config({"experiment": "exp_bargmann",
+            parse_config({"experiment": "exp_frame_phase",
                           "internal": {"E0": 100.0, "levels": [0.0, 200.0]}})
 
     def test_unknown_experiment_suggestion(self):
@@ -122,7 +122,7 @@ class TestParseConfig:
         pytest.param({"experiment": "exp_interferometer"}, ["grid.n_points=512"],
                      "n_points", id="interferometer-grid-set"),
         pytest.param({"experiment": "exp_newtonian_sweep",
-                      "internal": {"E0": 100.0, "levels": [0.0, 1.0]}}, [],
+                      "internal": {"levels": [0.0, 1.0]}}, [],
                      "levels", id="sweep-levels"),
     ])
     def test_key_outside_the_schema_rejected(self, source, overrides, match):
@@ -130,9 +130,9 @@ class TestParseConfig:
             parse_config(source, overrides=overrides)
 
     @pytest.mark.parametrize("name, override, match", [
-        pytest.param("exp_bargmann", 'internal.levels="05"', "internal: levels",
+        pytest.param("exp_frame_phase", 'internal.levels="05"', "internal: levels",
                      id="string-levels"),
-        pytest.param("exp_bargmann", "internal.levels=5", "internal: levels",
+        pytest.param("exp_frame_phase", "internal.levels=5", "internal: levels",
                      id="number-levels"),
         pytest.param("exp_frame_phase", 'params.speed="x"', "params.speed must be a number",
                      id="string-for-number"),
@@ -142,8 +142,8 @@ class TestParseConfig:
                      id="list-for-number"),
         pytest.param("exp_bargmann", "params.pairs=0.5", "params.pairs must be a list",
                      id="number-for-list"),
-        pytest.param("exp_interferometer", "params.n_samples=2001.0",
-                     "params.n_samples must be an integer", id="number-for-integer"),
+        pytest.param("exp_wep", "params.sample_every=10.0",
+                     "params.sample_every must be an integer", id="number-for-integer"),
         pytest.param("exp_newtonian_sweep", "params.epsilons=null",
                      "params.epsilons must be a list", id="null-for-list"),
         pytest.param("exp_bargmann", "params.pairs=[[0.5]]",
@@ -161,16 +161,16 @@ class TestParseConfig:
         # a dict config from Python may hold tuples, which JSON never does
         with pytest.raises(ConfigError,
                            match=r"internal\.levels\[1\] must be a finite number"):
-            parse_config({"experiment": "exp_bargmann",
+            parse_config({"experiment": "exp_frame_phase",
                           "internal": {"levels": (0.0, float("nan"))}})
 
     def test_int_and_float_are_both_numbers(self):
         # a float default takes any number; an int default only an integer
-        cfg = parse_config(experiment="exp_interferometer", overrides=["params.height=2"])
-        assert cfg.params["height"] == 2
-        with pytest.raises(ConfigError, match="params.n_samples must be an integer"):
-            parse_config(experiment="exp_interferometer",
-                         overrides=["params.height=2", "params.n_samples=2001.0"])
+        cfg = parse_config(experiment="exp_wep", overrides=["params.g=2"])
+        assert cfg.params["g"] == 2
+        with pytest.raises(ConfigError, match="params.sample_every must be an integer"):
+            parse_config(experiment="exp_wep",
+                         overrides=["params.g=2", "params.sample_every=10.0"])
 
 
 class TestRun:
@@ -227,15 +227,17 @@ class TestRun:
         assert run(cfg, echo=lines.append) == EXIT_TOLERANCE
         assert any("worst row" in line for line in lines)
 
-    @pytest.mark.parametrize("name, fast", [
-        ("exp_bargmann", ["params.pairs=[[0.5,0.8]]"]),
-        ("exp_frame_phase", []),
+    @pytest.mark.parametrize("name, overrides, section, echo", [
+        ("exp_bargmann", ["params.masses=[0.95,1.1]", "params.pairs=[[0.5,0.8]]"],
+         "params", {"masses": [0.95, 1.1], "pairs": [[0.5, 0.8]], "tolerance": 1e-8}),
+        ("exp_frame_phase", ["internal.levels=[-5.0,10.0]"],
+         "internal", {"E0": 100.0, "levels": [-5.0, 10.0]}),
     ])
-    def test_meta_is_the_run_record(self, tmp_path, name, fast):
-        # config is the only echo of the settings; E0 and levels stay as
-        # configured, not rebuilt from the branch masses (E0 = M_1 c^2 = 95)
-        cfg = parse_config(experiment=name,
-                           overrides=["internal.levels=[-5.0,10.0]", *fast])
+    def test_meta_is_the_run_record(self, tmp_path, name, overrides, section, echo):
+        # config is the only echo of the settings; the masses, or E0 and the
+        # levels, stay as configured, not rebuilt from each other
+        # (E0 = M_1 c^2 = 95 in units c = 1 for the masses)
+        cfg = parse_config(experiment=name, overrides=overrides)
         cfg.output = str(tmp_path)
         lines = []
         assert run(cfg, echo=lines.append) == EXIT_PASS
@@ -246,7 +248,7 @@ class TestRun:
         assert meta["experiment"] == name
         assert meta["runtime_seconds"] > 0
         assert lines[-1] == f"PASS ({meta['runtime_seconds']:.2f}s)"
-        assert meta["config"]["internal"] == {"E0": 100.0, "levels": [-5.0, 10.0]}
+        assert meta["config"][section] == echo
 
     @pytest.mark.parametrize("name, fn", [
         ("exp_bargmann", exp_bargmann),
@@ -387,11 +389,12 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name, override", [
-        ("exp_bargmann", 'internal.levels="05"'),
+        ("exp_frame_phase", 'internal.levels="05"'),
         ("exp_frame_phase", 'params.speed="x"'),
         ("exp_frame_phase", "params.total_time=[1.0]"),
-        ("exp_interferometer", "params.n_samples=2001.0"),
-        ("exp_newtonian_sweep", "params.sample_every=10.5"),
+        ("exp_wep", "params.sample_every=2001.0"),
+        ("exp_newtonian_sweep", 'params.m="x"'),
+        ("exp_bargmann", "params.masses=[1.0,NaN]"),
         ("exp_wep", "params.total_time=NaN"),
         ("exp_wep", "params.total_time=Infinity"),
         ("exp_wep", "params.g=NaN"),
@@ -447,7 +450,7 @@ class TestMain:
 
     @pytest.mark.parametrize("name, leaf", [
         (name, leaf) for name, exp in EXPERIMENTS.items()
-        for leaf in ("physical.hbar", "physical.c", "internal.E0")
+        for leaf in ("physical.c", "internal.E0", "params.m")
         if leaf in _leaf_paths(exp.defaults)])
     def test_non_positive_constant_exits_2(self, tmp_path, capsys, name, leaf):
         code = main(["run", name, "--set", f"{leaf}=0.0", "--out", str(tmp_path / "o")])
@@ -482,6 +485,28 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert "must round to at least one step" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("masses, match", [
+        ("[]", "needs two masses"),
+        ("[1.0]", "needs two masses"),
+        ("[1.1,1.0]", "sorted ascending"),
+        ("[1.0,2.5]", "E_i| < E0"),
+    ])
+    def test_masses_without_an_internal_space_exit_2(self, tmp_path, capsys, masses,
+                                                      match):
+        code = main(["run", "exp_bargmann", "--set", f"params.masses={masses}",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: params.masses: " in err and match in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_discrepancy_reaching_half_pi_exits_3(self, tmp_path, capsys):
+        code = main(["run", "exp_newtonian_sweep", "--set", "params.p0=5.0",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "reaches pi/2" in capsys.readouterr().out
         assert not (tmp_path / "o").exists()
 
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
@@ -523,6 +548,15 @@ class TestMain:
             "physical.c=10.0", "params.total_time=10.0", "params.n_samples=2001")],
         ("exp_interferometer", "internal.E0=100.0"),
         ("exp_interferometer", "internal.levels=[0.0,10.0]"),
+        # keys removed with units hbar = 1 and one key per quantity
+        *[(name, "physical.hbar=1.0") for name in (
+            "exp_bargmann", "exp_clock_wavepacket", "exp_interferometer",
+            "exp_newtonian_sweep", "exp_wep", "exp_frame_phase")],
+        *[("exp_bargmann", key) for key in (
+            "internal.E0=100.0", "internal.levels=[0.0,10.0]", "physical.c=10.0")],
+        *[("exp_newtonian_sweep", key) for key in (
+            "internal.E0=100.0", "physical.c=10.0", "params.sample_every=10")],
+        ("exp_interferometer", "params.n_samples=2001"),
     ])
     def test_key_a_runner_does_not_read_exits_2(self, tmp_path, capsys, name,
                                                       override):
@@ -573,9 +607,8 @@ def _drift(rows, other) -> float:
 _LEAVES = {
     "exp_bargmann": (
         ("params.pairs=[[0.5,0.8]]",),
-        {"internal.E0": "250.0", "internal.levels": "[0.0,20.0]",
-         "physical.hbar": "2.0", "physical.c": "20.0",
-         "params.pairs": "[[0.4,0.8]]", "params.tolerance": "0.0"}),
+        {"params.masses": "[1.0,1.2]", "params.pairs": "[[0.4,0.8]]",
+         "params.tolerance": "0.0"}),
     "exp_clock_semiclassical": (
         ("params.v_over_c=[0.1]", "params.gh_over_c2=[]"),
         {"params.v_over_c": "[0.2]", "params.gh_over_c2": "[0.01]"}),
@@ -583,35 +616,31 @@ _LEAVES = {
         ("params.v_over_c=[]", "params.gh_over_c2=[0.01]", "params.total_time=2.0",
          "grid.n_points=512"),
         {"grid.x_min": "-20.0", "grid.x_max": "20.0",
-         "internal.E0": "200.0", "internal.levels": "[0.0,1.0]",
-         "physical.hbar": "2.0", "physical.c": "20.0",
+         "internal.E0": "200.0", "internal.levels": "[0.0,1.0]", "physical.c": "20.0",
          "params.v_over_c": "[0.1]", "params.gh_over_c2": "[0.02]",
          "params.sigma": "6.0", "params.total_time": "3.0", "params.dt": "1e-3"}),
     "exp_interferometer": (
         (),
-        {"physical.hbar": "2.0", "physical.c": "20.0", "params.delta_e": "5.0",
-         "params.height": "2.0", "params.total_time": "8.0",
-         "params.n_samples": "5",  # Simpson is exact on the bump from 7 samples up
-         "params.g": "0.5", "params.tolerance": "0.0"}),
+        {"physical.c": "20.0", "params.delta_e": "5.0", "params.height": "2.0",
+         "params.total_time": "8.0", "params.g": "0.5", "params.tolerance": "0.0"}),
     "exp_newtonian_sweep": (
         ("params.epsilons=[0.001,0.01,0.1,0.05]", "params.total_time=0.2",
          "grid.n_points=256"),
-        {"grid.x_min": "-9.0", "grid.x_max": "11.0", "internal.E0": "200.0",
-         "physical.hbar": "2.0", "physical.c": "20.0",
+        {"grid.x_min": "-9.0", "grid.x_max": "11.0", "params.m": "2.0",
          "params.epsilons": "[0.002,0.01,0.1,0.05]", "params.p0": "2.0",
          "params.g": "1.0", "params.total_time": "0.3", "params.sigma": "3.0",
          "params.x0": "2.0", "params.dt": "1e-2", "params.slope_tolerance": "0.0"}),
     "exp_wep": (
         ('params.kinds=["low_energy"]', "params.total_time=1.0", "grid.n_points=256"),
         {"grid.x_min": "-5.0", "grid.x_max": "15.0", "internal.E0": "200.0",
-         "internal.levels": "[0.0,0.02]", "physical.hbar": "2.0", "physical.c": "20.0",
+         "internal.levels": "[0.0,0.02]", "physical.c": "20.0",
          "params.kinds": '["split"]', "params.g": "2.0", "params.total_time": "1.5",
          "params.sigma": "3.0", "params.x0": "2.0", "params.dt": "5e-4",
          "params.sample_every": "5", "params.accel_tolerance": "0.0"}),
     "exp_frame_phase": (
         (),
         {"internal.E0": "250.0", "internal.levels": "[0.0,20.0]",
-         "physical.hbar": "2.0", "physical.c": "20.0", "params.speed": "2.0",
+         "physical.c": "20.0", "params.speed": "2.0",
          "params.total_time": "2.0", "params.tolerance": "0.0"}),
 }
 
@@ -622,11 +651,7 @@ _EXEMPT = {
         "grid.n_points": ("256", "sets the resolution, which the sigma >= 4 dx and alias "
                                  "rules bound (exit 3); 512 -> 256 or 1024: <= 4.8e-13")},
     "exp_newtonian_sweep": {
-        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 4.8e-14"),
-        "params.sample_every": ("40", "the unwrap stride; 10 -> 5, 20, 40 or 200: 0.0, "
-                                      "and at total_time 0.4 a 400-step stride, whose "
-                                      "4 rad step passes pi, unwraps both kinds alike "
-                                      "(0.0)")},
+        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 4.8e-14")},
     "exp_wep": {
         "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512 or 1024: "
                                  "<= 1.6e-12")},
@@ -658,3 +683,37 @@ class TestNoDeadKey:
         new_code, new_rows = _outcome(name, base + (f"{leaf}={_EXEMPT[name][leaf][0]}",))
         assert code == new_code == EXIT_PASS
         assert _drift(rows, new_rows) <= 1e-9
+
+
+# The c-direction: c x 2 with every energy x 4 keeps every mass.  A runner
+# that keeps c must move a float cell under it, one that does not echo an
+# input (the hbar-direction, hbar x 2 with every energy x 2, moves no row of
+# any runner, so every runner works in units hbar = 1 and takes no hbar).
+_C_DIRECTION = {
+    "exp_clock_wavepacket": ("physical.c=20.0", "internal.E0=400.0",
+                             "internal.levels=[0.0,2.0]"),
+    "exp_interferometer": ("physical.c=20.0", "params.delta_e=40.0"),
+    "exp_wep": ("physical.c=20.0", "internal.E0=400.0", "internal.levels=[0.0,0.04]"),
+    "exp_frame_phase": ("physical.c=20.0", "internal.E0=400.0",
+                        "internal.levels=[0.0,40.0]"),
+}
+_ECHO_COLUMNS = ("a", "w", "v_over_c", "gh_over_c2", "delta_e", "epsilon")
+
+
+class TestScalingDirection:
+    def test_direction_table_is_the_runners_that_take_c(self):
+        assert set(_C_DIRECTION) == {name for name, exp in EXPERIMENTS.items()
+                                     if "physical.c" in _leaf_paths(exp.defaults)}
+
+    @pytest.mark.parametrize("name", sorted(_C_DIRECTION))
+    def test_c_direction_moves_a_computed_cell(self, name):
+        base = _LEAVES[name][0]
+        code, rows = _outcome(name, base)
+        new_code, new_rows = _outcome(name, base + _C_DIRECTION[name])
+        assert code == new_code == EXIT_PASS
+
+        def computed(rows):
+            return [{k: v for k, v in row.items() if k not in _ECHO_COLUMNS}
+                    for row in rows]
+
+        assert _drift(computed(rows), computed(new_rows)) > 1e-9

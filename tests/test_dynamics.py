@@ -666,6 +666,15 @@ class TestTrajectory:
         exact_acc = -(2 * np.pi) ** 2 * np.sin(2 * np.pi * t)
         assert np.max(np.abs(traj.acceleration() - exact_acc)) < 1e-1
 
+    def test_acceleration_of_three_samples_refused(self):
+        # the one-sided end formulas read four samples
+        t = np.array([0.0, 0.5, 1.0])
+        traj = Trajectory(times=t, xi=t**2)
+        with pytest.raises(TrajectoryError, match="at least 4 samples"):
+            traj.acceleration()
+        stored = Trajectory(times=t, xi=t**2, xi_ddot=np.full(3, 2.0))
+        assert np.all(stored.acceleration() == 2.0)
+
     def test_factories_pin_endpoints_exactly(self):
         for traj in (triangular_trajectory(1.0, 1.0, 101),
                      sinusoidal_trajectory(0.5, 1.0, 101),

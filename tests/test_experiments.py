@@ -11,9 +11,9 @@ from massclock import (
     PreconditionError,
     TrajectoryError,
     bump_trajectory,
-    internal_space_from_masses,
     static_trajectory,
 )
+from massclock import experiments
 from massclock.errors import SpreadDominatedError
 from massclock.experiments import (
     EXPERIMENTS,
@@ -31,8 +31,7 @@ from massclock.experiments import (
 
 class TestBargmann:
     def test_equal_masses_trivial_relative_phase(self):
-        r = exp_bargmann(pairs=[(0.5, 0.8)],
-                         internal=internal_space_from_masses([1.0, 1.0], 10.0))
+        r = exp_bargmann(masses=[1.0, 1.0], pairs=[(0.5, 0.8)])
         rel = [row for row in r.rows if row["branch"] == "relative"][0]
         assert rel["phase_measured"] == pytest.approx(0.0, abs=1e-10)
         assert r.passed
@@ -53,6 +52,10 @@ class TestBargmann:
         a = exp_bargmann(pairs=[(0.5, 0.8)])
         b = exp_bargmann(pairs=[(0.5, 0.8)])
         assert a.rows == b.rows
+
+    def test_no_masses_refused(self):
+        with pytest.raises(PreconditionError, match="at least one mass"):
+            exp_bargmann(masses=[])
 
 
 class TestClockDilation:
@@ -151,12 +154,35 @@ class TestNewtonianSweep:
                 rel=0.25 * max(row["epsilon"] / 1e-3, 1.0) * 1e-2 + 1e-3)
 
     def test_doubling_time_doubles_free_discrepancy(self):
-        kw = dict(epsilons=[1e-2, 1e-1], g=0.0, p0=1.0, dt=1e-3, sample_every=10)
+        kw = dict(epsilons=[1e-2, 1e-1], g=0.0, p0=1.0, dt=1e-3)
         short = exp_newtonian_sweep(total_time=2.0, **kw)
         long = exp_newtonian_sweep(total_time=4.0, **kw)
         for r_s, r_l in zip(short.rows, long.rows):
             assert r_l["phase_discrepancy_measured"] == pytest.approx(
                 2.0 * r_s["phase_discrepancy_measured"], rel=1e-3)
+
+    def test_residual_of_the_prediction_is_second_order(self, default_sweep):
+        # the prediction is the whole first-order discrepancy
+        r = default_sweep
+        eps = [row["epsilon"] for row in r.rows]
+        resid = [abs(row["phase_discrepancy_measured"] - row["phase_discrepancy_predicted"])
+                 for row in r.rows]
+        slope = np.polyfit(np.log(eps), np.log(resid), 1)[0]
+        assert slope == pytest.approx(2.0, abs=0.1)
+
+    def test_c_cancels_from_the_rows(self, default_sweep, monkeypatch):
+        # the run's fixed c is not a quantity of the rows: 10 -> 100 moves
+        # every cell by round-off only
+        monkeypatch.setattr(experiments, "DEFAULT_C", 100.0)
+        at_100 = exp_newtonian_sweep()
+        for row, other in zip(default_sweep.rows, at_100.rows):
+            for key, value in row.items():
+                assert abs(other[key] - value) <= 1e-12, key
+
+    def test_discrepancy_reaching_half_pi_refused(self):
+        # the final-state angle is principal-valued; p0 = 5 predicts 1.74 rad
+        with pytest.raises(PreconditionError, match="pi/2"):
+            exp_newtonian_sweep(p0=5.0)
 
     def test_state_distance_scales_linearly(self, default_sweep):
         r = default_sweep
