@@ -5,10 +5,12 @@ multiplications over the (level, grid point) amplitude array.  The work
 that runs once per time step, and the trajectory quadrature, lives here:
 
 * ``phase_multiply``   -- in-place  amps *= phases  (one Strang substep)
-* ``branch_moments``   -- per-branch norm / <x> / <x^2> weights as one
-                          matmul |a|^2 @ basis against the grid's (N, 3)
-                          moment basis [1, x, x^2] dx, used for the per-step
-                          boundary-clearance and norm checks
+* ``branch_moments``   -- per-branch norm / <x> / <x^2> weights: one square
+                          of the amplitudes' float view (re^2, im^2 side by
+                          side) contracted with the grid's (3, 2N)
+                          ``moment_table``, each of [1, x, x^2] dx twice in
+                          a row, as one table @ squares.T product; used for
+                          the per-step boundary-clearance and norm checks
 * ``accumulate_phase`` -- cumulative Simpson integration of a sampled
                           frequency (semiclassical clock phase)
 
@@ -24,10 +26,23 @@ def phase_multiply(amps: np.ndarray, phases: np.ndarray) -> None:
     amps *= phases
 
 
-def branch_moments(amps: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Per-branch [sum w dx, sum x w dx, sum x^2 w dx] with w = |a|^2, for
-    the (N, 3) moment basis [1, x, x^2] dx of the grid."""
-    return (amps.real ** 2 + amps.imag ** 2) @ basis
+def moment_table(x: np.ndarray, dx: float) -> np.ndarray:
+    """The (3, 2N) table ``branch_moments`` reads for grid positions x:
+    rows [1, x, x^2] dx, each entry twice in a row, once for the real and
+    once for the imaginary part."""
+    return np.repeat(np.stack((np.ones_like(x), x, x * x)) * dx, 2, axis=1)
+
+
+def branch_moments(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Per-branch [sum w dx, sum x w dx, sum x^2 w dx] with w = |a|^2, as a
+    (rows, 3) array, for the grid's ``moment_table``.
+
+    The float view of a complex row holds its (re, im) pairs, so one
+    contiguous square holds re^2 and im^2 side by side, and the table,
+    which repeats each weight once per part, sums both in one product.
+    """
+    w = amps.view(np.float64)
+    return (table @ (w * w).T).T
 
 
 def accumulate_phase(omega: np.ndarray, dt: float) -> np.ndarray:

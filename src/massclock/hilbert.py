@@ -34,6 +34,7 @@ from .errors import (
 )
 
 CLEARANCE_SIGMAS = 4.0
+NORM_TOLERANCE = 1e-10  # on |total probability - 1|
 _POPULATED = 1e-12  # branches below this probability are skipped in checks
 
 
@@ -114,16 +115,19 @@ class InternalSpace:
 def internal_space_from_masses(masses: Sequence[float], c: float) -> InternalSpace:
     """Internal space whose mass-energies are the given values.
 
-    Uses E0 = masses[0] * c^2, so the first level sits at E_1 = 0 and the
-    mass parameter equals the first mass.
+    Uses E0 = max(masses) * c^2, so the heaviest level sits at E = 0, the
+    others at (M_i - M_max) c^2 < 0, and the mass parameter equals the
+    heaviest mass.  |E_i| < E0 then holds for any positive masses.
     """
     masses = [float(m) for m in masses]
     if not masses:
         raise PreconditionError("need at least one mass")
     if any(b < a for a, b in zip(masses, masses[1:])):
         raise PreconditionError("masses must be sorted ascending")
-    e0 = masses[0] * c**2
-    return InternalSpace(E0=e0, levels=tuple((m - masses[0]) * c**2 for m in masses))
+    if not masses[0] > 0:
+        raise PreconditionError(f"masses must be positive, got {masses[0]!r}")
+    e0 = masses[-1] * c**2
+    return InternalSpace(E0=e0, levels=tuple((m - masses[-1]) * c**2 for m in masses))
 
 
 @dataclass(frozen=True)
@@ -259,11 +263,12 @@ class CompositeState:
 
 
 def _require_unit_norm(total: float) -> None:
-    """The norm rule on the total probability, |sum |psi|^2 dx - 1| <= 1e-10
-    (a NaN total fails it too): one rule for states and for every step."""
-    if not abs(total - 1.0) <= 1e-10:
+    """The norm rule on the total probability, |sum |psi|^2 dx - 1| <=
+    NORM_TOLERANCE (a NaN total fails it too): one rule for states and for
+    every step."""
+    if not abs(total - 1.0) <= NORM_TOLERANCE:
         raise PreconditionError(
-            f"total probability {total!r} deviates from 1 beyond 1e-10")
+            f"total probability {total!r} deviates from 1 beyond {NORM_TOLERANCE!r}")
 
 
 # --- construction -----------------------------------------------------------
@@ -418,8 +423,9 @@ def _overlaps(bra: np.ndarray, ket: np.ndarray, dx: float) -> np.ndarray:
 
 class _GridTables(NamedTuple):
     """Read-only tables of one grid: the positions x_n, the fft-ordered
-    frequencies k / L, and the (N, 3) moment basis [1, x, x^2] dx, whose
-    product |psi|^2 @ basis gives every branch's [prob, sum x w dx,
+    frequencies k / L, and the (3, 2N) moment table, [1, x, x^2] dx with
+    each entry twice in a row (``_kernels.moment_table``), from which
+    ``_kernels.branch_moments`` reads every branch's [prob, sum x w dx,
     sum x^2 w dx] in one matmul."""
 
     x: np.ndarray
@@ -433,27 +439,33 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     building them costs more than the per-sample work they serve."""
     x = grid.x()
     freq = np.fft.fftfreq(grid.n_points, d=grid.dx)
-    basis = np.stack((np.ones_like(x), x, x * x), axis=1) * grid.dx
+    basis = _kernels.moment_table(x, grid.dx)
     for table in (x, freq, basis):
         table.flags.writeable = False
     return _GridTables(x, freq, basis)
 
 
-def _clearance_from_moments(grid: GridSpec, moments: Sequence[Sequence[float]]):
+def _clearance_from_moments(grid: GridSpec, probs: Sequence[float],
+                            sxs: Sequence[float], sxxs: Sequence[float]):
     """None if every populated branch keeps <x> +/- CLEARANCE_SIGMAS * sigma_x
-    inside the domain, else a human-readable description of the worst
-    offender; read from per-branch [prob, sum x w, sum x^2 w] dx rows, as
-    Python floats (a scalar loop beats masked numpy at this size)."""
-    for i, (prob, sx, sxx) in enumerate(moments):
+    inside the domain, else a human-readable description of the first
+    offender; read from the per-branch columns prob, sum x w dx and
+    sum x^2 w dx, as Python floats (a scalar loop beats masked numpy at
+    this size, and it runs every step: hence the local lookups, and no
+    max() call)."""
+    x_min, x_max, sqrt = grid.x_min, grid.x_max, math.sqrt
+    for i, (prob, sx, sxx) in enumerate(zip(probs, sxs, sxxs)):
         if prob <= _POPULATED:
             continue
         mean = sx / prob
-        var = max(sxx / prob - mean**2, 0.0)
-        half = CLEARANCE_SIGMAS * math.sqrt(var)
-        if mean - half < grid.x_min or mean + half > grid.x_max:
+        var = sxx / prob - mean**2
+        if var < 0.0:
+            var = 0.0
+        half = CLEARANCE_SIGMAS * sqrt(var)
+        if mean - half < x_min or mean + half > x_max:
             return (
                 f"branch {i}: <x>={mean:.3f}, {CLEARANCE_SIGMAS} sigma_x={half:.3f} "
-                f"leaves [{grid.x_min}, {grid.x_max}]"
+                f"leaves [{x_min}, {x_max}]"
             )
     return None
 
@@ -461,8 +473,8 @@ def _clearance_from_moments(grid: GridSpec, moments: Sequence[Sequence[float]]):
 def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, context: str) -> float:
     """Enforce the clearance rule on (dim, N) amplitudes and return their
     total probability, read from the same moments pass."""
-    moments = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).tolist()
-    msg = _clearance_from_moments(grid, moments)
+    probs, sxs, sxxs = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).T.tolist()
+    msg = _clearance_from_moments(grid, probs, sxs, sxxs)
     if msg is not None:
         raise BoundaryViolationError(f"{context}: {msg}")
-    return sum(row[0] for row in moments)
+    return sum(probs)

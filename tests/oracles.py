@@ -5,7 +5,11 @@ matrices instead of FFT pipelines, closed forms instead of propagators,
 pointwise coordinate maps instead of the group composition law.
 """
 
+import math
+
 import numpy as np
+
+from massclock.errors import BoundaryViolationError, PreconditionError
 
 
 # --- dense-matrix unitaries (vs the spectral pipeline) ------------------------
@@ -71,6 +75,36 @@ def per_run_strang(initial, tables, steps: int, sample_every: int):
         if k % sample_every == 0:
             samples.append(amps)
     return samples
+
+
+def per_run_check(grid, moments, rows, step_no: int):
+    """The step check run by run, each run read alone from its own rows.
+
+    ``moments`` holds one ``[prob, sum x w dx, sum x^2 w dx]`` list per
+    buffer row and ``rows`` each run's slice of them.  A run fails the norm
+    rule on its total first, then the clearance rule on its first populated
+    branch whose <x> +/- 4 sigma_x leaves the domain; the first failing run
+    raises, with the message text of its rule.  Returns every run's total.
+    The reference the one-pass check must match, refusal for refusal.
+    """
+    totals = []
+    for run_rows in rows:
+        own = moments[run_rows]
+        total = sum(row[0] for row in own)
+        if not abs(total - 1.0) <= 1e-10:
+            raise PreconditionError(f"norm drifted to {total!r} at step {step_no}")
+        for i, (prob, sx, sxx) in enumerate(own):
+            if prob <= 1e-12:
+                continue
+            mean = sx / prob
+            var = max(sxx / prob - mean**2, 0.0)
+            half = 4.0 * math.sqrt(var)
+            if mean - half < grid.x_min or mean + half > grid.x_max:
+                raise BoundaryViolationError(
+                    f"step {step_no}: branch {i}: <x>={mean:.3f}, 4.0 sigma_x={half:.3f} "
+                    f"leaves [{grid.x_min}, {grid.x_max}]")
+        totals.append(total)
+    return totals
 
 
 # --- per-sample references (vs the blocked residual and the cached frame path) --

@@ -1,0 +1,67 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+PARENT = [1.00, 1.02, 1.04, 1.06, 1.08, 1.10, 1.12, 1.14, 1.16, 1.18]
+
+
+def _sides(change_values, parent_values=PARENT):
+    """Parent and change records with the same values for every metric."""
+    parent = {m: bench_pairs.summary(list(parent_values)) for m in bench_pairs.METRICS}
+    change = {m: bench_pairs.summary(list(change_values)) for m in bench_pairs.METRICS}
+    return parent, change
+
+
+def _verdicts(change_values, parent_values=PARENT):
+    return bench_pairs.compare(*_sides(change_values, parent_values))["wall_s"]
+
+
+def test_parent_spread_is_its_interquartile_range():
+    # inclusive quartiles of 1.00 .. 1.18 in steps of 0.02: 1.045 and 1.135
+    assert bench_pairs.summary(PARENT)["iqr"] == pytest.approx(0.09)
+    assert bench_pairs.summary(PARENT)["median"] == pytest.approx(1.09)
+
+
+def test_claim_met_when_nine_of_ten_pairs_win_beyond_the_parent_iqr():
+    change = [v - 0.2 for v in PARENT]
+    change[3] = PARENT[3] + 0.5  # one lost pair of ten is allowed
+    out = _verdicts(change)
+    assert out["change_wins_pairs"] == 9
+    assert out["claim_met"] and out["within_bound"]
+
+
+def test_claim_not_met_on_eight_wins():
+    change = [v - 0.2 for v in PARENT]
+    change[0] = change[1] = 2.0
+    out = _verdicts(change)
+    assert out["change_wins_pairs"] == 8 and not out["claim_met"]
+
+
+def test_ties_count_for_neither_side():
+    change = [v - 0.2 for v in PARENT]
+    change[0], change[1] = PARENT[0], PARENT[1]
+    out = _verdicts(change)
+    assert out["change_wins_pairs"] == 8 and not out["claim_met"]
+
+
+def test_claim_not_met_when_the_gap_is_inside_the_parent_iqr():
+    # every pair won, but the medians differ by 0.05 < IQR 0.09
+    out = _verdicts([v - 0.05 for v in PARENT])
+    assert out["change_wins_pairs"] == 10 and not out["claim_met"]
+    assert out["median_ratio"] == pytest.approx(1.04 / 1.09)
+
+
+@pytest.mark.parametrize("metric", bench_pairs.METRICS)
+def test_within_bound_is_the_median_against_the_metrics_bound(metric):
+    bound = bench_pairs.BOUNDS[metric]
+    parent = [2.0] * 10
+    at_bound = bench_pairs.compare(*_sides([2.0 * (1.0 + bound)] * 10, parent))[metric]
+    past = bench_pairs.compare(*_sides([2.0 * (1.0 + bound) * 1.001] * 10, parent))[metric]
+    assert at_bound["within_bound"] and not past["within_bound"]
+    assert not at_bound["claim_met"] and at_bound["change_wins_pairs"] == 0

@@ -491,7 +491,7 @@ class TestMain:
         ("[]", "needs two masses"),
         ("[1.0]", "needs two masses"),
         ("[1.1,1.0]", "sorted ascending"),
-        ("[1.0,2.5]", "E_i| < E0"),
+        ("[0.0,1.0]", "must be positive"),
     ])
     def test_masses_without_an_internal_space_exit_2(self, tmp_path, capsys, masses,
                                                       match):
@@ -501,6 +501,15 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: params.masses: " in err and match in err
         assert not (tmp_path / "o").exists()
+
+    def test_masses_far_apart_run_and_pass(self, tmp_path):
+        # M_2 >= 2 M_1 makes an internal space: it is referred to the heavier
+        code = main(["run", "exp_bargmann", "--set", "params.masses=[1.0,2.5]",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PASS
+        meta = json.loads((next((tmp_path / "o").iterdir()) / "meta.json").read_text())
+        assert meta["passed"] is True
+        assert meta["config"]["params"]["masses"] == [1.0, 2.5]
 
     def test_sweep_discrepancy_reaching_half_pi_exits_3(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep", "--set", "params.p0=5.0",

@@ -413,6 +413,35 @@ def _stacked_cases(draw):
     return grid, runs
 
 
+@st.composite
+def _checked_stacks(draw):
+    """One grid, 1-4 runs on it with dim 1-3 and some empty branches, each
+    run clear and unit-norm, pushed past clearance (packet centre within
+    3.5 sigma of an edge) or carrying a 7e-11 norm drift; the stacked
+    buffer and the plan the step check reads it with."""
+    grid = GridSpec(draw(st.floats(-50.0, -5.0)), draw(st.floats(5.0, 50.0)),
+                    2 ** draw(st.integers(6, 9)))
+    x = grid.x()
+    runs, parts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        dim = draw(st.integers(1, 3))
+        internal = InternalSpace(E0=100.0, levels=(0.0, 5.0, 10.0)[:dim])
+        weights = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=dim,
+                                max_size=dim).filter(any))
+        sigma = grid.length * draw(st.floats(1 / 40, 1 / 16))
+        mode = draw(st.sampled_from(["clear", "clear", "clear", "edge", "drift"]))
+        if mode == "edge":
+            edge = draw(st.sampled_from([grid.x_min, grid.x_max]))
+            x0 = edge + np.sign(-edge) * sigma * draw(st.floats(0.0, 3.5))
+        else:
+            x0 = 0.5 * (grid.x_min + grid.x_max) + sigma * draw(st.floats(-2.0, 2.0))
+        psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2))
+        state = CompositeState.create(grid, internal, np.outer(weights, psi))
+        runs.append((state, HamiltonianKind.newtonian(), PARAMS))
+        parts.append(state.amplitudes * (1.0 + 7e-11 if mode == "drift" else 1.0))
+    return _Plan(runs, 1e-9), np.concatenate(parts)
+
+
 class TestStackedRuns:
     """_evolve advances independent runs as one buffer with the bits of
     separate runs."""
@@ -449,6 +478,25 @@ class TestStackedRuns:
             assert lo == amps.shape[0] and (totals is None) == (k == 0)
             got += 1
         assert got == samples + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_checked_stacks(), step_no=st.integers(1, 10**6))
+    def test_one_pass_check_refuses_what_the_per_run_check_refused(self, case, step_no):
+        # the same refusal (class and text) as the run-by-run loop, read from
+        # the same moments; on a passing stack each total is the run's |psi|^2 dx
+        plan, amps = case
+        moments = _kernels.branch_moments(amps, plan.basis).tolist()
+        try:
+            expected = oracles.per_run_check(plan.grid, moments, plan.rows, step_no)
+        except (PreconditionError, BoundaryViolationError) as refusal:
+            with pytest.raises(type(refusal)) as got:
+                plan.check(amps, step_no)
+            assert type(got.value) is type(refusal) and str(got.value) == str(refusal)
+            return
+        totals = plan.check(amps, step_no)
+        assert totals == expected
+        for total, rows in zip(totals, plan.rows):
+            assert abs(total - np.sum(np.abs(amps[rows]) ** 2) * plan.grid.dx) <= 1e-15
 
     def test_in_flight_reads_equal_the_history_readouts_bit_for_bit(self):
         state = packet_state(x0=5.0)

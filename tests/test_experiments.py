@@ -12,6 +12,7 @@ from massclock import (
     TrajectoryError,
     bump_trajectory,
     static_trajectory,
+    wrap_angle,
 )
 from massclock import experiments
 from massclock.errors import SpreadDominatedError
@@ -27,6 +28,7 @@ from massclock.experiments import (
     exp_wep,
     interferometer_on_paths,
     path_proper_time_difference,
+    predicted_relative_loop_phase,
 )
 
 class TestBargmann:
@@ -56,6 +58,18 @@ class TestBargmann:
     def test_no_masses_refused(self):
         with pytest.raises(PreconditionError, match="at least one mass"):
             exp_bargmann(masses=[])
+
+    @pytest.mark.parametrize("masses", [[1.0, 2.5], [0.5, 2.0], [0.1, 7.0]])
+    def test_masses_far_apart_match_the_relative_prediction(self, masses):
+        # M_2 >= 2 M_1 was refused by the low-energy split rule, which the
+        # loop phase never uses
+        a, w = 0.5, 0.8
+        r = exp_bargmann(masses=masses, pairs=[(a, w)])
+        rel = [row for row in r.rows if row["branch"] == "relative"][0]
+        expected = predicted_relative_loop_phase(masses[0], masses[1], a, w, 1.0)
+        assert rel["phase_predicted"] == expected
+        assert abs(wrap_angle(rel["phase_measured"] - expected)) < 1e-8
+        assert r.passed
 
 
 class TestClockDilation:

@@ -81,8 +81,23 @@ class TestInternalSpace:
 
     def test_from_masses_round_trips(self):
         sp = internal_space_from_masses([1.0, 1.1], c=10.0)
-        assert sp.E0 == 100.0
+        assert sp.E0 == 1.1 * 10.0**2  # referred to the heaviest mass
         assert np.allclose(sp.mass_energies(10.0), [1.0, 1.1], atol=1e-14)
+
+    @settings(max_examples=50, deadline=None)
+    @given(masses=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4),
+           c=st.sampled_from([1.0, 10.0, 299.792458]))
+    def test_any_positive_ascending_masses_make_a_space(self, masses, c):
+        # each M_i comes back as M_max + (M_i - M_max): exact up to the
+        # rounding of numbers the size of the heaviest mass
+        masses = sorted(masses)
+        sp = internal_space_from_masses(masses, c)
+        assert np.allclose(sp.mass_energies(c), masses, rtol=0, atol=1e-14 * masses[-1])
+
+    @pytest.mark.parametrize("masses", [[0.0, 1.0], [-1.0, 1.0]])
+    def test_non_positive_mass_refused(self, masses):
+        with pytest.raises(PreconditionError, match="masses must be positive"):
+            internal_space_from_masses(masses, 10.0)
 
 
 class TestPhysicalParams:

@@ -12,18 +12,17 @@ def _random_problem(seed=0, dim=2, n=512):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     phases = np.exp(1j * rng.standard_normal((dim, n)))
-    x = np.linspace(-20.0, 20.0, n)
-    return amps, phases, x
+    return amps, phases, GridSpec(-20.0, 20.0, n)
 
 
 def test_numpy_phase_multiply_and_moments():
-    amps, phases, x = _random_problem()
+    amps, phases, grid = _random_problem()
     expected = amps * phases
     work = amps.copy()
     _kernels.phase_multiply(work, phases)
     assert np.array_equal(work, expected)
-    dx = x[1] - x[0]
-    m = _kernels.branch_moments(work, np.stack((np.ones_like(x), x, x * x), axis=1) * dx)
+    x, dx = grid.x(), grid.dx
+    m = _kernels.branch_moments(work, _grid_tables(grid).basis)
     w = np.abs(work) ** 2
     assert np.allclose(m[:, 0], w.sum(axis=1) * dx, rtol=1e-13)
     assert np.allclose(m[:, 1], (w @ x) * dx, rtol=1e-12, atol=1e-12)
@@ -42,6 +41,7 @@ def test_branch_moments_match_exact_per_branch_sums(log2n, dim, x_min, length, s
             + 1j * rng.standard_normal((dim, grid.n_points)))
     basis = _grid_tables(grid).basis
     assert not basis.flags.writeable  # one cached basis per grid, shared
+    assert basis.shape == (3, 2 * grid.n_points)
     m = _kernels.branch_moments(amps, basis)
     assert m.shape == (dim, 3)
     x = grid.x()

@@ -14,7 +14,8 @@ holds, per workload and side, every run's end-to-end metrics with their
 median and interquartile range, the attempted and failed iteration counts
 and the rows digests; per workload, the change/parent ratio of the
 medians, the number of pairs the change wins (lower is better for every
-metric) and whether the two sides wrote the same rows in every pair.  The
+metric), the two verdicts ``claim_met`` and ``within_bound`` (see
+``compare``) and whether the two sides wrote the same rows in every pair.  The
 record is written at the root of the repository this file sits in.  Only
 the standard library is used.
 """
@@ -33,6 +34,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 
@@ -66,12 +68,24 @@ def side_record(runs: list) -> dict:
 
 
 def compare(parent: dict, change: dict) -> dict:
+    """Per metric, the change against the parent, pair by pair (lower wins;
+    a tie counts for neither side).
+
+    ``claim_met``: the change wins at least nine tenths of the pairs, and
+    the parent median exceeds the change median by more than the parent's
+    interquartile range.  ``within_bound``: the change median is at most
+    the parent median times (1 + the metric's bound in BENCHMARK.json).
+    """
     out = {}
     for metric in METRICS:
         p, c = parent[metric], change[metric]
+        wins = sum(cv < pv for cv, pv in zip(c["values"], p["values"]))
         out[metric] = {
             "median_ratio": c["median"] / p["median"],
-            "change_wins_pairs": sum(cv < pv for cv, pv in zip(c["values"], p["values"])),
+            "change_wins_pairs": wins,
+            "claim_met": (wins >= 0.9 * len(p["values"])
+                          and p["median"] - c["median"] > p["iqr"]),
+            "within_bound": c["median"] <= p["median"] * (1.0 + BOUNDS[metric]),
         }
     return out
 
