@@ -9,8 +9,9 @@ that runs once per time step, and the trajectory quadrature, lives here:
                           of the amplitudes' float view (re^2, im^2 side by
                           side) contracted with the grid's (3, 2N)
                           ``moment_table``, each of [1, x, x^2] dx twice in
-                          a row, as one table @ squares.T product; used for
-                          the per-step boundary-clearance and norm checks
+                          a row, as one table @ squares.T product, (3, rows);
+                          used for the per-step boundary-clearance and norm
+                          checks
 * ``accumulate_phase`` -- cumulative Simpson integration of a sampled
                           frequency (semiclassical clock phase)
 
@@ -35,14 +36,16 @@ def moment_table(x: np.ndarray, dx: float) -> np.ndarray:
 
 def branch_moments(amps: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-branch [sum w dx, sum x w dx, sum x^2 w dx] with w = |a|^2, as a
-    (rows, 3) array, for the grid's ``moment_table``.
+    (3, rows) array, for the grid's ``moment_table``: row 0 holds every
+    branch's probability, row 1 its sum x w dx, row 2 its sum x^2 w dx.
 
     The float view of a complex row holds its (re, im) pairs, so one
     contiguous square holds re^2 and im^2 side by side, and the table,
     which repeats each weight once per part, sums both in one product.
+    Amplitudes in another layout are copied to C order first.
     """
-    w = amps.view(np.float64)
-    return (table @ (w * w).T).T
+    w = np.ascontiguousarray(amps).view(np.float64)
+    return table @ (w * w).T
 
 
 def accumulate_phase(omega: np.ndarray, dt: float) -> np.ndarray:

@@ -63,7 +63,6 @@ from .errors import (
     TrajectoryError,
 )
 from .hilbert import (
-    NORM_TOLERANCE,
     CompositeState,
     GridSpec,
     InternalSpace,
@@ -275,30 +274,26 @@ class _Plan:
 
     def check(self, amps: np.ndarray, step_no: int) -> List[float]:
         """Enforce the norm and clearance rules on each run's rows after a
-        step; returns each run's total probability.
+        step, run by run; returns each run's total probability.
 
-        One moments matmul serves every run, and one pass over its Python
-        floats reads every total and every branch's clearance.  Only when a
-        rule fails does the run-by-run loop build the first failing run's
-        message.  BLAS may tile a taller matrix differently, so a run's
-        total can differ from its solo value in the last bits; the
-        amplitudes never do.
+        One moments matmul serves every run.  BLAS may tile a taller matrix
+        differently, so a run's total can differ from its solo value in the
+        last bits; the amplitudes never do.
         """
-        moments = _kernels.branch_moments(amps, self.basis).T.tolist()
-        probs = moments[0]
-        totals = [sum(probs[rows]) for rows in self.rows]
-        if (all(abs(total - 1.0) <= NORM_TOLERANCE for total in totals)
-                and _clearance_from_moments(self.grid, *moments) is None):
-            return totals
-        for rows, total in zip(self.rows, totals):
+        probs, sxs, sxxs = _kernels.branch_moments(amps, self.basis).tolist()
+        totals = []
+        for rows in self.rows:
+            own = probs[rows]
+            total = sum(own)
             try:
                 _require_unit_norm(total)
             except PreconditionError:
                 raise PreconditionError(
                     f"norm drifted to {total!r} at step {step_no}") from None
-            msg = _clearance_from_moments(self.grid, *(column[rows] for column in moments))
+            msg = _clearance_from_moments(self.grid, own, sxs[rows], sxxs[rows])
             if msg is not None:
                 raise BoundaryViolationError(f"step {step_no}: {msg}")
+            totals.append(total)
         return totals
 
 

@@ -116,8 +116,11 @@ def internal_space_from_masses(masses: Sequence[float], c: float) -> InternalSpa
     """Internal space whose mass-energies are the given values.
 
     Uses E0 = max(masses) * c^2, so the heaviest level sits at E = 0, the
-    others at (M_i - M_max) c^2 < 0, and the mass parameter equals the
-    heaviest mass.  |E_i| < E0 then holds for any positive masses.
+    others at (M_i - M_max) c^2 < 0, and the mass parameter m = E0 / c^2
+    equals the heaviest mass.  |E_i| < E0 then holds for any positive
+    masses.  The mass parameter is the kinetic mass of the low-energy and
+    Newtonian forms, so dynamics at another reference mass (say m = M_1)
+    need ``InternalSpace(E0=..., levels=...)``.
     """
     masses = [float(m) for m in masses]
     if not masses:
@@ -208,7 +211,7 @@ class CompositeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)  # private copy
+        amps = np.array(self.amplitudes, dtype=complex, order="C")  # private copy
         expected = (self.internal.dim, self.grid.n_points)
         if amps.shape != expected:
             raise PreconditionError(
@@ -222,7 +225,7 @@ class CompositeState:
     def create(cls, grid: GridSpec, internal: InternalSpace,
                amplitudes: np.ndarray) -> "CompositeState":
         """The state with these amplitudes scaled to unit norm."""
-        amps = np.array(amplitudes, dtype=complex)
+        amps = np.array(amplitudes, dtype=complex, order="C")
         nrm = np.sqrt(np.sum(amps.real**2 + amps.imag**2) * grid.dx)
         if nrm == 0.0:
             raise PreconditionError("cannot normalize a zero state")
@@ -473,7 +476,7 @@ def _clearance_from_moments(grid: GridSpec, probs: Sequence[float],
 def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, context: str) -> float:
     """Enforce the clearance rule on (dim, N) amplitudes and return their
     total probability, read from the same moments pass."""
-    probs, sxs, sxxs = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).T.tolist()
+    probs, sxs, sxxs = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).tolist()
     msg = _clearance_from_moments(grid, probs, sxs, sxxs)
     if msg is not None:
         raise BoundaryViolationError(f"{context}: {msg}")

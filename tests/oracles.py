@@ -85,7 +85,7 @@ def per_run_check(grid, moments, rows, step_no: int):
     rule on its total first, then the clearance rule on its first populated
     branch whose <x> +/- 4 sigma_x leaves the domain; the first failing run
     raises, with the message text of its rule.  Returns every run's total.
-    The reference the one-pass check must match, refusal for refusal.
+    The reference ``_Plan.check`` must match, refusal for refusal.
     """
     totals = []
     for run_rows in rows:

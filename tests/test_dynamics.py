@@ -481,11 +481,11 @@ class TestStackedRuns:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_checked_stacks(), step_no=st.integers(1, 10**6))
-    def test_one_pass_check_refuses_what_the_per_run_check_refused(self, case, step_no):
+    def test_check_refuses_what_the_per_run_oracle_refused(self, case, step_no):
         # the same refusal (class and text) as the run-by-run loop, read from
         # the same moments; on a passing stack each total is the run's |psi|^2 dx
         plan, amps = case
-        moments = _kernels.branch_moments(amps, plan.basis).tolist()
+        moments = _kernels.branch_moments(amps, plan.basis).T.tolist()
         try:
             expected = oracles.per_run_check(plan.grid, moments, plan.rows, step_no)
         except (PreconditionError, BoundaryViolationError) as refusal:

@@ -207,7 +207,7 @@ class TestCompositeState:
 
         def inflated(amps, basis):
             m = real(amps, basis)
-            m[:, 0] *= 1.0 + 1e-9
+            m[0] *= 1.0 + 1e-9
             return m
 
         state = equal_state()

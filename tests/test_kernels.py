@@ -24,9 +24,9 @@ def test_numpy_phase_multiply_and_moments():
     x, dx = grid.x(), grid.dx
     m = _kernels.branch_moments(work, _grid_tables(grid).basis)
     w = np.abs(work) ** 2
-    assert np.allclose(m[:, 0], w.sum(axis=1) * dx, rtol=1e-13)
-    assert np.allclose(m[:, 1], (w @ x) * dx, rtol=1e-12, atol=1e-12)
-    assert np.allclose(m[:, 2], (w @ (x * x)) * dx, rtol=1e-13)
+    assert np.allclose(m[0], w.sum(axis=1) * dx, rtol=1e-13)
+    assert np.allclose(m[1], (w @ x) * dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(m[2], (w @ (x * x)) * dx, rtol=1e-13)
 
 
 @settings(max_examples=200, deadline=None)
@@ -43,14 +43,24 @@ def test_branch_moments_match_exact_per_branch_sums(log2n, dim, x_min, length, s
     assert not basis.flags.writeable  # one cached basis per grid, shared
     assert basis.shape == (3, 2 * grid.n_points)
     m = _kernels.branch_moments(amps, basis)
-    assert m.shape == (dim, 3)
+    assert m.shape == (3, dim)
     x = grid.x()
     for i in range(dim):
         w = amps[i].real ** 2 + amps[i].imag ** 2
         for k in range(3):
             terms = w * x**k * grid.dx
             exact = math.fsum(terms)
-            assert abs(m[i, k] - exact) <= 1e-14 * math.fsum(np.abs(terms))
+            assert abs(m[k, i] - exact) <= 1e-14 * math.fsum(np.abs(terms))
+
+
+def test_branch_moments_read_any_layout_as_its_c_ordered_copy():
+    # a column-major or strided (dim, N) array gives the bits of its C copy
+    amps, _, grid = _random_problem(dim=3)
+    table = _grid_tables(grid).basis
+    expected = _kernels.branch_moments(amps, table)
+    for view in (np.asfortranarray(amps), np.repeat(amps, 2, axis=1)[:, ::2]):
+        assert not view.flags.c_contiguous
+        assert _kernels.branch_moments(view, table).tobytes() == expected.tobytes()
 
 
 _COEFFS = st.lists(st.integers(-1000, 1000).map(lambda k: k / 100.0),

@@ -302,3 +302,21 @@ class TestCommutatorResidual:
         params = PhysicalParams(hbar=1.0, c=10.0, E0=sp.E0)
         with pytest.raises(BoundaryViolationError):
             commutator_residual(state, 0.0, params)
+
+
+class TestAmplitudeLayout:
+    def test_state_from_a_column_major_array_boosts_and_checks_as_row_major(self):
+        # (N, dim).T is a Fortran-ordered (dim, N) array; the state stores it
+        # C-ordered, and the moments pass reads the numbers, not the layout
+        psi = gaussian_packet(GRID, 0.0, 0.0, 1.0)
+        raw = np.stack([psi, 0.5 * psi], axis=1).T
+        assert not raw.flags.c_contiguous
+        state = CompositeState.create(GRID, INTERNAL, raw)
+        row_major = CompositeState.create(GRID, INTERNAL, np.ascontiguousarray(raw))
+        assert state.amplitudes.flags.c_contiguous
+        assert state.amplitudes.tobytes() == row_major.amplitudes.tobytes()
+        boosted = apply_boost(state, 0.3, 0.0, PARAMS)
+        assert boosted.amplitudes.tobytes() == apply_boost(
+            row_major, 0.3, 0.0, PARAMS).amplitudes.tobytes()
+        assert np.array_equal(commutator_residual(state, 0.0, PARAMS),
+                              commutator_residual(row_major, 0.0, PARAMS))
