@@ -34,7 +34,6 @@ from .errors import (
 )
 
 CLEARANCE_SIGMAS = 4.0
-NORM_TOLERANCE = 1e-10  # on |total probability - 1|
 _POPULATED = 1e-12  # branches below this probability are skipped in checks
 
 
@@ -266,12 +265,11 @@ class CompositeState:
 
 
 def _require_unit_norm(total: float) -> None:
-    """The norm rule on the total probability, |sum |psi|^2 dx - 1| <=
-    NORM_TOLERANCE (a NaN total fails it too): one rule for states and for
-    every step."""
-    if not abs(total - 1.0) <= NORM_TOLERANCE:
+    """The norm rule on the total probability, |sum |psi|^2 dx - 1| <= 1e-10
+    (a NaN total fails it too): one rule for states and for every step."""
+    if not abs(total - 1.0) <= 1e-10:
         raise PreconditionError(
-            f"total probability {total!r} deviates from 1 beyond {NORM_TOLERANCE!r}")
+            f"total probability {total!r} deviates from 1 beyond 1e-10")
 
 
 # --- construction -----------------------------------------------------------
