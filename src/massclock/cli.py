@@ -30,6 +30,12 @@ number, a list default a list whose items have the type of the default's
 items (a pair stays a pair).  NaN and +-Infinity, which JSON parsing
 accepts, are a config error anywhere in the tree.
 
+A runner's rules are its own: the objects built from a config apply their
+invariants (each constant positive and finite), then each rule the
+registry names by key, so ``run``, ``validate`` and the Python call refuse
+the same inputs with the same text (exit 2, ``<key>: <text>``).  Rules on
+the run as a whole (dt, the window, alias, clearance, fits) are exit 3.
+
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values; values parse as JSON fragments,
 falling back to bare strings.
@@ -295,10 +301,13 @@ def parse_config(source=None, experiment: Optional[str] = None,
         output=str(merged["output"]), format=merged["format"],
         defaulted=defaulted,
     )
-    build_objects(config)  # re-validate all physical invariants at load time
-    if exp.validate is not None:
-        exp.validate({"grid": config.grid, "internal": config.internal,
-                      "physical": config.physical, "params": config.params})
+    kwargs = build_objects(config)  # the physical invariants, at load time
+    for key, rule in exp.rules.items():  # and the runner's own rules
+        section, _, leaf = key.partition(".")
+        try:
+            rule(kwargs[section if section in ("grid", "internal") else leaf])
+        except _BAD_VALUE as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return config
 
 
@@ -306,8 +315,6 @@ def parse_config(source=None, experiment: Optional[str] = None,
 
 
 def _fmt_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     return value
@@ -452,9 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PreconditionError as exc:
-        print(f"numerical precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":  # pragma: no cover

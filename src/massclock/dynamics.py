@@ -11,10 +11,9 @@ H_r,i = E0 + E_i the branch rest energy, M_i = H_r,i / c^2, m = E0/c^2:
                                                      V = H_r + H_r Phi(x)/c^2
   newtonian       T = p^2 / 2m                       V = m c^2 + E_i + m Phi(x)
 
-Each row is an entry of the kind table ``_KINDS`` (T, dT/dp, V and whether
-H carries the internal rest term), keyed by label; dynamical_mass+rest is
-its own entry.  The propagator, the residual check, the velocity readout
-and the branch_* functions all read it.
+Each row is an entry of the kind table ``_KINDS`` (T, dT/dp and V), keyed
+by label; dynamical_mass+rest is its own entry.  The propagator, the
+residual check, the velocity readout and branch_* all read it.
 
 The exact kind models a static weak field, g00 = -(1 + 2 Phi/c^2) with flat
 spatial metric; the metric factor is folded into V as the additive M Phi(x)
@@ -71,6 +70,7 @@ from .hilbert import (
     _check_same_spaces,
     _clearance_from_moments,
     _grid_tables,
+    _require_positive,
     _require_unit_norm,
     momentum_distribution,
 )
@@ -94,13 +94,11 @@ def _branches(internal: InternalSpace, params: PhysicalParams,
 
 
 class _Kind(NamedTuple):
-    """T(p, b), dT/dp(p, b) and V(Phi, b) of one kind, and whether H carries
-    the internal rest term (so its clock phase runs at omega0)."""
+    """T(p, b), dT/dp(p, b) and V(Phi, b) of one kind."""
 
     kinetic: Callable
     velocity: Callable
     potential: Callable
-    carries_rest: bool = True
 
 
 # H_r = M c^2 plays the mass: the low-energy form, which is dynamical_mass
@@ -116,7 +114,7 @@ _KINDS = {
         kinetic=lambda p, b: np.sqrt(b.c**2 * p**2 + b.hr**2),
         velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2)),
     "dynamical_mass": _LOW_ENERGY._replace(
-        kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr), carries_rest=False),
+        kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr)),
     "dynamical_mass+rest": _LOW_ENERGY,
     "low_energy": _LOW_ENERGY,
     "split": _Kind(
@@ -241,8 +239,7 @@ class _Plan:
                 raise IncompatibleSpacesError(
                     f"stacked runs must share one grid: {state.grid} != {grid}")
             tables.append(_tables(kind, grid, state.internal, params))
-        if dt <= 0:
-            raise PreconditionError("dt must be positive")
+        _require_positive("dt", dt)
         shape = (sum(state.internal.dim for state, _, _ in runs), grid.n_points)
         self.exp_t = np.empty(shape, dtype=complex)
         self.exp_v_half = np.empty(shape, dtype=complex)
@@ -366,11 +363,17 @@ def _velocity_table(runs: Sequence[tuple]) -> np.ndarray:
 
 # --- internal clock ----------------------------------------------------------
 
+def _require_subluminal(vmax: float, c: float) -> None:
+    """The speed rule, for clocks and frames: the largest speed |v| stays
+    below c (a NaN speed fails it)."""
+    if not vmax < c:
+        raise SuperluminalError(f"max |v| = {vmax!r} must stay below c = {c!r}")
+
+
 def internal_frequency(omega0: float, v, phi, params: PhysicalParams):
     """Clock frequency omega0 (1 - v^2/2c^2 + Phi/c^2); |v| < c required."""
     v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) >= params.c):
-        raise SuperluminalError(f"|v| must stay below c={params.c}")
+    _require_subluminal(float(np.max(np.abs(v), initial=0.0)), params.c)
     out = omega0 * (1.0 - v**2 / (2.0 * params.c**2) + np.asarray(phi, dtype=float) / params.c**2)
     return out if out.ndim else float(out)
 
@@ -605,12 +608,6 @@ class ProperTimeResult:
     delta_tau_lowest: float
 
 
-def _require_subluminal(vmax: float, c: float) -> None:
-    """The frame speed rule: the largest |xi_dot| stays below c."""
-    if vmax >= c:
-        raise SuperluminalError(f"max |xi_dot| = {vmax} >= c = {c}")
-
-
 def proper_time(traj: Trajectory, params: PhysicalParams) -> ProperTimeResult:
     """Round-trip proper time T' = integral sqrt(1 - xi_dot^2/c^2) dt.
 
@@ -703,8 +700,7 @@ def schrodinger_residual(history: Sequence[CompositeState], dt: float,
     """
     if len(history) < 3:
         raise PreconditionError("need at least 3 history samples")
-    if dt <= 0:
-        raise PreconditionError("dt must be positive")
+    _require_positive("dt", dt)
     first = history[0]
     for s in history[1:]:
         _check_same_spaces(first, s)

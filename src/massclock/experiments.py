@@ -27,18 +27,25 @@ The seven experiments:
                            the initial packet (lab evolution cancels in it)
 
 A runner takes one key per quantity of its rows: keys that move together
-without moving a row become one.  So every runner works in units hbar = 1,
-and the closed-form helpers take hbar = 1.0.  The loop and frame phases
-belong to the representation, through the branch masses M_i, so
+without moving a row become one.  So every runner and every closed-form
+helper works in units hbar = 1 (predicted_visibility alone takes the
+caller's hbar).  The loop and frame phases belong to the representation,
+through the branch masses M_i, so
 exp_bargmann (which takes the masses alone) and exp_frame_phase read them
 on one fixed probe packet; a clock shift is dimensionless, so
 exp_clock_semiclassical takes only v/c and gh/c^2; c cancels from the
 Newtonian limit, so exp_newtonian_sweep takes the mass parameter m alone.
+
+A runner's rules are its own: it calls each on its arguments, and the
+registry names those a config can break by key, so the Python call,
+``massclock run`` and ``massclock validate`` refuse the same inputs with
+the same text.  Every constant and step must be positive and finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -61,7 +68,7 @@ from .dynamics import (
     static_trajectory,
     triangular_trajectory,
 )
-from .errors import ConfigError, PreconditionError, SpreadDominatedError, TrajectoryError
+from .errors import PreconditionError, SpreadDominatedError, TrajectoryError
 from .hilbert import (
     CompositeState,
     GridSpec,
@@ -69,6 +76,7 @@ from .hilbert import (
     PhysicalParams,
     Potential,
     _overlaps,
+    _require_positive,
     branch_phase,
     gaussian_packet,
     internal_space_from_masses,
@@ -108,29 +116,27 @@ class ExperimentResult:
 
 # --- closed-form predictions (pure functions of parameters) -------------------
 
-def predicted_loop_phase(mass: float, a: float, w: float, hbar: float) -> float:
-    return wrap_angle(-mass * a * w / hbar)
+def predicted_loop_phase(mass: float, a: float, w: float) -> float:
+    return wrap_angle(-mass * a * w)
 
 
-def predicted_relative_loop_phase(m1: float, m2: float, a: float, w: float,
-                                  hbar: float) -> float:
-    return wrap_angle((m2 - m1) * a * w / hbar)
+def predicted_relative_loop_phase(m1: float, m2: float, a: float, w: float) -> float:
+    return wrap_angle((m2 - m1) * a * w)
 
 
 def predicted_clock_shift(v_over_c: float, gh_over_c2: float) -> float:
     return -0.5 * v_over_c**2 + gh_over_c2
 
 
-def wavepacket_spread_correction(sigma: float, m: float, hbar: float, c: float) -> float:
+def wavepacket_spread_correction(sigma: float, m: float, c: float) -> float:
     """Fractional shift from the packet's momentum spread: the measured
-    <v^2> is v^2 + (hbar / 2 sigma m)^2 for a Gaussian of width sigma."""
-    sigma_v = hbar / (2.0 * sigma * m)
+    <v^2> is v^2 + (1 / 2 sigma m)^2 for a Gaussian of width sigma."""
+    sigma_v = 1.0 / (2.0 * sigma * m)
     return -0.5 * sigma_v**2 / c**2
 
 
 def regression_shift_prediction(times: np.ndarray, v0: float, g: float,
-                                x0: float, sigma: float, m: float,
-                                hbar: float, c: float) -> float:
+                                x0: float, sigma: float, m: float, c: float) -> float:
     """Predicted fitted fractional shift for a packet dropped with velocity
     v0 from x0 in a uniform field g.
 
@@ -140,7 +146,7 @@ def regression_shift_prediction(times: np.ndarray, v0: float, g: float,
     v(t) = v0 - g t, x(t) = x0 + v0 t - g t^2 / 2 (spread correction
     included).  For constant shift this reduces to the shift itself.
     """
-    spread = wavepacket_spread_correction(sigma, m, hbar, c)
+    spread = wavepacket_spread_correction(sigma, m, c)
     a0 = -0.5 * v0**2 / c**2 + g * x0 / c**2 + spread
     a1 = 2.0 * v0 * g / c**2
     a2 = -(g**2) / c**2
@@ -148,37 +154,36 @@ def regression_shift_prediction(times: np.ndarray, v0: float, g: float,
     dilation_phase = a0 * t + a1 * t**2 / 2.0 + a2 * t**3 / 3.0
     return float(np.polyfit(t, dilation_phase, 1)[0])
 
+
 def predicted_visibility(delta_e: float, delta_tau: float, hbar: float) -> float:
     return abs(math.cos(delta_e * delta_tau / (2.0 * hbar)))
 
 
 def predicted_sweep_discrepancy(eps: float, m: float, p0: float, g: float,
-                                x0: float, total_time: float, sigma: float,
-                                hbar: float) -> float:
+                                x0: float, total_time: float, sigma: float) -> float:
     """Branch relative-phase discrepancy between split and newtonian runs.
 
-    (eps / hbar) integral [ <p^2> / 2m - m <Phi> ] dt with the classical
+    eps integral [ <p^2> / 2m - m <Phi> ] dt with the classical
     <p^2>(t) = (p0 - m g t)^2 + sigma_p^2 and <Phi> = g x_cl(t) (exact for a
     uniform field); c cancels from it.
     """
     t = total_time
-    sigma_p = hbar / (2.0 * sigma)
+    sigma_p = 1.0 / (2.0 * sigma)
     int_p2 = p0**2 * t - p0 * m * g * t**2 + (m * g) ** 2 * t**3 / 3.0 + sigma_p**2 * t
     int_phi = g * (x0 * t + p0 * t**2 / (2.0 * m) - g * t**3 / 6.0)
-    return (eps / hbar) * (int_p2 / (2.0 * m) - m * int_phi)
+    return eps * (int_p2 / (2.0 * m) - m * int_phi)
 
 
-def predicted_triangle_phase(mass: float, speed: float, total_time: float,
-                             hbar: float) -> float:
-    """(M/hbar) integral xi_dot^2/2 dt for constant |xi_dot| = speed."""
-    return mass * speed**2 * total_time / (2.0 * hbar)
+def predicted_triangle_phase(mass: float, speed: float, total_time: float) -> float:
+    """M integral xi_dot^2/2 dt for constant |xi_dot| = speed."""
+    return mass * speed**2 * total_time / 2.0
 
 
 def predicted_triangle_proper_phase(mass: float, speed: float, total_time: float,
-                                    hbar: float, c: float) -> float:
-    """M c^2 (T - T')/hbar with the full square-root proper time."""
+                                    c: float) -> float:
+    """M c^2 (T - T') with the full square-root proper time."""
     delta_tau = total_time * (1.0 - math.sqrt(1.0 - (speed / c) ** 2))
-    return mass * c**2 * delta_tau / hbar
+    return mass * c**2 * delta_tau
 
 
 # --- shared scaffolding -------------------------------------------------------
@@ -209,8 +214,7 @@ def _step_count(total_time: float, dt: float) -> int:
     """Strang steps of size dt that cover total_time; dt is checked before
     the division, with the propagator's own rule, and the window must hold
     at least one step."""
-    if not dt > 0:
-        raise PreconditionError("dt must be positive")
+    _require_positive("dt", dt)
     steps = int(round(total_time / dt))
     if steps < 1:
         raise PreconditionError(
@@ -230,7 +234,8 @@ def exp_bargmann(masses: Sequence[float] = (1.0, 1.1), *,
                  tolerance: float = 1e-8) -> ExperimentResult:
     """Loop phases per branch and the relative phase, over (a, w) pairs,
     read on the probe packet of branches with mass-energies ``masses``
-    (units c = 1); the predicted column reads the masses as given."""
+    (units c = 1; any positive ascending masses); the predicted column
+    reads the masses as given, and one mass has no relative row."""
     mass_values = [float(m) for m in masses]
     internal = internal_space_from_masses(mass_values, 1.0)
     params = PhysicalParams(c=1.0, E0=internal.E0)
@@ -242,7 +247,7 @@ def exp_bargmann(masses: Sequence[float] = (1.0, 1.1), *,
     for a, w in pairs:
         measured = loop_phase(state, a, w, params)
         for i, bp in enumerate(measured):
-            pred = predicted_loop_phase(mass_values[i], a, w, 1.0)
+            pred = predicted_loop_phase(mass_values[i], a, w)
             rows.append({
                 "branch": str(i + 1), "a": a, "w": w,
                 "phase_measured": bp.phase, "phase_predicted": pred,
@@ -250,7 +255,7 @@ def exp_bargmann(masses: Sequence[float] = (1.0, 1.1), *,
             })
         if internal.dim >= 2:
             rel = wrap_angle(measured[0].phase - measured[1].phase)
-            pred = predicted_relative_loop_phase(mass_values[0], mass_values[1], a, w, 1.0)
+            pred = predicted_relative_loop_phase(mass_values[0], mass_values[1], a, w)
             rows.append({
                 "branch": "relative", "a": a, "w": w,
                 "phase_measured": rel, "phase_predicted": pred,
@@ -278,6 +283,15 @@ def _clock_cases(v_over_c: Sequence[float],
         if abs(ratio) >= 0.5:
             raise PreconditionError(f"ratio {ratio} is not << 1")
     return [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
+
+
+def _clock_gap(internal: InternalSpace) -> float:
+    """omega0 = E_1 - E_0 (hbar = 1), the rate of the clock of the two
+    lowest levels, which must exist and differ."""
+    if internal.dim < 2 or not internal.levels[1] > internal.levels[0]:
+        raise PreconditionError("the clock needs two internal levels with E_1 > E_0, "
+                                f"got levels {internal.levels!r}")
+    return internal.levels[1] - internal.levels[0]
 
 
 def _clock_result(mode: str, cases: Sequence[Tuple[float, float]],
@@ -335,10 +349,10 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     spread correction exceeds 10 % of its predicted shift is rejected.
     """
     sample_every = 10  # sample stride of the clock-rate fit
+    omega0 = _clock_gap(internal)
     e0 = internal.E0
     m = e0 / c**2
-    omega0 = internal.levels[1] - internal.levels[0]
-    spread = wavepacket_spread_correction(sigma, m, 1.0, c)
+    spread = wavepacket_spread_correction(sigma, m, c)
     steps = _step_count(total_time, dt)
     _require_fit_samples(steps // sample_every + 1, "a wavepacket clock-rate fit")
     times_cl = np.linspace(0.0, total_time, steps // sample_every + 1)
@@ -355,7 +369,7 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
             x_start = 0.0 if v >= 0 else 10.0
             potential = Potential.none()
         params = PhysicalParams(c=c, E0=e0, potential=potential)
-        pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, 1.0, c)
+        pred = regression_shift_prediction(times_cl, v, g, x_start, sigma, m, c)
         if abs(spread) > 0.1 * max(abs(pred), 1e-300):
             raise SpreadDominatedError(
                 f"spread correction {spread:.3g} exceeds 10% of the predicted "
@@ -440,6 +454,18 @@ def exp_interferometer(c: float = DEFAULT_C, *,
 
 # --- exp_newtonian_sweep --------------------------------------------------------
 
+def _sweep_epsilons(epsilons: Sequence[float]) -> List[float]:
+    """The sweep's eps values as floats: at least two, each in (0, 0.5),
+    spanning at least a decade, for the log-log slope."""
+    epsilons = [float(e) for e in epsilons]
+    if len(epsilons) < 2:
+        raise PreconditionError("sweep needs at least two eps values")
+    if not all(0.0 < e < 0.5 for e in epsilons):
+        raise PreconditionError("eps values must be in (0, 0.5)")
+    if max(epsilons) / min(epsilons) < 10.0:
+        raise PreconditionError("eps values must span at least a decade")
+    return epsilons
+
 
 def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
                         epsilons: Sequence[float] = (1e-3, 10**-2.5, 1e-2,
@@ -452,19 +478,15 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
     """Split-vs-newtonian discrepancy per eps = E_i/(m c^2); slope must be 1.
 
     Each point runs the levels (0, eps m c^2) at the fixed c = DEFAULT_C,
-    which cancels from every row.  The measured discrepancy is the angle of
-    z_split conj(z_newt), z the branch overlap <0|1> of a final state, so a
-    point whose predicted |discrepancy| reaches pi/2 is refused; the L2
-    state distance and the overlap infidelity are recorded alongside.
+    which cancels from every row; m > 0, and the eps values obey
+    ``_sweep_epsilons``.  The measured discrepancy is the angle of z_split
+    conj(z_newt), z the branch overlap <0|1> of a final state, so a point
+    whose predicted |discrepancy| reaches pi/2 is refused; the L2 state
+    distance and the overlap infidelity are recorded alongside.
     """
-    epsilons = [float(e) for e in epsilons]
-    if len(epsilons) < 2:
-        raise PreconditionError("sweep needs at least two eps values")
-    if any(e <= 0 or e >= 0.5 for e in epsilons):
-        raise PreconditionError("eps values must be in (0, 0.5)")
-    if max(epsilons) / min(epsilons) < 10.0:
-        raise PreconditionError("eps values must span at least a decade")
-    predicted = [predicted_sweep_discrepancy(eps, m, p0, g, x0, total_time, sigma, 1.0)
+    _require_positive("m", m)
+    epsilons = _sweep_epsilons(epsilons)
+    predicted = [predicted_sweep_discrepancy(eps, m, p0, g, x0, total_time, sigma)
                  for eps in epsilons]
     if max(map(abs, predicted)) >= math.pi / 2:
         raise PreconditionError("a predicted discrepancy reaches pi/2, beyond the "
@@ -529,7 +551,8 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     For every internal eigenstate branch and every requested kind (any but
     exact) the fitted d<v>/dt must equal -g.  The fitted internal clock rate
     shifts per the dilation formula under low_energy but stays exactly
-    omega0 under newtonian; both records are kept.
+    omega0 under newtonian; both records are kept.  Without a clock (one
+    level, or two equal ones) there is no clock row.
     """
     kind_objs = _wep_kinds(kinds)
     tolerance = {"accel_rel": accel_tolerance, "newtonian_shift_abs": 1e-8,
@@ -571,7 +594,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
                 predicted_shift = 0.0
             else:
                 predicted_shift = regression_shift_prediction(
-                    times, 0.0, g, x0, sigma, m, 1.0, c)
+                    times, 0.0, g, x0, sigma, m, c)
                 if kind.label() == "dynamical_mass":
                     # no rest term E_i in H: the clock runs at omega0 * shift
                     predicted_shift -= 1.0
@@ -631,10 +654,9 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
     for i in range(internal.dim):
         bp = branch_phase(unboosted, packet, i)
         measured_phases.append(bp.phase)
-        pred = wrap_angle(predicted_triangle_phase(mass_values[i], speed,
-                                                   total_time, 1.0))
+        pred = wrap_angle(predicted_triangle_phase(mass_values[i], speed, total_time))
         proper = wrap_angle(predicted_triangle_proper_phase(
-            mass_values[i], speed, total_time, 1.0, c))
+            mass_values[i], speed, total_time, c))
         rows.append({
             "branch": str(i + 1), "phase_measured": bp.phase,
             "phase_predicted": pred,
@@ -645,9 +667,9 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
     if internal.dim >= 2:
         rel = wrap_angle(measured_phases[1] - measured_phases[0])
         pred = wrap_angle(predicted_triangle_phase(mass_values[1] - mass_values[0],
-                                                   speed, total_time, 1.0))
+                                                   speed, total_time))
         proper = wrap_angle(predicted_triangle_proper_phase(
-            mass_values[1] - mass_values[0], speed, total_time, 1.0, c))
+            mass_values[1] - mass_values[0], speed, total_time, c))
         rows.append({
             "branch": "relative", "phase_measured": rel,
             "phase_predicted": pred, "abs_error": abs(wrap_angle(rel - pred)),
@@ -673,10 +695,14 @@ def _as_json(value):
 
 @dataclass(frozen=True)
 class ExperimentDef:
+    """A registry entry.  ``rules`` maps a config key to a rule the runner
+    calls on the argument the key is read into (the ``grid`` or ``internal``
+    section, else the key's leaf), so a config is refused before the run."""
+
     description: str
     anchor: str
     runner: Callable
-    validate: Optional[Callable] = None
+    rules: Dict[str, Callable] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -700,45 +726,13 @@ class ExperimentDef:
         return tree
 
 
-def _need_two_levels(cfg: dict) -> None:
-    if len(cfg["internal"]["levels"]) < 2:
-        raise ConfigError("internal.levels: this experiment needs two internal levels")
-
-
-def _validate_bargmann(cfg: dict) -> None:
-    """Two masses, which must make an internal space."""
-    masses = cfg["params"]["masses"]
-    if len(masses) < 2:
-        raise ConfigError("params.masses: this experiment needs two masses")
-    try:
-        internal_space_from_masses(masses, 1.0)
-    except PreconditionError as exc:
-        raise ConfigError(f"params.masses: {exc}") from exc
-
-
-def _validate_sweep(cfg: dict) -> None:
-    if len(cfg["params"]["epsilons"]) < 4:
-        raise ConfigError("params.epsilons: sweep needs >= 4 points")
-    if not cfg["params"]["m"] > 0:
-        raise ConfigError("params.m must be positive")
-
-
-def _validate_wep(cfg: dict) -> None:
-    """Two levels, and the runner's own kind rule applied at config time."""
-    _need_two_levels(cfg)
-    try:
-        _wep_kinds(cfg["params"]["kinds"])
-    except PreconditionError as exc:
-        raise ConfigError(f"params.kinds: {exc}") from exc
-
-
 EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
     ExperimentDef(
         description="translate-boost loop phases per branch and the "
                     "mass-energy relative phase",
         anchor="Eq. (2)",
         runner=exp_bargmann,
-        validate=_validate_bargmann,
+        rules={"params.masses": functools.partial(internal_space_from_masses, c=1.0)},
     ),
     ExperimentDef(
         description="internal clock frequency shift -v^2/2c^2 + Phi/c^2 "
@@ -751,7 +745,7 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
                     "of a propagated packet",
         anchor="Eq. (6)",
         runner=exp_clock_wavepacket,
-        validate=_need_two_levels,
+        rules={"internal.levels": _clock_gap},
     ),
     ExperimentDef(
         description="two-path clock visibility |cos(dE dtau / 2 hbar)|",
@@ -763,20 +757,20 @@ EXPERIMENTS: Dict[str, ExperimentDef] = {d.name: d for d in (
                     "eps = E_i/(m c^2)",
         anchor="Eqs. (7)-(8)",
         runner=exp_newtonian_sweep,
-        validate=_validate_sweep,
+        rules={"params.m": functools.partial(_require_positive, "m"),
+               "params.epsilons": _sweep_epsilons},
     ),
     ExperimentDef(
         description="free-fall universality per branch and kind, with "
                     "clock-rate records",
         anchor="Eq. (8) + WEP",
         runner=exp_wep,
-        validate=_validate_wep,
+        rules={"params.kinds": _wep_kinds},
     ),
     ExperimentDef(
         description="closed-path moving-frame phase = time dilation in "
                     "phase units",
         anchor="Eqs. (1)-(2)",
         runner=exp_frame_phase,
-        validate=_need_two_levels,
     ),
 )}

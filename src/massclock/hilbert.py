@@ -37,6 +37,13 @@ CLEARANCE_SIGMAS = 4.0
 _POPULATED = 1e-12  # branches below this probability are skipped in checks
 
 
+def _require_positive(name: str, value: float) -> None:
+    """The positive-constant rule, one for every constant and step size:
+    ``value`` must be > 0 and finite (NaN and inf fail it)."""
+    if not 0.0 < value < math.inf:
+        raise PreconditionError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic spatial grid."""
@@ -86,8 +93,7 @@ class InternalSpace:
         if levels.ndim != 1 or levels.dtype.kind not in "iuf":
             raise PreconditionError(f"levels must be a sequence of numbers, got {self.levels!r}")
         object.__setattr__(self, "levels", tuple(float(e) for e in levels))
-        if self.E0 <= 0:
-            raise PreconditionError("E0 must be positive")
+        _require_positive("E0", self.E0)
         if len(self.levels) < 1:
             raise PreconditionError("need at least one internal level")
         if any(b < a for a, b in zip(self.levels, self.levels[1:])):
@@ -124,10 +130,10 @@ def internal_space_from_masses(masses: Sequence[float], c: float) -> InternalSpa
     masses = [float(m) for m in masses]
     if not masses:
         raise PreconditionError("need at least one mass")
+    for m in masses:
+        _require_positive("masses", m)
     if any(b < a for a, b in zip(masses, masses[1:])):
         raise PreconditionError("masses must be sorted ascending")
-    if not masses[0] > 0:
-        raise PreconditionError(f"masses must be positive, got {masses[0]!r}")
     e0 = masses[-1] * c**2
     return InternalSpace(E0=e0, levels=tuple((m - masses[-1]) * c**2 for m in masses))
 
@@ -186,8 +192,8 @@ class PhysicalParams:
     potential: Potential = Potential.none()
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.c <= 0 or self.E0 <= 0:
-            raise PreconditionError("hbar, c and E0 must be positive")
+        for name in ("hbar", "c", "E0"):
+            _require_positive(name, getattr(self, name))
 
     @property
     def m(self) -> float:

@@ -95,10 +95,6 @@ class ExtendedGalileiElement:
     g: GalileiElement
 
     @classmethod
-    def identity(cls) -> "ExtendedGalileiElement":
-        return cls(0.0, GalileiElement.identity())
-
-    @classmethod
     def translation(cls, a: float) -> "ExtendedGalileiElement":
         return cls(0.0, translation_element(a))
 

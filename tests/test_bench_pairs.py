@@ -65,3 +65,30 @@ def test_within_bound_is_the_median_against_the_metrics_bound(metric):
     past = bench_pairs.compare(*_sides([2.0 * (1.0 + bound) * 1.001] * 10, parent))[metric]
     assert at_bound["within_bound"] and not past["within_bound"]
     assert not at_bound["claim_met"] and at_bound["change_wins_pairs"] == 0
+
+
+def test_the_first_side_alternates_between_pairs():
+    assert bench_pairs.order(1) == ("parent", "change")
+    assert bench_pairs.order(2) == ("change", "parent")
+
+
+def test_runner_record_compares_pair_by_pair():
+    out = bench_pairs.runner_record(PARENT, [v - 0.01 for v in PARENT[:9]] + [2.0])
+    assert out["change_wins_pairs"] == 9
+    assert out["parent"]["median"] == pytest.approx(1.09)
+    assert out["median_ratio"] == pytest.approx(out["change"]["median"] / 1.09)
+
+
+def test_a_runner_is_timed_in_a_fresh_process_of_its_checkout():
+    from massclock.experiments import EXPERIMENTS
+
+    root = Path(__file__).resolve().parents[1]
+    assert bench_pairs.runner_names(root) == list(EXPERIMENTS)
+    assert 0.0 < bench_pairs.time_runner(root, "exp_clock_semiclassical") < 60.0
+
+
+def test_tier1_record_keeps_the_summary_line(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "TIER1", ["-c", "print('x'); print('3 passed in 0.1s')"])
+    out = bench_pairs.time_tier1(Path(__file__).resolve().parents[1])
+    assert out["summary"] == "3 passed in 0.1s" and out["returncode"] == 0
+    assert out["wall_s"] > 0.0

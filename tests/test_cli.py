@@ -2,6 +2,7 @@ import csv
 import functools
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -101,8 +102,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="did you mean"):
             parse_config(experiment="exp_wep", overrides=["params.sigm=1"])
 
-    def test_sweep_needs_four_points(self):
-        with pytest.raises(ConfigError, match=">= 4"):
+    def test_sweep_needs_two_points(self):
+        with pytest.raises(ConfigError,
+                           match="params.epsilons: sweep needs at least two eps values"):
             parse_config({"experiment": "exp_newtonian_sweep",
                           "params": {"epsilons": [1e-2]}})
 
@@ -163,6 +165,35 @@ class TestParseConfig:
                            match=r"internal\.levels\[1\] must be a finite number"):
             parse_config({"experiment": "exp_frame_phase",
                           "internal": {"levels": (0.0, float("nan"))}})
+
+    @pytest.mark.parametrize("source, overrides, match", [
+        pytest.param([{"experiment": "exp_wep"}], [], "unsupported config source list",
+                     id="list-source"),
+        pytest.param({}, [], "no experiment named", id="no-experiment"),
+        pytest.param({"experiment": "exp_wep", "grid": 5}, [], "'grid' must be an object",
+                     id="section-not-an-object"),
+        pytest.param({"experiment": "exp_wep"}, ["params.sigma"],
+                     "--set needs key=value, got 'params.sigma'", id="set-without-value"),
+        pytest.param({"experiment": "exp_wep"}, ["params.sigma=2.0", "params.sigma.x=1"],
+                     "--set path 'params.sigma.x' descends into a non-section key",
+                     id="set-below-a-leaf"),
+        pytest.param({"experiment": "exp_wep"}, ["grid.n_points=100"],
+                     "grid: n_points must be a power of two >= 8, got 100",
+                     id="grid-invariant"),
+    ])
+    def test_malformed_config_refused(self, source, overrides, match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            parse_config(source, overrides=overrides)
+
+    def test_config_file_root_must_be_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('["exp_wep"]')
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            parse_config(path)
+
+    def test_set_value_that_is_not_json_is_a_bare_string(self):
+        cfg = parse_config(experiment="exp_wep", overrides=["format=json"])
+        assert cfg.format == "json"
 
     def test_int_and_float_are_both_numbers(self):
         # a float default takes any number; an int default only an integer
@@ -488,8 +519,7 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("masses, match", [
-        ("[]", "needs two masses"),
-        ("[1.0]", "needs two masses"),
+        ("[]", "need at least one mass"),
         ("[1.1,1.0]", "sorted ascending"),
         ("[0.0,1.0]", "must be positive"),
     ])

@@ -84,7 +84,6 @@ class TestHamiltonianKind:
 
     def test_every_label_is_a_table_entry(self):
         assert [HamiltonianKind.from_name(label).label() for label in _KINDS] == list(_KINDS)
-        assert [label for label in _KINDS if not _KINDS[label].carries_rest] == ["dynamical_mass"]
 
 
 def _docstring_branch(label, p, phi, e0, ei, c, m):
@@ -589,7 +588,7 @@ class TestInternalFrequency:
         omega0 = delta_e / params.hbar
         shift = (fit_clock_rate(times, states) - omega0) / omega0
         predicted = -0.5 * v**2 / params.c**2 + wavepacket_spread_correction(
-            sigma, params.m, params.hbar, params.c)
+            sigma, params.m, params.c)
         assert shift == pytest.approx(predicted, rel=2e-2)
 
     def test_gravitational_blueshift_wavepacket(self):
@@ -608,7 +607,7 @@ class TestInternalFrequency:
         omega0 = delta_e / params.hbar
         shift = (fit_clock_rate(times, states) - omega0) / omega0
         predicted = regression_shift_prediction(times, 0.0, g, h, 2.0,
-                                                params.m, params.hbar, params.c)
+                                                params.m, params.c)
         assert shift == pytest.approx(predicted, rel=2e-2)
         assert shift > 5e-3  # blueshift dominates the short fall
 
@@ -953,3 +952,29 @@ class TestClockHelpers:
         phases = semiclassical_clock_phases(t, v, phi, 2.0, PARAMS)
         expected_rate = 2.0 * (1.0 - 0.5 / PARAMS.c**2)
         assert phases[-1] == pytest.approx(expected_rate * 2.0, rel=1e-12)
+
+
+class TestRefusals:
+    T3 = np.linspace(0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("build, error, match", [
+        pytest.param(lambda: Trajectory(times=TestRefusals.T3, xi=np.zeros(2)),
+                     TrajectoryError, "times and xi must be matching 1D arrays",
+                     id="xi-length"),
+        pytest.param(lambda: Trajectory(times=TestRefusals.T3, xi=np.zeros(3),
+                                        xi_dot=np.zeros(2)),
+                     TrajectoryError, "xi_dot shape mismatch", id="xi-dot-length"),
+        pytest.param(lambda: closed_path_phase(static_trajectory(2.0, 1.0, 11), 1.0, PARAMS),
+                     TrajectoryError, "closed_path_phase requires a closed trajectory",
+                     id="open-path-phase"),
+        pytest.param(lambda: schrodinger_residual(
+                         propagate_history(packet_state(), HamiltonianKind.low_energy(),
+                                           PARAMS, 1e-3, 3)[1],
+                         1e-3, HamiltonianKind.low_energy(), PARAMS,
+                         non_inertial_accel=[0.0]),
+                     PreconditionError, "non_inertial_accel must align with history samples",
+                     id="accel-length"),
+    ])
+    def test_refused(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()

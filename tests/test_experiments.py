@@ -66,7 +66,7 @@ class TestBargmann:
         a, w = 0.5, 0.8
         r = exp_bargmann(masses=masses, pairs=[(a, w)])
         rel = [row for row in r.rows if row["branch"] == "relative"][0]
-        expected = predicted_relative_loop_phase(masses[0], masses[1], a, w, 1.0)
+        expected = predicted_relative_loop_phase(masses[0], masses[1], a, w)
         assert rel["phase_predicted"] == expected
         assert abs(wrap_angle(rel["phase_measured"] - expected)) < 1e-8
         assert r.passed
@@ -137,6 +137,18 @@ class TestInterferometer:
         t1 = static_trajectory(1.0, 10.0, 101)
         t2 = bump_trajectory(3.0, 10.0, 101)
         with pytest.raises(TrajectoryError):
+            interferometer_on_paths(t1, t2, delta_e=1.0, params=self.PARAMS)
+
+    @pytest.mark.parametrize("t2, match", [
+        pytest.param(static_trajectory(0.0, 10.0, 201), "the same time samples",
+                     id="sample-count"),
+        pytest.param(static_trajectory(0.0, 12.0, 101), "the same time samples",
+                     id="window"),
+        pytest.param(static_trajectory(1.0, 10.0, 101), "endpoints", id="endpoints"),
+    ])
+    def test_paths_that_do_not_pair_rejected(self, t2, match):
+        t1 = static_trajectory(0.0, 10.0, 101)
+        with pytest.raises(TrajectoryError, match=match):
             interferometer_on_paths(t1, t2, delta_e=1.0, params=self.PARAMS)
 
 

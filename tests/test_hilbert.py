@@ -349,3 +349,45 @@ class TestWrapAngle:
         if abs(theta) < 1e6:  # the same angle, up to the rounding of theta + pi
             assert abs(math.cos(out) - math.cos(theta)) < 1e-9
             assert abs(math.sin(out) - math.sin(theta)) < 1e-9
+
+
+_ZEROS = np.zeros((2, GRID.n_points), dtype=complex)
+_ONE_BRANCH = make_superposition(GRID, TWO_LEVEL, [1.0, 0.0], gaussian_packet(GRID, 0.0, 0.0, 1.0))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("build, match", [
+        pytest.param(lambda: InternalSpace(E0=10.0, levels=()),
+                     "need at least one internal level", id="no-level"),
+        pytest.param(lambda: Potential.tabulated([0.0], [1.0]),
+                     "matching xs/phis, >= 2 points", id="one-point-table"),
+        pytest.param(lambda: Potential.tabulated([0.0, 1.0], [1.0]),
+                     "matching xs/phis, >= 2 points", id="unmatched-table"),
+        pytest.param(lambda: Potential.tabulated([0.0, 0.0], [1.0, 2.0]),
+                     "xs must be strictly increasing", id="repeated-x"),
+        pytest.param(lambda: Potential(kind="cubic").values(GRID.x()),
+                     "unknown potential kind 'cubic'", id="unknown-potential"),
+        pytest.param(lambda: CompositeState(GRID, TWO_LEVEL, _ZEROS[:1]),
+                     r"amplitude shape \(1, 1024\) != \(dim, n_points\) = \(2, 1024\)",
+                     id="amplitude-shape"),
+        pytest.param(lambda: CompositeState.create(GRID, TWO_LEVEL, _ZEROS),
+                     "cannot normalize a zero state", id="zero-state"),
+        pytest.param(lambda: make_superposition(GRID, TWO_LEVEL, [1.0, 1.0],
+                                                np.ones((3, GRID.n_points))),
+                     r"spatial shape \(3, 1024\) incompatible", id="spatial-shape"),
+        pytest.param(lambda: branch_phase(_ONE_BRANCH, _ONE_BRANCH, 1),
+                     "branch 1 norm too small for a phase readout", id="empty-branch"),
+    ])
+    def test_refused(self, build, match):
+        with pytest.raises(PreconditionError, match=match):
+            build()
+
+    def test_an_empty_wavefunction_has_zero_moments(self):
+        assert wavefunction_moments(GRID, np.zeros(GRID.n_points)) == (0.0, 0.0, 0.0)
+
+    def test_a_round_off_negative_variance_reads_as_zero(self):
+        # sum x^2 w dx / prob - <x>^2 can fall below zero by round-off; the
+        # clearance check reads it as a point, not as a math domain error
+        from massclock.hilbert import _clearance_from_moments
+
+        assert _clearance_from_moments(GRID, [1.0], [3.0], [9.0 - 1e-12]) is None

@@ -15,19 +15,28 @@ median and interquartile range, the attempted and failed iteration counts
 and the rows digests; per workload, the change/parent ratio of the
 medians, the number of pairs the change wins (lower is better for every
 metric), the two verdicts ``claim_met`` and ``within_bound`` (see
-``compare``) and whether the two sides wrote the same rows in every pair.  The
-record is written at the root of the repository this file sits in.  Only
-the standard library is used.
+``compare``) and whether the two sides wrote the same rows in every pair.
+
+Two more records come from the same alternating fresh processes, each
+importing its checkout's ``src/``.  ``runners`` times every registered
+runner's default call (``EXPERIMENTS[name].runner()``, the runner call
+alone), once per side in each of the same ``PAIRS`` pairs, with the
+medians, their ratio and the pairs the change wins.  ``tier1`` times one
+Tier-1 run (``python -m pytest -q``) per side and keeps its summary line.
+The record is written at the root of the repository this file sits in.
+Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +46,51 @@ METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
+# A fresh process that prints the registered runner names, or the seconds
+# one default call of the runner named by its argument takes.
+RUNNERS = ("import json; from massclock.experiments import EXPERIMENTS; "
+           "print(json.dumps(list(EXPERIMENTS)))")
+RUNNER_TIMER = ("import json, sys, time; from massclock.experiments import EXPERIMENTS; "
+                "runner = EXPERIMENTS[sys.argv[1]].runner; start = time.perf_counter(); "
+                "runner(); print(json.dumps(time.perf_counter() - start))")
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+
+
+def order(pair: int) -> tuple:
+    """The side that runs first alternates between pairs."""
+    return ("parent", "change") if pair % 2 else ("change", "parent")
+
+
+def _python(checkout: Path, args: list, check: bool = True) -> subprocess.CompletedProcess:
+    """A fresh Python process in ``checkout`` that imports its ``src/``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def runner_names(checkout: Path) -> list:
+    return json.loads(_python(checkout, ["-c", RUNNERS]).stdout)
+
+
+def time_runner(checkout: Path, name: str) -> float:
+    """Seconds of one default call of the runner ``name`` in a fresh process."""
+    return json.loads(_python(checkout, ["-c", RUNNER_TIMER, name]).stdout.splitlines()[-1])
+
+
+def time_tier1(checkout: Path) -> dict:
+    """Wall seconds, exit code and summary line of one Tier-1 run."""
+    start = time.perf_counter()
+    proc = _python(checkout, TIER1, check=False)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": time.perf_counter() - start, "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def runner_record(parent: list, change: list) -> dict:
+    """The two sides' default-call seconds of one runner, pair by pair."""
+    p, c = summary(parent), summary(change)
+    return {"parent": p, "change": c, "median_ratio": c["median"] / p["median"],
+            "change_wins_pairs": sum(cv < pv for cv, pv in zip(change, parent))}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -105,8 +159,7 @@ def main(argv=None) -> int:
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
         for seed in range(1, PAIRS + 1):
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
+            for side in order(seed):
                 run = run_once(sides[side], workload, seed)
                 runs[side].append(run)
                 environment = run["environment"]
@@ -119,6 +172,15 @@ def main(argv=None) -> int:
             "rows_sha256_equal_per_pair": [p["digests"] == c["digests"] for p, c
                                            in zip(runs["parent"], runs["change"])],
         }
+    runners = {}
+    for name in runner_names(sides["change"]):
+        seconds = {"parent": [], "change": []}
+        for pair in range(1, PAIRS + 1):
+            for side in order(pair):
+                seconds[side].append(time_runner(sides[side], name))
+        runners[name] = runner_record(seconds["parent"], seconds["change"])
+        print(f"{name}: median ratio {runners[name]['median_ratio']:.3f}", flush=True)
+    tier1 = {side: time_tier1(sides[side]) for side in order(1)}
     record = {
         "parent_commit": args.parent_commit,
         "change": args.note,
@@ -128,8 +190,12 @@ def main(argv=None) -> int:
         "protocol": (f"{PAIRS} pairs per workload; parent and change run back to "
                      "back with the same seed, the side that runs first alternating "
                      "between pairs; parent is the commit this change sits on, run "
-                     "from a separate checkout"),
+                     "from a separate checkout; runners: the same alternating pairs "
+                     "of fresh processes, one default runner call each; tier1: one "
+                     "run per side"),
         "workloads": workloads,
+        "runners": runners,
+        "tier1": tier1,
         "environment": environment or {"python": platform.python_version()},
     }
     path = ROOT / f"BENCH_{args.label}.json"
