@@ -373,7 +373,7 @@ def _require_subluminal(vmax: float, c: float) -> None:
 def internal_frequency(omega0: float, v, phi, params: PhysicalParams):
     """Clock frequency omega0 (1 - v^2/2c^2 + Phi/c^2); |v| < c required."""
     v = np.asarray(v, dtype=float)
-    _require_subluminal(float(np.max(np.abs(v), initial=0.0)), params.c)
+    _require_subluminal(float(np.abs(v).max(initial=0.0)), params.c)
     out = omega0 * (1.0 - v**2 / (2.0 * params.c**2) + np.asarray(phi, dtype=float) / params.c**2)
     return out if out.ndim else float(out)
 
