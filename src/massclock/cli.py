@@ -201,7 +201,7 @@ def _check_type(value, default, path: str, fixed_length: bool = False) -> None:
                     f"{path}[{i}]", fixed_length=True)
 
 
-def _validate_user_tree(user: dict, defaults: dict) -> None:
+def _check_user_tree(user: dict, defaults: dict) -> None:
     _check_keys(user, _TOP_KEYS, "config")
     _check_finite(user, "")
     for section in _SECTIONS:
@@ -285,7 +285,7 @@ def parse_config(source=None, experiment: Optional[str] = None,
             raise ConfigError(f"--set needs key=value, got {raw!r}")
         dotted, _, value = raw.partition("=")
         _apply_override(user, dotted.strip(), value, defaults)
-    _validate_user_tree(user, defaults)
+    _check_user_tree(user, defaults)
 
     merged = _merge(defaults, user)
     user_paths = set(_leaf_paths(user))
