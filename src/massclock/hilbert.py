@@ -44,6 +44,14 @@ def _require_positive(name: str, value: float) -> None:
         raise PreconditionError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_finite(name: str, value: float) -> None:
+    """The finite-value rule, for every quantity that may be zero or
+    negative (levels, grid bounds, fields, packet positions and momenta):
+    NaN and +/-inf fail it."""
+    if not -math.inf < value < math.inf:
+        raise PreconditionError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic spatial grid."""
@@ -53,6 +61,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        _require_finite("x_min", self.x_min)
+        _require_finite("x_max", self.x_max)
         if not self.x_max > self.x_min:
             raise PreconditionError("grid needs x_max > x_min")
         n = self.n_points
@@ -93,6 +103,8 @@ class InternalSpace:
         if levels.ndim != 1 or levels.dtype.kind not in "iuf":
             raise PreconditionError(f"levels must be a sequence of numbers, got {self.levels!r}")
         object.__setattr__(self, "levels", tuple(float(e) for e in levels))
+        for e in self.levels:
+            _require_finite("levels", e)
         _require_positive("E0", self.E0)
         if len(self.levels) < 1:
             raise PreconditionError("need at least one internal level")
@@ -147,6 +159,17 @@ class Potential:
     xs: tuple = ()
     phis: tuple = ()
 
+    def __post_init__(self):
+        _require_finite("g", self.g)
+        for name in ("xs", "phis"):
+            for value in getattr(self, name):
+                _require_finite(name, value)
+        if self.kind == "tabulated":
+            if len(self.xs) != len(self.phis) or len(self.xs) < 2:
+                raise PreconditionError("tabulated potential needs matching xs/phis, >= 2 points")
+            if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
+                raise PreconditionError("tabulated potential xs must be strictly increasing")
+
     @classmethod
     def none(cls) -> "Potential":
         return cls(kind="none")
@@ -158,13 +181,8 @@ class Potential:
 
     @classmethod
     def tabulated(cls, xs: Sequence[float], phis: Sequence[float]) -> "Potential":
-        xs = tuple(float(v) for v in xs)
-        phis = tuple(float(v) for v in phis)
-        if len(xs) != len(phis) or len(xs) < 2:
-            raise PreconditionError("tabulated potential needs matching xs/phis, >= 2 points")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise PreconditionError("tabulated potential xs must be strictly increasing")
-        return cls(kind="tabulated", xs=xs, phis=phis)
+        return cls(kind="tabulated", xs=tuple(float(v) for v in xs),
+                   phis=tuple(float(v) for v in phis))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -284,9 +302,12 @@ def gaussian_packet(grid: GridSpec, x0: float, p0: float, sigma: float,
                     hbar: float = 1.0) -> np.ndarray:
     """Normalized Gaussian exp(-(x-x0)^2/4 sigma^2 + i p0 x / hbar).
 
-    Preconditions: sigma >= 4 dx (resolvable) and x0 at least 4 sigma away
-    from both boundaries.
+    Preconditions: x0 and p0 finite, sigma positive and >= 4 dx
+    (resolvable), and x0 at least 4 sigma away from both boundaries.
     """
+    _require_finite("x0", x0)
+    _require_finite("p0", p0)
+    _require_positive("sigma", sigma)
     if sigma < 4.0 * grid.dx:
         raise GridResolutionError(
             f"sigma={sigma} unresolvable: need sigma >= 4 dx = {4.0 * grid.dx}"

@@ -7,6 +7,7 @@ Each test prints one ``ACCEPTANCE Cnn <label>: PASS`` line (shown with
 """
 
 import numpy as np
+import pytest
 from massclock import (
     GridSpec,
     HamiltonianKind,
@@ -102,20 +103,49 @@ def test_c03_extended_loop():
             f"1000 pairs, worst |alpha - a w| = {worst:.2e}")
 
 
-def test_c04_operational_equivalence():
-    """low_energy and dynamical_mass(+rest) terminal states agree to 1e-12."""
+C04_INTERNAL = InternalSpace(E0=100.0, levels=(0.0, 10.0))
+C04_DT, C04_STEPS = 5e-4, 2000
+
+
+@pytest.fixture(scope="module")
+def c04_terminals():
+    """Terminal states under low_energy and under dynamical_mass without
+    its rest term, from one packet in a uniform field."""
     grid = GridSpec(-40.0, 40.0, 2048)
-    internal = InternalSpace(E0=100.0, levels=(0.0, 10.0))
-    params = PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
+    params = PhysicalParams(hbar=1.0, c=10.0, E0=C04_INTERNAL.E0,
                             potential=Potential.uniform_field(0.5))
     psi = gaussian_packet(grid, -5.0, 1.0, 1.0)
-    state = make_superposition(grid, internal, np.full(2, 2**-0.5), psi)
-    a = propagate(state, HamiltonianKind.low_energy(), params, 5e-4, 2000)
-    b = propagate(state, HamiltonianKind.dynamical_mass(include_rest=True),
-                  params, 5e-4, 2000)
-    infidelity = abs(1.0 - abs(overlap(a, b)) ** 2)
-    _report("C04", "low-energy-equals-dynamical-mass", infidelity < 1e-12,
-            f"terminal infidelity = {infidelity:.2e}")
+    state = make_superposition(grid, C04_INTERNAL, np.full(2, 2**-0.5), psi)
+    return tuple(propagate(state, kind, params, C04_DT, C04_STEPS)
+                 for kind in (HamiltonianKind.low_energy(),
+                              HamiltonianKind.dynamical_mass()))
+
+
+def _c04_infidelity(terminals, rest_energies) -> float:
+    """Infidelity of the low_energy state against the dynamical_mass state
+    times the rest phase exp(-i H_r,i T / hbar) of each branch, with H_r,i
+    the given rest energies."""
+    low, dyn = terminals
+    rest = np.exp(-1j * np.asarray(rest_energies) * C04_DT * C04_STEPS)
+    subject = dyn.with_amplitudes(dyn.amplitudes * rest[:, None])
+    return abs(1.0 - abs(overlap(low, subject)) ** 2)
+
+
+def test_c04_operational_equivalence(c04_terminals):
+    """low_energy agrees to 1e-12 with dynamical_mass without its rest
+    term, times the closed-form rest phase exp(-i (E0 + E_i) T) per branch."""
+    rest = [C04_INTERNAL.E0 + e for e in C04_INTERNAL.levels]
+    infidelity = _c04_infidelity(c04_terminals, rest)
+    _report("C04", "low-energy-equals-dynamical-mass-with-rest-phase",
+            infidelity < 1e-12, f"terminal infidelity = {infidelity:.2e}")
+
+
+@pytest.mark.parametrize("rest", [
+    pytest.param([100.0, 100.0], id="E_i-dropped"),
+    pytest.param([100.0, 110.001], id="E_1-off-by-1e-3"),
+])
+def test_c04_fails_on_a_wrong_rest_phase(c04_terminals, rest):
+    assert _c04_infidelity(c04_terminals, rest) > 1e-12
 
 
 def test_c05_time_dilation():
@@ -187,6 +217,16 @@ def test_c08_newtonian_limit_convergence(default_sweep):
     slope = result.details["slope"]
     _report("C08", "newtonian-limit-slope", abs(slope - 1.0) <= 0.1,
             f"slope = {slope:.3f}")
+
+
+def test_c08_prediction_residual_is_second_order(default_sweep):
+    """|measured - predicted| of the Newtonian-limit sweep scales as eps^2
+    with log-log slope 2.0 +/- 0.1: the prediction is the whole
+    first-order discrepancy, and the sweep's pass reads this slope too."""
+    result = default_sweep
+    slope = result.details["residual_slope"]
+    _report("C08", "newtonian-limit-residual-slope",
+            abs(slope - 2.0) <= 0.1 and result.passed, f"residual slope = {slope:.3f}")
 
 
 def test_c09_weak_equivalence_principle(default_wep):

@@ -84,7 +84,8 @@ def test_a_runner_is_timed_in_a_fresh_process_of_its_checkout():
 
     root = Path(__file__).resolve().parents[1]
     assert bench_pairs.runner_names(root) == list(EXPERIMENTS)
-    assert 0.0 < bench_pairs.time_runner(root, "exp_clock_semiclassical") < 60.0
+    first, repeat = bench_pairs.time_runner(root, "exp_clock_semiclassical")
+    assert 0.0 < first < 60.0 and 0.0 < repeat < 60.0
 
 
 def test_tier1_record_keeps_the_summary_line(monkeypatch):

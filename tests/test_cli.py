@@ -406,8 +406,9 @@ class TestMain:
         assert (tmp_path / "o").exists()
 
     def test_run_numerical_precondition_exit_3(self, tmp_path, capsys):
-        # dt = 0.1 puts the kinetic phase per step above pi: the alias limit
-        code = main(["run", "exp_wep", "--set", "params.dt=0.1",
+        # dt = 0.075 (40 steps) puts the kinetic phase per step above pi:
+        # the alias limit
+        code = main(["run", "exp_wep", "--set", "params.dt=0.075",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert "dt*max|T|/hbar" in capsys.readouterr().out
@@ -516,6 +517,16 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert "must round to at least one step" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["exp_wep", "exp_newtonian_sweep",
+                                      "exp_clock_wavepacket"])
+    def test_window_of_a_fraction_of_a_step_exits_3(self, tmp_path, capsys, name):
+        # the predictions read total_time, so the run must propagate it
+        code = main(["run", name, "--set", "params.total_time=1.0001",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert "must be a whole number of steps" in capsys.readouterr().out
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("masses, match", [
@@ -663,7 +674,7 @@ _LEAVES = {
         {"physical.c": "20.0", "params.delta_e": "5.0", "params.height": "2.0",
          "params.total_time": "8.0", "params.g": "0.5", "params.tolerance": "0.0"}),
     "exp_newtonian_sweep": (
-        ("params.epsilons=[0.001,0.01,0.1,0.05]", "params.total_time=0.2",
+        ("params.epsilons=[0.001,0.01,0.1,0.05]", "params.total_time=0.21",
          "grid.n_points=256"),
         {"grid.x_min": "-9.0", "grid.x_max": "11.0", "params.m": "2.0",
          "params.epsilons": "[0.002,0.01,0.1,0.05]", "params.p0": "2.0",
@@ -675,7 +686,7 @@ _LEAVES = {
          "internal.levels": "[0.0,0.02]", "physical.c": "20.0",
          "params.kinds": '["split"]', "params.g": "2.0", "params.total_time": "1.5",
          "params.sigma": "3.0", "params.x0": "2.0", "params.dt": "5e-4",
-         "params.sample_every": "5", "params.accel_tolerance": "0.0"}),
+         "params.sample_every": "2", "params.accel_tolerance": "0.0"}),
     "exp_frame_phase": (
         (),
         {"internal.E0": "250.0", "internal.levels": "[0.0,20.0]",
@@ -690,10 +701,10 @@ _EXEMPT = {
         "grid.n_points": ("256", "sets the resolution, which the sigma >= 4 dx and alias "
                                  "rules bound (exit 3); 512 -> 256 or 1024: <= 4.8e-13")},
     "exp_newtonian_sweep": {
-        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 4.8e-14")},
+        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 1.8e-14")},
     "exp_wep": {
         "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512 or 1024: "
-                                 "<= 1.6e-12")},
+                                 "<= 1.2e-12")},
 }
 
 

@@ -188,13 +188,43 @@ class TestNewtonianSweep:
                 2.0 * r_s["phase_discrepancy_measured"], rel=1e-3)
 
     def test_residual_of_the_prediction_is_second_order(self, default_sweep):
-        # the prediction is the whole first-order discrepancy
+        # the prediction is the whole first-order discrepancy; the run's
+        # residual slope is the one its rows give
         r = default_sweep
         eps = [row["epsilon"] for row in r.rows]
         resid = [abs(row["phase_discrepancy_measured"] - row["phase_discrepancy_predicted"])
                  for row in r.rows]
         slope = np.polyfit(np.log(eps), np.log(resid), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
+        assert r.details["residual_slope"] == pytest.approx(slope, abs=1e-12)
+
+    def test_a_prediction_off_by_a_first_order_term_fails(self, monkeypatch):
+        # 1 % of the prediction is a first-order residual: the slope of
+        # measured alone (C08) cannot see it, the residual slope can
+        exact = experiments.predicted_sweep_discrepancy
+        monkeypatch.setattr(experiments, "predicted_sweep_discrepancy",
+                            lambda *args: 1.01 * exact(*args))
+        r = exp_newtonian_sweep(epsilons=[1e-3, 1e-1])
+        assert abs(r.details["slope"] - 1.0) <= 0.1
+        assert abs(r.details["residual_slope"] - 2.0) > 0.1
+        assert not r.passed
+
+    def test_halving_dt_keeps_the_strang_error_inside_its_budget(self, default_sweep):
+        # budget: 1 % of what a check reads from each column, the row's
+        # residual for the discrepancy and the value for the others.  For a
+        # second-order step the move to dt/2 is 3/4 of the error at dt, so
+        # a move within 1/4 of the budget bounds that error by a third of it.
+        # Every run of the stack keeps the bits it has alone, so two eps
+        # values stand for the rows of the full sweep.
+        half = exp_newtonian_sweep(epsilons=[1e-3, 1e-1], dt=1.5e-3)
+        rows = {row["epsilon"]: row for row in default_sweep.rows}
+        for row in half.rows:
+            full = rows[row["epsilon"]]
+            resid = abs(full["phase_discrepancy_measured"] - full["phase_discrepancy_predicted"])
+            for key, read in (("phase_discrepancy_measured", resid),
+                              ("state_distance", full["state_distance"]),
+                              ("infidelity", full["infidelity"])):
+                assert abs(row[key] - full[key]) <= 0.25 * 0.01 * read + 1e-12, key
 
     def test_c_cancels_from_the_rows(self, default_sweep, monkeypatch):
         # the run's fixed c is not a quantity of the rows: 10 -> 100 moves
@@ -232,6 +262,20 @@ class TestWep:
         assert len(accel) == 8  # 4 kinds x 2 branches
         for row in accel:
             assert row["rel_error"] < 1e-6
+
+    def test_halving_dt_keeps_the_strang_error_inside_its_budget(self, default_wep):
+        # budget: 1 % of the tightest tolerance reading each column,
+        # accel_tolerance |g| (g = 1) and, for the newtonian clock, its 1e-8
+        # bound; as for the sweep, a move within 1/4 of it bounds the error
+        # at dt by a third.  Sampling every 8 steps keeps the sample times.
+        half = exp_wep(dt=1.25e-3, sample_every=8)
+        tol = default_wep.tolerance
+        for row, full in zip(half.rows, default_wep.rows):
+            newtonian_clock = full["kind"] == "newtonian" and full["quantity"] == "clock_shift"
+            budget = 0.01 * (tol["newtonian_shift_abs"] if newtonian_clock
+                             else tol["accel_rel"])
+            assert row["predicted"] == full["predicted"]
+            assert abs(row["measured"] - full["measured"]) <= 0.25 * budget + 1e-13
 
     def test_newtonian_branches_share_acceleration(self):
         r = exp_wep(kinds=["newtonian"])

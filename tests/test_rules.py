@@ -5,7 +5,8 @@ it by its key, so ``exp_*(...)`` raises PreconditionError, and ``massclock
 run`` and ``massclock validate`` exit 2 with ``config error: <key>: `` and
 the same text.  An input a runner handles (it drops a clock or relative
 row) runs from the CLI too, with the rows of the Python call.  Every
-constant passes one positive-and-finite rule, every speed one rule below c.
+constant passes one positive-and-finite rule, every speed one rule below c,
+and every quantity that may be zero or negative one finite rule.
 """
 
 import json
@@ -19,6 +20,7 @@ from massclock import (
     HamiltonianKind,
     InternalSpace,
     PhysicalParams,
+    Potential,
     PreconditionError,
     SuperluminalError,
     gaussian_packet,
@@ -143,13 +145,13 @@ HANDLED = {
         exp_bargmann, {"masses": [1.0], "pairs": [(0.5, 0.8)]},
         ["params.masses=[1.0]", "params.pairs=[[0.5,0.8]]"], 1),
     "sweep-two-eps": (
-        exp_newtonian_sweep, {**_SMALL, "epsilons": [0.01, 0.1], "total_time": 0.2},
-        ["grid.n_points=256", "params.epsilons=[0.01,0.1]", "params.total_time=0.2"], 2),
+        exp_newtonian_sweep, {**_SMALL, "epsilons": [0.01, 0.1], "total_time": 0.21},
+        ["grid.n_points=256", "params.epsilons=[0.01,0.1]", "params.total_time=0.21"], 2),
     "sweep-three-eps": (
         exp_newtonian_sweep,
-        {**_SMALL, "epsilons": [0.001, 0.01, 0.1], "total_time": 0.2},
+        {**_SMALL, "epsilons": [0.001, 0.01, 0.1], "total_time": 0.21},
         ["grid.n_points=256", "params.epsilons=[0.001,0.01,0.1]",
-         "params.total_time=0.2"], 3),
+         "params.total_time=0.21"], 3),
     "wep-one-level": (
         exp_wep, {**_SMALL, "internal": ONE_LEVEL, "kinds": ["low_energy"],
                   "total_time": 1.0},
@@ -197,6 +199,7 @@ POSITIVE = {
     "m": [lambda v: exp_newtonian_sweep(m=v)],
     "masses": [lambda v: internal_space_from_masses([v, 1.0], 1.0),
                lambda v: exp_bargmann(masses=[1.0, v])],
+    "sigma": [lambda v: gaussian_packet(_GRID, 0.0, 0.0, v)],
 }
 
 
@@ -206,6 +209,31 @@ def test_every_constant_must_be_positive_and_finite(name, value):
     for call in POSITIVE[name]:
         with pytest.raises(PreconditionError,
                            match=rf"^{name} must be positive and finite, got {value!r}$"):
+            call(value)
+
+
+# Per quantity that may be zero or negative, the calls that take it.
+FINITE = {
+    "levels": [lambda v: InternalSpace(E0=100.0, levels=(0.0, v)),
+               lambda v: InternalSpace(E0=100.0, levels=(v, 0.0))],
+    "x_min": [lambda v: GridSpec(v, 40.0, 64)],
+    "x_max": [lambda v: GridSpec(-40.0, v, 64)],
+    "g": [lambda v: Potential.uniform_field(v), lambda v: exp_wep(g=v),
+          lambda v: exp_interferometer(g=v)],
+    "xs": [lambda v: Potential.tabulated([0.0, v], [0.0, 1.0])],
+    "phis": [lambda v: Potential.tabulated([0.0, 1.0], [v, 1.0])],
+    "x0": [lambda v: gaussian_packet(_GRID, v, 0.0, 1.0), lambda v: exp_wep(x0=v)],
+    "p0": [lambda v: gaussian_packet(_GRID, 0.0, v, 1.0)],
+    "total_time": [lambda v: exp_wep(total_time=v), lambda v: exp_newtonian_sweep(total_time=v),
+                   lambda v: exp_clock_wavepacket(total_time=v)],
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_every_quantity_that_may_be_zero_or_negative_must_be_finite(name, value):
+    for call in FINITE[name]:
+        with pytest.raises(PreconditionError, match=rf"^{name} must be finite, got {value!r}$"):
             call(value)
 
 

@@ -21,7 +21,10 @@ Two more records come from the same alternating fresh processes, each
 importing its checkout's ``src/``.  ``runners`` times every registered
 runner's default call (``EXPERIMENTS[name].runner()``, the runner call
 alone), once per side in each of the same ``PAIRS`` pairs, with the
-medians, their ratio and the pairs the change wins.  ``tier1`` times one
+medians, their ratio and the pairs the change wins; the process then
+calls the runner again, and ``repeat`` holds that second call's record,
+so the first call's extra cost (a CLI run is always a first call) is
+the difference of the two.  ``tier1`` times one
 Tier-1 run (``python -m pytest -q``) per side and keeps its summary line.
 The record is written at the root of the repository this file sits in.
 Only the standard library is used.
@@ -47,12 +50,15 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 # A fresh process that prints the registered runner names, or the seconds
-# one default call of the runner named by its argument takes.
+# of a first and a second default call of the runner named by its argument.
 RUNNERS = ("import json; from massclock.experiments import EXPERIMENTS; "
            "print(json.dumps(list(EXPERIMENTS)))")
 RUNNER_TIMER = ("import json, sys, time; from massclock.experiments import EXPERIMENTS; "
-                "runner = EXPERIMENTS[sys.argv[1]].runner; start = time.perf_counter(); "
-                "runner(); print(json.dumps(time.perf_counter() - start))")
+                "runner = EXPERIMENTS[sys.argv[1]].runner; seconds = []\n"
+                "for _ in range(2):\n"
+                "    start = time.perf_counter(); runner(); "
+                "seconds.append(time.perf_counter() - start)\n"
+                "print(json.dumps(seconds))")
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -72,8 +78,9 @@ def runner_names(checkout: Path) -> list:
     return json.loads(_python(checkout, ["-c", RUNNERS]).stdout)
 
 
-def time_runner(checkout: Path, name: str) -> float:
-    """Seconds of one default call of the runner ``name`` in a fresh process."""
+def time_runner(checkout: Path, name: str) -> list:
+    """Seconds of the first and the second default call of the runner
+    ``name`` in one fresh process."""
     return json.loads(_python(checkout, ["-c", RUNNER_TIMER, name]).stdout.splitlines()[-1])
 
 
@@ -174,11 +181,14 @@ def main(argv=None) -> int:
         }
     runners = {}
     for name in runner_names(sides["change"]):
-        seconds = {"parent": [], "change": []}
+        first, repeat = {"parent": [], "change": []}, {"parent": [], "change": []}
         for pair in range(1, PAIRS + 1):
             for side in order(pair):
-                seconds[side].append(time_runner(sides[side], name))
-        runners[name] = runner_record(seconds["parent"], seconds["change"])
+                calls = time_runner(sides[side], name)
+                first[side].append(calls[0])
+                repeat[side].append(calls[1])
+        runners[name] = {**runner_record(first["parent"], first["change"]),
+                         "repeat": runner_record(repeat["parent"], repeat["change"])}
         print(f"{name}: median ratio {runners[name]['median_ratio']:.3f}", flush=True)
     tier1 = {side: time_tier1(sides[side]) for side in order(1)}
     record = {
@@ -191,8 +201,8 @@ def main(argv=None) -> int:
                      "back with the same seed, the side that runs first alternating "
                      "between pairs; parent is the commit this change sits on, run "
                      "from a separate checkout; runners: the same alternating pairs "
-                     "of fresh processes, one default runner call each; tier1: one "
-                     "run per side"),
+                     "of fresh processes, a first and a repeat default runner call "
+                     "each; tier1: one run per side"),
         "workloads": workloads,
         "runners": runners,
         "tier1": tier1,
