@@ -1,7 +1,9 @@
 """Acceptance gate: the ten headline checks at their stated tolerances.
 
-Each test prints one ``ACCEPTANCE Cnn <label>: PASS`` line (shown with
-``pytest -s`` or in captured output on failure).  Run the whole module:
+Each ``test_cNN_*`` check prints one ``ACCEPTANCE Cnn <label>: PASS`` line
+(shown with ``pytest -s`` or in captured output on failure); C08 has two.
+``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail.  Run the
+whole module:
 
     pytest tests/test_acceptance.py -v
 """
