@@ -24,11 +24,12 @@ The experiment's runner is the single source of its defaults: ``grid``,
 ``internal``, ``c`` and one ``params`` key per keyword argument, read from
 its signature.  A runner takes one key per quantity that moves its rows
 (units hbar = 1), so a section it takes nothing from is empty; ``massclock
-list`` prints each runner's keys.  A ``params`` value has the JSON type of
-its default: an integer default takes only an integer, a float default any
-number, a list default a list whose items have the type of the default's
-items (a pair stays a pair).  NaN and +-Infinity, which JSON parsing
-accepts, are a config error anywhere in the tree.
+list`` prints each runner's keys.  Every value in the tree, in a section
+or not, has the JSON type of its default: an integer default takes only an
+integer, a float default any number, a list default a list whose items
+have the type of the default's items (a pair stays a pair).  NaN and
++-Infinity, which JSON parsing accepts, are a config error anywhere in the
+tree.
 
 A runner's rules are its own: the objects built from a config apply their
 invariants (each constant positive and finite), then each rule the
@@ -77,9 +78,7 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_TOLERANCE = 4
 
-_SECTIONS = ("grid", "internal", "physical", "params")
 _RUN_DEFAULTS = {"output": "runs", "format": "csv"}
-_TOP_KEYS = ("experiment",) + _SECTIONS + tuple(_RUN_DEFAULTS)
 # What building a physics object from a config value can raise.
 _BAD_VALUE = (MassclockError, TypeError, ValueError)
 
@@ -110,12 +109,6 @@ def _unknown_key(key: str, allowed: Sequence[str], where: str) -> ConfigError:
     return ConfigError(f"unknown key {key!r} in {where}{suffix}")
 
 
-def _check_keys(user: dict, allowed: Sequence[str], where: str) -> None:
-    for key in user:
-        if key not in allowed:
-            raise _unknown_key(key, allowed, where)
-
-
 def _merge(base: dict, user: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in user.items():
@@ -144,43 +137,32 @@ def _parse_set_value(raw: str):
         return raw
 
 
-def _apply_override(user: dict, dotted: str, raw: str, schema: dict) -> None:
-    """Set ``dotted`` in the user tree, validating the path against the
-    experiment's defaults tree."""
-    parts = dotted.split(".")
-    node_schema = schema
+def _apply_override(user: dict, dotted: str, raw: str) -> None:
+    """Set ``dotted`` in the user tree; ``_check_tree`` checks the result."""
+    *sections, leaf = dotted.split(".")
     node = user
-    for depth, part in enumerate(parts):
-        allowed = list(node_schema) if isinstance(node_schema, dict) else []
-        if part not in allowed:
-            where = ".".join(parts[:depth]) or "config"
-            raise _unknown_key(part, allowed, where)
-        last = depth == len(parts) - 1
-        if last:
-            node[part] = _parse_set_value(raw)
-        else:
-            node_schema = node_schema[part]
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"--set path {dotted!r} descends into a non-section key")
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set path {dotted!r} descends into a non-section key")
+    node[leaf] = _parse_set_value(raw)
+
+
+# The JSON type of a value, with its article; a tuple from Python reads as a list.
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+               bool: "a boolean", list: "a list", tuple: "a list",
+               dict: "an object", type(None): "null"}
 
 
 def _json_type(value) -> str:
-    """The JSON type of a value, with its article: 'an integer' for an int,
-    'a number' for a float, else 'a' and the Python type name."""
-    if type(value) is int:
-        return "an integer"
-    return "a number" if type(value) is float else f"a {type(value).__name__}"
+    return _JSON_TYPES.get(type(value), f"a {type(value).__name__}")
 
 
 def _check_finite(value, path: str) -> None:
-    """Reject NaN and +-Infinity anywhere below ``path``, lists and tuples too."""
+    """Reject NaN and +-Infinity in a leaf, its lists and tuples too."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}.{key}" if path else key)
-    elif isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _check_finite(item, f"{path}[{i}]")
 
@@ -201,16 +183,21 @@ def _check_type(value, default, path: str, fixed_length: bool = False) -> None:
                     f"{path}[{i}]", fixed_length=True)
 
 
-def _check_user_tree(user: dict, defaults: dict) -> None:
-    _check_keys(user, _TOP_KEYS, "config")
-    _check_finite(user, "")
-    for section in _SECTIONS:
-        if section in user:
-            if not isinstance(user[section], dict):
-                raise ConfigError(f"{section!r} must be an object")
-            _check_keys(user[section], list(defaults[section]), section)
-    for key, value in user.get("params", {}).items():
-        _check_type(value, defaults["params"][key], f"params.{key}")
+def _check_tree(user: dict, defaults: dict, where: str = "") -> None:
+    """Walk the user tree along the defaults tree: every key must be known,
+    every section an object, and every leaf finite and of its default's
+    JSON type."""
+    for key, value in user.items():
+        if key not in defaults:
+            raise _unknown_key(key, list(defaults), where or "config")
+        path = f"{where}.{key}" if where else key
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path!r} must be an object")
+            _check_tree(value, defaults[key], path)
+        else:
+            _check_finite(value, path)
+            _check_type(value, defaults[key], path)
 
 
 def build_objects(config: "RunConfig") -> dict:
@@ -284,8 +271,8 @@ def parse_config(source=None, experiment: Optional[str] = None,
         if "=" not in raw:
             raise ConfigError(f"--set needs key=value, got {raw!r}")
         dotted, _, value = raw.partition("=")
-        _apply_override(user, dotted.strip(), value, defaults)
-    _check_user_tree(user, defaults)
+        _apply_override(user, dotted.strip(), value)
+    _check_tree(user, defaults)
 
     merged = _merge(defaults, user)
     user_paths = set(_leaf_paths(user))

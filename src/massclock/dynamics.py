@@ -5,20 +5,20 @@ momentum-diagonal part T_i(p) and a position-diagonal part V_i(x), with
 H_r,i = E0 + E_i the branch rest energy, M_i = H_r,i / c^2, m = E0/c^2:
 
   exact           T = sqrt(c^2 p^2 + H_r^2)          V = M Phi(x)
-  dynamical_mass  T = p^2 c^2 / 2 H_r  [+ H_r]       V = M Phi(x)
+  dynamical_mass  T = p^2 c^2 / 2 H_r                V = M Phi(x)
   low_energy      T = H_r + p^2 c^2 / 2 H_r          V = M Phi(x)
   split           T = p^2 c^2/2E0 - E_i p^2 c^2/2E0^2
                                                      V = H_r + H_r Phi(x)/c^2
   newtonian       T = p^2 / 2m                       V = m c^2 + E_i + m Phi(x)
 
-Each row is an entry of the kind table ``_KINDS`` (T, dT/dp and V), keyed
-by label; dynamical_mass+rest is its own entry.  The propagator, the
-residual check, the velocity readout and branch_* all read it.
+Each row is a HamiltonianKind (T, dT/dp and V) of the kind table
+``_KINDS``, keyed by name; dynamical_mass+rest, dynamical_mass with its
+rest term H_r, is low_energy's row under that name.  The propagator, the
+residual check, the velocity readout and branch_* read the row they get.
 
 The exact kind models a static weak field, g00 = -(1 + 2 Phi/c^2) with flat
 spatial metric; the metric factor is folded into V as the additive M Phi(x)
-term, accurate to the same order as the low-energy form.  low_energy and
-dynamical_mass with the rest flag are the same operator by construction.
+term, accurate to the same order as the low-energy form.
 
 Propagation is Strang splitting,
 exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
@@ -45,10 +45,10 @@ the bits of a loop over single samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,116 +93,108 @@ def _branches(internal: InternalSpace, params: PhysicalParams,
                            c=params.c, m=params.m)
 
 
-class _Kind(NamedTuple):
-    """T(p, b), dT/dp(p, b) and V(Phi, b) of one kind."""
+@dataclass(frozen=True)
+class HamiltonianKind:
+    """One row of the kind table: T(p, b), dT/dp(p, b) and V(Phi, b) under
+    a name.  Equality, hashing and repr read the name alone."""
 
-    kinetic: Callable
-    velocity: Callable
-    potential: Callable
+    name: str
+    kinetic: Callable = field(compare=False, repr=False)
+    velocity: Callable = field(compare=False, repr=False)
+    potential: Callable = field(compare=False, repr=False)
+
+    @classmethod
+    def exact(cls):
+        return cls.from_name("exact")
+
+    @classmethod
+    def dynamical_mass(cls):
+        return cls.from_name("dynamical_mass")
+
+    @classmethod
+    def low_energy(cls):
+        return cls.from_name("low_energy")
+
+    @classmethod
+    def split(cls):
+        return cls.from_name("split")
+
+    @classmethod
+    def newtonian(cls):
+        return cls.from_name("newtonian")
+
+    @classmethod
+    def from_name(cls, name: str) -> "HamiltonianKind":
+        """The table row named ``name`` (surrounding whitespace ignored)."""
+        if not isinstance(name, str):
+            raise PreconditionError(f"a Hamiltonian kind is named by a string, got {name!r}")
+        name = name.strip()
+        if name not in _KINDS:
+            raise PreconditionError(f"unknown Hamiltonian kind {name!r}; "
+                                    f"known: {', '.join(_KINDS)}")
+        return _KINDS[name]
 
 
 # H_r = M c^2 plays the mass: the low-energy form, which is dynamical_mass
 # with its rest term by construction; the other mass-energy kinds vary it.
-_LOW_ENERGY = _Kind(
+_LOW_ENERGY = HamiltonianKind(
+    "low_energy",
     lambda p, b: b.hr + p**2 * b.c**2 / (2.0 * b.hr),
     lambda p, b: p * b.c**2 / b.hr,
     lambda phi, b: (b.hr / b.c**2) * phi)
 
-# The kind table (see the module docstring), keyed by HamiltonianKind.label().
-_KINDS = {
-    "exact": _LOW_ENERGY._replace(
-        kinetic=lambda p, b: np.sqrt(b.c**2 * p**2 + b.hr**2),
-        velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2)),
-    "dynamical_mass": _LOW_ENERGY._replace(
-        kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr)),
-    "dynamical_mass+rest": _LOW_ENERGY,
-    "low_energy": _LOW_ENERGY,
-    "split": _Kind(
+# The kind table (see the module docstring), keyed by name.
+_KINDS = {kind.name: kind for kind in (
+    replace(_LOW_ENERGY, name="exact",
+            kinetic=lambda p, b: np.sqrt(b.c**2 * p**2 + b.hr**2),
+            velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2)),
+    replace(_LOW_ENERGY, name="dynamical_mass",
+            kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr)),
+    replace(_LOW_ENERGY, name="dynamical_mass+rest"),
+    _LOW_ENERGY,
+    HamiltonianKind(
+        "split",
         lambda p, b: (p**2 * b.c**2 / (2.0 * b.e0)
                       - b.ei * p**2 * b.c**2 / (2.0 * b.e0**2)),
         lambda p, b: p * b.c**2 / b.e0 - b.ei * p * b.c**2 / b.e0**2,
         lambda phi, b: b.hr + b.hr * phi / b.c**2),
-    "newtonian": _Kind(
+    HamiltonianKind(
+        "newtonian",
         lambda p, b: p**2 / (2.0 * b.m),
         lambda p, b: p / b.m,
         lambda phi, b: b.m * b.c**2 + b.ei + b.m * phi),
-}
-
-
-@dataclass(frozen=True)
-class HamiltonianKind:
-    """One of the five dynamics models; the rest-energy flag applies only to
-    dynamical_mass (low_energy always carries its rest term)."""
-
-    name: str
-    include_rest: bool = False
-
-    def __post_init__(self):
-        # "+rest" is the include_rest flag, never part of a name
-        if self.label() not in _KINDS or "+" in self.name:
-            raise PreconditionError(f"unknown Hamiltonian kind {self.label()!r}; "
-                                    f"known: {', '.join(_KINDS)}")
-
-    @classmethod
-    def exact(cls):
-        return cls("exact")
-
-    @classmethod
-    def dynamical_mass(cls, include_rest: bool = False):
-        return cls("dynamical_mass", include_rest=include_rest)
-
-    @classmethod
-    def low_energy(cls):
-        return cls("low_energy")
-
-    @classmethod
-    def split(cls):
-        return cls("split")
-
-    @classmethod
-    def newtonian(cls):
-        return cls("newtonian")
-
-    @classmethod
-    def from_name(cls, label: str) -> "HamiltonianKind":
-        if not isinstance(label, str):
-            raise PreconditionError(f"a Hamiltonian kind is named by a string, got {label!r}")
-        label = label.strip()
-        return cls(label.removesuffix("+rest"), include_rest=label.endswith("+rest"))
-
-    def label(self) -> str:
-        return str(self.name) + ("+rest" if self.include_rest else "")
+)}
 
 
 def _tables(kind: HamiltonianKind, grid: GridSpec, internal: InternalSpace,
             params: PhysicalParams) -> Tuple[np.ndarray, np.ndarray]:
     """(dim, N) tables T_i(p_k) and V_i(x_n) of every branch (read-only)."""
-    entry, b = _KINDS[kind.label()], _branches(internal, params)
+    b = _branches(internal, params)
     shape = (internal.dim, grid.n_points)
-    t_table = entry.kinetic(grid.p(params.hbar), b)
-    v_table = entry.potential(params.potential.values(grid.x()), b)
+    t_table = kind.kinetic(grid.p(params.hbar), b)
+    v_table = kind.potential(params.potential.values(grid.x()), b)
     return np.broadcast_to(t_table, shape), np.broadcast_to(v_table, shape)
 
 
 def branch_kinetic(kind: HamiltonianKind, internal: InternalSpace,
                    params: PhysicalParams, level: int) -> Callable[[np.ndarray], np.ndarray]:
     """T_i as a function of momentum (scalar or array)."""
-    entry, b = _KINDS[kind.label()], _branches(internal, params, level)
-    return lambda p: entry.kinetic(np.asarray(p, dtype=float), b)
+    b = _branches(internal, params, level)
+    return lambda p: kind.kinetic(np.asarray(p, dtype=float), b)
 
 
 def branch_velocity(kind: HamiltonianKind, internal: InternalSpace,
                     params: PhysicalParams, level: int) -> Callable[[np.ndarray], np.ndarray]:
     """dT_i/dp as a function of momentum."""
-    entry, b = _KINDS[kind.label()], _branches(internal, params, level)
-    return lambda p: entry.velocity(np.asarray(p, dtype=float), b)
+    b = _branches(internal, params, level)
+    return lambda p: kind.velocity(np.asarray(p, dtype=float), b)
 
 
 def branch_potential(kind: HamiltonianKind, internal: InternalSpace,
                      params: PhysicalParams, level: int, x: np.ndarray) -> np.ndarray:
     """V_i(x) including any rest-energy constants the kind carries there."""
-    entry, b = _KINDS[kind.label()], _branches(internal, params, level)
-    return entry.potential(params.potential.values(x), b)
+    b = _branches(internal, params, level)
+    return kind.potential(params.potential.values(x), b)
 
 
 def expectation_velocity(state: CompositeState, kind: HamiltonianKind,

@@ -246,6 +246,9 @@ def exp_bargmann(masses: Sequence[float] = (1.0, 1.1), *,
     reads the masses as given, and one mass has no relative row."""
     mass_values = [float(m) for m in masses]
     internal = internal_space_from_masses(mass_values, 1.0)
+    for a, w in pairs:
+        _require_finite("a", a)
+        _require_finite("w", w)
     params = PhysicalParams(c=1.0, E0=internal.E0)
     state = _probe(internal)
 
@@ -286,10 +289,12 @@ CLOCK_GH_OVER_C2 = (1e-3, 1e-2)
 def _clock_cases(v_over_c: Sequence[float],
                  gh_over_c2: Sequence[float]) -> List[Tuple[float, float]]:
     """The clocks (v/c, gh/c^2): one per moving clock (v/c, 0) and per
-    raised clock (0, gh/c^2); every ratio must be << 1."""
-    for ratio in list(v_over_c) + list(gh_over_c2):
-        if abs(ratio) >= 0.5:
-            raise PreconditionError(f"ratio {ratio} is not << 1")
+    raised clock (0, gh/c^2); every ratio must be finite and << 1."""
+    for name, ratios in (("v_over_c", v_over_c), ("gh_over_c2", gh_over_c2)):
+        for ratio in ratios:
+            _require_finite(name, ratio)
+            if abs(ratio) >= 0.5:
+                raise PreconditionError(f"ratio {ratio} is not << 1")
     return [(r, 0.0) for r in v_over_c] + [(0.0, r) for r in gh_over_c2]
 
 
@@ -460,6 +465,9 @@ def exp_interferometer(c: float = DEFAULT_C, *,
     paths are sampled at 2001 points; Simpson's rule is exact on the bump
     from 7 samples up, so the count moves no row."""
     params = PhysicalParams(c=c, potential=Potential.uniform_field(g))
+    _require_finite("delta_e", delta_e)
+    _require_finite("height", height)
+    _require_finite("total_time", total_time)
     traj1 = static_trajectory(0.0, total_time, 2001)
     traj2 = bump_trajectory(height, total_time, 2001)
     return interferometer_on_paths(traj1, traj2, delta_e=delta_e,
@@ -621,7 +629,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
             vels = velocities[:, first_rows[r] + level]
             accel = float(np.polyfit(times, vels, 1)[0])
             abs_err = abs(accel - (-g))
-            rows.append({"kind": kind.label(), "quantity": "acceleration",
+            rows.append({"kind": kind.name, "quantity": "acceleration",
                          "branch": str(level + 1), "measured": accel,
                          "predicted": -g, "abs_error": abs_err,
                          "rel_error": abs_err / abs(g) if g != 0.0 else abs_err})
@@ -632,12 +640,12 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
             else:
                 predicted_shift = regression_shift_prediction(
                     times, 0.0, g, x0, sigma, m, c)
-                if kind.label() == "dynamical_mass":
+                if kind.name == "dynamical_mass":
                     # no rest term E_i in H: the clock runs at omega0 * shift
                     predicted_shift -= 1.0
             abs_err = abs(measured_shift - predicted_shift)
             rel = abs_err / abs(predicted_shift) if predicted_shift != 0.0 else abs_err
-            rows.append({"kind": kind.label(), "quantity": "clock_shift",
+            rows.append({"kind": kind.name, "quantity": "clock_shift",
                          "branch": "-", "measured": measured_shift,
                          "predicted": predicted_shift, "abs_error": abs_err,
                          "rel_error": rel})

@@ -2,11 +2,14 @@
 
 Each ``test_cNN_*`` check prints one ``ACCEPTANCE Cnn <label>: PASS`` line
 (shown with ``pytest -s`` or in captured output on failure); C08 has two.
-``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail.  Run the
-whole module:
+``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail, and
+``test_a_defect_in_a_kind_row_fails_its_check`` that a defect in each kind
+row a check reads fails that check.  Run the whole module:
 
     pytest tests/test_acceptance.py -v
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -33,12 +36,15 @@ from massclock import (
     triangular_trajectory,
     wrap_angle,
 )
+from massclock.dynamics import _KINDS
 from massclock.experiments import (
     DEFAULT_BARGMANN_PAIRS,
     exp_bargmann,
     exp_clock_semiclassical,
     exp_clock_wavepacket,
     exp_frame_phase,
+    exp_newtonian_sweep,
+    exp_wep,
 )
 
 import oracles
@@ -107,10 +113,10 @@ def test_c03_extended_loop():
 
 C04_INTERNAL = InternalSpace(E0=100.0, levels=(0.0, 10.0))
 C04_DT, C04_STEPS = 5e-4, 2000
+C04_REST = [C04_INTERNAL.E0 + e for e in C04_INTERNAL.levels]
 
 
-@pytest.fixture(scope="module")
-def c04_terminals():
+def _c04_terminals():
     """Terminal states under low_energy and under dynamical_mass without
     its rest term, from one packet in a uniform field."""
     grid = GridSpec(-40.0, 40.0, 2048)
@@ -121,6 +127,11 @@ def c04_terminals():
     return tuple(propagate(state, kind, params, C04_DT, C04_STEPS)
                  for kind in (HamiltonianKind.low_energy(),
                               HamiltonianKind.dynamical_mass()))
+
+
+@pytest.fixture(scope="module")
+def c04_terminals():
+    return _c04_terminals()
 
 
 def _c04_infidelity(terminals, rest_energies) -> float:
@@ -136,8 +147,7 @@ def _c04_infidelity(terminals, rest_energies) -> float:
 def test_c04_operational_equivalence(c04_terminals):
     """low_energy agrees to 1e-12 with dynamical_mass without its rest
     term, times the closed-form rest phase exp(-i (E0 + E_i) T) per branch."""
-    rest = [C04_INTERNAL.E0 + e for e in C04_INTERNAL.levels]
-    infidelity = _c04_infidelity(c04_terminals, rest)
+    infidelity = _c04_infidelity(c04_terminals, C04_REST)
     _report("C04", "low-energy-equals-dynamical-mass-with-rest-phase",
             infidelity < 1e-12, f"terminal infidelity = {infidelity:.2e}")
 
@@ -148,6 +158,29 @@ def test_c04_operational_equivalence(c04_terminals):
 ])
 def test_c04_fails_on_a_wrong_rest_phase(c04_terminals, rest):
     assert _c04_infidelity(c04_terminals, rest) > 1e-12
+
+
+# One defect per distinct kind row (dynamical_mass+rest holds low_energy's
+# callables) and the check that reads the row, as a call that is True when
+# the check passes.  No check reads exact, since no runner propagates it.
+ROW_DEFECTS = [
+    pytest.param("dynamical_mass", "kinetic", lambda p, b: p**2 * b.c**2 / (2.0 * b.e0),
+                 lambda: _c04_infidelity(_c04_terminals(), C04_REST) < 1e-12,
+                 id="dynamical_mass-T-with-m-C04"),
+    pytest.param("low_energy", "potential", lambda phi, b: (b.e0 / b.c**2) * phi,
+                 lambda: exp_wep().passed, id="low_energy-V-with-m-C09"),
+    pytest.param("split", "kinetic", lambda p, b: p**2 * b.c**2 / (2.0 * b.e0),
+                 lambda: exp_newtonian_sweep().passed, id="split-T-without-E_i-C08"),
+    pytest.param("newtonian", "potential", lambda phi, b: b.m * b.c**2 + b.m * phi,
+                 lambda: exp_wep().passed, id="newtonian-V-without-E_i-C09"),
+]
+
+
+@pytest.mark.parametrize("name, part, defect, check_passes", ROW_DEFECTS)
+def test_a_defect_in_a_kind_row_fails_its_check(monkeypatch, name, part, defect,
+                                                 check_passes):
+    monkeypatch.setitem(_KINDS, name, dataclasses.replace(_KINDS[name], **{part: defect}))
+    assert not check_passes()
 
 
 def test_c05_time_dilation():

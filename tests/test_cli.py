@@ -132,10 +132,20 @@ class TestParseConfig:
             parse_config(source, overrides=overrides)
 
     @pytest.mark.parametrize("name, override, match", [
-        pytest.param("exp_frame_phase", 'internal.levels="05"', "internal: levels",
-                     id="string-levels"),
-        pytest.param("exp_frame_phase", "internal.levels=5", "internal: levels",
-                     id="number-levels"),
+        pytest.param("exp_frame_phase", 'internal.levels="05"',
+                     "internal.levels must be a list", id="string-levels"),
+        pytest.param("exp_frame_phase", "internal.levels=5",
+                     "internal.levels must be a list", id="number-levels"),
+        pytest.param("exp_frame_phase", "internal.levels=[0,true]",
+                     r"internal\.levels\[1\] must be a number, got True", id="bool-level"),
+        pytest.param("exp_wep", "grid.n_points=2048.5",
+                     "grid.n_points must be an integer, got 2048.5", id="number-for-n-points"),
+        pytest.param("exp_frame_phase", 'internal.E0="x"',
+                     "internal.E0 must be a number, got 'x'", id="string-for-e0"),
+        pytest.param("exp_frame_phase", "physical.c=[1]",
+                     r"physical\.c must be a number, got \[1\]", id="list-for-c"),
+        pytest.param("exp_wep", "params.kinds=[1]",
+                     r"params\.kinds\[0\] must be a string, got 1", id="number-for-string"),
         pytest.param("exp_frame_phase", 'params.speed="x"', "params.speed must be a number",
                      id="string-for-number"),
         pytest.param("exp_frame_phase", "params.speed=true", "params.speed must be a number",
@@ -165,6 +175,11 @@ class TestParseConfig:
                            match=r"internal\.levels\[1\] must be a finite number"):
             parse_config({"experiment": "exp_frame_phase",
                           "internal": {"levels": (0.0, float("nan"))}})
+
+    def test_a_tuple_from_python_reads_as_a_list(self):
+        cfg = parse_config({"experiment": "exp_frame_phase",
+                            "internal": {"levels": (0.0, 10.0)}})
+        assert cfg.internal["levels"] == (0.0, 10.0)
 
     @pytest.mark.parametrize("source, overrides, match", [
         pytest.param([{"experiment": "exp_wep"}], [], "unsupported config source list",

@@ -71,19 +71,23 @@ def packet_state(grid=GRID, internal=INTERNAL, x0=0.0, p0=0.0, sigma=1.0):
 
 class TestHamiltonianKind:
     def test_names(self):
-        assert HamiltonianKind.from_name("dynamical_mass+rest").include_rest
-        assert HamiltonianKind.from_name("split").name == "split"
-        with pytest.raises(PreconditionError):
-            HamiltonianKind("quartic")
-        with pytest.raises(PreconditionError):
-            HamiltonianKind("newtonian", include_rest=True)
-        with pytest.raises(PreconditionError):
-            HamiltonianKind("dynamical_mass+rest")  # the suffix is the flag
+        assert HamiltonianKind.from_name("dynamical_mass+rest").name == "dynamical_mass+rest"
+        assert HamiltonianKind.from_name(" split\n") is _KINDS["split"]
+        with pytest.raises(PreconditionError,
+                           match=r"unknown Hamiltonian kind 'quartic'; known: exact, "):
+            HamiltonianKind.from_name(" quartic")
         with pytest.raises(PreconditionError, match="named by a string"):
             HamiltonianKind.from_name(1)
 
     def test_every_label_is_a_table_entry(self):
-        assert [HamiltonianKind.from_name(label).label() for label in _KINDS] == list(_KINDS)
+        assert [kind.name for kind in _KINDS.values()] == list(_KINDS)
+        for name in ("exact", "dynamical_mass", "low_energy", "split", "newtonian"):
+            assert getattr(HamiltonianKind, name)() is _KINDS[name]
+
+    def test_the_rest_alias_holds_the_low_energy_callables(self):
+        alias, low = _KINDS["dynamical_mass+rest"], _KINDS["low_energy"]
+        for part in ("kinetic", "velocity", "potential"):
+            assert getattr(alias, part) is getattr(low, part)
 
 
 def _docstring_branch(label, p, phi, e0, ei, c, m):
@@ -162,14 +166,6 @@ class TestBranchKinetic:
         t = branch_kinetic(HamiltonianKind.newtonian(), INTERNAL, PARAMS, 0)
         assert t(0.0) == 0.0
 
-    def test_low_energy_equals_dynamical_mass_with_rest(self):
-        p = np.linspace(-5, 5, 101)
-        for level in (0, 1):
-            t_low = branch_kinetic(HamiltonianKind.low_energy(), INTERNAL, PARAMS, level)
-            t_dyn = branch_kinetic(HamiltonianKind.dynamical_mass(include_rest=True),
-                                   INTERNAL, PARAMS, level)
-            assert np.array_equal(t_low(p), t_dyn(p))
-
     def test_exact_vs_low_energy_frozen_gap(self):
         # p = 0.1 H_r / c: exact = H_r sqrt(1.01), low = 1.005 H_r
         hr = INTERNAL.E0 + INTERNAL.levels[0]
@@ -240,13 +236,6 @@ class TestPropagate:
                 rate = oracles.finite_difference_slope(times, ps)
                 expected = -masses[level] * g if kind.name != "newtonian" else -params.m * g
                 assert rate == pytest.approx(expected, abs=1e-6)
-
-    def test_low_energy_equals_dynamical_mass_rest(self):
-        state = packet_state(p0=1.0)
-        a = propagate(state, HamiltonianKind.low_energy(), PARAMS, 5e-4, 1000)
-        b = propagate(state, HamiltonianKind.dynamical_mass(include_rest=True),
-                      PARAMS, 5e-4, 1000)
-        assert abs(1.0 - abs(overlap(a, b)) ** 2) < 1e-12
 
     def test_unitarity_all_kinds(self):
         state = packet_state(p0=1.0)

@@ -36,6 +36,7 @@ from massclock.dynamics import _require_subluminal
 from massclock.experiments import (
     EXPERIMENTS,
     exp_bargmann,
+    exp_clock_semiclassical,
     exp_clock_wavepacket,
     exp_frame_phase,
     exp_interferometer,
@@ -225,7 +226,16 @@ FINITE = {
     "x0": [lambda v: gaussian_packet(_GRID, v, 0.0, 1.0), lambda v: exp_wep(x0=v)],
     "p0": [lambda v: gaussian_packet(_GRID, 0.0, v, 1.0)],
     "total_time": [lambda v: exp_wep(total_time=v), lambda v: exp_newtonian_sweep(total_time=v),
-                   lambda v: exp_clock_wavepacket(total_time=v)],
+                   lambda v: exp_clock_wavepacket(total_time=v),
+                   lambda v: exp_interferometer(total_time=v)],
+    "v_over_c": [lambda v: exp_clock_semiclassical(v_over_c=[v]),
+                 lambda v: exp_clock_wavepacket(v_over_c=[0.1, v])],
+    "gh_over_c2": [lambda v: exp_clock_semiclassical(gh_over_c2=[v]),
+                   lambda v: exp_clock_wavepacket(gh_over_c2=[v])],
+    "a": [lambda v: exp_bargmann(pairs=[(v, 0.5)])],
+    "w": [lambda v: exp_bargmann(pairs=[(0.5, 0.8), (1.0, v)])],
+    "delta_e": [lambda v: exp_interferometer(delta_e=v)],
+    "height": [lambda v: exp_interferometer(height=v)],
 }
 
 
