@@ -29,7 +29,12 @@ or not, has the JSON type of its default: an integer default takes only an
 integer, a float default any number, a list default a list whose items
 have the type of the default's items (a pair stays a pair).  NaN and
 +-Infinity, which JSON parsing accepts, are a config error anywhere in the
-tree.
+tree.  One walk along the defaults tree (``_resolve``) checks every key,
+section and leaf, merges the user's values over the defaults and records
+the defaulted keys.  Of several errors it reports the first it meets: an
+unknown key of a section before its values, and the values in the
+defaults' order (``experiment``, grid, internal, physical, params,
+output, format), whatever the order of the file or the ``--set`` flags.
 
 A runner's rules are its own: the objects built from a config apply their
 invariants (each constant positive and finite), then each rule the
@@ -38,8 +43,8 @@ the same inputs with the same text (exit 2, ``<key>: <text>``).  Rules on
 the run as a whole (dt, the window, alias, clearance, fits) are exit 3.
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
-``--set a.b=value`` overrides file values; values parse as JSON fragments,
-falling back to bare strings.
+``--set a.b=value`` overrides file values, ``experiment`` too; values parse
+as JSON fragments, falling back to bare strings.
 
 Every run writes ``<output>/<experiment>-<timestamp>/rows.{csv|json}`` plus
 ``meta.json``, the run record: artifact version, experiment, pass/fail,
@@ -109,16 +114,6 @@ def _unknown_key(key: str, allowed: Sequence[str], where: str) -> ConfigError:
     return ConfigError(f"unknown key {key!r} in {where}{suffix}")
 
 
-def _merge(base: dict, user: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in user.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def _leaf_paths(tree: dict, prefix: str = "") -> list:
     paths = []
     for key, value in tree.items():
@@ -138,7 +133,7 @@ def _parse_set_value(raw: str):
 
 
 def _apply_override(user: dict, dotted: str, raw: str) -> None:
-    """Set ``dotted`` in the user tree; ``_check_tree`` checks the result."""
+    """Set ``dotted`` in the user tree; ``_resolve`` checks the result."""
     *sections, leaf = dotted.split(".")
     node = user
     for part in sections:
@@ -158,20 +153,14 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), f"a {type(value).__name__}")
 
 
-def _check_finite(value, path: str) -> None:
-    """Reject NaN and +-Infinity in a leaf, its lists and tuples too."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    if isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{path}[{i}]")
-
-
-def _check_type(value, default, path: str, fixed_length: bool = False) -> None:
-    """Reject a value whose JSON type differs from its default's.  The
+def _check_leaf(value, default, path: str, fixed_length: bool = False) -> None:
+    """Reject a leaf that is not finite (NaN and +-Infinity, which JSON
+    parsing accepts) or whose JSON type differs from its default's.  The
     items of a list take the type of the default's first item; a list
     inside a list (a pair) keeps its length, item by item."""
     want, got = _json_type(default), _json_type(value)
+    if got == "a number" and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     if got != want and (want, got) != ("a number", "an integer"):
         raise ConfigError(f"{path} must be {want}, got {value!r}")
     if got != "a list" or not default:
@@ -179,25 +168,34 @@ def _check_type(value, default, path: str, fixed_length: bool = False) -> None:
     if fixed_length and len(value) != len(default):
         raise ConfigError(f"{path} must have {len(default)} items, got {value!r}")
     for i, item in enumerate(value):
-        _check_type(item, default[i] if fixed_length else default[0],
+        _check_leaf(item, default[i] if fixed_length else default[0],
                     f"{path}[{i}]", fixed_length=True)
 
 
-def _check_tree(user: dict, defaults: dict, where: str = "") -> None:
-    """Walk the user tree along the defaults tree: every key must be known,
-    every section an object, and every leaf finite and of its default's
-    JSON type."""
-    for key, value in user.items():
+def _resolve(user: dict, defaults: dict, where: str = "") -> Tuple[dict, list]:
+    """The merged tree of ``user`` over ``defaults`` and the dotted paths
+    of the leaves it took from ``defaults``, in one walk.  Every user key
+    must be known, every section an object and every leaf pass
+    ``_check_leaf``; the first error in the defaults' order is raised."""
+    for key in user:
         if key not in defaults:
             raise _unknown_key(key, list(defaults), where or "config")
+    merged, defaulted = {}, []
+    for key, default in defaults.items():
         path = f"{where}.{key}" if where else key
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
+        if isinstance(default, dict):
+            section = user.get(key, {})
+            if not isinstance(section, dict):
                 raise ConfigError(f"{path!r} must be an object")
-            _check_tree(value, defaults[key], path)
+            merged[key], below = _resolve(section, default, path)
+            defaulted += below
+        elif key in user:
+            _check_leaf(user[key], default, path)
+            merged[key] = user[key]
         else:
-            _check_finite(value, path)
-            _check_type(value, defaults[key], path)
+            merged[key] = default
+            defaulted.append(path)
+    return merged, defaulted
 
 
 def build_objects(config: "RunConfig") -> dict:
@@ -251,7 +249,13 @@ def parse_config(source=None, experiment: Optional[str] = None,
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
 
-    file_experiment = user.pop("experiment", None)
+    for raw in overrides:
+        if "=" not in raw:
+            raise ConfigError(f"--set needs key=value, got {raw!r}")
+        dotted, _, value = raw.partition("=")
+        _apply_override(user, dotted.strip(), value)
+
+    file_experiment = user.get("experiment")
     name = experiment or file_experiment
     if name is None:
         raise ConfigError("no experiment named (positional argument or 'experiment' key)")
@@ -265,29 +269,11 @@ def parse_config(source=None, experiment: Optional[str] = None,
         raise ConfigError(f"unknown experiment {name!r}{suffix}")
 
     exp = EXPERIMENTS[name]
-    defaults = {**exp.defaults, **_RUN_DEFAULTS}
-
-    for raw in overrides:
-        if "=" not in raw:
-            raise ConfigError(f"--set needs key=value, got {raw!r}")
-        dotted, _, value = raw.partition("=")
-        _apply_override(user, dotted.strip(), value)
-    _check_tree(user, defaults)
-
-    merged = _merge(defaults, user)
-    user_paths = set(_leaf_paths(user))
-    defaulted = tuple(sorted(p for p in _leaf_paths(merged) if p not in user_paths))
-
+    user["experiment"] = name  # named, so never a defaulted key
+    merged, defaulted = _resolve(user, {"experiment": name, **exp.defaults, **_RUN_DEFAULTS})
     if merged["format"] not in ("csv", "json"):
         raise ConfigError("'format' must be 'csv' or 'json'")
-
-    config = RunConfig(
-        experiment=name,
-        grid=merged["grid"], internal=merged["internal"],
-        physical=merged["physical"], params=merged["params"],
-        output=str(merged["output"]), format=merged["format"],
-        defaulted=defaulted,
-    )
+    config = RunConfig(**merged, defaulted=tuple(sorted(defaulted)))
     kwargs = build_objects(config)  # the physical invariants, at load time
     for key, rule in exp.rules.items():  # and the runner's own rules
         section, _, leaf = key.partition(".")

@@ -55,7 +55,6 @@ import numpy as np
 from . import _kernels
 from .errors import (
     AliasingError,
-    BoundaryViolationError,
     IncompatibleSpacesError,
     PreconditionError,
     SuperluminalError,
@@ -68,8 +67,9 @@ from .hilbert import (
     PhysicalParams,
     _check_clearance,
     _check_same_spaces,
-    _clearance_from_moments,
     _grid_tables,
+    _require_clearance,
+    _require_finite,
     _require_positive,
     _require_unit_norm,
     momentum_distribution,
@@ -279,9 +279,7 @@ class _Plan:
             except PreconditionError:
                 raise PreconditionError(
                     f"norm drifted to {total!r} at step {step_no}") from None
-            msg = _clearance_from_moments(self.grid, own, sxs[rows], sxxs[rows])
-            if msg is not None:
-                raise BoundaryViolationError(f"step {step_no}: {msg}")
+            _require_clearance(self.grid, own, sxs[rows], sxxs[rows], "step {}", step_no)
             totals.append(total)
         return totals
 
@@ -534,6 +532,13 @@ class Trajectory:
         )
 
 
+def _sample_times(total_time: float, n_samples: int) -> np.ndarray:
+    """The factories' n_samples uniform times on [0, total_time]: the
+    window rule, a positive and finite total_time, is theirs."""
+    _require_positive("total_time", total_time)
+    return np.linspace(0.0, total_time, n_samples)
+
+
 def triangular_trajectory(speed: float, total_time: float, n_samples: int) -> Trajectory:
     """Closed out-and-back path at constant |xi_dot| = speed.
 
@@ -543,7 +548,8 @@ def triangular_trajectory(speed: float, total_time: float, n_samples: int) -> Tr
     """
     if n_samples < 3 or n_samples % 2 == 0:
         raise TrajectoryError("triangular trajectory needs an odd n_samples >= 3")
-    t = np.linspace(0.0, total_time, n_samples)
+    _require_finite("speed", speed)
+    t = _sample_times(total_time, n_samples)
     xi = speed * np.minimum(t, total_time - t)
     xi[0] = 0.0
     xi[-1] = 0.0
@@ -556,7 +562,8 @@ def triangular_trajectory(speed: float, total_time: float, n_samples: int) -> Tr
 
 def sinusoidal_trajectory(amplitude: float, total_time: float, n_samples: int) -> Trajectory:
     """xi = A sin(2 pi t / T), one cycle, with exact derivative samples."""
-    t = np.linspace(0.0, total_time, n_samples)
+    _require_finite("amplitude", amplitude)
+    t = _sample_times(total_time, n_samples)
     om = 2.0 * np.pi / total_time
     xi = amplitude * np.sin(om * t)
     xi[0] = 0.0
@@ -570,7 +577,8 @@ def sinusoidal_trajectory(amplitude: float, total_time: float, n_samples: int) -
 
 def bump_trajectory(height: float, total_time: float, n_samples: int) -> Trajectory:
     """xi = h sin^2(pi t / T): closed in position and velocity."""
-    t = np.linspace(0.0, total_time, n_samples)
+    _require_finite("height", height)
+    t = _sample_times(total_time, n_samples)
     om = np.pi / total_time
     xi = height * np.sin(om * t) ** 2
     xi[0] = 0.0
@@ -583,7 +591,8 @@ def bump_trajectory(height: float, total_time: float, n_samples: int) -> Traject
 
 
 def static_trajectory(position: float, total_time: float, n_samples: int) -> Trajectory:
-    t = np.linspace(0.0, total_time, n_samples)
+    _require_finite("position", position)
+    t = _sample_times(total_time, n_samples)
     return Trajectory(
         times=t, xi=np.full(n_samples, float(position)),
         closed=(position == 0.0),
@@ -662,7 +671,7 @@ def frame_transform(state: CompositeState, traj: Trajectory, t: float,
         a = -xi
         amps = _translate(grid, state.amplitudes, a)
         amps *= phase
-    total = _check_clearance(grid, amps, f"translation by a={a}")
+    total = _check_clearance(grid, amps, "translation by a={}", a)
     return state._with_owned_amplitudes(amps, total)
 
 

@@ -398,11 +398,11 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
         state = _equal_superposition(grid, internal, sigma, x_start, m * v)
         runs.append((state, HamiltonianKind.low_energy(), params))
     # every clock runs in one stack; each sample is read in flight
-    first_rows = np.arange(len(runs)) * internal.dim
+    dim = internal.dim  # run r owns the rows r dim .. r dim + dim - 1
     times, overlaps = [], []
     for k, amps, _ in _evolve(runs, dt, steps, sample_every):
         times.append(k * dt)
-        overlaps.append(_overlaps(amps[first_rows], amps[first_rows + 1], grid.dx))
+        overlaps.append(_overlaps(amps[0::dim], amps[1::dim], grid.dx))
     shifts = [((_fit_clock_rate(times, z) - omega0) / omega0, pred)
               for z, pred in zip(zip(*overlaps), predicted)]
     return _clock_result("wavepacket", cases, shifts, 2e-2)
@@ -466,8 +466,6 @@ def exp_interferometer(c: float = DEFAULT_C, *,
     from 7 samples up, so the count moves no row."""
     params = PhysicalParams(c=c, potential=Potential.uniform_field(g))
     _require_finite("delta_e", delta_e)
-    _require_finite("height", height)
-    _require_finite("total_time", total_time)
     traj1 = static_trajectory(0.0, total_time, 2001)
     traj2 = bump_trajectory(height, total_time, 2001)
     return interferometer_on_paths(traj1, traj2, delta_e=delta_e,
@@ -611,22 +609,22 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     state = _equal_superposition(grid, internal, sigma, x0, 0.0)
     runs = [(state, kind, params) for kind in kind_objs]
     velocity_table = _velocity_table(runs) if runs else None
-    first_rows = np.arange(len(runs)) * internal.dim
-    clock = internal.dim >= 2 and omega0 > 0.0
+    dim = internal.dim  # run r owns the rows r dim .. r dim + dim - 1
+    clock = dim >= 2 and omega0 > 0.0
     times, velocities, overlaps = [], [], []
     for k, amps, _ in _evolve(runs, dt, steps, sample_every):
         times.append(k * dt)
         velocities.append(_read_velocities(grid, amps, velocity_table))
         if clock:
-            overlaps.append(_overlaps(amps[first_rows], amps[first_rows + 1], grid.dx))
+            overlaps.append(_overlaps(amps[0::dim], amps[1::dim], grid.dx))
     times = np.asarray(times)
     velocities = np.asarray(velocities)
     rates = [_fit_clock_rate(times, z) for z in zip(*overlaps)]
 
     def one(r: int, kind: HamiltonianKind):
         rows = []
-        for level in range(internal.dim):
-            vels = velocities[:, first_rows[r] + level]
+        for level in range(dim):
+            vels = velocities[:, r * dim + level]
             accel = float(np.polyfit(times, vels, 1)[0])
             abs_err = abs(accel - (-g))
             rows.append({"kind": kind.name, "quantity": "acceleration",
@@ -694,32 +692,21 @@ def exp_frame_phase(internal: InternalSpace = DEFAULT_INTERNAL,
     _, v_end, _ = traj.at(total_time)
     unboosted = apply_boost(primed, v_end, 0.0, params)
 
-    rows = []
-    measured_phases = []
-    for i in range(internal.dim):
-        bp = branch_phase(unboosted, packet, i)
-        measured_phases.append(bp.phase)
-        pred = wrap_angle(predicted_triangle_phase(mass_values[i], speed, total_time))
-        proper = wrap_angle(predicted_triangle_proper_phase(
-            mass_values[i], speed, total_time, c))
-        rows.append({
-            "branch": str(i + 1), "phase_measured": bp.phase,
-            "phase_predicted": pred,
-            "abs_error": abs(wrap_angle(bp.phase - pred)),
-            "phase_proper_time": proper,
-            "proper_time_gap": abs(wrap_angle(bp.phase - proper)),
-        })
+    # (branch, mass, measured phase); the relative case is (M_2 - M_1, phi_2 - phi_1)
+    cases = [(str(i + 1), mass_values[i], branch_phase(unboosted, packet, i).phase)
+             for i in range(internal.dim)]
     if internal.dim >= 2:
-        rel = wrap_angle(measured_phases[1] - measured_phases[0])
-        pred = wrap_angle(predicted_triangle_phase(mass_values[1] - mass_values[0],
-                                                   speed, total_time))
-        proper = wrap_angle(predicted_triangle_proper_phase(
-            mass_values[1] - mass_values[0], speed, total_time, c))
+        cases.append(("relative", mass_values[1] - mass_values[0],
+                      wrap_angle(cases[1][2] - cases[0][2])))
+    rows = []
+    for branch, mass, measured in cases:
+        pred = wrap_angle(predicted_triangle_phase(mass, speed, total_time))
+        proper = wrap_angle(predicted_triangle_proper_phase(mass, speed, total_time, c))
         rows.append({
-            "branch": "relative", "phase_measured": rel,
-            "phase_predicted": pred, "abs_error": abs(wrap_angle(rel - pred)),
+            "branch": branch, "phase_measured": measured,
+            "phase_predicted": pred, "abs_error": abs(wrap_angle(measured - pred)),
             "phase_proper_time": proper,
-            "proper_time_gap": abs(wrap_angle(rel - proper)),
+            "proper_time_gap": abs(wrap_angle(measured - proper)),
         })
     passed = all(r["abs_error"] < tolerance for r in rows)
     return ExperimentResult(rows=rows, tolerance={"phase_abs": tolerance}, passed=passed)

@@ -473,14 +473,15 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     return _GridTables(x, freq, basis)
 
 
-def _clearance_from_moments(grid: GridSpec, probs: Sequence[float],
-                            sxs: Sequence[float], sxxs: Sequence[float]):
-    """None if every populated branch keeps <x> +/- CLEARANCE_SIGMAS * sigma_x
-    inside the domain, else a human-readable description of the first
-    offender; read from the per-branch columns prob, sum x w dx and
-    sum x^2 w dx, as Python floats (a scalar loop beats masked numpy at
-    this size, and it runs every step: hence the local lookups, and no
-    max() call)."""
+def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[float],
+                       sxxs: Sequence[float], where: str, *args) -> None:
+    """The clearance rule on the per-branch columns prob, sum x w dx and
+    sum x^2 w dx, as Python floats: every populated branch keeps
+    <x> +/- CLEARANCE_SIGMAS * sigma_x inside the domain.  Else raise
+    BoundaryViolationError naming ``where.format(*args)`` and the first
+    offender; the text is formatted only on refusal, since the rule runs on
+    every step and map.  A scalar loop beats masked numpy at this size:
+    hence the local lookups, and no max() call."""
     x_min, x_max, sqrt = grid.x_min, grid.x_max, math.sqrt
     for i, (prob, sx, sxx) in enumerate(zip(probs, sxs, sxxs)):
         if prob <= _POPULATED:
@@ -491,18 +492,15 @@ def _clearance_from_moments(grid: GridSpec, probs: Sequence[float],
             var = 0.0
         half = CLEARANCE_SIGMAS * sqrt(var)
         if mean - half < x_min or mean + half > x_max:
-            return (
-                f"branch {i}: <x>={mean:.3f}, {CLEARANCE_SIGMAS} sigma_x={half:.3f} "
-                f"leaves [{x_min}, {x_max}]"
-            )
-    return None
+            raise BoundaryViolationError(
+                f"{where.format(*args)}: branch {i}: <x>={mean:.3f}, "
+                f"{CLEARANCE_SIGMAS} sigma_x={half:.3f} leaves [{x_min}, {x_max}]")
 
 
-def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, context: str) -> float:
+def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, where: str, *args) -> float:
     """Enforce the clearance rule on (dim, N) amplitudes and return their
-    total probability, read from the same moments pass."""
+    total probability, read from the same moments pass; a refusal names
+    ``where.format(*args)``."""
     probs, sxs, sxxs = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).tolist()
-    msg = _clearance_from_moments(grid, probs, sxs, sxxs)
-    if msg is not None:
-        raise BoundaryViolationError(f"{context}: {msg}")
+    _require_clearance(grid, probs, sxs, sxxs, where, *args)
     return sum(probs)

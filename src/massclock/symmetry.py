@@ -147,7 +147,7 @@ def _translate(grid, amps: np.ndarray, a: float) -> np.ndarray:
 def apply_translation(state: CompositeState, a: float) -> CompositeState:
     """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar)."""
     out = _translate(state.grid, state.amplitudes, a)
-    total = _check_clearance(state.grid, out, f"translation by a={a}")
+    total = _check_clearance(state.grid, out, "translation by a={}", a)
     return state._with_owned_amplitudes(out, total)
 
 
@@ -196,7 +196,7 @@ def apply_boost(state: CompositeState, w: float, t: float,
     if t != 0.0:
         phases = phases * np.exp(-1j * masses * w**2 * t / (2.0 * params.hbar))[:, None]
     amps *= phases
-    total = _check_clearance(grid, amps, f"boost w={w} at t={t}")
+    total = _check_clearance(grid, amps, "boost w={} at t={}", w, t)
     return state._with_owned_amplitudes(amps, total)
 
 

@@ -2,9 +2,10 @@
 
 Each ``test_cNN_*`` check prints one ``ACCEPTANCE Cnn <label>: PASS`` line
 (shown with ``pytest -s`` or in captured output on failure); C08 has two.
-``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail, and
+``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail,
 ``test_a_defect_in_a_kind_row_fails_its_check`` that a defect in each kind
-row a check reads fails that check.  Run the whole module:
+row a check reads fails that check, and ``test_a_defect_fails_its_check``
+that a defect fails each of C01-C03, C05-C07 and C10.  Run the whole module:
 
     pytest tests/test_acceptance.py -v
 """
@@ -20,7 +21,9 @@ from massclock import (
     PhysicalParams,
     Potential,
     bargmann_loop_element,
+    ExtendedGalileiElement,
     commutator_residual,
+    compose_galilei,
     extended_loop_element,
     frame_transform,
     gaussian_packet,
@@ -36,7 +39,8 @@ from massclock import (
     triangular_trajectory,
     wrap_angle,
 )
-from massclock.dynamics import _KINDS
+from massclock import _kernels, dynamics, symmetry
+from massclock.dynamics import _KINDS, Trajectory, _Plan
 from massclock.experiments import (
     DEFAULT_BARGMANN_PAIRS,
     exp_bargmann,
@@ -183,6 +187,7 @@ def test_a_defect_in_a_kind_row_fails_its_check(monkeypatch, name, part, defect,
     assert not check_passes()
 
 
+
 def test_c05_time_dilation():
     """Semiclassical shifts within 1e-6 relative for the stated ratio sets;
     wavepacket shift within 2% at v/c = 0.1."""
@@ -313,3 +318,51 @@ def test_c10_propagator_health():
             drift < 1e-10 and ratio >= 3.5 and resid < 1e-6,
             f"norm drift = {drift:.2e}, Strang ratio = {ratio:.2f}, "
             f"[p,K] residual = {resid:.2e}")
+
+
+def _mass_energy_without_e_i(internal, c):
+    """``mass_energies`` with m = E0 / c^2 for every branch."""
+    return np.full(internal.dim, internal.E0) / c**2
+
+
+def _step_without_its_closing_kick(plan, amps):
+    """``_Plan.step`` without its last V half-kick: a first-order splitting."""
+    _kernels.phase_multiply(amps, plan.exp_v_half)
+    np.fft.fft(amps, axis=1, out=amps)
+    _kernels.phase_multiply(amps, plan.exp_t)
+    return np.fft.ifft(amps, axis=1, out=amps)
+
+
+# One plausible defect per check that reads no fixture, as (owner, attribute,
+# the defective value); each makes the check itself fail (its reading in
+# CHANGES.md).  C04, C08 and C09 have the kind-row defects above.
+CHECK_DEFECTS = [
+    pytest.param(InternalSpace, "mass_energies", _mass_energy_without_e_i,
+                 test_c01_bargmann_loop, id="mass-energy-without-E_i-C01"),
+    pytest.param(InternalSpace, "mass_energies", _mass_energy_without_e_i,
+                 test_c02_mass_energy_relative_phase, id="mass-energy-without-E_i-C02"),
+    pytest.param(symmetry, "compose_extended",
+                 lambda h2, h1: ExtendedGalileiElement(
+                     alpha=h1.alpha + h2.alpha - 0.5 * h2.g.w**2 * h1.g.b,
+                     g=compose_galilei(h2.g, h1.g)),
+                 test_c03_extended_loop, id="alpha-without-w2-a1-C03"),
+    pytest.param(dynamics, "internal_frequency",
+                 lambda omega0, v, phi, params: omega0 * (
+                     1.0 + np.asarray(v)**2 / (2.0 * params.c**2) + np.asarray(phi) / params.c**2),
+                 test_c05_time_dilation, id="plus-v2-over-2c2-C05"),
+    pytest.param(Trajectory, "_kinetic",
+                 property(lambda traj: _kernels.accumulate_phase(traj.velocity()**2, traj.dt)),
+                 test_c06_proper_time_closed_path, id="action-without-one-half-C06"),
+    pytest.param(dynamics, "_translate",
+                 lambda grid, amps, a, translate=dynamics._translate: translate(grid, amps, -a),
+                 test_c07_primed_frame_equation, id="frame-shift-reversed-C07"),
+    pytest.param(_Plan, "step", _step_without_its_closing_kick,
+                 test_c10_propagator_health, id="step-without-closing-kick-C10"),
+]
+
+
+@pytest.mark.parametrize("owner, attribute, defect, check", CHECK_DEFECTS)
+def test_a_defect_fails_its_check(monkeypatch, owner, attribute, defect, check):
+    monkeypatch.setattr(owner, attribute, defect)
+    with pytest.raises(AssertionError, match=rf"^C\d\d "):
+        check()

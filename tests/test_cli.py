@@ -67,6 +67,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"experiment": "exp_bargmann", "grd": {}})
 
+    def test_misspelt_experiment_key_suggests_it(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experimnt": "exp_wep"}))
+        assert main(["run", "exp_wep", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: unknown key 'experimnt' in "
+                                           "config; did you mean 'experiment'?\n")
+
+    def test_set_names_the_experiment_as_the_file_key_does(self):
+        assert (parse_config({}, overrides=["experiment=exp_bargmann"])
+                == parse_config(experiment="exp_bargmann"))
+        with pytest.raises(ConfigError, match="experiment mismatch"):
+            parse_config(experiment="exp_wep", overrides=["experiment=exp_bargmann"])
+
+    def test_of_two_errors_the_first_in_the_defaults_order_is_reported(self):
+        # grid comes before params in the defaults, whatever the user's order
+        with pytest.raises(ConfigError, match=r"^grid\.x_min must be a number, got True$"):
+            parse_config(experiment="exp_wep",
+                         overrides=["params.sigmaa=1", "grid.x_min=true"])
+
     def test_invariant_violation_names_section(self):
         with pytest.raises(ConfigError, match="internal"):
             parse_config({"experiment": "exp_frame_phase",
@@ -356,6 +376,47 @@ class TestConfigRoundTrip:
             return
         assert parse_config(cfg.as_dict()) == cfg
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(EXPERIMENTS)), st.data())
+    def test_the_walk_defaults_exactly_the_leaves_not_given(self, name, data):
+        defaults = {**EXPERIMENTS[name].defaults, "output": "runs", "format": "csv"}
+        leaves = _leaf_paths(defaults)
+        given_ = data.draw(st.sets(st.sampled_from(leaves)))
+        user = {"experiment": name}
+        for path in given_:
+            _set_leaf(user, path, _leaf(defaults, path))
+        cfg = parse_config(user)
+        assert cfg.defaulted == tuple(sorted(set(leaves) - given_))
+        assert cfg.as_dict() == parse_config(experiment=name).as_dict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(EXPERIMENTS)), st.data())
+    def test_a_bad_value_at_any_leaf_is_refused_by_its_path(self, name, data):
+        defaults = {**EXPERIMENTS[name].defaults, "output": "runs", "format": "csv"}
+        path = data.draw(st.sampled_from(_leaf_paths(defaults)))
+        wrong_type = 1.0 if isinstance(_leaf(defaults, path), str) else "x"
+        bad = data.draw(st.sampled_from([math.nan, math.inf, wrong_type]))
+        user = {"experiment": name}
+        _set_leaf(user, path, bad)
+        with pytest.raises(ConfigError) as info:
+            parse_config(user)
+        text = str(info.value)
+        assert text.startswith(f"{path} must be ")
+        assert ("a finite number" in text) == (bad is not wrong_type)
+
+
+def _leaf(tree: dict, path: str):
+    for part in path.split("."):
+        tree = tree[part]
+    return tree
+
+
+def _set_leaf(tree: dict, path: str, value) -> None:
+    *sections, leaf = path.split(".")
+    for part in sections:
+        tree = tree.setdefault(part, {})
+    tree[leaf] = value
+
 
 class TestGoldenSchemas:
     @pytest.mark.parametrize("name", sorted(GOLDEN_COLUMNS))
@@ -532,6 +593,17 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
         assert "must round to at least one step" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("total_time", ["0.0", "-1.0"])
+    @pytest.mark.parametrize("name", ["exp_interferometer", "exp_frame_phase"])
+    def test_path_window_of_no_time_exits_3(self, tmp_path, capsys, name, total_time):
+        # the trajectory factories own the window rule, and it names the key
+        code = main(["run", name, "--set", f"params.total_time={total_time}",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION
+        assert (f"total_time must be positive and finite, got {float(total_time)!r}"
+                in capsys.readouterr().out)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["exp_wep", "exp_newtonian_sweep",

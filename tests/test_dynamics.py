@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -483,8 +484,23 @@ class TestStackedRuns:
             return
         totals = plan.check(amps, step_no)
         assert totals == expected
+        # Each total is a BLAS dot product of the run's 2N float squares per
+        # branch (the bits of ``squares`` below) with dx, then a Python sum
+        # over its dim branches.  In any order, a dot product of k terms errs
+        # by at most gamma_k = k u / (1 - k u), u = 2^-53, times the sum of
+        # its |terms|, and a sum of dim terms by gamma_(dim - 1) (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1);
+        # the fsum reference is correctly rounded before its one product
+        # with dx, so it errs by at most gamma_2.  Every term is >= 0, so
+        # against the exact sum S both gaps add up to at most
+        # gamma_(2N + dim + 1) S, with S <= reference / (1 - gamma_2).
+        u = 2.0**-53
         for total, rows in zip(totals, plan.rows):
-            assert abs(total - np.sum(np.abs(amps[rows]) ** 2) * plan.grid.dx) <= 1e-15
+            squares = amps[rows].view(float) ** 2
+            reference = math.fsum(squares.ravel()) * plan.grid.dx
+            n = squares.shape[1] + len(squares) + 1
+            bound = n * u / (1 - n * u) * reference / (1 - 2 * u / (1 - 2 * u))
+            assert abs(total - reference) <= bound
 
     def test_in_flight_reads_equal_the_history_readouts_bit_for_bit(self):
         state = packet_state(x0=5.0)
@@ -492,12 +508,11 @@ class TestStackedRuns:
                  for k in ("low_energy", "split", "dynamical_mass", "newtonian")]
         runs = [(state, kind, self.FIELD) for kind in kinds]
         velocity_table = _velocity_table(runs)
-        first_rows = np.arange(len(runs)) * 2
         histories = [propagate_history(state, kind, self.FIELD, 5e-4, 60, sample_every=20)[1]
                      for kind in kinds]
         for n, (_, amps, _) in enumerate(_evolve(runs, 5e-4, 60, 20)):
             velocities = _read_velocities(GRID, amps, velocity_table)
-            overlaps = _overlaps(amps[first_rows], amps[first_rows + 1], GRID.dx)
+            overlaps = _overlaps(amps[0::2], amps[1::2], GRID.dx)
             for r, kind in enumerate(kinds):
                 sample = histories[r][n]
                 assert overlaps[r] == sample.branch_overlap(0, 1)

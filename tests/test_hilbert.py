@@ -388,6 +388,24 @@ class TestRefusals:
     def test_a_round_off_negative_variance_reads_as_zero(self):
         # sum x^2 w dx / prob - <x>^2 can fall below zero by round-off; the
         # clearance check reads it as a point, not as a math domain error
-        from massclock.hilbert import _clearance_from_moments
+        from massclock.hilbert import _require_clearance
 
-        assert _clearance_from_moments(GRID, [1.0], [3.0], [9.0 - 1e-12]) is None
+        assert _require_clearance(GRID, [1.0], [3.0], [9.0 - 1e-12], "step {}", 1) is None
+
+    def test_the_clearance_text_is_formatted_only_on_refusal(self):
+        from massclock.hilbert import _require_clearance
+
+        class Where(str):
+            formatted = 0
+
+            def format(self, *args):
+                Where.formatted += 1
+                return super().format(*args)
+
+        where = Where("translation by a={}")
+        _require_clearance(GRID, [1.0, 0.0], [3.0, 0.0], [10.0, 0.0], where, 2.5)
+        assert Where.formatted == 0
+        with pytest.raises(BoundaryViolationError,
+                           match=r"^translation by a=2\.5: branch 0: <x>=39\.000"):
+            _require_clearance(GRID, [1.0], [39.0], [39.0**2 + 1.0], where, 2.5)
+        assert Where.formatted == 1

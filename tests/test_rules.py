@@ -23,6 +23,7 @@ from massclock import (
     Potential,
     PreconditionError,
     SuperluminalError,
+    bump_trajectory,
     gaussian_packet,
     internal_frequency,
     internal_space_from_masses,
@@ -30,6 +31,9 @@ from massclock import (
     propagate,
     propagate_history,
     schrodinger_residual,
+    sinusoidal_trajectory,
+    static_trajectory,
+    triangular_trajectory,
 )
 from massclock.cli import EXIT_CONFIG, EXIT_PASS, main
 from massclock.dynamics import _require_subluminal
@@ -201,6 +205,12 @@ POSITIVE = {
     "masses": [lambda v: internal_space_from_masses([v, 1.0], 1.0),
                lambda v: exp_bargmann(masses=[1.0, v])],
     "sigma": [lambda v: gaussian_packet(_GRID, 0.0, 0.0, v)],
+    "total_time": [lambda v: exp_interferometer(total_time=v),
+                   lambda v: exp_frame_phase(total_time=v),
+                   lambda v: triangular_trajectory(1.0, v, 5),
+                   lambda v: sinusoidal_trajectory(1.0, v, 5),
+                   lambda v: bump_trajectory(1.0, v, 5),
+                   lambda v: static_trajectory(0.0, v, 5)],
 }
 
 
@@ -226,8 +236,7 @@ FINITE = {
     "x0": [lambda v: gaussian_packet(_GRID, v, 0.0, 1.0), lambda v: exp_wep(x0=v)],
     "p0": [lambda v: gaussian_packet(_GRID, 0.0, v, 1.0)],
     "total_time": [lambda v: exp_wep(total_time=v), lambda v: exp_newtonian_sweep(total_time=v),
-                   lambda v: exp_clock_wavepacket(total_time=v),
-                   lambda v: exp_interferometer(total_time=v)],
+                   lambda v: exp_clock_wavepacket(total_time=v)],
     "v_over_c": [lambda v: exp_clock_semiclassical(v_over_c=[v]),
                  lambda v: exp_clock_wavepacket(v_over_c=[0.1, v])],
     "gh_over_c2": [lambda v: exp_clock_semiclassical(gh_over_c2=[v]),
@@ -235,7 +244,11 @@ FINITE = {
     "a": [lambda v: exp_bargmann(pairs=[(v, 0.5)])],
     "w": [lambda v: exp_bargmann(pairs=[(0.5, 0.8), (1.0, v)])],
     "delta_e": [lambda v: exp_interferometer(delta_e=v)],
-    "height": [lambda v: exp_interferometer(height=v)],
+    "height": [lambda v: exp_interferometer(height=v),
+               lambda v: bump_trajectory(v, 1.0, 5)],
+    "speed": [lambda v: exp_frame_phase(speed=v), lambda v: triangular_trajectory(v, 1.0, 5)],
+    "amplitude": [lambda v: sinusoidal_trajectory(v, 1.0, 5)],
+    "position": [lambda v: static_trajectory(v, 1.0, 5)],
 }
 
 
