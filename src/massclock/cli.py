@@ -176,7 +176,8 @@ def _resolve(user: dict, defaults: dict, where: str = "") -> Tuple[dict, list]:
     """The merged tree of ``user`` over ``defaults`` and the dotted paths
     of the leaves it took from ``defaults``, in one walk.  Every user key
     must be known, every section an object and every leaf pass
-    ``_check_leaf``; the first error in the defaults' order is raised."""
+    ``_check_leaf``: a section's unknown key is raised first, then the
+    first error in the defaults' order."""
     for key in user:
         if key not in defaults:
             raise _unknown_key(key, list(defaults), where or "config")
@@ -263,8 +264,8 @@ def parse_config(source=None, experiment: Optional[str] = None,
         raise ConfigError(
             f"experiment mismatch: command line says {experiment!r}, "
             f"config file says {file_experiment!r}")
-    if name not in EXPERIMENTS:
-        hint = difflib.get_close_matches(name, EXPERIMENTS, n=1)
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        hint = difflib.get_close_matches(str(name), EXPERIMENTS, n=1)
         suffix = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ConfigError(f"unknown experiment {name!r}{suffix}")
 

@@ -96,6 +96,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="exp_bargmann"):
             parse_config(experiment="exp_bargman")
 
+    @pytest.mark.parametrize("source, overrides", [
+        pytest.param({"experiment": ["exp_wep"]}, [], id="list"),
+        pytest.param({"experiment": 5}, [], id="number"),
+        pytest.param({}, ["experiment.x=1"], id="object-from-set"),
+    ])
+    def test_an_experiment_that_is_not_a_string_is_unknown(self, source, overrides):
+        # a list or an object used to escape as a Python TypeError (unhashable)
+        with pytest.raises(ConfigError, match="^unknown experiment "):
+            parse_config(source, overrides=overrides)
+
     def test_experiment_mismatch(self):
         with pytest.raises(ConfigError, match="mismatch"):
             parse_config({"experiment": "exp_wep"}, experiment="exp_bargmann")
