@@ -250,11 +250,14 @@ def parse_config(source=None, experiment: Optional[str] = None,
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
 
+    source_says = "config file says"
     for raw in overrides:
         if "=" not in raw:
             raise ConfigError(f"--set needs key=value, got {raw!r}")
         dotted, _, value = raw.partition("=")
         _apply_override(user, dotted.strip(), value)
+        if dotted.strip() == "experiment":
+            source_says = "--set experiment says"
 
     file_experiment = user.get("experiment")
     name = experiment or file_experiment
@@ -263,7 +266,7 @@ def parse_config(source=None, experiment: Optional[str] = None,
     if experiment and file_experiment and experiment != file_experiment:
         raise ConfigError(
             f"experiment mismatch: command line says {experiment!r}, "
-            f"config file says {file_experiment!r}")
+            f"{source_says} {file_experiment!r}")
     if not isinstance(name, str) or name not in EXPERIMENTS:
         hint = difflib.get_close_matches(str(name), EXPERIMENTS, n=1)
         suffix = f"; did you mean {hint[0]!r}?" if hint else ""

@@ -36,8 +36,14 @@ velocity/acceleration use stored exact samples when a factory provides
 them, otherwise central differences (one-sided second order at the ends).
 Quadrature is composite Simpson on the uniform grid.
 
-The moving-frame map checks clearance on its output and builds the state
-from that check's norm.  The Schrodinger residual of a history runs over
+The moving-frame map looks up its grid's tables once and builds its
+branch phases in place, in the imaginary part of one zeroed complex buffer
+that ``exp`` then overwrites; its translation evaluates ``exp`` on half the
+spectrum and conjugates the mirror entries (``symmetry._translate``).  It
+checks clearance on its output with the moments of that lookup's table and
+builds the state from that check's norm; each output has the bits of the
+per-sample oracle.  A trajectory read at a sample time is one index into
+the stored samples.  The Schrodinger residual of a history runs over
 blocks of consecutive samples, one batched FFT pair per block, and has
 the bits of a loop over single samples.
 """
@@ -65,7 +71,6 @@ from .hilbert import (
     GridSpec,
     InternalSpace,
     PhysicalParams,
-    _check_clearance,
     _check_same_spaces,
     _grid_tables,
     _require_clearance,
@@ -511,24 +516,24 @@ class Trajectory:
         """Cumulative integral of xi_dot^2 / 2 at every sample."""
         return self._kinetic
 
-    def _index_of(self, t: float) -> Optional[int]:
-        idx = int(round((t - self.times[0]) / self.dt))
-        if 0 <= idx < self.times.size and abs(self.times[idx] - t) <= 1e-9 * max(self.dt, 1e-300):
-            return idx
-        return None
-
     def at(self, t: float) -> Tuple[float, float, float]:
         """(xi, xi_dot, integral of xi_dot^2/2) at time t; t must be inside
-        the sampled window (interpolated linearly between samples)."""
-        if not (self.times[0] <= t <= self.times[-1]):
+        the sampled window.  A t within 1e-9 dt of a sample reads that
+        sample's stored values in O(1), as Python floats (``item``), with
+        no numpy-scalar arithmetic; any other t is interpolated linearly
+        between samples."""
+        times = self.times
+        t0, s = times.item(0), float(t)
+        if not (t0 <= s <= times.item(-1)):
             raise TrajectoryError(f"t={t} outside trajectory support")
-        idx = self._index_of(t)
-        if idx is not None:
-            return float(self.xi[idx]), float(self.velocity()[idx]), float(self.kinetic_integral()[idx])
+        dt = times.item(1) - t0
+        idx = int(round((s - t0) / dt))
+        if 0 <= idx < times.size and abs(times.item(idx) - s) <= 1e-9 * max(dt, 1e-300):
+            return self.xi.item(idx), self._velocity.item(idx), self._kinetic.item(idx)
         return (
-            float(np.interp(t, self.times, self.xi)),
-            float(np.interp(t, self.times, self.velocity())),
-            float(np.interp(t, self.times, self.kinetic_integral())),
+            float(np.interp(s, times, self.xi)),
+            float(np.interp(s, times, self._velocity)),
+            float(np.interp(s, times, self._kinetic)),
         )
 
 
@@ -657,22 +662,33 @@ def frame_transform(state: CompositeState, traj: Trajectory, t: float,
     """
     params.check_internal(state.internal)
     grid = state.grid
+    tables = _grid_tables(grid)
     xi, v, action = traj.at(t)
     _require_subluminal(abs(v), params.c)
     masses = state.internal.mass_energies(params.c)
-    # Real argument with the bits of Im(-1j * (M (v x + S)) / hbar): numpy
-    # divides a complex array by a real scalar as a product with 1 / hbar.
-    theta = -(masses[:, None] * (v * _grid_tables(grid).x[None, :] + action)) * (1.0 / params.hbar)
-    phase = np.exp(1j * theta)
+    # The real argument -(M (v x + S)) * (1 / hbar), built in place in the
+    # imaginary part of a zeroed buffer, has the bits of
+    # Im(-1j * (M (v x + S)) / hbar): numpy divides a complex array by a
+    # real scalar as a product with 1 / hbar.
+    phase = np.zeros(state.amplitudes.shape, dtype=complex)
+    theta = phase.imag
+    np.multiply(tables.x, v, out=theta)
+    theta += action
+    theta *= masses[:, None]
+    np.negative(theta, out=theta)
+    theta *= 1.0 / params.hbar
+    np.exp(phase, out=phase)
     if inverse:
         a = xi
-        amps = _translate(grid, state.amplitudes * np.conj(phase), a)
+        np.conjugate(phase, out=phase)
+        amps = _translate(tables, np.multiply(state.amplitudes, phase, out=phase), a)
     else:
         a = -xi
-        amps = _translate(grid, state.amplitudes, a)
+        amps = _translate(tables, state.amplitudes, a)
         amps *= phase
-    total = _check_clearance(grid, amps, "translation by a={}", a)
-    return state._with_owned_amplitudes(amps, total)
+    probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
+    _require_clearance(grid, probs, sxs, sxxs, "translation by a={}", a)
+    return state._with_owned_amplitudes(amps, sum(probs))
 
 
 # History samples per block of the residual.  A block's (block, dim, N)

@@ -450,14 +450,21 @@ def _overlaps(bra: np.ndarray, ket: np.ndarray, dx: float) -> np.ndarray:
 # --- boundary rule ----------------------------------------------------------
 
 class _GridTables(NamedTuple):
-    """Read-only tables of one grid: the positions x_n, the fft-ordered
-    frequencies k / L, and the (3, 2N) moment table, [1, x, x^2] dx with
+    """Read-only tables of one grid: the positions x_n; the translation
+    phase rate -2 pi k / L of the fft-ordered frequencies k / L, for
+    k = 0 .. N/2 only; and the (3, 2N) moment table, [1, x, x^2] dx with
     each entry twice in a row (``_kernels.moment_table``), from which
     ``_kernels.branch_moments`` reads every branch's [prob, sum x w dx,
-    sum x^2 w dx] in one matmul."""
+    sum x^2 w dx] in one matmul.
+
+    Half the frequencies are enough for a translation: ``fftfreq`` gives
+    freq[N - k] = -freq[k] bit for bit, so the phase of entry N - k is the
+    exact complex conjugate of the phase of entry k (see
+    ``symmetry._translate``).  N is a power of two >= 8, so the Nyquist
+    entry k = N/2, whose frequency is -N/(2L), is always in the table."""
 
     x: np.ndarray
-    freq: np.ndarray
+    shift_rate: np.ndarray
     basis: np.ndarray
 
 
@@ -467,10 +474,11 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     building them costs more than the per-sample work they serve."""
     x = grid.x()
     freq = np.fft.fftfreq(grid.n_points, d=grid.dx)
+    shift_rate = -2.0 * np.pi * freq[:grid.n_points // 2 + 1]
     basis = _kernels.moment_table(x, grid.dx)
-    for table in (x, freq, basis):
+    for table in (x, shift_rate, basis):
         table.flags.writeable = False
-    return _GridTables(x, freq, basis)
+    return _GridTables(x, shift_rate, basis)
 
 
 def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[float],

@@ -27,6 +27,7 @@ from .hilbert import (
     BranchPhase,
     CompositeState,
     PhysicalParams,
+    _GridTables,
     _check_clearance,
     _grid_tables,
     branch_phase,
@@ -132,13 +133,26 @@ def extended_loop_element(a: float, w: float) -> ExtendedGalileiElement:
 # --- unitary representation on CompositeState -------------------------------
 
 
-def _translate(grid, amps: np.ndarray, a: float) -> np.ndarray:
-    """Raw (dim, N) amplitudes shifted by a, as a fresh array:
-    exp(-i p_k a / hbar) in Fourier space, where p_k a / hbar = 2 pi k a / L
-    is hbar-free on the grid.  The phase argument (-2 pi k / L) a is real,
-    the same bits as the imaginary part of the complex product
-    -2j pi (k / L) a."""
-    phase = np.exp(1j * ((-2.0 * np.pi * _grid_tables(grid).freq) * a))
+def _translate(tables: _GridTables, amps: np.ndarray, a: float) -> np.ndarray:
+    """Raw (dim, N) amplitudes on the grid of ``tables`` shifted by a, as a
+    fresh array: exp(-i p_k a / hbar) in Fourier space, where
+    p_k a / hbar = 2 pi k a / L is hbar-free on the grid.
+
+    ``exp`` runs on k = 0 .. N/2 only, on the real argument
+    (-2 pi k / L) a, which has the bits of the imaginary part of the
+    complex product -2j pi (k / L) a.  The negative frequencies take the
+    complex conjugate of their mirror entry, and that is exact:
+    freq[N - k] = -freq[k] bit for bit, so each argument is the exact
+    negative of its partner's, and exp(+-0 + i theta) is
+    (cos theta, sin theta) with cos even and sin odd bit for bit.  The
+    Nyquist entry k = N/2 is computed directly."""
+    rate = tables.shift_rate
+    half = rate.size - 1
+    phase = np.zeros(2 * half, dtype=complex)
+    head = phase[:half + 1]
+    np.multiply(rate, a, out=head.imag)
+    np.exp(head, out=head)
+    np.conjugate(phase[half - 1:0:-1], out=phase[half + 1:])
     out = np.fft.fft(amps, axis=1)
     out *= phase
     return np.fft.ifft(out, axis=1, out=out)
@@ -146,7 +160,7 @@ def _translate(grid, amps: np.ndarray, a: float) -> np.ndarray:
 
 def apply_translation(state: CompositeState, a: float) -> CompositeState:
     """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar)."""
-    out = _translate(state.grid, state.amplitudes, a)
+    out = _translate(_grid_tables(state.grid), state.amplitudes, a)
     total = _check_clearance(state.grid, out, "translation by a={}", a)
     return state._with_owned_amplitudes(out, total)
 
@@ -187,11 +201,12 @@ def apply_boost(state: CompositeState, w: float, t: float,
                 "relies on compact support away from the boundary",
                 stacklevel=2,
             )
+    tables = _grid_tables(grid)
     if t != 0.0:
-        amps = _translate(grid, state.amplitudes, w * t)
+        amps = _translate(tables, state.amplitudes, w * t)
     else:
         amps = np.array(state.amplitudes)
-    x = _grid_tables(grid).x
+    x = tables.x
     phases = np.exp(1j * (masses[:, None] * w * x[None, :]) / params.hbar)
     if t != 0.0:
         phases = phases * np.exp(-1j * masses * w**2 * t / (2.0 * params.hbar))[:, None]

@@ -132,23 +132,30 @@ def per_sample_residual(history, dt: float, t_table: np.ndarray, v_table: np.nda
     return worst
 
 
+def translate_amplitudes(amps: np.ndarray, grid, a: float) -> np.ndarray:
+    """Raw (dim, N) amplitudes shifted by a, with ``exp`` of a complex
+    argument over the full fresh frequency table, all N entries, and
+    out-of-place FFTs.
+
+    The reference ``symmetry._translate`` must match bit for bit.
+    """
+    phase = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * a)
+    return np.fft.ifft(np.fft.fft(amps, axis=1) * phase, axis=1)
+
+
 def frame_transform_amplitudes(amps: np.ndarray, grid, masses: np.ndarray,
                                xi: float, v: float, action: float, hbar: float,
                                inverse: bool = False) -> np.ndarray:
     """Moving-frame map of raw (dim, N) amplitudes with complex phase
-    arguments, a fresh frequency table and out-of-place FFTs.
+    arguments and ``translate_amplitudes``.
 
     The reference ``frame_transform`` must match bit for bit.
     """
-    def translate(arr, a):
-        phase = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx) * a)
-        return np.fft.ifft(np.fft.fft(arr, axis=1) * phase, axis=1)
-
     x = grid.x()
     phase = np.exp(-1j * (masses[:, None] * (v * x[None, :] + action)) / hbar)
     if inverse:
-        return translate(amps * np.conj(phase), xi)
-    return translate(amps, -xi) * phase
+        return translate_amplitudes(amps * np.conj(phase), grid, xi)
+    return translate_amplitudes(amps, grid, -xi) * phase
 
 
 # --- closed forms --------------------------------------------------------------

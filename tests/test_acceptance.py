@@ -5,7 +5,10 @@ Each ``test_cNN_*`` check prints one ``ACCEPTANCE Cnn <label>: PASS`` line
 ``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail,
 ``test_a_defect_in_a_kind_row_fails_its_check`` that a defect in each kind
 row a check reads fails that check, and ``test_a_defect_fails_its_check``
-that a defect fails each of C01-C03, C05-C07 and C10.  Run the whole module:
+that a defect fails each of C01-C03, C05-C07 and C10;
+``test_c02_oracle_gap_fails_on_its_own`` that C02's dense-matrix oracle
+catches a mass-energy defect the relative phase cannot see.  Run the whole
+module:
 
     pytest tests/test_acceptance.py -v
 """
@@ -92,8 +95,9 @@ def test_c02_mass_energy_relative_phase():
     psi = gaussian_packet(grid64, 0.0, 0.0, 3.0)
     state = make_superposition(grid64, internal, np.full(2, 2**-0.5), psi)
     pipeline = loop_phase(state, 0.5, 0.8, params)
+    # the oracle reads the config's masses, not the pipeline's mass_energies
     dense = [oracles.dense_loop_phase(grid64, m, 0.5, 0.8, 1.0, psi)
-             for m in internal.mass_energies(10.0)]
+             for m in (1.0, 1.1)]
     oracle_gap = max(abs(wrap_angle(bp.phase - d))
                      for bp, d in zip(pipeline, dense))
     _report("C02", "mass-energy-relative-phase",
@@ -325,6 +329,12 @@ def _mass_energy_without_e_i(internal, c):
     return np.full(internal.dim, internal.E0) / c**2
 
 
+def _mass_energy_shifted(internal, c):
+    """``mass_energies`` with every branch 0.05 heavier: the relative loop
+    phase keeps its value, each branch's phase moves by 0.05 a w."""
+    return internal.rest_energies() / c**2 + 0.05
+
+
 def _step_without_its_closing_kick(plan, amps):
     """``_Plan.step`` without its last V half-kick: a first-order splitting."""
     _kernels.phase_multiply(amps, plan.exp_v_half)
@@ -333,14 +343,16 @@ def _step_without_its_closing_kick(plan, amps):
     return np.fft.ifft(amps, axis=1, out=amps)
 
 
-# One plausible defect per check that reads no fixture, as (owner, attribute,
-# the defective value); each makes the check itself fail (its reading in
-# CHANGES.md).  C04, C08 and C09 have the kind-row defects above.
+# Plausible defects of each check that reads no fixture, as (owner,
+# attribute, the defective value); each makes the check itself fail (its
+# reading in CHANGES.md).  C04, C08 and C09 have the kind-row defects above.
 CHECK_DEFECTS = [
     pytest.param(InternalSpace, "mass_energies", _mass_energy_without_e_i,
                  test_c01_bargmann_loop, id="mass-energy-without-E_i-C01"),
     pytest.param(InternalSpace, "mass_energies", _mass_energy_without_e_i,
                  test_c02_mass_energy_relative_phase, id="mass-energy-without-E_i-C02"),
+    pytest.param(InternalSpace, "mass_energies", _mass_energy_shifted,
+                 test_c02_mass_energy_relative_phase, id="mass-energy-shifted-C02"),
     pytest.param(symmetry, "compose_extended",
                  lambda h2, h1: ExtendedGalileiElement(
                      alpha=h1.alpha + h2.alpha - 0.5 * h2.g.w**2 * h1.g.b,
@@ -354,7 +366,7 @@ CHECK_DEFECTS = [
                  property(lambda traj: _kernels.accumulate_phase(traj.velocity()**2, traj.dt)),
                  test_c06_proper_time_closed_path, id="action-without-one-half-C06"),
     pytest.param(dynamics, "_translate",
-                 lambda grid, amps, a, translate=dynamics._translate: translate(grid, amps, -a),
+                 lambda tables, amps, a, translate=dynamics._translate: translate(tables, amps, -a),
                  test_c07_primed_frame_equation, id="frame-shift-reversed-C07"),
     pytest.param(_Plan, "step", _step_without_its_closing_kick,
                  test_c10_propagator_health, id="step-without-closing-kick-C10"),
@@ -366,3 +378,15 @@ def test_a_defect_fails_its_check(monkeypatch, owner, attribute, defect, check):
     monkeypatch.setattr(owner, attribute, defect)
     with pytest.raises(AssertionError, match=rf"^C\d\d "):
         check()
+
+
+def test_c02_oracle_gap_fails_on_its_own(monkeypatch):
+    """A common shift of every mass-energy keeps the relative phase at 0.04,
+    so C02 fails on its dense-oracle gap alone: the oracle reads the
+    config's masses, not the ``mass_energies`` the pipeline reads."""
+    monkeypatch.setattr(InternalSpace, "mass_energies", _mass_energy_shifted)
+    result = exp_bargmann(masses=[1.0, 1.1], pairs=[(0.5, 0.8)])
+    rel = [r for r in result.rows if r["branch"] == "relative"][0]
+    assert abs(rel["phase_measured"] - 0.04) < 1e-8
+    with pytest.raises(AssertionError, match="^C02 "):
+        test_c02_mass_energy_relative_phase()

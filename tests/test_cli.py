@@ -81,6 +81,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="experiment mismatch"):
             parse_config(experiment="exp_wep", overrides=["experiment=exp_bargmann"])
 
+    @pytest.mark.parametrize("config, overrides, source", [
+        (None, ["experiment=exp_bargmann"], "--set experiment"),
+        ({"experiment": "exp_wep"}, ["experiment=exp_bargmann"], "--set experiment"),
+        ({"experiment": "exp_bargmann"}, [], "config file"),
+        ({"experiment": "exp_bargmann"}, ["params.sigma=2.0"], "config file"),
+    ], ids=["set", "set_over_file", "file", "file_with_other_set"])
+    def test_mismatch_names_where_the_name_came_from(self, tmp_path, capsys, config,
+                                                      overrides, source):
+        args = ["run", "exp_wep", "--out", str(tmp_path / "o")]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        for raw in overrides:
+            args += ["--set", raw]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: experiment mismatch: command line says 'exp_wep', "
+            f"{source} says 'exp_bargmann'\n")
+
     def test_of_two_errors_the_first_in_the_defaults_order_is_reported(self):
         # grid comes before params in the defaults, whatever the user's order
         with pytest.raises(ConfigError, match=r"^grid\.x_min must be a number, got True$"):

@@ -739,6 +739,28 @@ class TestTrajectory:
         with pytest.raises(TrajectoryError):
             triangular_trajectory(1.0, 1.0, 200)  # even sample count
 
+    @pytest.mark.parametrize("traj", [
+        triangular_trajectory(1.0, 1.0, 101),
+        sinusoidal_trajectory(0.5, 2.0, 64),
+        Trajectory(times=np.linspace(-1.0, 0.5, 31),
+                   xi=np.sin(np.linspace(-1.0, 0.5, 31))),
+    ], ids=["triangle", "sine", "central_difference"])
+    def test_at_reads_python_floats(self, traj):
+        columns = (traj.xi, traj.velocity(), traj.kinetic_integral())
+        last = traj.times.size - 1
+        for k, t in enumerate(traj.times):
+            # a sample time, as numpy and Python floats and 1e-11 dt inside
+            nudge = (-1e-11 if k == last else 1e-11) * traj.dt
+            for query in (t, float(t), float(t) + nudge):
+                got = traj.at(query)
+                assert all(type(value) is float for value in got)
+                assert got == tuple(float(column[k]) for column in columns)
+        for t in traj.times[:-1] + 0.37 * traj.dt:
+            got = traj.at(t)
+            assert all(type(value) is float for value in got)
+            assert got == tuple(float(np.interp(t, traj.times, column))
+                                for column in columns)
+
     def test_at_lookup_and_interpolation(self):
         traj = bump_trajectory(2.0, 1.0, 101)
         xi, v, s = traj.at(0.5)
@@ -824,10 +846,10 @@ class TestFrameTransform:
     @given(t=st.floats(0.0, 1.0), height=st.floats(-3.0, 3.0),
            hbar=st.floats(0.2, 5.0), p0=st.floats(-2.0, 2.0),
            levels=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
-           inverse=st.booleans())
+           inverse=st.booleans(), log_n=st.integers(8, 11))
     def test_matches_the_per_sample_oracle_bit_for_bit(self, t, height, hbar, p0,
-                                                       levels, inverse):
-        grid = GridSpec(-20.0, 20.0, 256)
+                                                       levels, inverse, log_n):
+        grid = GridSpec(-20.0, 20.0, 2**log_n)
         internal = InternalSpace(E0=100.0, levels=tuple(sorted(levels)))
         params = PhysicalParams(hbar=hbar, c=10.0, E0=100.0)
         state = packet_state(grid, internal, p0=p0)

@@ -32,7 +32,8 @@ from massclock import (
     translation_element,
     wrap_angle,
 )
-from massclock.symmetry import ExtendedGalileiElement
+from massclock.hilbert import _grid_tables
+from massclock.symmetry import ExtendedGalileiElement, _translate
 
 import oracles
 
@@ -180,6 +181,26 @@ class TestTranslation:
         state, _ = single_branch_state(x0=30.0)
         with pytest.raises(BoundaryViolationError):
             apply_translation(state, 8.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), log_n=st.integers(3, 12), dim=st.integers(1, 3),
+           x_min=st.floats(-50.0, 0.0), length=st.floats(1.0, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_half_table_equals_the_full_table_bit_for_bit(self, data, log_n, dim,
+                                                          x_min, length, seed):
+        # exp on k = 0 .. N/2 and conjugates for the rest, against exp on
+        # all N entries of a fresh fftfreq table
+        grid = GridSpec(x_min, x_min + length, 2**log_n)
+        a = data.draw(st.one_of(
+            st.floats(-2.0 * length, 2.0 * length),
+            st.sampled_from([0.0, -0.0]),
+            st.integers(-2 * grid.n_points, 2 * grid.n_points).map(lambda j: j * grid.dx),
+        ))
+        rng = np.random.default_rng(seed)
+        amps = (rng.standard_normal((dim, grid.n_points))
+                + 1j * rng.standard_normal((dim, grid.n_points)))
+        got = _translate(_grid_tables(grid), amps, a)
+        assert np.array_equal(got, oracles.translate_amplitudes(amps, grid, a))
 
 
 class TestBoost:
