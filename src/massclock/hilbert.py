@@ -473,8 +473,9 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     """The grid's tables, built once per grid and shared read-only:
     building them costs more than the per-sample work they serve."""
     x = grid.x()
-    freq = np.fft.fftfreq(grid.n_points, d=grid.dx)
-    shift_rate = -2.0 * np.pi * freq[:grid.n_points // 2 + 1]
+    shift_rate = np.fft.fftfreq(grid.n_points, d=grid.dx)
+    shift_rate *= -2.0 * np.pi  # in place: no second N-entry array
+    shift_rate = shift_rate[:grid.n_points // 2 + 1]
     basis = _kernels.moment_table(x, grid.dx)
     for table in (x, shift_rate, basis):
         table.flags.writeable = False
