@@ -36,12 +36,9 @@ velocity/acceleration use stored exact samples when a factory provides
 them, otherwise central differences (one-sided second order at the ends).
 Quadrature is composite Simpson on the uniform grid.
 
-The moving-frame map looks up its grid's tables once and builds its
-branch phases in place, in the imaginary part of one zeroed complex buffer
-that ``exp`` then overwrites; its translation evaluates ``exp`` on half the
-spectrum and conjugates the mirror entries (``symmetry._translate``).  It
-checks clearance on its output with the moments of that lookup's table and
-builds the state from that check's norm; each output has the bits of the
+The moving-frame map is the Galilean map that boosts use too
+(``symmetry._galilei_map``): a translation by -xi, then the branch phase
+exp(-i M_i (xi_dot x + S) / hbar); each output has the bits of the
 per-sample oracle.  A trajectory read at a sample time is one index into
 the stored samples.  The Schrodinger residual of a history runs over
 blocks of consecutive samples, one batched FFT pair per block, and has
@@ -58,7 +55,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, symmetry
 from .errors import (
     AliasingError,
     IncompatibleSpacesError,
@@ -79,7 +76,6 @@ from .hilbert import (
     _require_unit_norm,
     momentum_distribution,
 )
-from .symmetry import _translate
 
 # --- Hamiltonian kinds -------------------------------------------------------
 
@@ -427,7 +423,8 @@ def _uniform_spacing(times: np.ndarray) -> float:
     if times.size < 3:
         raise TrajectoryError("need at least 3 samples")
     dt = float(diffs[0])
-    if dt <= 0 or np.any(np.abs(diffs - dt) > 1e-9 * max(abs(dt), 1e-300)):
+    # both comparisons fail on NaN, so a NaN time is refused
+    if not dt > 0 or not np.all(np.abs(diffs - dt) <= 1e-9 * max(abs(dt), 1e-300)):
         raise TrajectoryError("samples must be uniform and increasing")
     return dt
 
@@ -650,45 +647,20 @@ def closed_path_phase(traj: Trajectory, mass: float, params: PhysicalParams) -> 
 # --- frame transformation -----------------------------------------------------
 
 def frame_transform(state: CompositeState, traj: Trajectory, t: float,
-                    params: PhysicalParams, inverse: bool = False) -> CompositeState:
-    """Map a lab-frame state into the frame riding xi(t) (or back).
+                    params: PhysicalParams) -> CompositeState:
+    """Map a lab-frame state into the frame riding xi(t).
 
-    Forward:  phi(x) = exp(-i M_i (xi_dot x + S) / hbar) psi(x + xi),
+    phi(x) = exp(-i M_i (xi_dot x + S) / hbar) psi(x + xi),
     with S = integral_0^t xi_dot^2/2 dt'; branch-wise with the branch
-    mass-energies M_i.  For xi = w t this is exactly the boost by -w
-    composed with the translation by -w t, including the global phase.
-    The clearance check runs on the output, and its moments pass also
-    supplies the output's norm.
+    mass-energies M_i.  This is ``symmetry._galilei_map`` at a = -xi,
+    u = -xi_dot and phi = -S, so for xi = w t it is exactly the boost by
+    -w at time t, including the global phase.
     """
     params.check_internal(state.internal)
-    grid = state.grid
-    tables = _grid_tables(grid)
     xi, v, action = traj.at(t)
     _require_subluminal(abs(v), params.c)
-    masses = state.internal.mass_energies(params.c)
-    # The real argument -(M (v x + S)) * (1 / hbar), built in place in the
-    # imaginary part of a zeroed buffer, has the bits of
-    # Im(-1j * (M (v x + S)) / hbar): numpy divides a complex array by a
-    # real scalar as a product with 1 / hbar.
-    phase = np.zeros(state.amplitudes.shape, dtype=complex)
-    theta = phase.imag
-    np.multiply(tables.x, v, out=theta)
-    theta += action
-    theta *= masses[:, None]
-    np.negative(theta, out=theta)
-    theta *= 1.0 / params.hbar
-    np.exp(phase, out=phase)
-    if inverse:
-        a = xi
-        np.conjugate(phase, out=phase)
-        amps = _translate(tables, np.multiply(state.amplitudes, phase, out=phase), a)
-    else:
-        a = -xi
-        amps = _translate(tables, state.amplitudes, a)
-        amps *= phase
-    probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
-    _require_clearance(grid, probs, sxs, sxxs, "translation by a={}", a)
-    return state._with_owned_amplitudes(amps, sum(probs))
+    return symmetry._galilei_map(state, -xi, -v, -action, params,
+                                 "translation by a={}", -xi)
 
 
 # History samples per block of the residual.  A block's (block, dim, N)
@@ -728,6 +700,8 @@ def schrodinger_residual(history: Sequence[CompositeState], dt: float,
         non_inertial_accel = np.asarray(non_inertial_accel, dtype=float)
         if non_inertial_accel.shape != (len(history),):
             raise PreconditionError("non_inertial_accel must align with history samples")
+        for accel in non_inertial_accel.tolist():
+            _require_finite("non_inertial_accel", accel)
         # M_i a_k per sample k and branch i, as (samples, dim, 1) columns
         masses = internal.mass_energies(params.c)
         accel_coef = masses[None, :, None] * non_inertial_accel[:, None, None]

@@ -12,7 +12,9 @@ and a boost at time t acts branch-wise as exp(+i w (M_i x - t p) / hbar),
 i.e. at t = 0 branch i picks up exp(i M_i w x / hbar) and gains momentum
 M_i w.  With these conventions the loop multiplies branch i by
 exp(-i M_i a w / hbar): the representation is projective even though the
-abstract loop is trivial.
+abstract loop is trivial.  Boosts and the moving frames of
+``dynamics.frame_transform`` are one map, ``_galilei_map``: a translation
+by a, then the branch phase exp(i M_i (u x + phi) / hbar).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import List
 
 import numpy as np
 
+from . import _kernels
 from .hilbert import (
     BranchPhase,
     CompositeState,
@@ -30,6 +33,7 @@ from .hilbert import (
     _GridTables,
     _check_clearance,
     _grid_tables,
+    _require_clearance,
     branch_phase,
 )
 
@@ -177,18 +181,41 @@ def seam_mismatch(state: CompositeState, w: float, params: PhysicalParams) -> np
     return np.abs(np.exp(1j * theta) - 1.0)
 
 
+def _galilei_map(state: CompositeState, a: float, u: float, phi: float,
+                 params: PhysicalParams, where: str, *args) -> CompositeState:
+    """Translate by a, then multiply branch i by exp(i M_i (u x + phi) / hbar).
+
+    The real argument ((x u) + phi) M_i (1 / hbar) is built in place in the
+    imaginary part of one zeroed complex buffer that ``exp`` overwrites.
+    The clearance rule, whose refusal names ``where.format(*args)``, and
+    the output's norm read one moments pass of the same table lookup."""
+    grid = state.grid
+    tables = _grid_tables(grid)
+    phase = np.zeros(state.amplitudes.shape, dtype=complex)
+    theta = phase.imag
+    np.multiply(tables.x, u, out=theta)
+    theta += phi
+    theta *= state.internal.mass_energies(params.c)[:, None]
+    theta *= 1.0 / params.hbar  # as numpy divides complex by real: bits of the oracle
+    np.exp(phase, out=phase)
+    amps = _translate(tables, state.amplitudes, a)
+    amps *= phase
+    probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
+    _require_clearance(grid, probs, sxs, sxxs, where, *args)
+    return state._with_owned_amplitudes(amps, sum(probs))
+
+
 def apply_boost(state: CompositeState, w: float, t: float,
                 params: PhysicalParams) -> CompositeState:
     """Branch-wise exp(+i w (M_i x - t p) / hbar).
 
-    At t = 0 this multiplies branch i by exp(i M_i w x / hbar), raising its
-    mean momentum by M_i w.  At t != 0 the operator factorizes into a
-    translation by w t, the position phase, and a global phase
-    exp(-i M_i w^2 t / 2 hbar) per branch.
+    The operator factorizes into a translation by w t followed by the
+    phase exp(i M_i (w x - w^2 t / 2) / hbar) per branch; at t = 0 it
+    multiplies branch i by exp(i M_i w x / hbar), raising its mean
+    momentum by M_i w.
     """
     params.check_internal(state.internal)
     grid = state.grid
-    masses = state.internal.mass_energies(params.c)
     mismatch = seam_mismatch(state, w, params)
     if np.any(mismatch > 1e-8):
         # phase corruption scales with the probability mass at the seam;
@@ -201,18 +228,8 @@ def apply_boost(state: CompositeState, w: float, t: float,
                 "relies on compact support away from the boundary",
                 stacklevel=2,
             )
-    tables = _grid_tables(grid)
-    if t != 0.0:
-        amps = _translate(tables, state.amplitudes, w * t)
-    else:
-        amps = np.array(state.amplitudes)
-    x = tables.x
-    phases = np.exp(1j * (masses[:, None] * w * x[None, :]) / params.hbar)
-    if t != 0.0:
-        phases = phases * np.exp(-1j * masses * w**2 * t / (2.0 * params.hbar))[:, None]
-    amps *= phases
-    total = _check_clearance(grid, amps, "boost w={} at t={}", w, t)
-    return state._with_owned_amplitudes(amps, total)
+    return _galilei_map(state, w * t, w, -0.5 * w * w * t, params,
+                        "boost w={} at t={}", w, t)
 
 
 def loop_phase(state: CompositeState, a: float, w: float,

@@ -144,8 +144,7 @@ def translate_amplitudes(amps: np.ndarray, grid, a: float) -> np.ndarray:
 
 
 def frame_transform_amplitudes(amps: np.ndarray, grid, masses: np.ndarray,
-                               xi: float, v: float, action: float, hbar: float,
-                               inverse: bool = False) -> np.ndarray:
+                               xi: float, v: float, action: float, hbar: float) -> np.ndarray:
     """Moving-frame map of raw (dim, N) amplitudes with complex phase
     arguments and ``translate_amplitudes``.
 
@@ -153,8 +152,6 @@ def frame_transform_amplitudes(amps: np.ndarray, grid, masses: np.ndarray,
     """
     x = grid.x()
     phase = np.exp(-1j * (masses[:, None] * (v * x[None, :] + action)) / hbar)
-    if inverse:
-        return translate_amplitudes(amps * np.conj(phase), grid, xi)
     return translate_amplitudes(amps, grid, -xi) * phase
 
 

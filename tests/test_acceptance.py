@@ -343,6 +343,19 @@ def _step_without_its_closing_kick(plan, amps):
     return np.fft.ifft(amps, axis=1, out=amps)
 
 
+def _map_with_reversed_shift(state, a, u, phi, params, where, *args,
+                             galilei_map=symmetry._galilei_map):
+    """The shared Galilean map translating by -a: the frame shift is reversed."""
+    return galilei_map(state, -a, u, phi, params, where, *args)
+
+
+def _map_with_reversed_rate(state, a, u, phi, params, where, *args,
+                            galilei_map=symmetry._galilei_map):
+    """The shared Galilean map with its phase rate u reversed, for boosts and
+    moving frames alike."""
+    return galilei_map(state, a, -u, phi, params, where, *args)
+
+
 # Plausible defects of each check that reads no fixture, as (owner,
 # attribute, the defective value); each makes the check itself fail (its
 # reading in CHANGES.md).  C04, C08 and C09 have the kind-row defects above.
@@ -365,9 +378,14 @@ CHECK_DEFECTS = [
     pytest.param(Trajectory, "_kinetic",
                  property(lambda traj: _kernels.accumulate_phase(traj.velocity()**2, traj.dt)),
                  test_c06_proper_time_closed_path, id="action-without-one-half-C06"),
-    pytest.param(dynamics, "_translate",
-                 lambda tables, amps, a, translate=dynamics._translate: translate(tables, amps, -a),
+    pytest.param(symmetry, "_galilei_map", _map_with_reversed_shift,
                  test_c07_primed_frame_equation, id="frame-shift-reversed-C07"),
+    pytest.param(symmetry, "_galilei_map", _map_with_reversed_rate,
+                 test_c01_bargmann_loop, id="map-rate-reversed-C01"),
+    pytest.param(symmetry, "_galilei_map", _map_with_reversed_rate,
+                 test_c02_mass_energy_relative_phase, id="map-rate-reversed-C02"),
+    pytest.param(symmetry, "_galilei_map", _map_with_reversed_rate,
+                 test_c07_primed_frame_equation, id="map-rate-reversed-C07"),
     pytest.param(_Plan, "step", _step_without_its_closing_kick,
                  test_c10_propagator_health, id="step-without-closing-kick-C10"),
 ]

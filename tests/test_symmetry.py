@@ -232,6 +232,26 @@ class TestBoost:
         amps = manual.amplitudes * np.exp(1j * (1.0 * w * x - 0.5 * 1.0 * w**2 * t))
         assert abs(overlap(boosted, manual.with_amplitudes(amps)) - 1.0) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.floats(-2.0, 2.0), t=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           hbar=st.floats(0.2, 5.0),
+           levels=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
+           log_n=st.integers(8, 11))
+    def test_is_the_frame_map_bit_for_bit(self, w, t, hbar, levels, log_n):
+        # the boost by w at t is the frame map riding xi = -w t, with
+        # xi_dot = -w and S = w^2 t / 2
+        grid = GridSpec(-20.0, 20.0, 2**log_n)
+        internal = InternalSpace(E0=100.0, levels=tuple(sorted(levels)))
+        params = PhysicalParams(hbar=hbar, c=10.0, E0=100.0)
+        weights = np.full(internal.dim, internal.dim**-0.5)
+        state = make_superposition(grid, internal, weights,
+                                   gaussian_packet(grid, 0.0, 0.0, 1.0))
+        out = apply_boost(state, w, t, params)
+        expected = oracles.frame_transform_amplitudes(
+            state.amplitudes, grid, internal.mass_energies(params.c),
+            -w * t, -w, 0.5 * w * w * t, hbar)
+        assert np.array_equal(out.amplitudes, expected)
+
     def test_seam_mismatch_reporting(self):
         state, sp = single_branch_state()
         params = PhysicalParams(hbar=1.0, c=10.0, E0=sp.E0)
