@@ -5,7 +5,8 @@ Each ``test_cNN_*`` check prints one ``ACCEPTANCE Cnn <label>: PASS`` line
 ``test_c04_fails_on_a_wrong_rest_phase`` shows that C04 can fail,
 ``test_a_defect_in_a_kind_row_fails_its_check`` that a defect in each kind
 row a check reads fails that check, and ``test_a_defect_fails_its_check``
-that a defect fails each of C01-C03, C05-C07 and C10;
+that a defect fails each of C01-C03, C05-C07 and C10 (one defect in the
+Galilean map that boosts and moving frames share fails C01, C02 and C07);
 ``test_c02_oracle_gap_fails_on_its_own`` that C02's dense-matrix oracle
 catches a mass-energy defect the relative phase cannot see.  Run the whole
 module:
