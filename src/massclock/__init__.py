@@ -60,9 +60,6 @@ from .dynamics import (
     HamiltonianKind,
     ProperTimeResult,
     Trajectory,
-    branch_kinetic,
-    branch_potential,
-    branch_velocity,
     bump_trajectory,
     closed_path_phase,
     expectation_velocity,

@@ -12,9 +12,10 @@ H_r,i = E0 + E_i the branch rest energy, M_i = H_r,i / c^2, m = E0/c^2:
   newtonian       T = p^2 / 2m                       V = m c^2 + E_i + m Phi(x)
 
 Each row is a HamiltonianKind (T, dT/dp and V) of the kind table
-``_KINDS``, keyed by name; dynamical_mass+rest, dynamical_mass with its
-rest term H_r, is low_energy's row under that name.  The propagator, the
-residual check, the velocity readout and branch_* read the row they get.
+``_KINDS``, keyed by name; low_energy is dynamical_mass with its rest
+term H_r.  A row is evaluated one way, on the (dim, 1) branch columns of
+``_branches``: the propagator, the residual check and the velocity
+readout read every branch of the row they get at once.
 
 The exact kind models a static weak field, g00 = -(1 + 2 Phi/c^2) with flat
 spatial metric; the metric factor is folded into V as the additive M Phi(x)
@@ -79,17 +80,11 @@ from .hilbert import (
 
 # --- Hamiltonian kinds -------------------------------------------------------
 
-def _branches(internal: InternalSpace, params: PhysicalParams,
-              level: Optional[int] = None) -> SimpleNamespace:
-    """Constants of the branch operators: hr = E0 + E_i and ei = E_i, as
-    scalars for one level or as (dim, 1) columns that fill every branch."""
+def _branches(internal: InternalSpace, params: PhysicalParams) -> SimpleNamespace:
+    """Constants of the branch operators: hr = E0 + E_i and ei = E_i as
+    (dim, 1) columns, so one row of the kind table fills every branch."""
     params.check_internal(internal)
-    if level is None:
-        ei = np.asarray(internal.levels)[:, None]
-    elif 0 <= level < internal.dim:
-        ei = internal.levels[level]
-    else:
-        raise PreconditionError(f"level {level} out of range for dim={internal.dim}")
+    ei = np.asarray(internal.levels)[:, None]
     return SimpleNamespace(hr=internal.E0 + ei, ei=ei, e0=internal.E0,
                            c=params.c, m=params.m)
 
@@ -151,7 +146,6 @@ _KINDS = {kind.name: kind for kind in (
             velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2)),
     replace(_LOW_ENERGY, name="dynamical_mass",
             kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr)),
-    replace(_LOW_ENERGY, name="dynamical_mass+rest"),
     _LOW_ENERGY,
     HamiltonianKind(
         "split",
@@ -177,31 +171,12 @@ def _tables(kind: HamiltonianKind, grid: GridSpec, internal: InternalSpace,
     return np.broadcast_to(t_table, shape), np.broadcast_to(v_table, shape)
 
 
-def branch_kinetic(kind: HamiltonianKind, internal: InternalSpace,
-                   params: PhysicalParams, level: int) -> Callable[[np.ndarray], np.ndarray]:
-    """T_i as a function of momentum (scalar or array)."""
-    b = _branches(internal, params, level)
-    return lambda p: kind.kinetic(np.asarray(p, dtype=float), b)
-
-
-def branch_velocity(kind: HamiltonianKind, internal: InternalSpace,
-                    params: PhysicalParams, level: int) -> Callable[[np.ndarray], np.ndarray]:
-    """dT_i/dp as a function of momentum."""
-    b = _branches(internal, params, level)
-    return lambda p: kind.velocity(np.asarray(p, dtype=float), b)
-
-
-def branch_potential(kind: HamiltonianKind, internal: InternalSpace,
-                     params: PhysicalParams, level: int, x: np.ndarray) -> np.ndarray:
-    """V_i(x) including any rest-energy constants the kind carries there."""
-    b = _branches(internal, params, level)
-    return kind.potential(params.potential.values(x), b)
-
-
 def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
                          params: PhysicalParams, level: int) -> float:
     """<dT_i/dp> on one branch (== d<x>/dt by Ehrenfest for these kinds)."""
-    table = branch_velocity(kind, state.internal, params, level)(state.grid.p(params.hbar))
+    if not 0 <= level < state.internal.dim:
+        raise PreconditionError(f"level {level} out of range for dim={state.internal.dim}")
+    table = _velocity_table([(state, kind, params)])[level]
     return float(_read_velocities(state.grid, state.amplitudes[level], table))
 
 
@@ -346,10 +321,12 @@ def propagate_history(state: CompositeState, kind: HamiltonianKind,
 
 def _velocity_table(runs: Sequence[tuple]) -> np.ndarray:
     """dT_i/dp on the momentum grid for every row of the runs' stacked
-    buffer, each row as ``branch_velocity`` gives it."""
-    return np.stack([
-        branch_velocity(kind, state.internal, params, level)(state.grid.p(params.hbar))
-        for state, kind, params in runs for level in range(state.internal.dim)])
+    buffer: each run's velocity row evaluated on its branch columns."""
+    return np.concatenate([
+        np.broadcast_to(kind.velocity(state.grid.p(params.hbar),
+                                      _branches(state.internal, params)),
+                        state.amplitudes.shape)
+        for state, kind, params in runs])
 
 
 # --- internal clock ----------------------------------------------------------
@@ -452,6 +429,8 @@ class Trajectory:
         if times.shape != xi.shape or times.ndim != 1:
             raise TrajectoryError("times and xi must be matching 1D arrays")
         _uniform_spacing(times)
+        for value in xi.tolist():
+            _require_finite("xi", value)
         if self.closed and (xi[0] != 0.0 or xi[-1] != 0.0):
             raise TrajectoryError("closed trajectory requires xi(0) = xi(T) = 0 exactly")
         for name in ("xi_dot", "xi_ddot"):
@@ -460,6 +439,8 @@ class Trajectory:
                 arr = np.array(arr, dtype=float)
                 if arr.shape != times.shape:
                     raise TrajectoryError(f"{name} shape mismatch")
+                for value in arr.tolist():
+                    _require_finite(name, value)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
         times.flags.writeable = False

@@ -160,6 +160,8 @@ class Potential:
     phis: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in ("none", "uniform", "tabulated"):
+            raise PreconditionError(f"unknown potential kind {self.kind!r}")
         _require_finite("g", self.g)
         for name in ("xs", "phis"):
             for value in getattr(self, name):
@@ -186,13 +188,11 @@ class Potential:
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == "none":
-            return np.zeros_like(x)
         if self.kind == "uniform":
             return self.g * x
         if self.kind == "tabulated":
             return np.interp(x, self.xs, self.phis)
-        raise PreconditionError(f"unknown potential kind {self.kind!r}")
+        return np.zeros_like(x)  # none
 
 
 @dataclass(frozen=True)
@@ -399,7 +399,7 @@ def branch_phase(before: CompositeState, after: CompositeState,
         raise PreconditionError(
             f"branch {level} populations differ: {pop_before} vs {pop_after}"
         )
-    o = np.sum(np.conj(before.amplitudes[level]) * after.amplitudes[level]) * before.grid.dx
+    o = _overlaps(before.amplitudes[level], after.amplitudes[level], before.grid.dx)
     fidelity = abs(o) / pop_before
     if fidelity < 1.0 - 1e-6:
         raise BranchDeformedError(

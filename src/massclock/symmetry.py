@@ -34,6 +34,7 @@ from .hilbert import (
     _check_clearance,
     _grid_tables,
     _require_clearance,
+    _require_finite,
     branch_phase,
 )
 
@@ -164,6 +165,7 @@ def _translate(tables: _GridTables, amps: np.ndarray, a: float) -> np.ndarray:
 
 def apply_translation(state: CompositeState, a: float) -> CompositeState:
     """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar)."""
+    _require_finite("a", a)
     out = _translate(_grid_tables(state.grid), state.amplitudes, a)
     total = _check_clearance(state.grid, out, "translation by a={}", a)
     return state._with_owned_amplitudes(out, total)
@@ -215,6 +217,8 @@ def apply_boost(state: CompositeState, w: float, t: float,
     momentum by M_i w.
     """
     params.check_internal(state.internal)
+    _require_finite("w", w)
+    _require_finite("t", t)
     grid = state.grid
     mismatch = seam_mismatch(state, w, params)
     if np.any(mismatch > 1e-8):
@@ -256,6 +260,7 @@ def commutator_residual(state: CompositeState, t: float,
     1e-6 for packets well clear of the seam.
     """
     params.check_internal(state.internal)
+    _require_finite("t", t)
     grid = state.grid
     _check_clearance(grid, state.amplitudes, "commutator residual")
     hbar = params.hbar

@@ -169,9 +169,9 @@ def test_c04_fails_on_a_wrong_rest_phase(c04_terminals, rest):
     assert _c04_infidelity(c04_terminals, rest) > 1e-12
 
 
-# One defect per distinct kind row (dynamical_mass+rest holds low_energy's
-# callables) and the check that reads the row, as a call that is True when
-# the check passes.  No check reads exact, since no runner propagates it.
+# One defect per kind row and the check that reads the row, as a call that
+# is True when the check passes.  The table has five rows, and no check
+# reads exact, since no runner propagates it.
 ROW_DEFECTS = [
     pytest.param("dynamical_mass", "kinetic", lambda p, b: p**2 * b.c**2 / (2.0 * b.e0),
                  lambda: _c04_infidelity(_c04_terminals(), C04_REST) < 1e-12,

@@ -21,9 +21,6 @@ from massclock import (
     Trajectory,
     TrajectoryError,
     apply_boost,
-    branch_kinetic,
-    branch_potential,
-    branch_velocity,
     bump_trajectory,
     closed_path_phase,
     expectation_p,
@@ -50,6 +47,7 @@ from massclock.dynamics import (
     _KINDS,
     _RESIDUAL_BLOCK,
     _Plan,
+    _branches,
     _evolve,
     _read_velocities,
     _tables,
@@ -72,7 +70,6 @@ def packet_state(grid=GRID, internal=INTERNAL, x0=0.0, p0=0.0, sigma=1.0):
 
 class TestHamiltonianKind:
     def test_names(self):
-        assert HamiltonianKind.from_name("dynamical_mass+rest").name == "dynamical_mass+rest"
         assert HamiltonianKind.from_name(" split\n") is _KINDS["split"]
         with pytest.raises(PreconditionError,
                            match=r"unknown Hamiltonian kind 'quartic'; known: exact, "):
@@ -85,10 +82,13 @@ class TestHamiltonianKind:
         for name in ("exact", "dynamical_mass", "low_energy", "split", "newtonian"):
             assert getattr(HamiltonianKind, name)() is _KINDS[name]
 
-    def test_the_rest_alias_holds_the_low_energy_callables(self):
-        alias, low = _KINDS["dynamical_mass+rest"], _KINDS["low_energy"]
-        for part in ("kinetic", "velocity", "potential"):
-            assert getattr(alias, part) is getattr(low, part)
+    def test_the_rest_alias_is_not_a_kind(self):
+        # low_energy is dynamical_mass with its rest term; no second name
+        assert len(_KINDS) == 5
+        with pytest.raises(PreconditionError, match=re.escape(
+                "unknown Hamiltonian kind 'dynamical_mass+rest'; known: "
+                "exact, dynamical_mass, low_energy, split, newtonian")):
+            HamiltonianKind.from_name("dynamical_mass+rest")
 
 
 def _docstring_branch(label, p, phi, e0, ei, c, m):
@@ -99,7 +99,7 @@ def _docstring_branch(label, p, phi, e0, ei, c, m):
         return np.sqrt(c**2 * p**2 + hr**2), big_m * phi
     if label == "dynamical_mass":
         return p**2 * c**2 / (2 * hr), big_m * phi
-    if label in ("dynamical_mass+rest", "low_energy"):
+    if label == "low_energy":
         return hr + p**2 * c**2 / (2 * hr), big_m * phi
     if label == "split":
         return (p**2 * c**2 / (2 * e0) - ei * p**2 * c**2 / (2 * e0**2),
@@ -140,39 +140,51 @@ class TestKindTable:
     @given(_kind_cases())
     def test_velocity_is_the_central_difference_of_t(self, case):
         label, grid, internal, params = case
-        kind = HamiltonianKind.from_name(label)
         p = grid.p(params.hbar)
+        t_rows, v_rows = _columns(label, p, internal, params)
         p_max = np.max(np.abs(p))
-        for i, hr in enumerate(internal.rest_energies()):
-            # below the curvature scale H_r/c of the exact kind's square root
-            h = 1e-4 * min(p_max, hr / params.c)
-            t = branch_kinetic(kind, internal, params, i)
-            v = branch_velocity(kind, internal, params, i)(p)
-            numeric = (t(p + h) - t(p - h)) / (2 * h)
-            t_max = np.max(np.abs(t(p)))
-            rounding = 1e-14 * t_max / h
-            np.testing.assert_allclose(v, numeric, rtol=1e-6,
+        b = _branches(internal, params)
+        # one step per branch, below the curvature scale H_r/c of the exact
+        # kind's square root
+        h = 1e-4 * np.minimum(p_max, b.hr / params.c)
+        t_plus, _ = _columns(label, p + h, internal, params)
+        t_minus, _ = _columns(label, p - h, internal, params)
+        numeric = (t_plus - t_minus) / (2 * h)
+        for i in range(internal.dim):
+            t_max = np.max(np.abs(t_rows[i]))
+            rounding = 1e-14 * t_max / h[i, 0]
+            np.testing.assert_allclose(v_rows[i], numeric[i], rtol=1e-6,
                                        atol=1e-6 * t_max / p_max + rounding)
 
     def test_level_out_of_range(self):
-        for fn in (branch_kinetic, branch_velocity):
-            with pytest.raises(PreconditionError, match="out of range"):
-                fn(HamiltonianKind.split(), INTERNAL, PARAMS, 2)
-        with pytest.raises(PreconditionError, match="out of range"):
-            branch_potential(HamiltonianKind.split(), INTERNAL, PARAMS, -1, GRID.x())
+        state = packet_state()
+        for level in (2, -1):
+            with pytest.raises(PreconditionError,
+                               match=f"level {level} out of range for dim=2"):
+                expectation_velocity(state, HamiltonianKind.split(), PARAMS, level)
+
+
+def _columns(label, p, internal=INTERNAL, params=PARAMS):
+    """(T_i(p), dT_i/dp) of every branch of the named row, each a (dim, N)
+    table: the row evaluated once on the ``_branches`` columns."""
+    kind, b = HamiltonianKind.from_name(label), _branches(internal, params)
+    p = np.asarray(p, dtype=float)
+    shape = np.broadcast_shapes((internal.dim, 1), p.shape)
+    return (np.broadcast_to(kind.kinetic(p, b), shape),
+            np.broadcast_to(kind.velocity(p, b), shape))
 
 
 class TestBranchKinetic:
     def test_newtonian_rest(self):
-        t = branch_kinetic(HamiltonianKind.newtonian(), INTERNAL, PARAMS, 0)
-        assert t(0.0) == 0.0
+        t, _ = _columns("newtonian", [0.0])
+        assert np.all(t == 0.0)
 
     def test_exact_vs_low_energy_frozen_gap(self):
         # p = 0.1 H_r / c: exact = H_r sqrt(1.01), low = 1.005 H_r
         hr = INTERNAL.E0 + INTERNAL.levels[0]
-        p = 0.1 * hr / PARAMS.c
-        exact = branch_kinetic(HamiltonianKind.exact(), INTERNAL, PARAMS, 0)(p)
-        low = branch_kinetic(HamiltonianKind.low_energy(), INTERNAL, PARAMS, 0)(p)
+        p = [0.1 * hr / PARAMS.c]
+        exact = _columns("exact", p)[0][0, 0]
+        low = _columns("low_energy", p)[0][0, 0]
         assert exact == pytest.approx(hr * np.sqrt(1.01), rel=1e-14)
         assert low == pytest.approx(1.005 * hr, rel=1e-14)
         rel_gap = (low - exact) / exact
@@ -180,16 +192,17 @@ class TestBranchKinetic:
 
     def test_split_momentum_terms(self):
         p = np.linspace(-3, 3, 7)
-        t = branch_kinetic(HamiltonianKind.split(), INTERNAL, PARAMS, 1)
-        e0, ei, c = INTERNAL.E0, INTERNAL.levels[1], PARAMS.c
-        expected = p**2 * c**2 / (2 * e0) - ei * p**2 * c**2 / (2 * e0**2)
-        assert np.allclose(t(p), expected, rtol=0, atol=1e-12)
+        t, _ = _columns("split", p)
+        e0, c = INTERNAL.E0, PARAMS.c
+        for i, ei in enumerate(INTERNAL.levels):
+            expected = p**2 * c**2 / (2 * e0) - ei * p**2 * c**2 / (2 * e0**2)
+            assert np.allclose(t[i], expected, rtol=0, atol=1e-12)
 
     def test_hierarchy_gap_scales_fourth_power(self):
         hr = INTERNAL.E0
         ps = np.logspace(-3, -1, 9) * hr / PARAMS.c
-        exact = branch_kinetic(HamiltonianKind.exact(), INTERNAL, PARAMS, 0)(ps)
-        low = branch_kinetic(HamiltonianKind.low_energy(), INTERNAL, PARAMS, 0)(ps)
+        exact = _columns("exact", ps)[0][0]
+        low = _columns("low_energy", ps)[0][0]
         gap = low - exact
         assert np.all(gap > 0)  # low-energy form overshoots the square root
         slope = np.polyfit(np.log(ps), np.log(gap), 1)[0]
@@ -198,20 +211,18 @@ class TestBranchKinetic:
     def test_velocity_is_momentum_derivative(self):
         p = np.linspace(-3, 3, 13)
         h = 1e-6
-        for kind in (HamiltonianKind.exact(), HamiltonianKind.dynamical_mass(),
-                     HamiltonianKind.low_energy(), HamiltonianKind.split(),
-                     HamiltonianKind.newtonian()):
-            t = branch_kinetic(kind, INTERNAL, PARAMS, 1)
-            v = branch_velocity(kind, INTERNAL, PARAMS, 1)
-            numeric = (t(p + h) - t(p - h)) / (2 * h)
-            assert np.allclose(v(p), numeric, rtol=1e-6, atol=1e-6)
+        for label in _KINDS:
+            _, v = _columns(label, p)
+            numeric = (_columns(label, p + h)[0] - _columns(label, p - h)[0]) / (2 * h)
+            assert np.allclose(v, numeric, rtol=1e-6, atol=1e-6)
 
     def test_potentials_carry_rest_terms(self):
-        x = np.array([0.0])
-        v_split = branch_potential(HamiltonianKind.split(), INTERNAL, PARAMS, 1, x)
-        assert v_split[0] == INTERNAL.E0 + INTERNAL.levels[1]
-        v_newt = branch_potential(HamiltonianKind.newtonian(), INTERNAL, PARAMS, 1, x)
-        assert v_newt[0] == PARAMS.m * PARAMS.c**2 + INTERNAL.levels[1]
+        phi, b = PARAMS.potential.values([0.0]), _branches(INTERNAL, PARAMS)
+        v_split = HamiltonianKind.split().potential(phi, b)
+        v_newt = HamiltonianKind.newtonian().potential(phi, b)
+        for i, ei in enumerate(INTERNAL.levels):
+            assert v_split[i, 0] == INTERNAL.E0 + ei
+            assert v_newt[i, 0] == PARAMS.m * PARAMS.c**2 + ei
 
 
 class TestPropagate:

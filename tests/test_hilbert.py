@@ -365,7 +365,7 @@ class TestRefusals:
                      "matching xs/phis, >= 2 points", id="unmatched-table"),
         pytest.param(lambda: Potential.tabulated([0.0, 0.0], [1.0, 2.0]),
                      "xs must be strictly increasing", id="repeated-x"),
-        pytest.param(lambda: Potential(kind="cubic").values(GRID.x()),
+        pytest.param(lambda: Potential(kind="cubic"),
                      "unknown potential kind 'cubic'", id="unknown-potential"),
         pytest.param(lambda: CompositeState(GRID, TWO_LEVEL, _ZEROS[:1]),
                      r"amplitude shape \(1, 1024\) != \(dim, n_points\) = \(2, 1024\)",

@@ -23,7 +23,11 @@ from massclock import (
     Potential,
     PreconditionError,
     SuperluminalError,
+    Trajectory,
+    apply_boost,
+    apply_translation,
     bump_trajectory,
+    commutator_residual,
     gaussian_packet,
     internal_frequency,
     internal_space_from_masses,
@@ -98,6 +102,11 @@ CONFIG_TIME = {
     "wep-exact-kind": (
         "exp_wep", lambda: exp_wep(kinds=["exact"]), ['params.kinds=["exact"]'],
         "params.kinds", "'exact' is not an exp_wep kind"),
+    "wep-rest-alias": (
+        "exp_wep", lambda: exp_wep(kinds=["dynamical_mass+rest"]),
+        ['params.kinds=["dynamical_mass+rest"]'], "params.kinds",
+        "unknown Hamiltonian kind 'dynamical_mass+rest'; "
+        "known: exact, dynamical_mass, low_energy, split, newtonian"),
     "wep-c-zero": (
         "exp_wep", lambda: exp_wep(c=0.0), ["physical.c=0.0"],
         "physical", "c must be positive and finite, got 0.0"),
@@ -241,8 +250,17 @@ FINITE = {
                  lambda v: exp_clock_wavepacket(v_over_c=[0.1, v])],
     "gh_over_c2": [lambda v: exp_clock_semiclassical(gh_over_c2=[v]),
                    lambda v: exp_clock_wavepacket(gh_over_c2=[v])],
-    "a": [lambda v: exp_bargmann(pairs=[(v, 0.5)])],
-    "w": [lambda v: exp_bargmann(pairs=[(0.5, 0.8), (1.0, v)])],
+    "a": [lambda v: exp_bargmann(pairs=[(v, 0.5)]),
+          lambda v: apply_translation(_STATE, v)],
+    "w": [lambda v: exp_bargmann(pairs=[(0.5, 0.8), (1.0, v)]),
+          lambda v: apply_boost(_STATE, v, 0.0, _PARAMS)],
+    "t": [lambda v: apply_boost(_STATE, 0.5, v, _PARAMS),
+          lambda v: commutator_residual(_STATE, v, _PARAMS)],
+    "xi": [lambda v: Trajectory(times=[0.0, 1.0, 2.0], xi=[0.0, v, 0.0])],
+    "xi_dot": [lambda v: Trajectory(times=[0.0, 1.0, 2.0], xi=[0.0] * 3,
+                                    xi_dot=[v, 0.0, 0.0])],
+    "xi_ddot": [lambda v: Trajectory(times=[0.0, 1.0, 2.0], xi=[0.0] * 3,
+                                     xi_ddot=[0.0, 0.0, v])],
     "delta_e": [lambda v: exp_interferometer(delta_e=v)],
     "height": [lambda v: exp_interferometer(height=v),
                lambda v: bump_trajectory(v, 1.0, 5)],
