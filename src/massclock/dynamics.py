@@ -73,6 +73,7 @@ from .hilbert import (
     _grid_tables,
     _require_clearance,
     _require_finite,
+    _require_finite_samples,
     _require_positive,
     _require_unit_norm,
     momentum_distribution,
@@ -429,8 +430,7 @@ class Trajectory:
         if times.shape != xi.shape or times.ndim != 1:
             raise TrajectoryError("times and xi must be matching 1D arrays")
         _uniform_spacing(times)
-        for value in xi.tolist():
-            _require_finite("xi", value)
+        _require_finite_samples("xi", xi)
         if self.closed and (xi[0] != 0.0 or xi[-1] != 0.0):
             raise TrajectoryError("closed trajectory requires xi(0) = xi(T) = 0 exactly")
         for name in ("xi_dot", "xi_ddot"):
@@ -439,8 +439,7 @@ class Trajectory:
                 arr = np.array(arr, dtype=float)
                 if arr.shape != times.shape:
                     raise TrajectoryError(f"{name} shape mismatch")
-                for value in arr.tolist():
-                    _require_finite(name, value)
+                _require_finite_samples(name, arr)
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
         times.flags.writeable = False
@@ -681,8 +680,7 @@ def schrodinger_residual(history: Sequence[CompositeState], dt: float,
         non_inertial_accel = np.asarray(non_inertial_accel, dtype=float)
         if non_inertial_accel.shape != (len(history),):
             raise PreconditionError("non_inertial_accel must align with history samples")
-        for accel in non_inertial_accel.tolist():
-            _require_finite("non_inertial_accel", accel)
+        _require_finite_samples("non_inertial_accel", non_inertial_accel)
         # M_i a_k per sample k and branch i, as (samples, dim, 1) columns
         masses = internal.mass_energies(params.c)
         accel_coef = masses[None, :, None] * non_inertial_accel[:, None, None]

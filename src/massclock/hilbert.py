@@ -52,6 +52,14 @@ def _require_finite(name: str, value: float) -> None:
         raise PreconditionError(f"{name} must be finite, got {value!r}")
 
 
+def _require_finite_samples(name: str, samples: np.ndarray) -> None:
+    """The finite-value rule on every entry of a float array, in one
+    vectorized pass; a refusal names the first non-finite entry."""
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        _require_finite(name, samples[bad].item(0))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic spatial grid."""
