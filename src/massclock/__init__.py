@@ -6,6 +6,9 @@ grid, represents the Galilei group and its central extension on them, and
 ships seven scripted experiments checking loop phases, clock time dilation,
 frame-transformation phases, free-fall universality and the convergence to
 ordinary Newtonian dynamics.
+
+``import massclock`` loads the physics layers only; the runners, their
+registry and ``interferometer_on_paths`` live in ``massclock.experiments``.
 """
 
 __version__ = "0.1.0"
@@ -75,16 +78,4 @@ from .dynamics import (
     sinusoidal_trajectory,
     static_trajectory,
     triangular_trajectory,
-)
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentResult,
-    exp_bargmann,
-    exp_clock_semiclassical,
-    exp_clock_wavepacket,
-    exp_frame_phase,
-    exp_interferometer,
-    exp_newtonian_sweep,
-    exp_wep,
-    interferometer_on_paths,
 )

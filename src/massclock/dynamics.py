@@ -643,11 +643,11 @@ def frame_transform(state: CompositeState, traj: Trajectory, t: float,
                                  "translation by a={}", -xi)
 
 
-# History samples per block of the residual.  A block's (block, dim, N)
-# temporaries, and numpy's buffers for the broadcast table products, add to
-# peak memory: at N = 512, dim = 1, blocks of 4 add ~0.3 MB and blocks of 8
-# ~0.5 MB, while 4 already takes most of the gain over single samples.
-_RESIDUAL_BLOCK = 4
+# History samples per block of the residual.  At N = 512 an FFT row costs
+# ~9 us alone and 3-4 us in a batch: a 2001-sample primed history takes
+# 90.0 ms in blocks of 4, 57.9 ms in blocks of 32 and 64.4 ms in blocks of
+# 64.  Blocks of 32 add ~1.4 MB of peak memory over blocks of 4.
+_RESIDUAL_BLOCK = 32
 
 
 def schrodinger_residual(history: Sequence[CompositeState], dt: float,

@@ -123,18 +123,21 @@ class InternalSpace:
                 raise PreconditionError(
                     f"|E_i| < E0 required for the low-energy split; got E_i={e}, E0={self.E0}"
                 )
+        rest = self.E0 + np.asarray(self.levels)
+        rest.flags.writeable = False
+        object.__setattr__(self, "_rest", rest)
 
     @property
     def dim(self) -> int:
         return len(self.levels)
 
     def rest_energies(self) -> np.ndarray:
-        """Total rest energy E0 + E_i per level."""
-        return self.E0 + np.asarray(self.levels)
+        """Total rest energy E0 + E_i per level, built once (read-only)."""
+        return self._rest
 
     def mass_energies(self, c: float) -> np.ndarray:
         """M_i = (E0 + E_i)/c^2; guaranteed positive by the invariants."""
-        return self.rest_energies() / c**2
+        return self._rest / c**2
 
 
 def internal_space_from_masses(masses: Sequence[float], c: float) -> InternalSpace:
@@ -166,14 +169,20 @@ class Potential:
     g: float = 0.0
     xs: tuple = ()
     phis: tuple = ()
+    # per kind, the fields of the other kinds, which must stay unset
+    _FOREIGN = {"none": ("g", "xs", "phis"), "uniform": ("xs", "phis"), "tabulated": ("g",)}
 
     def __post_init__(self):
-        if self.kind not in ("none", "uniform", "tabulated"):
+        if self.kind not in self._FOREIGN:
             raise PreconditionError(f"unknown potential kind {self.kind!r}")
         _require_finite("g", self.g)
         for name in ("xs", "phis"):
             for value in getattr(self, name):
                 _require_finite(name, value)
+        for name in self._FOREIGN[self.kind]:
+            if getattr(self, name):
+                raise PreconditionError(f"a {self.kind!r} potential takes no {name}, "
+                                        f"got {getattr(self, name)!r}")
         if self.kind == "tabulated":
             if len(self.xs) != len(self.phis) or len(self.xs) < 2:
                 raise PreconditionError("tabulated potential needs matching xs/phis, >= 2 points")

@@ -187,19 +187,18 @@ def _galilei_map(state: CompositeState, a: float, u: float, phi: float,
                  params: PhysicalParams, where: str, *args) -> CompositeState:
     """Translate by a, then multiply branch i by exp(i M_i (u x + phi) / hbar).
 
-    The real argument ((x u) + phi) M_i (1 / hbar) is built in place in the
-    imaginary part of one zeroed complex buffer that ``exp`` overwrites.
-    The clearance rule, whose refusal names ``where.format(*args)``, and
-    the output's norm read one moments pass of the same table lookup."""
+    The real argument ((x u) + phi) M_i (1 / hbar) is built in a contiguous
+    float array, (N,) until the mass column widens it to (dim, N), and
+    ``exp`` runs once on i times it.  The clearance rule, whose refusal
+    names ``where.format(*args)``, and the output's norm read one moments
+    pass of the same table lookup."""
     grid = state.grid
     tables = _grid_tables(grid)
-    phase = np.zeros(state.amplitudes.shape, dtype=complex)
-    theta = phase.imag
-    np.multiply(tables.x, u, out=theta)
+    theta = tables.x * u
     theta += phi
-    theta *= state.internal.mass_energies(params.c)[:, None]
+    theta = theta * state.internal.mass_energies(params.c)[:, None]
     theta *= 1.0 / params.hbar  # as numpy divides complex by real: bits of the oracle
-    np.exp(phase, out=phase)
+    phase = np.exp(1j * theta)
     amps = _translate(tables, state.amplitudes, a)
     amps *= phase
     probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
@@ -214,18 +213,18 @@ def apply_boost(state: CompositeState, w: float, t: float,
     The operator factorizes into a translation by w t followed by the
     phase exp(i M_i (w x - w^2 t / 2) / hbar) per branch; at t = 0 it
     multiplies branch i by exp(i M_i w x / hbar), raising its mean
-    momentum by M_i w.
+    momentum by M_i w.  The mass column is read once, by the map: the seam
+    rule reads it too only for a state with amplitude at the seam.
     """
     params.check_internal(state.internal)
     _require_finite("w", w)
     _require_finite("t", t)
-    grid = state.grid
-    mismatch = seam_mismatch(state, w, params)
-    if np.any(mismatch > 1e-8):
-        # phase corruption scales with the probability mass at the seam;
-        # amplitude 1e-4 ~ mass 1e-8, the package's phase-tolerance scale
-        edge = np.max(np.abs(state.amplitudes[:, [0, -1]])) * np.sqrt(grid.dx)
-        if edge > 1e-4:
+    # phase corruption scales with the probability mass at the seam;
+    # amplitude 1e-4 ~ mass 1e-8, the package's phase-tolerance scale
+    edge = np.max(np.abs(state.amplitudes[:, [0, -1]])) * np.sqrt(state.grid.dx)
+    if edge > 1e-4:
+        mismatch = seam_mismatch(state, w, params)
+        if np.any(mismatch > 1e-8):
             warnings.warn(
                 f"incommensurate boost (seam mismatch up to {mismatch.max():.3g}) "
                 f"on a state with seam amplitude {edge:.3g}; spectral accuracy "

@@ -93,3 +93,27 @@ def test_tier1_record_keeps_the_summary_line(monkeypatch):
     out = bench_pairs.time_tier1(Path(__file__).resolve().parents[1])
     assert out["summary"] == "3 passed in 0.1s" and out["returncode"] == 0
     assert out["wall_s"] > 0.0
+
+
+def test_every_process_compiles_with_no_cached_bytecode(monkeypatch, tmp_path):
+    seen, caches = [], []
+
+    def fake_run(args, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], list(cache.iterdir())))
+        caches.append(cache)
+        stdout = '{"metrics": {}}' if "perfbench/run.py" in args else "[0.1, 0.2]"
+        return bench_pairs.subprocess.CompletedProcess(args, 0, stdout=stdout, stderr="")
+
+    out = tmp_path / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "w-seed1-trace0.json").write_text('{"iterations": [], "environment": {}}')
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.run_once(tmp_path, "w", 1)
+    bench_pairs.runner_names(tmp_path)
+    bench_pairs.time_runner(tmp_path, "x")
+    bench_pairs.time_tier1(tmp_path)
+    # benchmark run, runner list, runner timer, Tier-1: each with no bytecode
+    # written and a fresh, empty cache directory of its own
+    assert seen == [("1", [])] * 4
+    assert len(set(caches)) == 4 and not any(c.exists() for c in caches)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +345,19 @@ class TestRegistry:
             "exp_interferometer", "exp_newtonian_sweep", "exp_wep",
             "exp_frame_phase",
         ]
+
+    def test_the_package_root_loads_the_physics_layers_only(self):
+        # a fresh interpreter: this process has imported the runners already
+        code = ("import json, sys, massclock\n"
+                "loaded = [m for m in ('massclock.experiments', 'massclock.cli')"
+                " if m in sys.modules]\n"
+                "from massclock.experiments import EXPERIMENTS\n"
+                "print(json.dumps([loaded, hasattr(massclock, 'exp_wep'), list(EXPERIMENTS)]))")
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == [[], False, list(EXPERIMENTS)]
+        assert len(EXPERIMENTS) == 7
 
     def test_every_entry_has_anchor_and_its_runners_name(self):
         for name, exp in EXPERIMENTS.items():

@@ -79,6 +79,12 @@ class TestInternalSpace:
         m = TWO_LEVEL.mass_energies(c=10.0)
         assert m == pytest.approx([1.0, 1.1], abs=0)
 
+    def test_rest_energies_are_built_once_and_read_only(self):
+        rest = TWO_LEVEL.rest_energies()
+        assert rest is TWO_LEVEL.rest_energies() and not rest.flags.writeable
+        assert rest.tolist() == [100.0, 110.0]
+        assert TWO_LEVEL.mass_energies(10.0).flags.writeable  # a fresh column
+
     def test_from_masses_round_trips(self):
         sp = internal_space_from_masses([1.0, 1.1], c=10.0)
         assert sp.E0 == 1.1 * 10.0**2  # referred to the heaviest mass
@@ -367,6 +373,21 @@ class TestRefusals:
                      "xs must be strictly increasing", id="repeated-x"),
         pytest.param(lambda: Potential(kind="cubic"),
                      "unknown potential kind 'cubic'", id="unknown-potential"),
+        pytest.param(lambda: Potential("none", g=1.0),
+                     "a 'none' potential takes no g, got 1.0", id="none-with-g"),
+        pytest.param(lambda: Potential("none", xs=(0.0, 1.0)),
+                     r"a 'none' potential takes no xs, got \(0.0, 1.0\)", id="none-with-xs"),
+        pytest.param(lambda: Potential("none", phis=(5.0, 6.0)),
+                     r"a 'none' potential takes no phis, got \(5.0, 6.0\)",
+                     id="none-with-phis"),
+        pytest.param(lambda: Potential("uniform", g=1.0, xs=(0.0, 1.0), phis=(5.0, 6.0)),
+                     r"a 'uniform' potential takes no xs, got \(0.0, 1.0\)",
+                     id="uniform-with-table"),
+        pytest.param(lambda: Potential("uniform", phis=(5.0,)),
+                     r"a 'uniform' potential takes no phis, got \(5.0,\)",
+                     id="uniform-with-phis"),
+        pytest.param(lambda: Potential("tabulated", g=3.0, xs=(0.0, 1.0), phis=(5.0, 6.0)),
+                     "a 'tabulated' potential takes no g, got 3.0", id="tabulated-with-g"),
         pytest.param(lambda: CompositeState(GRID, TWO_LEVEL, _ZEROS[:1]),
                      r"amplitude shape \(1, 1024\) != \(dim, n_points\) = \(2, 1024\)",
                      id="amplitude-shape"),

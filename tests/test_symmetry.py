@@ -259,6 +259,18 @@ class TestBoost:
         assert seam_mismatch(state, commensurate, params)[0] < 1e-12
         assert seam_mismatch(state, 0.8, params)[0] > 1e-3
 
+    def test_reads_the_mass_column_once(self, monkeypatch):
+        calls = []
+        mass_energies = InternalSpace.mass_energies
+
+        def counted(internal, c):
+            calls.append(c)
+            return mass_energies(internal, c)
+
+        monkeypatch.setattr(InternalSpace, "mass_energies", counted)
+        apply_boost(two_branch_state(), 0.8, 0.5, PARAMS)
+        assert calls == [PARAMS.c]
+
     def test_warns_for_incommensurate_boost_on_seam_hugging_state(self):
         grid = GridSpec(-20.0, 20.0, 1024)
         sp = internal_space_from_masses([1.0], 10.0)

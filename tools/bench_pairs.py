@@ -28,6 +28,11 @@ the difference of the two.  ``tier1`` times one
 Tier-1 run (``python -m pytest -q``) per side and keeps its summary line.
 The record is written at the root of the repository this file sits in.
 Only the standard library is used.
+
+Every process it starts compiles every module it imports, on both sides
+alike: it runs with ``PYTHONDONTWRITEBYTECODE=1`` and a
+``PYTHONPYCACHEPREFIX`` that names a fresh, empty temporary directory, so
+no ``.pyc`` left in either checkout (or anywhere else) is read.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -68,10 +74,14 @@ def order(pair: int) -> tuple:
 
 
 def _python(checkout: Path, args: list, check: bool = True) -> subprocess.CompletedProcess:
-    """A fresh Python process in ``checkout`` that imports its ``src/``."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
-                          capture_output=True, text=True, check=check)
+    """A fresh Python process in ``checkout`` that imports its ``src/`` and
+    compiles every module it imports: it writes no bytecode and reads none,
+    its bytecode cache being a fresh, empty directory."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as cache:
+        env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                              capture_output=True, text=True, check=check)
 
 
 def runner_names(checkout: Path) -> list:
@@ -102,10 +112,8 @@ def runner_record(parent: list, change: list) -> dict:
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: its result line and rows digests."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+    proc = _python(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                              "--seconds", str(SECONDS), "--trace", "0"])
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record_path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     record = json.loads(record_path.read_text(encoding="utf-8"))
@@ -202,7 +210,10 @@ def main(argv=None) -> int:
                      "between pairs; parent is the commit this change sits on, run "
                      "from a separate checkout; runners: the same alternating pairs "
                      "of fresh processes, a first and a repeat default runner call "
-                     "each; tier1: one run per side"),
+                     "each; tier1: one run per side; every process runs with "
+                     "PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a fresh, "
+                     "empty temporary directory, so each compiles every module it "
+                     "imports and neither side reads cached bytecode"),
         "workloads": workloads,
         "runners": runners,
         "tier1": tier1,
