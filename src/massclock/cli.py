@@ -44,7 +44,9 @@ the run as a whole (dt, the window, alias, clearance, fits) are exit 3.
 
 Unknown keys anywhere are a hard error (with a nearest-key suggestion).
 ``--set a.b=value`` overrides file values, ``experiment`` too; values parse
-as JSON fragments, falling back to bare strings.
+as JSON fragments, falling back to bare strings.  ``run --out DIR`` and
+``--format F`` are the overrides ``output`` and ``format``, applied after
+every ``--set``, so they win and are never recorded as defaulted.
 
 Every run writes ``<output>/<experiment>-<timestamp>/rows.{csv|json}`` plus
 ``meta.json``, the run record: artifact version, experiment, pass/fail,
@@ -425,13 +427,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = parse_config(args.config, overrides=args.overrides)
             print(json.dumps(config.as_dict(), indent=2))
             return EXIT_PASS
-        # run
+        # run: --out and --format are overrides after the --set values, so they win
+        flags = [f"{key}={json.dumps(value)}"
+                 for key, value in (("output", args.out), ("format", args.format)) if value]
         config = parse_config(args.config, experiment=args.experiment,
-                              overrides=args.overrides)
-        if args.out:
-            config.output = args.out
-        if args.format:
-            config.format = args.format
+                              overrides=[*args.overrides, *flags])
         return run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

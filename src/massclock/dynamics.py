@@ -23,14 +23,14 @@ term, accurate to the same order as the low-energy form.
 
 Propagation is Strang splitting,
 exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
-per branch per step: exactly unitary, second order in dt.  Per-step checks:
-total probability within 1e-10 of 1 and the boundary-clearance rule, both
-read from one moments pass; a sampled or final state takes its norm from
-that pass too.  One step loop serves every propagation: a runner's
-independent runs on one grid share one stacked (sum dim_r, N) buffer, and
-the step acts row by row, so each run keeps the bits it has alone; the
-checks apply to each run's own rows, and the runners read their samples
-from the live buffer.
+per branch per step: exactly unitary, second order in dt.  After every step
+``hilbert._check`` applies the norm rule (total probability within 1e-10 of
+1) and then the boundary-clearance rule to each run, from one moments pass;
+a sampled or final state takes the checked buffer as it is.  One step loop
+serves every propagation: a runner's independent runs on one grid share
+one stacked (sum dim_r, N) buffer, and the step acts row by row, so each
+run keeps the bits it has alone; the checks apply to each run's own rows,
+and the runners read their samples from the live buffer.
 
 Trajectories xi(t) of a moving frame are stored as uniform samples;
 velocity/acceleration use stored exact samples when a factory provides
@@ -65,17 +65,17 @@ from .errors import (
     TrajectoryError,
 )
 from .hilbert import (
+    _POPULATED,
     CompositeState,
     GridSpec,
     InternalSpace,
     PhysicalParams,
+    _check,
     _check_same_spaces,
     _grid_tables,
-    _require_clearance,
     _require_finite,
     _require_finite_samples,
     _require_positive,
-    _require_unit_norm,
     momentum_distribution,
 )
 
@@ -174,9 +174,13 @@ def _tables(kind: HamiltonianKind, grid: GridSpec, internal: InternalSpace,
 
 def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
                          params: PhysicalParams, level: int) -> float:
-    """<dT_i/dp> on one branch (== d<x>/dt by Ehrenfest for these kinds)."""
+    """<dT_i/dp> on one populated branch (== d<x>/dt by Ehrenfest for these
+    kinds); a branch of probability at or below ``hilbert._POPULATED`` is
+    refused."""
     if not 0 <= level < state.internal.dim:
         raise PreconditionError(f"level {level} out of range for dim={state.internal.dim}")
+    if state.branch_populations()[level] <= _POPULATED:
+        raise PreconditionError(f"branch {level} norm too small for a velocity readout")
     table = _velocity_table([(state, kind, params)])[level]
     return float(_read_velocities(state.grid, state.amplitudes[level], table))
 
@@ -225,8 +229,7 @@ class _Plan:
             np.exp(-1j * t_table * dt / params.hbar, out=self.exp_t[rows])
             np.exp(-0.5j * v_table * dt / params.hbar, out=self.exp_v_half[rows])
             self.rows.append(rows)
-        self.basis = _grid_tables(grid).basis
-        self.grid = grid
+        self.tables = _grid_tables(grid)
 
     def step(self, amps: np.ndarray) -> np.ndarray:
         """One Strang step, in place: ``amps`` is the caller's private
@@ -239,26 +242,9 @@ class _Plan:
         return amps
 
     def check(self, amps: np.ndarray, step_no: int) -> List[float]:
-        """Enforce the norm and clearance rules on each run's rows after a
-        step, run by run; returns each run's total probability.
-
-        One moments matmul serves every run.  BLAS may tile a taller matrix
-        differently, so a run's total can differ from its solo value in the
-        last bits; the amplitudes never do.
-        """
-        probs, sxs, sxxs = _kernels.branch_moments(amps, self.basis).tolist()
-        totals = []
-        for rows in self.rows:
-            own = probs[rows]
-            total = sum(own)
-            try:
-                _require_unit_norm(total)
-            except PreconditionError:
-                raise PreconditionError(
-                    f"norm drifted to {total!r} at step {step_no}") from None
-            _require_clearance(self.grid, own, sxs[rows], sxxs[rows], "step {}", step_no)
-            totals.append(total)
-        return totals
+        """``hilbert._check`` on each run's rows after step ``step_no``;
+        returns each run's total probability."""
+        return _check(self.tables, amps, "step {}", step_no, runs=self.rows)[0]
 
 
 def _evolve(runs: Sequence[tuple], dt: float, steps: int,
@@ -300,7 +286,7 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
         pass
     if totals is None:
         return state
-    return state._with_owned_amplitudes(amps, totals[0])
+    return state._with_owned_amplitudes(amps)
 
 
 def propagate_history(state: CompositeState, kind: HamiltonianKind,
@@ -310,13 +296,13 @@ def propagate_history(state: CompositeState, kind: HamiltonianKind,
 
     The initial state is included at t = 0; ``steps`` must be a
     non-negative multiple of ``sample_every``.  Each sample owns a copy of
-    the step buffer, whose norm the step's check has just read.
+    the step buffer, which the step's check has just passed.
     """
     times, out = [], []
     for k, amps, totals in _evolve([(state, kind, params)], dt, steps, sample_every):
         times.append(k * dt)
         out.append(state if totals is None
-                   else state._with_owned_amplitudes(amps.copy(), totals[0]))
+                   else state._with_owned_amplitudes(amps.copy()))
     return np.asarray(times), out
 
 

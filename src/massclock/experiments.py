@@ -121,10 +121,6 @@ def predicted_loop_phase(mass: float, a: float, w: float) -> float:
     return wrap_angle(-mass * a * w)
 
 
-def predicted_relative_loop_phase(m1: float, m2: float, a: float, w: float) -> float:
-    return wrap_angle((m2 - m1) * a * w)
-
-
 def predicted_clock_shift(v_over_c: float, gh_over_c2: float) -> float:
     return -0.5 * v_over_c**2 + gh_over_c2
 
@@ -256,21 +252,18 @@ def exp_bargmann(masses: Sequence[float] = (1.0, 1.1), *,
 
     rows = []
     for a, w in pairs:
-        measured = loop_phase(state, a, w, params)
-        for i, bp in enumerate(measured):
-            pred = predicted_loop_phase(mass_values[i], a, w)
-            rows.append({
-                "branch": str(i + 1), "a": a, "w": w,
-                "phase_measured": bp.phase, "phase_predicted": pred,
-                "abs_error": abs(wrap_angle(bp.phase - pred)),
-            })
+        measured = [bp.phase for bp in loop_phase(state, a, w, params)]
+        # (branch, mass, measured phase); the relative case is (M_1 - M_2, phi_1 - phi_2)
+        cases = [(str(i + 1), mass_values[i], measured[i]) for i in range(internal.dim)]
         if internal.dim >= 2:
-            rel = wrap_angle(measured[0].phase - measured[1].phase)
-            pred = predicted_relative_loop_phase(mass_values[0], mass_values[1], a, w)
+            cases.append(("relative", mass_values[0] - mass_values[1],
+                          wrap_angle(measured[0] - measured[1])))
+        for branch, mass, phase in cases:
+            pred = predicted_loop_phase(mass, a, w)
             rows.append({
-                "branch": "relative", "a": a, "w": w,
-                "phase_measured": rel, "phase_predicted": pred,
-                "abs_error": abs(wrap_angle(rel - pred)),
+                "branch": branch, "a": a, "w": w,
+                "phase_measured": phase, "phase_predicted": pred,
+                "abs_error": abs(wrap_angle(phase - pred)),
             })
     passed = loop_is_identity and all(r["abs_error"] < tolerance for r in rows)
     return ExperimentResult(

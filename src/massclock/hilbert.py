@@ -13,6 +13,14 @@ Conventions used throughout the package:
   every operation that moves or differentiates a packet checks the
   boundary-clearance rule: per populated branch, <x> +/- 4 sigma_x must lie
   inside the domain.
+* One moments pass, ``_kernels.branch_moments`` on the grid's cached
+  table, reads every branch's [prob, sum x w dx, sum x^2 w dx], and only
+  this module makes it: ``branch_populations`` (and through it the
+  constructor's norm rule and ``norm``) and ``expectation_x`` read it, and
+  one check, ``_check``, applies the norm rule and then the clearance rule
+  to each run of a (rows, N) buffer from one such pass.  The propagator's
+  step, translations, boosts, the moving-frame map and the commutator
+  residual all call that check.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -257,9 +265,9 @@ class CompositeState:
             raise PreconditionError(
                 f"amplitude shape {amps.shape} != (dim, n_points) = {expected}"
             )
-        _require_unit_norm(float(np.sum(amps.real**2 + amps.imag**2) * self.grid.dx))
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+        _require_unit_norm(sum(self.branch_populations().tolist()), "state")
 
     @classmethod
     def create(cls, grid: GridSpec, internal: InternalSpace,
@@ -273,10 +281,11 @@ class CompositeState:
         return cls(grid=grid, internal=internal, amplitudes=amps)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx))
+        return math.sqrt(sum(self.branch_populations().tolist()))
 
     def branch_populations(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1) * self.grid.dx
+        """Each branch's probability sum |a_i|^2 dx, from the moments pass."""
+        return _kernels.branch_moments(self.amplitudes, _grid_tables(self.grid).basis)[0]
 
     def branch_overlap(self, i: int, j: int) -> complex:
         """<branch i | branch j> of this state (internal coherence readout)."""
@@ -287,30 +296,19 @@ class CompositeState:
         return CompositeState(grid=self.grid, internal=self.internal,
                               amplitudes=amplitudes)
 
-    def _with_owned_amplitudes(self, amps: np.ndarray, total: float) -> "CompositeState":
+    def _with_owned_amplitudes(self, amps: np.ndarray) -> "CompositeState":
         """The state on this state's spaces that owns ``amps``.
 
-        ``amps`` is a fresh complex (dim, N) array nobody else holds, and
-        ``total`` is its probability sum |amps|^2 dx, as the moments pass
-        of a clearance or step check just read it.  The norm rule is the
-        constructor's, applied to that total; ``amps`` becomes read-only
-        in place, without the constructor's copy and second norm pass.
+        ``amps`` is a fresh complex (dim, N) array nobody else holds, which
+        ``_check`` has just passed; it becomes read-only in place, without
+        the constructor's copy and second norm pass.
         """
-        _require_unit_norm(total)
         amps.flags.writeable = False
         state = object.__new__(CompositeState)
         object.__setattr__(state, "grid", self.grid)
         object.__setattr__(state, "internal", self.internal)
         object.__setattr__(state, "amplitudes", amps)
         return state
-
-
-def _require_unit_norm(total: float) -> None:
-    """The norm rule on the total probability, |sum |psi|^2 dx - 1| <= 1e-10
-    (a NaN total fails it too): one rule for states and for every step."""
-    if not abs(total - 1.0) <= 1e-10:
-        raise PreconditionError(
-            f"total probability {total!r} deviates from 1 beyond 1e-10")
 
 
 # --- construction -----------------------------------------------------------
@@ -428,21 +426,14 @@ def branch_phase(before: CompositeState, after: CompositeState,
 
 # --- observables ------------------------------------------------------------
 
-def wavefunction_moments(grid: GridSpec, psi: np.ndarray):
-    """(probability, <x>, var x) of one spatial wavefunction (not normalized)."""
-    w = np.abs(psi) ** 2
-    prob = float(np.sum(w) * grid.dx)
-    if prob == 0.0:
-        return 0.0, 0.0, 0.0
-    x = grid.x()
-    mean = float(np.sum(w * x) * grid.dx / prob)
-    var = float(np.sum(w * (x - mean) ** 2) * grid.dx / prob)
-    return prob, mean, var
-
-
 def expectation_x(grid: GridSpec, psi: np.ndarray) -> float:
-    _, mean, _ = wavefunction_moments(grid, psi)
-    return mean
+    """<x> of one spatial wavefunction (not necessarily normalized), from
+    the moments pass; a zero wavefunction has none."""
+    psi = np.asarray(psi, dtype=complex)
+    prob, sx, _ = _kernels.branch_moments(psi, _grid_tables(grid).basis).tolist()
+    if not prob > 0.0:
+        raise PreconditionError("<x> of a zero wavefunction is undefined")
+    return sx / prob
 
 
 def momentum_distribution(grid: GridSpec, psi: np.ndarray) -> np.ndarray:
@@ -464,15 +455,15 @@ def _overlaps(bra: np.ndarray, ket: np.ndarray, dx: float) -> np.ndarray:
     return np.sum(np.conj(bra) * ket, axis=-1) * dx
 
 
-# --- boundary rule ----------------------------------------------------------
+# --- the moments pass and the state rules --------------------------------------
 
 class _GridTables(NamedTuple):
-    """Read-only tables of one grid: the positions x_n; the translation
-    phase rate -2 pi k / L of the fft-ordered frequencies k / L, for
-    k = 0 .. N/2 only; and the (3, 2N) moment table, [1, x, x^2] dx with
-    each entry twice in a row (``_kernels.moment_table``), from which
-    ``_kernels.branch_moments`` reads every branch's [prob, sum x w dx,
-    sum x^2 w dx] in one matmul.
+    """Read-only tables of one grid: the grid itself; the positions x_n;
+    the translation phase rate -2 pi k / L of the fft-ordered frequencies
+    k / L, for k = 0 .. N/2 only; and the (3, 2N) moment table, [1, x, x^2]
+    dx with each entry twice in a row (``_kernels.moment_table``), from
+    which ``_kernels.branch_moments`` reads every branch's [prob,
+    sum x w dx, sum x^2 w dx] in one matmul.
 
     Half the frequencies are enough for a translation: ``fftfreq`` gives
     freq[N - k] = -freq[k] bit for bit, so the phase of entry N - k is the
@@ -480,6 +471,7 @@ class _GridTables(NamedTuple):
     ``symmetry._translate``).  N is a power of two >= 8, so the Nyquist
     entry k = N/2, whose frequency is -N/(2L), is always in the table."""
 
+    grid: GridSpec
     x: np.ndarray
     shift_rate: np.ndarray
     basis: np.ndarray
@@ -496,7 +488,17 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     basis = _kernels.moment_table(x, grid.dx)
     for table in (x, shift_rate, basis):
         table.flags.writeable = False
-    return _GridTables(x, shift_rate, basis)
+    return _GridTables(grid, x, shift_rate, basis)
+
+
+def _require_unit_norm(total: float, where: str, *args) -> None:
+    """The norm rule on a total probability, |sum |psi|^2 dx - 1| <= 1e-10
+    (a NaN total fails it too), for every state built and every state a
+    step or a map makes.  A refusal names ``where.format(*args)``; the text
+    is formatted only on refusal."""
+    if not abs(total - 1.0) <= 1e-10:
+        raise PreconditionError(f"{where.format(*args)}: total probability {total!r} "
+                                "deviates from 1 beyond 1e-10")
 
 
 def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[float],
@@ -523,10 +525,28 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
                 f"{CLEARANCE_SIGMAS} sigma_x={half:.3f} leaves [{x_min}, {x_max}]")
 
 
-def _check_clearance(grid: GridSpec, amplitudes: np.ndarray, where: str, *args) -> float:
-    """Enforce the clearance rule on (dim, N) amplitudes and return their
-    total probability, read from the same moments pass; a refusal names
-    ``where.format(*args)``."""
-    probs, sxs, sxxs = _kernels.branch_moments(amplitudes, _grid_tables(grid).basis).tolist()
-    _require_clearance(grid, probs, sxs, sxxs, where, *args)
-    return sum(probs)
+_ONE_RUN = (slice(None),)
+
+
+def _check(tables: _GridTables, amps: np.ndarray, where: str, *args,
+           runs: Sequence[slice] = _ONE_RUN) -> Tuple[List[float], List[float]]:
+    """The state rules on a (rows, N) buffer on the grid of ``tables``
+    whose runs own the row slices ``runs`` (by default one run of every
+    row): one moments pass, then, run by run in order, the norm rule on
+    the run's total and the clearance rule on its rows.  A refusal names
+    ``where.format(*args)``.  Returns each run's total and every row's
+    probability, as the pass read them.
+
+    One moments matmul serves every run.  BLAS may tile a taller matrix
+    differently, so a run's total can differ from its solo value in the
+    last bits; the amplitudes never do.
+    """
+    probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
+    totals = []
+    for rows in runs:
+        own = probs[rows]
+        total = sum(own)
+        _require_unit_norm(total, where, *args)
+        _require_clearance(tables.grid, own, sxs[rows], sxxs[rows], where, *args)
+        totals.append(total)
+    return totals, probs

@@ -14,7 +14,10 @@ M_i w.  With these conventions the loop multiplies branch i by
 exp(-i M_i a w / hbar): the representation is projective even though the
 abstract loop is trivial.  Boosts and the moving frames of
 ``dynamics.frame_transform`` are one map, ``_galilei_map``: a translation
-by a, then the branch phase exp(i M_i (u x + phi) / hbar).
+by a, then the branch phase exp(i M_i (u x + phi) / hbar).  A translation's
+or a map's output, and the state a commutator residual reads, pass
+``hilbert._check`` (the norm rule, then the clearance rule, from one
+moments pass), whose refusal names the operation and its inputs.
 """
 
 from __future__ import annotations
@@ -25,15 +28,15 @@ from typing import List
 
 import numpy as np
 
-from . import _kernels
+from .errors import PreconditionError
 from .hilbert import (
+    _POPULATED,
     BranchPhase,
     CompositeState,
     PhysicalParams,
+    _check,
     _GridTables,
-    _check_clearance,
     _grid_tables,
-    _require_clearance,
     _require_finite,
     branch_phase,
 )
@@ -166,9 +169,10 @@ def _translate(tables: _GridTables, amps: np.ndarray, a: float) -> np.ndarray:
 def apply_translation(state: CompositeState, a: float) -> CompositeState:
     """Psi(x) -> Psi(x - a), spectrally: multiply by exp(-i p_k a / hbar)."""
     _require_finite("a", a)
-    out = _translate(_grid_tables(state.grid), state.amplitudes, a)
-    total = _check_clearance(state.grid, out, "translation by a={}", a)
-    return state._with_owned_amplitudes(out, total)
+    tables = _grid_tables(state.grid)
+    out = _translate(tables, state.amplitudes, a)
+    _check(tables, out, "translation by a={}", a)
+    return state._with_owned_amplitudes(out)
 
 
 def seam_mismatch(state: CompositeState, w: float, params: PhysicalParams) -> np.ndarray:
@@ -189,11 +193,9 @@ def _galilei_map(state: CompositeState, a: float, u: float, phi: float,
 
     The real argument ((x u) + phi) M_i (1 / hbar) is built in a contiguous
     float array, (N,) until the mass column widens it to (dim, N), and
-    ``exp`` runs once on i times it.  The clearance rule, whose refusal
-    names ``where.format(*args)``, and the output's norm read one moments
-    pass of the same table lookup."""
-    grid = state.grid
-    tables = _grid_tables(grid)
+    ``exp`` runs once on i times it.  The output passes ``hilbert._check``,
+    whose refusal names ``where.format(*args)``."""
+    tables = _grid_tables(state.grid)
     theta = tables.x * u
     theta += phi
     theta = theta * state.internal.mass_energies(params.c)[:, None]
@@ -201,9 +203,8 @@ def _galilei_map(state: CompositeState, a: float, u: float, phi: float,
     phase = np.exp(1j * theta)
     amps = _translate(tables, state.amplitudes, a)
     amps *= phase
-    probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
-    _require_clearance(grid, probs, sxs, sxxs, where, *args)
-    return state._with_owned_amplitudes(amps, sum(probs))
+    _check(tables, amps, where, *args)
+    return state._with_owned_amplitudes(amps)
 
 
 def apply_boost(state: CompositeState, w: float, t: float,
@@ -256,14 +257,20 @@ def commutator_residual(state: CompositeState, t: float,
 
     K_i = M_i x - t p with spectral p and pointwise x; the residual probes
     the central term of the algebra, [p, K] = -i hbar M, and stays below
-    1e-6 for packets well clear of the seam.
+    1e-6 for packets well clear of the seam.  The state passes
+    ``hilbert._check``, and every branch must be populated: ||Psi_i||^2 is
+    that check's probability, and above ``hilbert._POPULATED``.
     """
     params.check_internal(state.internal)
     _require_finite("t", t)
     grid = state.grid
-    _check_clearance(grid, state.amplitudes, "commutator residual")
+    tables = _grid_tables(grid)
+    _, probs = _check(tables, state.amplitudes, "commutator residual")
+    for i, prob in enumerate(probs):
+        if prob <= _POPULATED:
+            raise PreconditionError(f"branch {i} norm too small for a commutator residual")
     hbar = params.hbar
-    x = grid.x()
+    x = tables.x
     p = grid.p(hbar)
     masses = state.internal.mass_energies(params.c)
 
@@ -274,10 +281,9 @@ def commutator_residual(state: CompositeState, t: float,
     dx = grid.dx
     for i in range(state.internal.dim):
         psi = state.amplitudes[i]
-        k_psi = masses[i] * x * psi - t * apply_p(psi)
         p_psi = apply_p(psi)
+        k_psi = masses[i] * x * psi - t * p_psi
         k_p_psi = masses[i] * x * p_psi - t * apply_p(p_psi)
         resid = apply_p(k_psi) - k_p_psi + 1j * hbar * masses[i] * psi
-        out[i] = np.sqrt(np.sum(np.abs(resid) ** 2) * dx
-                         / (np.sum(np.abs(psi) ** 2) * dx))
+        out[i] = np.sqrt(np.sum(np.abs(resid) ** 2) * dx / probs[i])
     return out

@@ -92,7 +92,8 @@ def per_run_check(grid, moments, rows, step_no: int):
         own = moments[run_rows]
         total = sum(row[0] for row in own)
         if not abs(total - 1.0) <= 1e-10:
-            raise PreconditionError(f"norm drifted to {total!r} at step {step_no}")
+            raise PreconditionError(f"step {step_no}: total probability {total!r} "
+                                    "deviates from 1 beyond 1e-10")
         for i, (prob, sx, sxx) in enumerate(own):
             if prob <= 1e-12:
                 continue

@@ -95,25 +95,67 @@ def test_tier1_record_keeps_the_summary_line(monkeypatch):
     assert out["wall_s"] > 0.0
 
 
+def _checkout(root: Path) -> Path:
+    """A checkout with a module, its bytecode, a .git and a benchmark record."""
+    cache = root / "src" / "pkg" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "mod.cpython-311.pyc").write_bytes(b"")
+    (root / "src" / "pkg" / "mod.py").write_text("")
+    (root / ".git").mkdir()
+    out = root / "perfbench" / "out"
+    out.mkdir(parents=True)
+    (out / "w-seed1-trace0.json").write_text('{"iterations": [], "environment": {}}')
+    return root
+
+
 def test_every_process_compiles_with_no_cached_bytecode(monkeypatch, tmp_path):
-    seen, caches = [], []
+    copy = bench_pairs.fresh_copy(_checkout(tmp_path / "checkout"), tmp_path / "copy")
+    assert (copy / "src" / "pkg" / "mod.py").exists()
+    assert not any(copy.rglob("__pycache__")) and not any(copy.rglob("*.pyc"))
+    assert not (copy / ".git").exists()
+    seen = []
 
     def fake_run(args, cwd, env, **kwargs):
-        cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((env["PYTHONDONTWRITEBYTECODE"], list(cache.iterdir())))
-        caches.append(cache)
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env,
+                     any(Path(cwd).rglob("__pycache__"))))
         stdout = '{"metrics": {}}' if "perfbench/run.py" in args else "[0.1, 0.2]"
         return bench_pairs.subprocess.CompletedProcess(args, 0, stdout=stdout, stderr="")
 
-    out = tmp_path / "perfbench" / "out"
-    out.mkdir(parents=True)
-    (out / "w-seed1-trace0.json").write_text('{"iterations": [], "environment": {}}')
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    bench_pairs.run_once(tmp_path, "w", 1)
-    bench_pairs.runner_names(tmp_path)
-    bench_pairs.time_runner(tmp_path, "x")
-    bench_pairs.time_tier1(tmp_path)
-    # benchmark run, runner list, runner timer, Tier-1: each with no bytecode
-    # written and a fresh, empty cache directory of its own
-    assert seen == [("1", [])] * 4
-    assert len(set(caches)) == 4 and not any(c.exists() for c in caches)
+    bench_pairs.run_once(copy, "w", 1)
+    bench_pairs.runner_names(copy)
+    bench_pairs.time_runner(copy, "x")
+    bench_pairs.time_tier1(copy)
+    # benchmark run, runner list, runner timer, Tier-1: each in the copy, with
+    # no bytecode written, no cache prefix (so the installed packages' own
+    # bytecode is read) and no __pycache__ of the checkout's modules
+    assert seen == [(copy, "1", False, False)] * 4
+
+
+def test_each_side_runs_from_one_fresh_copy_per_invocation(monkeypatch, tmp_path):
+    copies, measured = [], []
+    real_copy = bench_pairs.fresh_copy
+
+    def counting_copy(checkout, into):
+        copies.append(checkout)
+        return real_copy(checkout, into)
+
+    def fake_measure(sides, args):
+        measured.append({side: (path, any(path.rglob("__pycache__")))
+                         for side, path in sides.items()})
+        return {}
+
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "fresh_copy", counting_copy)
+    monkeypatch.setattr(bench_pairs, "measure", fake_measure)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--parent-commit", "abc", "--note", "n"]) == 0
+    assert copies == [parent, change] and len(measured) == 1
+    (sides,) = measured
+    assert {side: dirty for side, (_, dirty) in sides.items()} == {"parent": False,
+                                                                   "change": False}
+    # the copies are gone when the invocation ends; the checkouts are untouched
+    assert not any(path.exists() for path, _ in sides.values())
+    assert any(parent.rglob("__pycache__")) and (tmp_path / "BENCH_t.json").exists()

@@ -511,6 +511,25 @@ class TestMain:
         assert code == EXIT_PASS
         assert (tmp_path / "o").exists()
 
+    def test_out_and_format_are_overrides_that_win_over_set(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # --out and --format go through the config walk after --set: they are
+        # recorded as given, not as defaulted, and --out wins over --set output;
+        # a directory name that parses as JSON stays a string
+        monkeypatch.chdir(tmp_path)
+        for flags in (["--out", "123", "--format", "json"],
+                      ["--set", "output=from_set", "--set", "format=csv",
+                       "--out", "123", "--format", "json"]):
+            assert main(["run", "exp_interferometer", *flags]) == EXIT_PASS
+        assert not (tmp_path / "from_set").exists()
+        run_dirs = sorted((tmp_path / "123").iterdir())
+        assert len(run_dirs) == 2
+        for run_dir in run_dirs:
+            meta = json.loads((run_dir / "meta.json").read_text())
+            assert {"output", "format"}.isdisjoint(meta["defaulted_keys"])
+            assert (meta["config"]["output"], meta["config"]["format"]) == ("123", "json")
+            assert (run_dir / "rows.json").exists()
+
     def test_run_numerical_precondition_exit_3(self, tmp_path, capsys):
         # dt = 0.075 (40 steps) puts the kinetic phase per step above pi:
         # the alias limit

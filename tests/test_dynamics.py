@@ -163,6 +163,15 @@ class TestKindTable:
                                match=f"level {level} out of range for dim=2"):
                 expectation_velocity(state, HamiltonianKind.split(), PARAMS, level)
 
+    def test_an_unpopulated_branch_is_refused_by_name(self):
+        # its <dT/dp> would be 0/0; the populated branch still reads
+        psi = gaussian_packet(GRID, 0.0, 0.0, 1.0)
+        state = make_superposition(GRID, INTERNAL, [1.0, 0.0], psi)
+        kind = HamiltonianKind.low_energy()
+        with pytest.raises(PreconditionError, match="^branch 1 norm too small for a velocity"):
+            expectation_velocity(state, kind, PARAMS, 1)
+        assert expectation_velocity(state, kind, PARAMS, 0) == pytest.approx(0.0, abs=1e-12)
+
 
 def _columns(label, p, internal=INTERNAL, params=PARAMS):
     """(T_i(p), dT_i/dp) of every branch of the named row, each a (dim, N)
@@ -485,9 +494,9 @@ class TestStackedRuns:
         # the same refusal (class and text) as the run-by-run loop, read from
         # the same moments; on a passing stack each total is the run's |psi|^2 dx
         plan, amps = case
-        moments = _kernels.branch_moments(amps, plan.basis).T.tolist()
+        moments = _kernels.branch_moments(amps, plan.tables.basis).T.tolist()
         try:
-            expected = oracles.per_run_check(plan.grid, moments, plan.rows, step_no)
+            expected = oracles.per_run_check(plan.tables.grid, moments, plan.rows, step_no)
         except (PreconditionError, BoundaryViolationError) as refusal:
             with pytest.raises(type(refusal)) as got:
                 plan.check(amps, step_no)
@@ -508,7 +517,7 @@ class TestStackedRuns:
         u = 2.0**-53
         for total, rows in zip(totals, plan.rows):
             squares = amps[rows].view(float) ** 2
-            reference = math.fsum(squares.ravel()) * plan.grid.dx
+            reference = math.fsum(squares.ravel()) * plan.tables.grid.dx
             n = squares.shape[1] + len(squares) + 1
             bound = n * u / (1 - n * u) * reference / (1 - 2 * u / (1 - 2 * u))
             assert abs(total - reference) <= bound

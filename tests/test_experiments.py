@@ -33,7 +33,7 @@ from massclock.experiments import (
     exp_wep,
     interferometer_on_paths,
     path_proper_time_difference,
-    predicted_relative_loop_phase,
+    predicted_loop_phase,
 )
 
 class TestBargmann:
@@ -71,7 +71,10 @@ class TestBargmann:
         a, w = 0.5, 0.8
         r = exp_bargmann(masses=masses, pairs=[(a, w)])
         rel = [row for row in r.rows if row["branch"] == "relative"][0]
-        expected = predicted_relative_loop_phase(masses[0], masses[1], a, w)
+        # the relative row is the loop-phase formula at M_1 - M_2, with the
+        # bits of (M_2 - M_1) a w, since fl(M_2 - M_1) = -fl(M_1 - M_2)
+        expected = predicted_loop_phase(masses[0] - masses[1], a, w)
+        assert expected == wrap_angle((masses[1] - masses[0]) * a * w)
         assert rel["phase_predicted"] == expected
         assert abs(wrap_angle(rel["phase_measured"] - expected)) < 1e-8
         assert r.passed

@@ -18,13 +18,15 @@ from massclock import (
     PreconditionError,
     branch_phase,
     expectation_p,
+    expectation_x,
     gaussian_packet,
     internal_space_from_masses,
     make_superposition,
     overlap,
     wrap_angle,
 )
-from massclock.hilbert import wavefunction_moments
+from massclock import _kernels
+from massclock.hilbert import _check, _grid_tables
 
 import oracles
 
@@ -128,10 +130,11 @@ class TestPhysicalParams:
 class TestGaussianPacket:
     def test_centered_moments(self):
         psi = gaussian_packet(GRID, 0.0, 0.0, 1.0)
-        prob, mean, var = wavefunction_moments(GRID, psi)
+        prob, sx, sxx = _kernels.branch_moments(psi, _grid_tables(GRID).basis).tolist()
+        mean = sx / prob
         assert abs(prob - 1.0) < 1e-12
-        assert abs(mean) < 1e-8
-        assert abs(var - 1.0) < 1e-8
+        assert abs(mean) < 1e-8 and abs(expectation_x(GRID, psi)) < 1e-8
+        assert abs(sxx / prob - mean**2 - 1.0) < 1e-8
         assert abs(expectation_p(GRID, psi, 1.0)) < 1e-8
 
     def test_momentum_kick_via_spectral_derivative(self):
@@ -191,49 +194,35 @@ class TestCompositeState:
             state.amplitudes[0, 0] = 1.0
 
     @pytest.mark.parametrize("total", [1.0 + 3e-10, 1.0 - 3e-10, 4.0, 0.0, math.nan])
-    def test_owning_path_refuses_a_total_off_unit_norm(self, total):
-        state = equal_state()
-        with pytest.raises(PreconditionError, match="beyond 1e-10"):
-            state._with_owned_amplitudes(np.array(state.amplitudes), total)
+    def test_the_check_refuses_a_total_off_unit_norm(self, total):
+        amps = np.array(equal_state().amplitudes) * math.sqrt(total)
+        with pytest.raises(PreconditionError, match=r"^translation by a=0\.5: total "
+                           r"probability .* deviates from 1 beyond 1e-10$"):
+            _check(_grid_tables(GRID), amps, "translation by a={}", 0.5)
 
     def test_owning_path_takes_the_array_read_only(self):
         state = equal_state()
         amps = np.array(state.amplitudes)
-        owned = state._with_owned_amplitudes(amps, 1.0 + 5e-11)
+        owned = state._with_owned_amplitudes(amps)
         assert owned.amplitudes is amps
         assert not amps.flags.writeable
         with pytest.raises(ValueError):
             owned.amplitudes[0, 0] = 1.0
         assert (owned.grid, owned.internal) == (state.grid, state.internal)
 
-    def test_moving_operations_apply_the_rule_to_the_checks_total(self, monkeypatch):
-        # a moments pass that reads a total 1e-9 high must fail the norm rule
-        from massclock import _kernels, apply_translation
-        real = _kernels.branch_moments
-
-        def inflated(amps, basis):
-            m = real(amps, basis)
-            m[0] *= 1.0 + 1e-9
-            return m
-
-        state = equal_state()
-        monkeypatch.setattr(_kernels, "branch_moments", inflated)
-        with pytest.raises(PreconditionError, match="beyond 1e-10"):
-            apply_translation(state, 0.5)
-
     def test_one_norm_rule_refuses_a_drift_of_7e_11_on_every_path(self, monkeypatch):
         # the rule bounds the total |psi|^2 dx: a norm 7e-11 high is a total
-        # 1.4e-10 high, which states and steps both refuse
-        from massclock import HamiltonianKind, _kernels, propagate
+        # 1.4e-10 high, which states, checks and steps all refuse, in one text
+        from massclock import HamiltonianKind, propagate
         drift = 1.0 + 7e-11
         state = equal_state()
-        with pytest.raises(PreconditionError, match="beyond 1e-10"):
+        with pytest.raises(PreconditionError, match="^state: total probability .* beyond 1e-10$"):
             CompositeState(GRID, TWO_LEVEL, state.amplitudes * drift)
-        with pytest.raises(PreconditionError, match="beyond 1e-10"):
-            state._with_owned_amplitudes(np.array(state.amplitudes), drift**2)
+        with pytest.raises(PreconditionError, match="^step 3: total probability .* beyond 1e-10$"):
+            _check(_grid_tables(GRID), state.amplitudes * drift, "step {}", 3)
         real = _kernels.branch_moments
         monkeypatch.setattr(_kernels, "branch_moments", lambda a, b: real(a * drift, b))
-        with pytest.raises(PreconditionError, match="norm drifted to .* at step 1$"):
+        with pytest.raises(PreconditionError, match="^step 1: total probability .* beyond 1e-10$"):
             propagate(state, HamiltonianKind.newtonian(), PhysicalParams(), 5e-4, 1)
 
     def test_branch_populations_sum_to_one(self):
@@ -403,8 +392,11 @@ class TestRefusals:
         with pytest.raises(PreconditionError, match=match):
             build()
 
-    def test_an_empty_wavefunction_has_zero_moments(self):
-        assert wavefunction_moments(GRID, np.zeros(GRID.n_points)) == (0.0, 0.0, 0.0)
+    def test_a_zero_wavefunction_has_zero_moments_and_no_mean(self):
+        zero = np.zeros(GRID.n_points, dtype=complex)
+        assert _kernels.branch_moments(zero, _grid_tables(GRID).basis).tolist() == [0.0] * 3
+        with pytest.raises(PreconditionError, match="zero wavefunction"):
+            expectation_x(GRID, zero)
 
     def test_a_round_off_negative_variance_reads_as_zero(self):
         # sum x^2 w dx / prob - <x>^2 can fall below zero by round-off; the
@@ -430,3 +422,104 @@ class TestRefusals:
                            match=r"^translation by a=2\.5: branch 0: <x>=39\.000"):
             _require_clearance(GRID, [1.0], [39.0], [39.0**2 + 1.0], where, 2.5)
         assert Where.formatted == 1
+
+
+class TestStateCheck:
+    """``hilbert._check``: one moments pass, then the norm rule and the
+    clearance rule on each run's rows, in that order."""
+
+    @staticmethod
+    def _paths():
+        from massclock import (HamiltonianKind, apply_boost, apply_translation,
+                               commutator_residual, frame_transform, propagate,
+                               static_trajectory)
+        params = PhysicalParams()
+        return [
+            pytest.param(lambda s: propagate(s, HamiltonianKind.newtonian(), params, 5e-4, 2),
+                         "step 1", id="step"),
+            pytest.param(lambda s: apply_translation(s, 0.5), r"translation by a=0\.5",
+                         id="translation"),
+            pytest.param(lambda s: apply_boost(s, 0.3, 0.0, params), r"boost w=0\.3 at t=0\.0",
+                         id="boost"),
+            pytest.param(lambda s: frame_transform(s, static_trajectory(0.5, 1.0, 11), 1.0,
+                                                   params),
+                         r"translation by a=-0\.5", id="frame-map"),
+            pytest.param(lambda s: commutator_residual(s, 0.0, params), "commutator residual",
+                         id="commutator"),
+        ]
+
+    @pytest.mark.parametrize("path, where", _paths())
+    def test_every_path_refuses_a_total_read_1e_9_high(self, monkeypatch, path, where):
+        real = _kernels.branch_moments
+
+        def inflated(amps, table):
+            m = real(amps, table)
+            m[0] *= 1.0 + 1e-9
+            return m
+
+        state = equal_state()
+        path(state)  # passes on the real moments
+        monkeypatch.setattr(_kernels, "branch_moments", inflated)
+        with pytest.raises(PreconditionError,
+                           match=f"^{where}: total probability .* beyond 1e-10$"):
+            path(state)
+
+    def test_the_norm_rule_is_read_before_the_clearance_rule(self):
+        # a buffer that breaks both rules names the norm rule; a run that
+        # breaks the clearance rule alone names it
+        x = GRID.x()
+        edge = np.exp(-((x - 19.0) ** 2) / 4.0)[None, :].astype(complex)
+        edge /= math.sqrt(_kernels.branch_moments(edge, _grid_tables(GRID).basis)[0, 0])
+        with pytest.raises(BoundaryViolationError, match=r"^step 4: branch 0"):
+            _check(_grid_tables(GRID), edge, "step {}", 4)
+        with pytest.raises(PreconditionError, match=r"^step 4: total probability"):
+            _check(_grid_tables(GRID), 2.0 * edge, "step {}", 4)
+
+    def test_the_check_returns_each_runs_total_and_every_rows_probability(self):
+        amps = np.concatenate([equal_state().amplitudes, equal_state(x0=3.0).amplitudes])
+        totals, probs = _check(_grid_tables(GRID), amps, "step {}", 1,
+                               runs=(slice(0, 2), slice(2, 4)))
+        assert probs == _kernels.branch_moments(amps, _grid_tables(GRID).basis)[0].tolist()
+        assert totals == [sum(probs[:2]), sum(probs[2:])]
+
+    def test_the_check_formats_its_text_only_on_refusal(self):
+        class Where(str):
+            formatted = 0
+
+            def format(self, *args):
+                Where.formatted += 1
+                return super().format(*args)
+
+        where = Where("boost w={} at t={}")
+        amps = equal_state().amplitudes
+        _check(_grid_tables(GRID), amps, where, 0.5, 1.0)
+        assert Where.formatted == 0
+        with pytest.raises(PreconditionError, match=r"^boost w=0\.5 at t=1\.0: total"):
+            _check(_grid_tables(GRID), 1.1 * amps, where, 0.5, 1.0)
+        assert Where.formatted == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(log2n=st.integers(3, 11), dim=st.integers(1, 3), x_min=st.floats(-100.0, 50.0),
+           length=st.floats(0.5, 200.0), seed=st.integers(0, 2**32 - 1))
+    def test_the_readers_match_exact_per_branch_sums(self, log2n, dim, x_min, length, seed):
+        # norm(), branch_populations() and expectation_x read the moments
+        # pass, whose entries err by at most 1e-14 of sum |x|^k w dx
+        # (test_kernels.py); a quotient of two such reads errs by at most
+        # the sum of their relative errors, and a square root by half
+        grid = GridSpec(x_min, x_min + length, 2**log2n)
+        rng = np.random.default_rng(seed)
+        raw = (rng.standard_normal((dim, grid.n_points))
+               + 1j * rng.standard_normal((dim, grid.n_points)))
+        state = CompositeState.create(grid, InternalSpace(E0=100.0, levels=(0.0,) * dim), raw)
+        x = grid.x()
+        pops = state.branch_populations()
+        exact_total = 0.0
+        for i, psi in enumerate(state.amplitudes):
+            w = psi.real**2 + psi.imag**2
+            prob = math.fsum(w * grid.dx)
+            assert abs(pops[i] - prob) <= 1e-14 * prob
+            mean = math.fsum(w * x * grid.dx) / prob
+            spread = math.fsum(np.abs(x) * w * grid.dx) / prob
+            assert abs(expectation_x(grid, psi) - mean) <= 2.01e-14 * spread
+            exact_total += prob
+        assert abs(state.norm() - math.sqrt(exact_total)) <= 1e-14 * math.sqrt(exact_total)

@@ -12,6 +12,7 @@ from massclock import (
     GridSpec,
     InternalSpace,
     PhysicalParams,
+    PreconditionError,
     apply_boost,
     apply_translation,
     bargmann_loop_element,
@@ -355,6 +356,24 @@ class TestCommutatorResidual:
         params = PhysicalParams(hbar=1.0, c=10.0, E0=sp.E0)
         with pytest.raises(BoundaryViolationError):
             commutator_residual(state, 0.0, params)
+
+    def test_an_unpopulated_branch_is_refused_by_name(self):
+        # its residual would be 0/0
+        psi = gaussian_packet(GRID, 0.0, 0.0, 1.0)
+        state = make_superposition(GRID, INTERNAL, [1.0, 0.0], psi)
+        with pytest.raises(PreconditionError,
+                           match="^branch 1 norm too small for a commutator residual$"):
+            commutator_residual(state, 0.0, PARAMS)
+
+    def test_p_psi_is_computed_once_per_branch(self, monkeypatch):
+        # p psi, p (p psi) and p (K psi): three FFT pairs per branch
+        calls = []
+        real = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: calls.append(1) or real(a))
+        psi = gaussian_packet(GRID, 0.0, 0.0, 1.0)
+        state = make_superposition(GRID, INTERNAL, [1.0, 1.0], psi)
+        commutator_residual(state, 0.0, PARAMS)
+        assert len(calls) == 3 * INTERNAL.dim
 
 
 class TestAmplitudeLayout:

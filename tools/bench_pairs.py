@@ -9,8 +9,9 @@ For every workload of ``BENCHMARK.json`` and pair i = 1..10,
 ``perfbench/run.py --workload <w> --seed i --seconds <run_seconds> --trace 0``
 runs once in each checkout, back to back with the same seed; the side that
 runs first alternates between pairs.  Each run is a fresh process, started
-in its own checkout, so it imports that checkout's ``src/``.  The record
-holds, per workload and side, every run's end-to-end metrics with their
+in its side's copy of its checkout, so it imports that checkout's
+``src/``.  The record holds, per workload and side, every run's
+end-to-end metrics with their
 median and interquartile range, the attempted and failed iteration counts
 and the rows digests; per workload, the change/parent ratio of the
 medians, the number of pairs the change wins (lower is better for every
@@ -29,10 +30,12 @@ Tier-1 run (``python -m pytest -q``) per side and keeps its summary line.
 The record is written at the root of the repository this file sits in.
 Only the standard library is used.
 
-Every process it starts compiles every module it imports, on both sides
-alike: it runs with ``PYTHONDONTWRITEBYTECODE=1`` and a
-``PYTHONPYCACHEPREFIX`` that names a fresh, empty temporary directory, so
-no ``.pyc`` left in either checkout (or anywhere else) is read.
+Both sides compile their own code alike and read the installed bytecode
+of numpy, the standard library and pytest alike: each side runs from one
+fresh copy of its checkout with no ``__pycache__`` (``fresh_copy``), made
+once per invocation in a temporary directory, and every process it starts
+runs with ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, so
+no ``.pyc`` left in either checkout is read and none is written.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -73,15 +77,22 @@ def order(pair: int) -> tuple:
     return ("parent", "change") if pair % 2 else ("change", "parent")
 
 
+def fresh_copy(checkout: Path, into: Path) -> Path:
+    """A copy of ``checkout`` at ``into`` with no ``__pycache__``, bytecode,
+    ``.git`` or tool caches, so that its processes compile its modules."""
+    shutil.copytree(checkout, into, ignore=shutil.ignore_patterns(
+        "__pycache__", "*.pyc", ".git", ".pytest_cache", ".hypothesis"))
+    return into
+
+
 def _python(checkout: Path, args: list, check: bool = True) -> subprocess.CompletedProcess:
     """A fresh Python process in ``checkout`` that imports its ``src/`` and
-    compiles every module it imports: it writes no bytecode and reads none,
-    its bytecode cache being a fresh, empty directory."""
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as cache:
-        env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
-               "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
-                              capture_output=True, text=True, check=check)
+    writes no bytecode; it reads the installed packages' bytecode as a
+    normal run does."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=check)
 
 
 def runner_names(checkout: Path) -> list:
@@ -169,7 +180,19 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", default="none")
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        sides = {side: fresh_copy(path.resolve(), Path(tmp) / side)
+                 for side, path in (("parent", args.parent), ("change", args.change))}
+        record = measure(sides, args)
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+def measure(sides: dict, args: argparse.Namespace) -> dict:
+    """The record of the workload pairs, the runners and Tier-1 for the
+    checkouts ``sides`` (``parent`` and ``change``)."""
     workloads, environment = {}, None
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
@@ -210,19 +233,17 @@ def main(argv=None) -> int:
                      "between pairs; parent is the commit this change sits on, run "
                      "from a separate checkout; runners: the same alternating pairs "
                      "of fresh processes, a first and a repeat default runner call "
-                     "each; tier1: one run per side; every process runs with "
-                     "PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a fresh, "
-                     "empty temporary directory, so each compiles every module it "
-                     "imports and neither side reads cached bytecode"),
+                     "each; tier1: one run per side; each side runs from one fresh "
+                     "copy of its checkout with no __pycache__, made once per "
+                     "invocation, and every process runs with PYTHONDONTWRITEBYTECODE=1 "
+                     "and no PYTHONPYCACHEPREFIX, so each side compiles its own "
+                     "modules and both read the installed packages' bytecode"),
         "workloads": workloads,
         "runners": runners,
         "tier1": tier1,
         "environment": environment or {"python": platform.python_version()},
     }
-    path = ROOT / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-    return 0
+    return record
 
 
 if __name__ == "__main__":
