@@ -10,13 +10,13 @@ For every workload of ``BENCHMARK.json`` and pair i = 1..10,
 runs once in each checkout, back to back with the same seed; the side that
 runs first alternates between pairs.  Each run is a fresh process, started
 in its side's copy of its checkout, so it imports that checkout's
-``src/``.  The record holds, per workload and side, every run's
-end-to-end metrics with their
-median and interquartile range, the attempted and failed iteration counts
-and the rows digests; per workload, the change/parent ratio of the
-medians, the number of pairs the change wins (lower is better for every
-metric), the two verdicts ``claim_met`` and ``within_bound`` (see
-``compare``) and whether the two sides wrote the same rows in every pair.
+``src/``.  The record holds, per workload and side, every run's end-to-end
+metrics with their median and interquartile range, the attempted and
+failed iteration counts and the rows digests; per workload, the
+change/parent ratio of the medians, the number of pairs the change wins
+(lower is better for every metric), the two verdicts ``claim_met`` and
+``within_bound`` (see ``compare``) and whether the two sides wrote the
+same rows in every pair.
 
 Two more records come from the same alternating fresh processes, each
 importing its checkout's ``src/``.  ``runners`` times every registered
