@@ -12,7 +12,7 @@ echoed into the output metadata)::
 
     {
       "experiment": "exp_wep",
-      "grid":      {"x_min": -40.0, "x_max": 40.0, "n_points": 1024},
+      "grid":      {"x_min": -40.0, "x_max": 40.0, "n_points": 256},
       "internal":  {"E0": 100.0, "levels": [0.0, 0.01]},
       "physical":  {"c": 10.0},
       "params":    { ... experiment-specific ... },

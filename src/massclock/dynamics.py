@@ -316,6 +316,16 @@ def _velocity_table(runs: Sequence[tuple]) -> np.ndarray:
         for state, kind, params in runs])
 
 
+def _fall_masses(kind: HamiltonianKind, internal: InternalSpace,
+                 params: PhysicalParams) -> List[float]:
+    """Per branch, the mass a uniform field pulls on under ``kind``: the
+    slope of its V row in Phi, M_i for the mass-energy kinds and m for
+    newtonian (``hilbert._require_band`` reads it)."""
+    b = _branches(internal, params)
+    slope = kind.potential(1.0, b) - kind.potential(0.0, b)
+    return np.broadcast_to(slope, (internal.dim, 1)).ravel().tolist()
+
+
 # --- internal clock ----------------------------------------------------------
 
 def _require_subluminal(vmax: float, c: float) -> None:

@@ -58,6 +58,7 @@ from .dynamics import (
     HamiltonianKind,
     Trajectory,
     _evolve,
+    _fall_masses,
     _fit_clock_rate,
     _read_velocities,
     _require_fit_samples,
@@ -76,6 +77,7 @@ from .hilbert import (
     PhysicalParams,
     Potential,
     _overlaps,
+    _require_band,
     _require_finite,
     _require_positive,
     branch_phase,
@@ -188,7 +190,7 @@ def predicted_triangle_proper_phase(mass: float, speed: float, total_time: float
 # Each experiment's signature is the single source of its defaults; the CLI
 # reads its config schema from there (see ExperimentDef.defaults).
 DEFAULT_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=2048)
-SMALL_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=1024)
+SMALL_GRID = GridSpec(x_min=-40.0, x_max=40.0, n_points=256)
 DEFAULT_C = 10.0
 DEFAULT_E0 = 100.0
 DEFAULT_INTERNAL = InternalSpace(E0=DEFAULT_E0, levels=(0.0, 10.0))
@@ -356,9 +358,12 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
 
     The default dt keeps the Strang error of the shifts (<= 4.1e-10
     against dt = 2.5e-4) below 1 % of the tolerance, 2 % of the smallest
-    predicted shift; the kinetic phase per step, 908 dt on the default
-    grid, is 1.82 rad, 58 % of pi.  The samples lie every 10 steps, so
+    predicted shift; the kinetic phase per step, 151 dt on the default
+    grid, is 0.30 rad, 9.6 % of pi.  The samples lie every 10 steps, so
     another dt moves the sample times and, with them, the predicted shifts.
+    The default grid, N = 256 on [-40, 40], keeps its error inside the same
+    budget: against N = 1024 the shifts move by <= 1.8e-15.  Each clock's
+    momentum band must stay on that grid (``hilbert._require_band``).
     """
     sample_every = 10  # sample stride of the clock-rate fit
     omega0 = _clock_gap(internal)
@@ -389,7 +394,10 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
             )
         predicted.append(pred)
         state = _equal_superposition(grid, internal, sigma, x_start, m * v)
-        runs.append((state, HamiltonianKind.low_energy(), params))
+        kind = HamiltonianKind.low_energy()
+        _require_band(grid, _fall_masses(kind, internal, params), m * v, g, total_time,
+                      sigma, f"clock v/c={v_r!r}, gh/c^2={g_r!r}")
+        runs.append((state, kind, params))
     # every clock runs in one stack; each sample is read in flight
     dim = internal.dim  # run r owns the rows r dim .. r dim + dim - 1
     times, overlaps = [], []
@@ -504,9 +512,12 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
     1 % of what a check reads from it: the row's residual for the
     discrepancy, the value itself for the distance and the infidelity.
     Against dt = 2.5e-4 the discrepancy moves by <= 2.5e-8, at most
-    0.025 % of its row's residual.  The alias limit binds first: the
-    kinetic phase per step, 808 dt at m = 1 on the default grid, is
-    2.42 rad, 77 % of pi.
+    0.025 % of its row's residual; the kinetic phase per step, 50.5 dt / m
+    on the default grid, is 0.15 rad at m = 1, 4.8 % of pi.  The default
+    grid, N = 256 on [-40, 40], keeps its error inside the same budget:
+    against N = 1024 the discrepancy moves by <= 1.8e-15, the distance by
+    <= 1.5e-14 and the infidelity by <= 2.6e-13.  Every run's momentum
+    band must stay on that grid (``hilbert._require_band``).
     """
     _require_positive("m", m)
     epsilons = _sweep_epsilons(epsilons)
@@ -524,8 +535,10 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
     for eps in epsilons:
         internal = InternalSpace(E0=e0, levels=(0.0, eps * e0))
         state = _equal_superposition(grid, internal, sigma, x0, p0)
-        runs += [(state, HamiltonianKind.split(), params),
-                 (state, HamiltonianKind.newtonian(), params)]
+        for kind in (HamiltonianKind.split(), HamiltonianKind.newtonian()):
+            _require_band(grid, _fall_masses(kind, internal, params), p0, g, total_time,
+                          sigma, f"eps={eps!r}, kind {kind.name}")
+            runs.append((state, kind, params))
     *_, (_, amps, _) = _evolve(runs, dt, steps, steps)  # the final buffer
     z = _overlaps(amps[0::2], amps[1::2], grid.dx)  # <0|1> of every run
     finals = amps.reshape(len(runs), -1)  # one row per run
@@ -584,11 +597,15 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     The default dt keeps the Strang error of every measured column below
     1 % of the tightest tolerance that reads it: accel_tolerance |g| for
     the accelerations and the clocks, the 1e-8 bound for the newtonian
-    clock.  Against dt = 2.5e-4 the accelerations move by <= 1.4e-14, the
+    clock.  Against dt = 2.5e-4 the accelerations move by <= 1.1e-14, the
     clock shifts by <= 2.6e-9 (0.26 % of 1e-6) and the newtonian shift by
-    1.7e-13.  The kinetic phase per step, low_energy's 908 dt on the
-    default grid, is 2.27 rad, 72 % of pi.  sample_every = 4 keeps the
-    samples 0.01 apart, 301 of them over the default window.
+    1.3e-13.  The kinetic phase per step, low_energy's 151 dt on the
+    default grid, is 0.38 rad, 12 % of pi.  sample_every = 4 keeps the
+    samples 0.01 apart, 301 of them over the default window.  The default
+    grid, N = 256 on [-40, 40], keeps its error inside the same budget:
+    against N = 1024 every measured column moves by <= 5.4e-13, and the
+    newtonian shift by 1.1e-13.  The falling packet's momentum band must
+    stay on that grid (``hilbert._require_band``): at g = 4 it does not.
     """
     kind_objs = _wep_kinds(kinds)
     tolerance = {"accel_rel": accel_tolerance, "newtonian_shift_abs": 1e-8,
@@ -601,6 +618,9 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     # every kind runs in one stack; each sample is read in flight
     state = _equal_superposition(grid, internal, sigma, x0, 0.0)
     runs = [(state, kind, params) for kind in kind_objs]
+    for kind in kind_objs:
+        _require_band(grid, _fall_masses(kind, internal, params), 0.0, g, total_time,
+                      sigma, f"kind {kind.name}")
     velocity_table = _velocity_table(runs) if runs else None
     dim = internal.dim  # run r owns the rows r dim .. r dim + dim - 1
     clock = dim >= 2 and omega0 > 0.0

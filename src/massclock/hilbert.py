@@ -21,6 +21,9 @@ Conventions used throughout the package:
   to each run of a (rows, N) buffer from one such pass.  The propagator's
   step, translations, boosts, the moving-frame map and the commutator
   residual all call that check.
+* A packet falling in a uniform field sweeps a band of momenta, which must
+  stay inside +/- pi hbar / dx: ``_require_band`` reads that band from a
+  run's parameters, before its first step.
 """
 
 from __future__ import annotations
@@ -523,6 +526,30 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
             raise BoundaryViolationError(
                 f"{where.format(*args)}: branch {i}: <x>={mean:.3f}, "
                 f"{CLEARANCE_SIGMAS} sigma_x={half:.3f} leaves [{x_min}, {x_max}]")
+
+
+def _require_band(grid: GridSpec, masses: Sequence[float], p0: float, g: float,
+                  total_time: float, sigma: float, where: str, hbar: float = 1.0) -> None:
+    """The band rule on a packet of width ``sigma`` launched with momentum
+    p0 into a uniform field g for ``total_time``: the branch a field pulls
+    on with mass M_i sweeps the momenta [p0, p0 - M_i g T], and that range,
+    widened by CLEARANCE_SIGMAS * hbar / 2 sigma, must stay inside
+    +/- pi hbar / dx (a NaN band fails it), or the packet wraps around the
+    momentum grid and its <v> reads wrong.  A
+    wrapped packet can read as clean as one that never wrapped, so the rule
+    reads the run's parameters, once per run before its first step, and no
+    state.  Else raise GridResolutionError naming ``where``, the first
+    offending branch, its band and grid.n_points."""
+    limit = math.pi * hbar / grid.dx
+    half = CLEARANCE_SIGMAS * hbar / (2.0 * sigma)
+    for i, mass in enumerate(masses):
+        end = p0 - mass * g * total_time
+        lo, hi = min(end, p0) - half, max(end, p0) + half  # a NaN end is kept
+        if not -limit < lo <= hi < limit:
+            raise GridResolutionError(
+                f"{where}: branch {i}: momentum band [{lo:.3f}, {hi:.3f}] leaves "
+                f"+/-pi hbar/dx = +/-{limit:.3f} of grid.n_points={grid.n_points}; "
+                "refine the grid or shorten the fall")
 
 
 _ONE_RUN = (slice(None),)

@@ -80,12 +80,47 @@ def test_runner_record_compares_pair_by_pair():
 
 
 def test_a_runner_is_timed_in_a_fresh_process_of_its_checkout():
-    from massclock.experiments import EXPERIMENTS
+    from massclock.experiments import EXPERIMENTS, exp_clock_semiclassical
 
     root = Path(__file__).resolve().parents[1]
     assert bench_pairs.runner_names(root) == list(EXPERIMENTS)
-    first, repeat = bench_pairs.time_runner(root, "exp_clock_semiclassical")
+    (first, repeat), rows = bench_pairs.time_runner(root, "exp_clock_semiclassical")
     assert 0.0 < first < 60.0 and 0.0 < repeat < 60.0
+    # the default rows, every float with its bits
+    assert rows == exp_clock_semiclassical().rows
+
+
+_ROWS = [{"kind": "a", "measured": 1.0, "abs_error": 0.5},
+         {"kind": "b", "measured": 2.0, "abs_error": 0.25}]
+
+
+def test_rows_drift_is_the_largest_move_of_a_float_cell():
+    moved = [dict(_ROWS[0], measured=1.0 + 3e-13), dict(_ROWS[1], abs_error=0.25 - 1e-12)]
+    assert bench_pairs.rows_drift(_ROWS, _ROWS) == 0.0
+    assert bench_pairs.rows_drift(_ROWS, moved) == pytest.approx(1e-12, rel=1e-3)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(_ROWS[:1], id="fewer-rows"),
+    pytest.param([_ROWS[0], {"kind": "b", "measured": 2.0}], id="other-keys"),
+    pytest.param([_ROWS[0], dict(_ROWS[1], kind="c")], id="other-label"),
+])
+def test_rows_that_differ_in_shape_have_no_drift(change):
+    assert bench_pairs.rows_drift(_ROWS, change) is None
+
+
+def test_the_runner_record_keeps_each_sides_rows_and_their_drift(monkeypatch):
+    rows = {"parent": _ROWS, "change": [dict(_ROWS[0], measured=1.5), _ROWS[1]]}
+    monkeypatch.setattr(bench_pairs, "WORKLOADS", [])
+    monkeypatch.setattr(bench_pairs, "runner_names", lambda checkout: ["exp_x"])
+    monkeypatch.setattr(bench_pairs, "time_runner",
+                        lambda checkout, name: ([0.2, 0.1], rows[checkout]))
+    monkeypatch.setattr(bench_pairs, "time_tier1", lambda checkout: {})
+    args = bench_pairs.argparse.Namespace(parent_commit="abc", note="n", claim="none")
+    record = bench_pairs.measure({"parent": "parent", "change": "change"}, args)
+    out = record["runners"]["exp_x"]
+    assert out["rows"] == rows and out["rows_drift"] == 0.5
+    assert out["change_wins_pairs"] == 0 and out["repeat"]["parent"]["median"] == 0.1
 
 
 def test_tier1_record_keeps_the_summary_line(monkeypatch):
@@ -118,7 +153,9 @@ def test_every_process_compiles_with_no_cached_bytecode(monkeypatch, tmp_path):
     def fake_run(args, cwd, env, **kwargs):
         seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env,
                      any(Path(cwd).rglob("__pycache__"))))
-        stdout = '{"metrics": {}}' if "perfbench/run.py" in args else "[0.1, 0.2]"
+        stdout = ('{"metrics": {}}' if "perfbench/run.py" in args else
+                  '{"seconds": [0.1, 0.2], "rows": []}' if bench_pairs.RUNNER_TIMER in args
+                  else "[0.1, 0.2]")
         return bench_pairs.subprocess.CompletedProcess(args, 0, stdout=stdout, stderr="")
 
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "inherited"))

@@ -54,7 +54,7 @@ GOLDEN_COLUMNS = {
 class TestParseConfig:
     def test_minimal_config_applies_defaults(self):
         cfg = parse_config(experiment="exp_wep")
-        assert cfg.grid == {"x_min": -40.0, "x_max": 40.0, "n_points": 1024}
+        assert cfg.grid == {"x_min": -40.0, "x_max": 40.0, "n_points": 256}
         assert cfg.params["sigma"] == 2.0
         assert "grid.x_min" in cfg.defaulted
         assert "params.sigma" in cfg.defaulted
@@ -695,6 +695,27 @@ class TestMain:
         assert "reaches pi/2" in capsys.readouterr().out
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides, band, n_points", [
+        pytest.param(("params.g=14.0", "params.x0=30.0", "grid.n_points=1024"),
+                     r"\[-43\.000, 1\.000\]", 1024, id="g14-x0-30-N1024"),
+        pytest.param(("params.g=4.0",), r"\[-13\.000, 1\.000\]", 256, id="g4-default-grid"),
+    ])
+    def test_a_fall_that_outruns_the_momentum_grid_exits_3(self, tmp_path, capsys,
+                                                           overrides, band, n_points):
+        # the falling packet's M g T passes pi hbar / dx: it would wrap
+        # around the momentum grid and read a wrong acceleration (exit 4)
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        code = main(["run", "exp_wep", *sets, "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION and not (tmp_path / "o").exists()
+        assert re.search(rf"kind dynamical_mass: branch 0: momentum band {band} leaves "
+                         rf"\+/-pi hbar/dx = .* of grid\.n_points={n_points}",
+                         capsys.readouterr().out)
+
+    @pytest.mark.parametrize("x0", [3.0, 8.0])
+    def test_the_free_fall_benchmark_range_passes(self, x0):
+        # perfbench's free_fall draws params.x0 from [3, 8] at the defaults
+        assert _outcome("exp_wep", (f"params.x0={x0!r}",))[0] == EXIT_PASS
+
     def test_run_sweep_too_few_points_exit_2(self, tmp_path, capsys):
         code = main(["run", "exp_newtonian_sweep",
                      "--set", "params.epsilons=[0.01]",
@@ -834,8 +855,9 @@ _LEAVES = {
 # value, the reason it stays and the largest drift measured from the base.
 _EXEMPT = {
     "exp_clock_wavepacket": {
-        "grid.n_points": ("256", "sets the resolution, which the sigma >= 4 dx and alias "
-                                 "rules bound (exit 3); 512 -> 256 or 1024: <= 4.8e-13")},
+        "grid.n_points": ("256", "sets the resolution, which the sigma >= 4 dx, alias and "
+                                 "momentum-band rules bound (exit 3); 512 -> 256 or 1024: "
+                                 "<= 4.8e-13")},
     "exp_newtonian_sweep": {
         "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 1.8e-14")},
     "exp_wep": {

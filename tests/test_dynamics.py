@@ -49,6 +49,7 @@ from massclock.dynamics import (
     _Plan,
     _branches,
     _evolve,
+    _fall_masses,
     _read_velocities,
     _tables,
     _velocity_table,
@@ -181,6 +182,24 @@ def _columns(label, p, internal=INTERNAL, params=PARAMS):
     shape = np.broadcast_shapes((internal.dim, 1), p.shape)
     return (np.broadcast_to(kind.kinetic(p, b), shape),
             np.broadcast_to(kind.velocity(p, b), shape))
+
+
+class TestFallMasses:
+    @pytest.mark.parametrize("name", sorted(_KINDS))
+    def test_the_fall_mass_is_the_slope_of_the_v_row_in_phi(self, name):
+        # M_i = (E0 + E_i) / c^2 under every mass-energy kind, m = E0 / c^2
+        # for every branch under newtonian
+        internal = InternalSpace(E0=100.0, levels=(-1.0, 0.0, 2.0))
+        params = PhysicalParams(c=10.0, E0=100.0)
+        expected = ([1.0] * 3 if name == "newtonian"
+                    else internal.mass_energies(10.0).tolist())
+        masses = _fall_masses(HamiltonianKind.from_name(name), internal, params)
+        assert masses == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_a_row_without_branch_columns_gives_every_branch_its_slope(self):
+        kind = HamiltonianKind("flat", None, None, lambda phi, b: 2.0 * phi)
+        internal = InternalSpace(E0=100.0, levels=(0.0, 1.0))
+        assert _fall_masses(kind, internal, PhysicalParams()) == [2.0, 2.0]
 
 
 class TestBranchKinetic:

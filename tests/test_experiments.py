@@ -20,7 +20,7 @@ from massclock import (
     wrap_angle,
 )
 from massclock import experiments
-from massclock.errors import SpreadDominatedError
+from massclock.errors import GridResolutionError, SpreadDominatedError
 from massclock.experiments import (
     EXPERIMENTS,
     ExperimentResult,
@@ -35,6 +35,16 @@ from massclock.experiments import (
     path_proper_time_difference,
     predicted_loop_phase,
 )
+
+# Twice the points of the three propagating runners' default grid, N = 256
+# on [-40, 40].  The momentum grid converges spectrally, so the move to 2N
+# bounds the grid error at N.
+DOUBLED_GRID = GridSpec(-40.0, 40.0, 512)
+
+
+def _no_step(*args):
+    raise AssertionError("a run refused by a set-up rule must take no step")
+
 
 class TestBargmann:
     def test_equal_masses_trivial_relative_phase(self):
@@ -97,6 +107,28 @@ class TestClockDilation:
         assert r.passed
         assert r.rows[0]["rel_error"] < 2e-2
         assert r.rows[0]["shift_measured"] < 0  # moving clock runs slow
+
+    def test_doubling_the_grid_keeps_the_rows_inside_their_budget(self):
+        # budget: 1 % of the 2 % tolerance, relative to each row's
+        # predicted shift (and of the tolerance itself for rel_error)
+        default, doubled = exp_clock_wavepacket(), exp_clock_wavepacket(DOUBLED_GRID)
+        for row, full in zip(doubled.rows, default.rows):
+            budget = 0.01 * default.tolerance["shift_rel"]
+            assert row["shift_predicted"] == full["shift_predicted"]
+            for key in ("shift_measured", "abs_error"):
+                assert abs(row[key] - full[key]) <= budget * abs(full["shift_predicted"]), key
+            assert abs(row["rel_error"] - full["rel_error"]) <= budget
+
+    def test_a_fall_that_outruns_the_momentum_grid_is_refused_before_any_step(
+            self, monkeypatch):
+        # the raised clock falls M g T = 5.03 in 10 time units; with
+        # 4 sigma_p = 0.5 it leaves pi / dx = 5.03 of 128 points
+        monkeypatch.setattr(experiments, "_evolve", _no_step)
+        with pytest.raises(GridResolutionError,
+                           match=r"^clock v/c=0\.0, gh/c\^2=0\.01: branch 0: momentum band "
+                                 r"\[-5\.500, 0\.500\] leaves .* of grid\.n_points=128"):
+            exp_clock_wavepacket(GridSpec(-40.0, 40.0, 128), v_over_c=[],
+                                 gh_over_c2=[0.01], total_time=10.0)
 
     def test_ratio_must_be_small(self):
         with pytest.raises(PreconditionError):
@@ -234,6 +266,31 @@ class TestNewtonianSweep:
                               ("infidelity", full["infidelity"])):
                 assert abs(row[key] - full[key]) <= 0.25 * 0.01 * read + 1e-12, key
 
+    def test_doubling_the_grid_keeps_the_rows_inside_their_budget(self, default_sweep):
+        # the budget of the dt test: 1 % of the row's residual for the
+        # discrepancy and of the value for the others; two eps values stand
+        # for the sweep, as there
+        doubled = exp_newtonian_sweep(DOUBLED_GRID, epsilons=[1e-3, 1e-1])
+        rows = {row["epsilon"]: row for row in default_sweep.rows}
+        for row in doubled.rows:
+            full = rows[row["epsilon"]]
+            assert row["phase_discrepancy_predicted"] == full["phase_discrepancy_predicted"]
+            resid = abs(full["phase_discrepancy_measured"] - full["phase_discrepancy_predicted"])
+            for key, read in (("phase_discrepancy_measured", resid),
+                              ("state_distance", full["state_distance"]),
+                              ("infidelity", full["infidelity"])):
+                assert abs(row[key] - full[key]) <= 0.01 * read, key
+
+    def test_a_launch_beyond_the_momentum_grid_is_refused_before_any_step(
+            self, monkeypatch):
+        # the band [p0 - m g T, p0] = [3, 4.5], widened by 4 sigma_p = 0.67,
+        # leaves pi / dx = 5.03 of 128 points
+        monkeypatch.setattr(experiments, "_evolve", _no_step)
+        with pytest.raises(GridResolutionError,
+                           match=r"^eps=0\.001, kind split: branch 0: momentum band "
+                                 r"\[2\.333, 5\.167\] leaves .* of grid\.n_points=128"):
+            exp_newtonian_sweep(GridSpec(-40.0, 40.0, 128), sigma=3.0, p0=4.5)
+
     def test_c_cancels_from_the_rows(self, default_sweep, monkeypatch):
         # the run's fixed c is not a quantity of the rows: 10 -> 100 moves
         # every cell by round-off only
@@ -284,6 +341,37 @@ class TestWep:
                              else tol["accel_rel"])
             assert row["predicted"] == full["predicted"]
             assert abs(row["measured"] - full["measured"]) <= 0.25 * budget + 1e-13
+
+    def test_doubling_the_grid_keeps_the_rows_inside_their_budget(self, default_wep):
+        # the budget of the dt test, 1 % of accel_tolerance |g| and of the
+        # newtonian clock's 1e-8 bound, for every float column of the row
+        doubled = exp_wep(DOUBLED_GRID)
+        tol = default_wep.tolerance
+        for row, full in zip(doubled.rows, default_wep.rows):
+            newtonian_clock = full["kind"] == "newtonian" and full["quantity"] == "clock_shift"
+            budget = 0.01 * (tol["newtonian_shift_abs"] if newtonian_clock
+                             else tol["accel_rel"])
+            assert row["predicted"] == full["predicted"]
+            for key in ("measured", "abs_error", "rel_error"):
+                assert abs(row[key] - full[key]) <= budget, key
+
+    def test_a_fall_that_outruns_the_momentum_grid_is_refused_before_any_step(
+            self, monkeypatch):
+        # M g T = 12 at g = 4: the band [-13, 1] leaves pi / dx = 10.05
+        monkeypatch.setattr(experiments, "_evolve", _no_step)
+        with pytest.raises(GridResolutionError,
+                           match=r"^kind dynamical_mass: branch 0: momentum band "
+                                 r"\[-13\.000, 1\.000\] leaves \+/-pi hbar/dx = \+/-10\.053 "
+                                 r"of grid\.n_points=256"):
+            exp_wep(g=4.0)
+
+    def test_without_the_band_rule_the_wrapped_fall_is_mis_measured(self, monkeypatch):
+        # what the rule refuses is a real fault: the packet wraps around the
+        # momentum grid and the fitted fall is nowhere near -g
+        monkeypatch.setattr(experiments, "_require_band", lambda *args: None)
+        r = exp_wep(g=4.0)
+        accel = [row for row in r.rows if row["quantity"] == "acceleration"]
+        assert not r.passed and all(row["rel_error"] > 0.1 for row in accel)
 
     def test_newtonian_branches_share_acceleration(self):
         r = exp_wep(kinds=["newtonian"])

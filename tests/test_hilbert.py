@@ -26,7 +26,7 @@ from massclock import (
     wrap_angle,
 )
 from massclock import _kernels
-from massclock.hilbert import _check, _grid_tables
+from massclock.hilbert import CLEARANCE_SIGMAS, _check, _grid_tables, _require_band
 
 import oracles
 
@@ -523,3 +523,44 @@ class TestStateCheck:
             assert abs(expectation_x(grid, psi) - mean) <= 2.01e-14 * spread
             exact_total += prob
         assert abs(state.norm() - math.sqrt(exact_total)) <= 1e-14 * math.sqrt(exact_total)
+
+
+class TestBandRule:
+    """``hilbert._require_band``: the momenta [p0, p0 - M_i g T] a falling
+    branch sweeps, widened by CLEARANCE_SIGMAS hbar / 2 sigma, stay inside
+    +/- pi hbar / dx."""
+
+    GRID = GridSpec(-40.0, 40.0, 256)  # pi hbar / dx = 10.053
+
+    def test_a_band_inside_the_grid_passes(self):
+        # M g T = 3 and 4 sigma_p = 1 at sigma = 2: the band is [-4, 1]
+        assert _require_band(self.GRID, [1.0, 1.0001], 0.0, 1.0, 3.0, 2.0, "kind k") is None
+
+    @pytest.mark.parametrize("masses, p0, g, branch, band", [
+        pytest.param([1.0, 1.0001], 0.0, 4.0, 0, r"\[-13\.000, 1\.000\]", id="fall"),
+        pytest.param([1.0, 4.0], 0.0, 1.0, 1, r"\[-13\.000, 1\.000\]", id="heavy-branch"),
+        pytest.param([1.0], 0.0, -3.5, 0, r"\[-1\.000, 11\.500\]", id="rise"),
+        pytest.param([1.0], 9.5, 0.0, 0, r"\[8\.500, 10\.500\]", id="launch"),
+    ])
+    def test_a_band_that_leaves_the_grid_is_refused_by_name(self, masses, p0, g, branch,
+                                                             band):
+        with pytest.raises(GridResolutionError,
+                           match=rf"^kind k: branch {branch}: momentum band {band} leaves "
+                                 r"\+/-pi hbar/dx = \+/-10\.053 of grid\.n_points=256;"):
+            _require_band(self.GRID, masses, p0, g, 3.0, 2.0, "kind k")
+
+    def test_the_band_is_widened_by_clearance_sigmas_momentum_widths(self):
+        # sigma_p = hbar / 2 sigma: a packet launched at p0 reaches
+        # p0 + CLEARANCE_SIGMAS sigma_p, which must stay below pi hbar / dx
+        sigma = 2.0
+        edge = math.pi / self.GRID.dx - CLEARANCE_SIGMAS / (2.0 * sigma)
+        _require_band(self.GRID, [1.0], edge - 1e-9, 0.0, 3.0, sigma, "k")
+        with pytest.raises(GridResolutionError, match="momentum band"):
+            _require_band(self.GRID, [1.0], edge + 1e-9, 0.0, 3.0, sigma, "k")
+        # hbar scales the widths and the limit alike
+        _require_band(self.GRID, [1.0], 2.0 * (edge - 1e-9), 0.0, 3.0, sigma, "k", hbar=2.0)
+
+    @pytest.mark.parametrize("masses, g", [([math.nan], 1.0), ([1.0], math.nan)])
+    def test_a_nan_mass_or_field_fails_it(self, masses, g):
+        with pytest.raises(GridResolutionError, match=r"momentum band \[nan, nan\]"):
+            _require_band(self.GRID, masses, 0.0, g, 3.0, 2.0, "k")

@@ -25,7 +25,10 @@ alone), once per side in each of the same ``PAIRS`` pairs, with the
 medians, their ratio and the pairs the change wins; the process then
 calls the runner again, and ``repeat`` holds that second call's record,
 so the first call's extra cost (a CLI run is always a first call) is
-the difference of the two.  ``tier1`` times one
+the difference of the two.  Each runner's record also keeps each side's
+default rows (``rows``) and ``rows_drift``, the largest move of a float
+cell between the sides, so a change that moves rows names its drift in
+the record.  ``tier1`` times one
 Tier-1 run (``python -m pytest -q``) per side and keeps its summary line.
 The record is written at the root of the repository this file sits in.
 Only the standard library is used.
@@ -60,15 +63,16 @@ BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 # A fresh process that prints the registered runner names, or the seconds
-# of a first and a second default call of the runner named by its argument.
+# of a first and a second default call of the runner named by its argument
+# with the rows of that call.
 RUNNERS = ("import json; from massclock.experiments import EXPERIMENTS; "
            "print(json.dumps(list(EXPERIMENTS)))")
 RUNNER_TIMER = ("import json, sys, time; from massclock.experiments import EXPERIMENTS; "
                 "runner = EXPERIMENTS[sys.argv[1]].runner; seconds = []\n"
                 "for _ in range(2):\n"
-                "    start = time.perf_counter(); runner(); "
+                "    start = time.perf_counter(); rows = runner().rows; "
                 "seconds.append(time.perf_counter() - start)\n"
-                "print(json.dumps(seconds))")
+                "print(json.dumps({'seconds': seconds, 'rows': rows}))")
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -99,10 +103,22 @@ def runner_names(checkout: Path) -> list:
     return json.loads(_python(checkout, ["-c", RUNNERS]).stdout)
 
 
-def time_runner(checkout: Path, name: str) -> list:
+def time_runner(checkout: Path, name: str) -> tuple:
     """Seconds of the first and the second default call of the runner
-    ``name`` in one fresh process."""
-    return json.loads(_python(checkout, ["-c", RUNNER_TIMER, name]).stdout.splitlines()[-1])
+    ``name`` in one fresh process, and the rows of that call."""
+    out = json.loads(_python(checkout, ["-c", RUNNER_TIMER, name]).stdout.splitlines()[-1])
+    return out["seconds"], out["rows"]
+
+
+def rows_drift(parent: list, change: list):
+    """Largest move of a float cell between two row lists; None when they
+    differ in length, keys or a cell that is not a float."""
+    if len(parent) != len(change) or any(list(p) != list(c) for p, c in zip(parent, change)):
+        return None
+    moves = [abs(p[k] - c[k]) if isinstance(p[k], float) and isinstance(c[k], float)
+             else (0.0 if p[k] == c[k] else None)
+             for p, c in zip(parent, change) for k in p]
+    return None if None in moves else max(moves, default=0.0)
 
 
 def time_tier1(checkout: Path) -> dict:
@@ -213,14 +229,18 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
     runners = {}
     for name in runner_names(sides["change"]):
         first, repeat = {"parent": [], "change": []}, {"parent": [], "change": []}
+        rows = {}
         for pair in range(1, PAIRS + 1):
             for side in order(pair):
-                calls = time_runner(sides[side], name)
-                first[side].append(calls[0])
-                repeat[side].append(calls[1])
+                seconds, rows[side] = time_runner(sides[side], name)
+                first[side].append(seconds[0])
+                repeat[side].append(seconds[1])
+        drift = rows_drift(rows["parent"], rows["change"])
         runners[name] = {**runner_record(first["parent"], first["change"]),
-                         "repeat": runner_record(repeat["parent"], repeat["change"])}
-        print(f"{name}: median ratio {runners[name]['median_ratio']:.3f}", flush=True)
+                         "repeat": runner_record(repeat["parent"], repeat["change"]),
+                         "rows": rows, "rows_drift": drift}
+        print(f"{name}: median ratio {runners[name]['median_ratio']:.3f}, "
+              f"rows drift {drift}", flush=True)
     tier1 = {side: time_tier1(sides[side]) for side in order(1)}
     record = {
         "parent_commit": args.parent_commit,
@@ -233,7 +253,8 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
                      "between pairs; parent is the commit this change sits on, run "
                      "from a separate checkout; runners: the same alternating pairs "
                      "of fresh processes, a first and a repeat default runner call "
-                     "each; tier1: one run per side; each side runs from one fresh "
+                     "each, with each side's default rows and the largest float move "
+                     "between them (rows_drift, null when the rows differ in shape); tier1: one run per side; each side runs from one fresh "
                      "copy of its checkout with no __pycache__, made once per "
                      "invocation, and every process runs with PYTHONDONTWRITEBYTECODE=1 "
                      "and no PYTHONPYCACHEPREFIX, so each side compiles its own "
