@@ -529,19 +529,19 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
 
 
 def _require_band(grid: GridSpec, masses: Sequence[float], p0: float, g: float,
-                  total_time: float, sigma: float, where: str, hbar: float = 1.0) -> None:
+                  total_time: float, sigma: float, where: str) -> None:
     """The band rule on a packet of width ``sigma`` launched with momentum
-    p0 into a uniform field g for ``total_time``: the branch a field pulls
-    on with mass M_i sweeps the momenta [p0, p0 - M_i g T], and that range,
-    widened by CLEARANCE_SIGMAS * hbar / 2 sigma, must stay inside
-    +/- pi hbar / dx (a NaN band fails it), or the packet wraps around the
-    momentum grid and its <v> reads wrong.  A
-    wrapped packet can read as clean as one that never wrapped, so the rule
-    reads the run's parameters, once per run before its first step, and no
-    state.  Else raise GridResolutionError naming ``where``, the first
-    offending branch, its band and grid.n_points."""
-    limit = math.pi * hbar / grid.dx
-    half = CLEARANCE_SIGMAS * hbar / (2.0 * sigma)
+    p0 into a uniform field g for ``total_time``, in the runners' units
+    hbar = 1: the branch a field pulls on with mass M_i sweeps the momenta
+    [p0, p0 - M_i g T], and that range, widened by CLEARANCE_SIGMAS
+    hbar / 2 sigma, must stay inside +/- pi hbar / dx (a NaN band fails
+    it), or the packet wraps around the momentum grid and its <v> reads
+    wrong.  A wrapped packet can read as clean as one that never wrapped,
+    so the rule reads the run's parameters, once per run before its first
+    step, and no state.  Else raise GridResolutionError naming ``where``,
+    the first offending branch, its band and grid.n_points."""
+    limit = math.pi / grid.dx
+    half = CLEARANCE_SIGMAS / (2.0 * sigma)
     for i, mass in enumerate(masses):
         end = p0 - mass * g * total_time
         lo, hi = min(end, p0) - half, max(end, p0) + half  # a NaN end is kept

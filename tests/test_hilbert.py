@@ -528,7 +528,7 @@ class TestStateCheck:
 class TestBandRule:
     """``hilbert._require_band``: the momenta [p0, p0 - M_i g T] a falling
     branch sweeps, widened by CLEARANCE_SIGMAS hbar / 2 sigma, stay inside
-    +/- pi hbar / dx."""
+    +/- pi hbar / dx (hbar = 1)."""
 
     GRID = GridSpec(-40.0, 40.0, 256)  # pi hbar / dx = 10.053
 
@@ -557,8 +557,6 @@ class TestBandRule:
         _require_band(self.GRID, [1.0], edge - 1e-9, 0.0, 3.0, sigma, "k")
         with pytest.raises(GridResolutionError, match="momentum band"):
             _require_band(self.GRID, [1.0], edge + 1e-9, 0.0, 3.0, sigma, "k")
-        # hbar scales the widths and the limit alike
-        _require_band(self.GRID, [1.0], 2.0 * (edge - 1e-9), 0.0, 3.0, sigma, "k", hbar=2.0)
 
     @pytest.mark.parametrize("masses, g", [([math.nan], 1.0), ([1.0], math.nan)])
     def test_a_nan_mass_or_field_fails_it(self, masses, g):

@@ -254,7 +254,8 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
                      "from a separate checkout; runners: the same alternating pairs "
                      "of fresh processes, a first and a repeat default runner call "
                      "each, with each side's default rows and the largest float move "
-                     "between them (rows_drift, null when the rows differ in shape); tier1: one run per side; each side runs from one fresh "
+                     "between them (rows_drift, null when the rows differ in shape); "
+                     "tier1: one run per side; each side runs from one fresh "
                      "copy of its checkout with no __pycache__, made once per "
                      "invocation, and every process runs with PYTHONDONTWRITEBYTECODE=1 "
                      "and no PYTHONPYCACHEPREFIX, so each side compiles its own "
