@@ -57,7 +57,9 @@ of the run's settings (fed back through ``parse_config`` it reproduces the
 same RunConfig).
 
 Exit codes: 0 pass, 2 config error, 3 numerical precondition, 4 tolerance
-fail.
+fail.  The tolerances are the runner's own pass bounds, fixed in its code
+and echoed into ``meta.json``; no config key sets one, so a config naming
+``params.tolerance`` is an unknown key (exit 2).
 """
 
 from __future__ import annotations
@@ -325,7 +327,9 @@ def _run_directory(base: Path, experiment: str) -> Path:
 
 def run(config: RunConfig, echo=print) -> int:
     """Execute one experiment and persist rows + metadata; returns the exit
-    status (0 pass, 3 precondition, 4 tolerance fail)."""
+    status (0 pass, 3 precondition, 4 tolerance fail).  A failing run
+    echoes its cause: the row of the largest ``abs_error``, or, when no
+    row has one, the run's ``details`` against its ``tolerance``."""
     exp = EXPERIMENTS[config.experiment]
     kwargs = build_objects(config)
     start = time.perf_counter()
@@ -358,10 +362,9 @@ def run(config: RunConfig, echo=print) -> int:
     echo(f"wrote {rows_path}")
     if not result.passed:
         worst = result.worst_row()
-        if worst is not None:
-            echo(f"TOLERANCE FAIL; worst row {worst}: {result.rows[worst]}")
-        else:
-            echo("TOLERANCE FAIL")
+        cause = (f"worst row {worst}: {result.rows[worst]}" if worst is not None
+                 else f"details {result.details} against tolerance {result.tolerance}")
+        echo(f"TOLERANCE FAIL; {cause}")
         return EXIT_TOLERANCE
     echo(f"PASS ({runtime:.2f}s)")
     return EXIT_PASS

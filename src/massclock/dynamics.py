@@ -280,7 +280,14 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
               params: PhysicalParams, dt: float, steps: int) -> CompositeState:
     """Evolve by ``steps`` Strang steps of size dt; checks run every step.
 
-    Zero steps return ``state`` itself; a negative count is refused.
+    Zero steps return ``state`` itself; a negative count is refused.  Only
+    the runners apply the momentum-band rule (``hilbert._require_band``),
+    which reads a launch momentum and a window this call does not take.  A
+    caller must keep each branch's momenta [p0, p0 - M_i g T], widened by
+    4 sigma_p = 2 hbar / sigma, inside +/- pi hbar / dx: a packet beyond
+    it wraps around the momentum grid, and its readouts are wrong with no
+    refusal (x0 = 5, sigma = 2 on 256 points of [-40, 40] under newtonian
+    at g = 4 for T = 3 reads <v> = +8.1, where the fall gives -12).
     """
     for _, amps, totals in _evolve([(state, kind, params)], dt, steps, max(steps, 1)):
         pass
@@ -296,7 +303,8 @@ def propagate_history(state: CompositeState, kind: HamiltonianKind,
 
     The initial state is included at t = 0; ``steps`` must be a
     non-negative multiple of ``sample_every``.  Each sample owns a copy of
-    the step buffer, which the step's check has just passed.
+    the step buffer, which the step's check has just passed.  As for
+    propagate, the caller keeps the momentum band on the grid.
     """
     times, out = [], []
     for k, amps, totals in _evolve([(state, kind, params)], dt, steps, sample_every):

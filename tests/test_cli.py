@@ -24,6 +24,7 @@ from massclock.cli import (
 )
 from massclock.errors import ConfigError
 from massclock.experiments import (
+    DEFAULT_BARGMANN_PAIRS,
     EXPERIMENTS,
     exp_bargmann,
     exp_clock_semiclassical,
@@ -287,7 +288,7 @@ class TestRun:
         meta = json.loads((run_dir / "meta.json").read_text())
         assert meta["passed"] is True
         assert meta["artifact_version"]
-        assert "params.tolerance" in meta["defaulted_keys"]
+        assert "params.masses" in meta["defaulted_keys"]
 
     def test_meta_config_round_trips(self, tmp_path):
         cfg = self._config(tmp_path)
@@ -316,16 +317,26 @@ class TestRun:
         assert rows[0]["branch"] == "1"
         assert set(rows[0]) == set(GOLDEN_COLUMNS["exp_bargmann"])
 
-    def test_zero_tolerance_fails_with_worst_row(self, tmp_path, capsys):
-        cfg = self._config(tmp_path)
-        cfg.params["tolerance"] = 0.0
+    @pytest.mark.parametrize("name, x_min, cause", [
+        # a packet 5 sigma from the grid's edge falls 3.2e-6 relative off -g
+        ("exp_wep", "-5.0",
+         r"worst row 0: \{'kind': 'low_energy', 'quantity': 'acceleration', "),
+        # the sweep's verdict reads two slopes, and its rows have no abs_error
+        ("exp_newtonian_sweep", "-9.0",
+         r"details \{'slope': 1\.0\d*, 'residual_slope': 1\.7\d*\} against tolerance "
+         r"\{'slope': 0\.1, 'residual_slope': 0\.1\}$"),
+    ])
+    def test_a_failing_run_names_its_cause(self, tmp_path, name, x_min, cause):
+        cfg = parse_config(experiment=name,
+                           overrides=[*_LEAVES[name][0], f"grid.x_min={x_min}"])
+        cfg.output = str(tmp_path)
         lines = []
         assert run(cfg, echo=lines.append) == EXIT_TOLERANCE
-        assert any("worst row" in line for line in lines)
+        assert re.match("TOLERANCE FAIL; " + cause, lines[-1])
 
     @pytest.mark.parametrize("name, overrides, section, echo", [
         ("exp_bargmann", ["params.masses=[0.95,1.1]", "params.pairs=[[0.5,0.8]]"],
-         "params", {"masses": [0.95, 1.1], "pairs": [[0.5, 0.8]], "tolerance": 1e-8}),
+         "params", {"masses": [0.95, 1.1], "pairs": [[0.5, 0.8]]}),
         ("exp_frame_phase", ["internal.levels=[-5.0,10.0]"],
          "internal", {"E0": 100.0, "levels": [-5.0, 10.0]}),
     ])
@@ -497,7 +508,8 @@ class TestMain:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["experiment"] == "exp_bargmann"
         assert resolved["grid"] == {}  # the loop phase is read on the probe packet
-        assert resolved["params"]["tolerance"] == 1e-8
+        assert resolved["params"] == {"masses": [1.0, 1.1],
+                                      "pairs": [list(p) for p in DEFAULT_BARGMANN_PAIRS]}
 
     def test_validate_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -764,6 +776,11 @@ class TestMain:
         *[("exp_newtonian_sweep", key) for key in (
             "internal.E0=100.0", "physical.c=10.0", "params.sample_every=10")],
         ("exp_interferometer", "params.n_samples=2001"),
+        # pass bounds, fixed in each runner
+        *[(name, "params.tolerance=1.0") for name in (
+            "exp_bargmann", "exp_interferometer", "exp_frame_phase")],
+        ("exp_newtonian_sweep", "params.slope_tolerance=1.0"),
+        ("exp_wep", "params.accel_tolerance=1.0"),
     ])
     def test_key_a_runner_does_not_read_exits_2(self, tmp_path, capsys, name,
                                                       override):
@@ -771,6 +788,10 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "config error: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": name}))
+        assert main(["validate", "--config", str(path), "--set", override]) == EXIT_CONFIG
+        assert "config error: unknown key" in capsys.readouterr().err
 
     def test_old_clock_name_suggests_a_new_one(self, tmp_path, capsys):
         code = main(["run", "exp_clock_dilation", "--out", str(tmp_path / "o")])
@@ -814,8 +835,7 @@ def _drift(rows, other) -> float:
 _LEAVES = {
     "exp_bargmann": (
         ("params.pairs=[[0.5,0.8]]",),
-        {"params.masses": "[1.0,1.2]", "params.pairs": "[[0.4,0.8]]",
-         "params.tolerance": "0.0"}),
+        {"params.masses": "[1.0,1.2]", "params.pairs": "[[0.4,0.8]]"}),
     "exp_clock_semiclassical": (
         ("params.v_over_c=[0.1]", "params.gh_over_c2=[]"),
         {"params.v_over_c": "[0.2]", "params.gh_over_c2": "[0.01]"}),
@@ -829,26 +849,26 @@ _LEAVES = {
     "exp_interferometer": (
         (),
         {"physical.c": "20.0", "params.delta_e": "5.0", "params.height": "2.0",
-         "params.total_time": "8.0", "params.g": "0.5", "params.tolerance": "0.0"}),
+         "params.total_time": "8.0", "params.g": "0.5"}),
     "exp_newtonian_sweep": (
         ("params.epsilons=[0.001,0.01,0.1,0.05]", "params.total_time=0.21",
          "grid.n_points=256"),
         {"grid.x_min": "-9.0", "grid.x_max": "11.0", "params.m": "2.0",
          "params.epsilons": "[0.002,0.01,0.1,0.05]", "params.p0": "2.0",
          "params.g": "1.0", "params.total_time": "0.3", "params.sigma": "3.0",
-         "params.x0": "2.0", "params.dt": "1e-2", "params.slope_tolerance": "0.0"}),
+         "params.x0": "2.0", "params.dt": "1e-2"}),
     "exp_wep": (
         ('params.kinds=["low_energy"]', "params.total_time=1.0", "grid.n_points=256"),
         {"grid.x_min": "-5.0", "grid.x_max": "15.0", "internal.E0": "200.0",
          "internal.levels": "[0.0,0.02]", "physical.c": "20.0",
          "params.kinds": '["split"]', "params.g": "2.0", "params.total_time": "1.5",
          "params.sigma": "3.0", "params.x0": "2.0", "params.dt": "5e-4",
-         "params.sample_every": "2", "params.accel_tolerance": "0.0"}),
+         "params.sample_every": "2"}),
     "exp_frame_phase": (
         (),
         {"internal.E0": "250.0", "internal.levels": "[0.0,20.0]",
          "physical.c": "20.0", "params.speed": "2.0",
-         "params.total_time": "2.0", "params.tolerance": "0.0"}),
+         "params.total_time": "2.0"}),
 }
 
 # Leaves that stay although they move rows only at round-off, each with a

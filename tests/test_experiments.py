@@ -329,10 +329,11 @@ class TestWep:
             assert row["rel_error"] < 1e-6
 
     def test_halving_dt_keeps_the_strang_error_inside_its_budget(self, default_wep):
-        # budget: 1 % of the tightest tolerance reading each column,
-        # accel_tolerance |g| (g = 1) and, for the newtonian clock, its 1e-8
-        # bound; as for the sweep, a move within 1/4 of it bounds the error
-        # at dt by a third.  Sampling every 8 steps keeps the sample times.
+        # budget: 1 % of the tightest tolerance reading each column, the
+        # 1e-6 |g| acceleration bound (g = 1) and, for the newtonian clock,
+        # its 1e-8 bound; as for the sweep, a move within 1/4 of it bounds
+        # the error at dt by a third.  Sampling every 8 steps keeps the
+        # sample times.
         half = exp_wep(dt=1.25e-3, sample_every=8)
         tol = default_wep.tolerance
         for row, full in zip(half.rows, default_wep.rows):
@@ -343,8 +344,9 @@ class TestWep:
             assert abs(row["measured"] - full["measured"]) <= 0.25 * budget + 1e-13
 
     def test_doubling_the_grid_keeps_the_rows_inside_their_budget(self, default_wep):
-        # the budget of the dt test, 1 % of accel_tolerance |g| and of the
-        # newtonian clock's 1e-8 bound, for every float column of the row
+        # the budget of the dt test, 1 % of the 1e-6 |g| acceleration bound
+        # and of the newtonian clock's 1e-8 bound, for every float column of
+        # the row
         doubled = exp_wep(DOUBLED_GRID)
         tol = default_wep.tolerance
         for row, full in zip(doubled.rows, default_wep.rows):
