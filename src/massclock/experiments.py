@@ -443,8 +443,8 @@ def path_proper_time_difference(traj1: Trajectory, traj2: Trajectory,
 
 def interferometer_on_paths(traj1: Trajectory, traj2: Trajectory, delta_e: float,
                             params: PhysicalParams) -> ExperimentResult:
-    """Two-path visibility of an internal clock, V = |cos(dE dtau / 2 hbar)|,
-    measured to 1e-6."""
+    """Two-path visibility of an internal clock, V = |cos(dE dtau / 2 hbar)|;
+    the run passes when |measured - predicted| < 1e-6."""
     if traj1.times.shape != traj2.times.shape or np.any(traj1.times != traj2.times):
         raise TrajectoryError("paths must share the same time samples")
     if traj1.xi[0] != traj2.xi[0] or traj1.xi[-1] != traj2.xi[-1]:

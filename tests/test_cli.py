@@ -319,12 +319,14 @@ class TestRun:
 
     @pytest.mark.parametrize("name, x_min, cause", [
         # a packet 5 sigma from the grid's edge falls 3.2e-6 relative off -g
-        ("exp_wep", "-5.0",
-         r"worst row 0: \{'kind': 'low_energy', 'quantity': 'acceleration', "),
+        pytest.param("exp_wep", "-5.0",
+                     r"worst row 0: \{'kind': 'low_energy', 'quantity': 'acceleration', ",
+                     id="exp_wep-worst-row"),
         # the sweep's verdict reads two slopes, and its rows have no abs_error
-        ("exp_newtonian_sweep", "-9.0",
-         r"details \{'slope': 1\.0\d*, 'residual_slope': 1\.7\d*\} against tolerance "
-         r"\{'slope': 0\.1, 'residual_slope': 0\.1\}$"),
+        pytest.param("exp_newtonian_sweep", "-9.0",
+                     r"details \{'slope': 1\.0\d*, 'residual_slope': 1\.7\d*\} against "
+                     r"tolerance \{'slope': 0\.1, 'residual_slope': 0\.1\}$",
+                     id="exp_newtonian_sweep-details"),
     ])
     def test_a_failing_run_names_its_cause(self, tmp_path, name, x_min, cause):
         cfg = parse_config(experiment=name,
