@@ -23,12 +23,20 @@ term, accurate to the same order as the low-energy form.
 
 Propagation is Strang splitting,
 exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
-per branch per step: exactly unitary, second order in dt.  After every step
-``hilbert._check`` applies the norm rule (total probability within 1e-10 of
-1) and then the boundary-clearance rule to each run, from one moments pass;
-a sampled or final state takes the checked buffer as it is.  One step loop
-serves every propagation: a runner's independent runs on one grid share
-one stacked (sum dim_r, N) buffer, and the step acts row by row, so each
+per branch per step: exactly unitary, second order in dt.  A free run, one
+whose V is constant in x on every branch (no potential, a zero field or a
+constant table, under any kind: V is then one number per branch), has V
+commuting with F, so n steps are exactly F^-1 (V_half T V_half)^n F.  Such a run keeps its momentum-space spectrum:
+each step multiplies it by V_half, T and V_half and writes the x-space
+buffer with one inverse FFT, in place of an FFT pair; its amplitudes
+differ from the x-space steps' by round-off only.  A run whose V depends on
+x takes the x-space step.  After every step ``hilbert._check`` applies the
+norm rule (total probability within 1e-10 of 1) and then the
+boundary-clearance rule to each run, from one moments pass over the
+x-space buffer; a sampled or final state takes the checked buffer as it
+is.  One step loop serves every propagation: a runner's independent runs
+on one grid share one stacked (sum dim_r, N) buffer, stepped in blocks of
+consecutive free or non-free runs, and every step acts row by row, so each
 run keeps the bits it has alone; the checks apply to each run's own rows,
 and the runners read their samples from the live buffer.
 
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -200,8 +208,15 @@ class _Plan:
     grid, stacked into one (sum dim_r, N) buffer for one dt; run r owns
     the rows ``rows[r]``, in run order.
 
-    The Strang step acts row by row (elementwise phase multiplies and a
-    row-wise FFT pair), so every run keeps the bits it has alone.
+    A run is free when its V half-step table is constant along x on every
+    row (no potential, a zero field or a constant table, under any kind):
+    then V commutes with F, and n Strang steps are exactly
+    F^-1 (V_half T V_half)^n F.  ``blocks`` lists each maximal stretch of
+    consecutive free or non-free runs as ``(rows, free)``.  ``stages``
+    steps a free block on its momentum-space spectrum with ``free_step``
+    and any other block in x space with ``step``, the one x-space path.
+    Every step acts row by row (elementwise phase multiplies and row-wise
+    FFTs), so every run keeps the bits it has alone, in any stack.
     """
 
     def __init__(self, runs: Sequence[tuple], dt: float):
@@ -217,6 +232,7 @@ class _Plan:
         self.exp_t = np.empty(shape, dtype=complex)
         self.exp_v_half = np.empty(shape, dtype=complex)
         self.rows = []
+        self.blocks = []
         for (state, _, params), (t_table, v_table) in zip(runs, tables):
             worst = float(np.max(np.abs(t_table))) * dt / params.hbar
             if worst >= math.pi:
@@ -229,17 +245,47 @@ class _Plan:
             np.exp(-1j * t_table * dt / params.hbar, out=self.exp_t[rows])
             np.exp(-0.5j * v_table * dt / params.hbar, out=self.exp_v_half[rows])
             self.rows.append(rows)
+            v_half = self.exp_v_half[rows]
+            free = bool(np.all(v_half == v_half[:, :1]))
+            if self.blocks and self.blocks[-1][1] == free:
+                self.blocks[-1] = (slice(self.blocks[-1][0].start, rows.stop), free)
+            else:
+                self.blocks.append((rows, free))
         self.tables = _grid_tables(grid)
 
     def step(self, amps: np.ndarray) -> np.ndarray:
-        """One Strang step, in place: ``amps`` is the caller's private
-        complex buffer, overwritten and returned."""
+        """One Strang step in x space, in place: ``amps`` is the caller's
+        private complex buffer, overwritten and returned."""
         _kernels.phase_multiply(amps, self.exp_v_half)
         np.fft.fft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_t)
         np.fft.ifft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_v_half)
         return amps
+
+    def free_step(self, spectrum: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """One Strang step of free rows: V_half, T and V_half multiply
+        ``spectrum``, their momentum-space amplitudes, in place, and one
+        inverse FFT writes the stepped x-space rows into ``amps``, which
+        is returned."""
+        _kernels.phase_multiply(spectrum, self.exp_v_half)
+        _kernels.phase_multiply(spectrum, self.exp_t)
+        _kernels.phase_multiply(spectrum, self.exp_v_half)
+        return np.fft.ifft(spectrum, axis=1, out=amps)
+
+    def stages(self, amps: np.ndarray) -> List[Callable[[], np.ndarray]]:
+        """One call per block that steps its rows of ``amps`` in place;
+        calling each in order is one step of the whole buffer.  A free
+        block takes its spectrum from ``amps`` now, with one FFT, and
+        steps from it from then on."""
+        out = []
+        for rows, free in self.blocks:
+            block = object.__new__(_Plan)  # this plan's tables on the block's rows
+            block.exp_t, block.exp_v_half = self.exp_t[rows], self.exp_v_half[rows]
+            own = amps[rows]
+            out.append(partial(block.free_step, np.fft.fft(own, axis=1), own) if free
+                       else partial(block.step, own))
+        return out
 
     def check(self, amps: np.ndarray, step_no: int) -> List[float]:
         """``hilbert._check`` on each run's rows after step ``step_no``;
@@ -250,15 +296,19 @@ class _Plan:
 def _evolve(runs: Sequence[tuple], dt: float, steps: int,
             sample_every: int) -> Iterator[Tuple[int, np.ndarray, Optional[List[float]]]]:
     """Advance independent runs ``(state, kind, params)`` on one grid by
-    ``steps`` Strang steps of size dt, as one stacked buffer; the checks
-    run every step, per run.
+    ``steps`` Strang steps of size dt, as one stacked buffer, block by
+    block of ``_Plan.stages``; the checks run on the x-space buffer every
+    step, per run.
 
     Yields ``(step_no, amps, totals)`` at step 0 and after every
     ``sample_every`` steps: ``amps`` is the live (sum dim_r, N) buffer,
     rows in run order, which the next step overwrites; ``totals`` holds
     each run's total probability as that step's check read it (None at
-    step 0, where no step ran).  ``steps`` must be a non-negative multiple
-    of ``sample_every``.  No runs yield nothing.
+    step 0, where no step ran).  Callers read ``amps`` and must not write
+    to it: a free run's next step comes from its spectrum, so an edit
+    would be dropped with no error.  ``steps`` must be a non-negative
+    multiple of ``sample_every``; zero steps take no FFT.  No runs yield
+    nothing.
     """
     if steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {steps}")
@@ -269,8 +319,12 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     plan = _Plan(runs, dt)
     amps = np.concatenate([state.amplitudes for state, _, _ in runs])
     yield 0, amps, None
+    if not steps:
+        return
+    stages = plan.stages(amps)
     for k in range(1, steps + 1):
-        amps = plan.step(amps)
+        for stage in stages:
+            stage()
         totals = plan.check(amps, k)
         if k % sample_every == 0:
             yield k, amps, totals
@@ -280,7 +334,10 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
               params: PhysicalParams, dt: float, steps: int) -> CompositeState:
     """Evolve by ``steps`` Strang steps of size dt; checks run every step.
 
-    Zero steps return ``state`` itself; a negative count is refused.  Only
+    A free run (V constant in x) is stepped on its spectrum, one inverse
+    FFT per step, and any other in x space, an FFT pair per step (see the
+    module docstring).  Zero steps return ``state`` itself and take no
+    FFT; a negative count is refused.  Only
     the runners apply the momentum-band rule (``hilbert._require_band``),
     which reads a launch momentum and a window this call does not take.  A
     caller must keep each branch's momenta [p0, p0 - M_i g T], widened by

@@ -61,17 +61,30 @@ def strang_step(amps: np.ndarray, exp_v_half: np.ndarray,
 
 
 def per_run_strang(initial, tables, steps: int, sample_every: int):
-    """Each run stepped alone on its own (dim, N) buffer by ``strang_step``.
+    """Each run stepped alone on its own (dim, N) buffer.
 
     ``initial`` holds each run's amplitudes and ``tables`` its
-    ``(exp_v_half, exp_t)``; returns, at step 0 and after every
-    ``sample_every`` steps, the list of every run's amplitudes.  The
-    reference a stacked buffer must match bit for bit, run by run.
+    ``(exp_v_half, exp_t)``.  A free run, whose ``exp_v_half`` is constant
+    along every row, is stepped on its spectrum ``np.fft.fft(initial)``:
+    V half, T and V half multiply it, in that order and out of place, and
+    one ``np.fft.ifft`` gives its amplitudes.  Any other run is stepped by
+    ``strang_step``.  Returns, at step 0 and after every ``sample_every``
+    steps, the list of every run's amplitudes.  The reference a stacked
+    buffer must match bit for bit, run by run.
     """
     amps = [np.array(a) for a in initial]
+    spectra = [np.fft.fft(a, axis=1) if np.all(v_half == v_half[:, :1]) else None
+               for a, (v_half, _) in zip(amps, tables)]
     samples = [amps]
     for k in range(1, steps + 1):
-        amps = [strang_step(a, v_half, t) for a, (v_half, t) in zip(amps, tables)]
+        stepped = []
+        for r, (a, (v_half, t)) in enumerate(zip(amps, tables)):
+            if spectra[r] is None:
+                stepped.append(strang_step(a, v_half, t))
+            else:
+                spectra[r] = spectra[r] * v_half * t * v_half
+                stepped.append(np.fft.ifft(spectra[r], axis=1))
+        amps = stepped
         if k % sample_every == 0:
             samples.append(amps)
     return samples

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,6 +303,19 @@ class TestPropagate:
         state = packet_state()
         assert propagate(state, HamiltonianKind.newtonian(), PARAMS, 1e-3, 0) is state
 
+    @pytest.mark.parametrize("params", [
+        PARAMS, PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
+                               potential=Potential.uniform_field(1.0))], ids=["free", "field"])
+    def test_zero_steps_take_no_fft(self, monkeypatch, params):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("an FFT ran")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        monkeypatch.setattr(np.fft, "ifft", no_fft)
+        state = packet_state()
+        assert propagate(state, HamiltonianKind.newtonian(), params, 1e-3, 0) is state
+        assert propagate_history(state, HamiltonianKind.newtonian(), params, 1e-3, 0)[1] == [state]
+
     def test_history_samples_own_read_only_copies(self):
         state = packet_state(p0=1.0)
         kind = HamiltonianKind.low_energy()
@@ -395,7 +409,10 @@ class TestStrangStep:
            seed=st.integers(0, 2**32 - 1))
     def test_step_is_unitary(self, case, fraction, steps, seed):
         # random amplitudes, not packets: unitarity holds for every vector,
-        # so no clearance rule narrows the inputs
+        # so no clearance rule narrows the inputs.  Both paths are stepped:
+        # ``_Plan.step`` in x space, and the stages ``_evolve`` runs, which
+        # step a free run (here every run under Potential.none()) on its
+        # spectrum
         label, grid, internal, params = case
         kind = HamiltonianKind.from_name(label)
         t_table, _ = _tables(kind, grid, internal, params)
@@ -406,12 +423,118 @@ class TestStrangStep:
                                           + 1j * rng.standard_normal(shape))
                     for _ in range(2))
         plan = _Plan([(psi, kind, params)], dt)
+        assert plan.blocks == [(slice(0, internal.dim), params.potential.kind == "none")]
         a, b = np.array(psi.amplitudes), np.array(phi.amplitudes)
+        staged_a, staged_b = np.array(psi.amplitudes), np.array(phi.amplitudes)
+        stages = plan.stages(staged_a) + plan.stages(staged_b)
         for _ in range(steps):
             a, b = plan.step(a), plan.step(b)
-        assert abs(np.sum(a.real**2 + a.imag**2) * grid.dx - 1.0) <= 1e-12
-        evolved = overlap(psi.with_amplitudes(a), phi.with_amplitudes(b))
-        assert abs(evolved - overlap(psi, phi)) <= 1e-12
+            for stage in stages:
+                stage()
+        for a, b in ((a, b), (staged_a, staged_b)):
+            assert abs(np.sum(a.real**2 + a.imag**2) * grid.dx - 1.0) <= 1e-12
+            evolved = overlap(psi.with_amplitudes(a), phi.with_amplitudes(b))
+            assert abs(evolved - overlap(psi, phi)) <= 1e-12
+
+
+@st.composite
+def _free_cases(draw):
+    """A ``_kind_cases`` draw whose potential is one of the free ones:
+    none, a zero field or a constant table."""
+    label, grid, internal, params = draw(_kind_cases())
+    potential = draw(st.sampled_from([
+        Potential.none(), Potential.uniform_field(0.0),
+        Potential.tabulated([grid.x_min, 0.0, 1.0], [0.4, 0.4, 0.4])]))
+    return label, grid, internal, replace(params, potential=potential)
+
+
+def _free_path_gap(case, fraction, steps, seed):
+    """The free path's gap to the x-space ``oracles.strang_step`` after
+    ``steps`` steps of random amplitudes, relative to their norm, and the
+    round-off bound it must keep.
+
+    Per step the x-space path makes three elementwise complex products,
+    each off by at most sqrt(2) gamma_2 < 3u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.6), an FFT and an
+    inverse FFT, each off by at most log2(N) eta with eta = mu +
+    gamma_4 (sqrt 2 + mu) < 7u for twiddles good to mu = u (Thm. 24.2),
+    and the 1/N scaling (u).  The free path makes three products per step
+    and one transform each way in all.  Both steps are unitary, so the
+    errors add: at most (steps + 1) (14 log2(N) + 18) u.
+    """
+    label, grid, internal, params = case
+    kind = HamiltonianKind.from_name(label)
+    t_table, _ = _tables(kind, grid, internal, params)
+    dt = fraction * np.pi * params.hbar / np.max(np.abs(t_table))
+    rng = np.random.default_rng(seed)
+    shape = (internal.dim, grid.n_points)
+    state = CompositeState.create(grid, internal, rng.standard_normal(shape)
+                                  + 1j * rng.standard_normal(shape))
+    plan = _Plan([(state, kind, params)], dt)
+    assert plan.blocks == [(slice(0, internal.dim), True)]
+    amps, expected = np.array(state.amplitudes), np.array(state.amplitudes)
+    (stage,) = plan.stages(amps)
+    for _ in range(steps):
+        stage()
+        expected = oracles.strang_step(expected, plan.exp_v_half, plan.exp_t)
+    gap = np.linalg.norm(amps - expected) / np.linalg.norm(expected)
+    return gap, (steps + 1) * (14 * math.log2(grid.n_points) + 18) * 2.0**-53
+
+
+class TestFreeRuns:
+    """A run whose V half-step table is constant along x is stepped on its
+    spectrum, which V commutes with: the same Strang steps as in x space,
+    up to round-off, with the per-step check on the x-space buffer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_free_cases(), fraction=st.floats(0.01, 0.99), steps=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_the_free_path_matches_the_x_space_step(self, case, fraction, steps, seed):
+        gap, bound = _free_path_gap(case, fraction, steps, seed)
+        assert gap <= bound
+
+    @pytest.mark.parametrize("label", ["split", "newtonian"])
+    def test_a_free_step_without_a_v_half_kick_fails_the_path_match(self, monkeypatch,
+                                                                     label):
+        # under split and newtonian a free run's V is its rest term, a
+        # phase only this comparison reads
+        def without_closing_kick(plan, spectrum, amps):
+            _kernels.phase_multiply(spectrum, plan.exp_v_half)
+            _kernels.phase_multiply(spectrum, plan.exp_t)
+            return np.fft.ifft(spectrum, axis=1, out=amps)
+
+        monkeypatch.setattr(_Plan, "free_step", without_closing_kick)
+        grid = GridSpec(-20.0, 20.0, 64)
+        for potential in (Potential.none(), Potential.uniform_field(0.0)):
+            case = (label, grid, INTERNAL, replace(PARAMS, potential=potential))
+            gap, bound = _free_path_gap(case, 0.5, 3, 7)
+            assert gap > 1e3 * bound
+
+    def test_free_and_field_runs_step_in_contiguous_blocks(self):
+        field = replace(PARAMS, potential=Potential.uniform_field(0.7))
+        free = [replace(PARAMS, potential=potential) for potential in (
+            Potential.none(), Potential.uniform_field(0.0),
+            Potential.tabulated([-40.0, 40.0], [0.3, 0.3]))]
+        state = packet_state()
+        runs = [(state, HamiltonianKind.split(), params)
+                for params in (free[0], free[1], field, field, free[2])]
+        assert _Plan(runs, 1e-3).blocks == [(slice(0, 4), True), (slice(4, 8), False),
+                                            (slice(8, 10), True)]
+
+    def test_a_free_packet_at_the_edge_is_refused_as_on_the_x_space_path(self):
+        # the check reads the x-space buffer after every step on both paths:
+        # the same refusal (exit 3), at the same step, with the same text
+        run = (packet_state(x0=30.0, p0=4.0), HamiltonianKind.newtonian(), PARAMS)
+        plan = _Plan([run], 1e-3)
+        assert plan.blocks == [(slice(0, 2), True)]
+        amps = np.array(run[0].amplitudes)
+        with pytest.raises(BoundaryViolationError) as x_space:
+            for k in range(1, 4001):
+                plan.check(plan.step(amps), k)
+        with pytest.raises(BoundaryViolationError) as free:
+            propagate(*run, 1e-3, 4000)
+        assert str(free.value) == str(x_space.value)
+        assert str(free.value).startswith("step 1272: branch 0: ")
 
 
 @st.composite
