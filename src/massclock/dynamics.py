@@ -26,19 +26,23 @@ exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
 per branch per step: exactly unitary, second order in dt.  A free run, one
 whose V is constant in x on every branch (no potential, a zero field or a
 constant table, under any kind: V is then one number per branch), has V
-commuting with F, so n steps are exactly F^-1 (V_half T V_half)^n F.  Such a run keeps its momentum-space spectrum:
-each step multiplies it by V_half, T and V_half and writes the x-space
-buffer with one inverse FFT, in place of an FFT pair; its amplitudes
-differ from the x-space steps' by round-off only.  A run whose V depends on
-x takes the x-space step.  After every step ``hilbert._check`` applies the
-norm rule (total probability within 1e-10 of 1) and then the
-boundary-clearance rule to each run, from one moments pass over the
-x-space buffer; a sampled or final state takes the checked buffer as it
-is.  One step loop serves every propagation: a runner's independent runs
-on one grid share one stacked (sum dim_r, N) buffer, stepped in blocks of
-consecutive free or non-free runs, and every step acts row by row, so each
-run keeps the bits it has alone; the checks apply to each run's own rows,
-and the runners read their samples from the live buffer.
+commuting with F, so n steps are exactly F^-1 (V_half T V_half)^n F.  Such
+a run keeps its momentum-space spectrum: each step multiplies it by V_half,
+T and V_half and writes the x-space buffer with one inverse FFT, in place
+of an FFT pair; its amplitudes differ from the x-space steps' by round-off
+only.  A run whose V depends on x takes the x-space step.  The step loop,
+``_evolve``, is the one home of the momentum-band rule
+(``hilbert._require_band``): one FFT of the initial buffer, which also
+starts the free spectra, gives each branch's <p> and sigma_p, and the V
+table its range of dV/dx, exact for V affine in x.  After every step ``hilbert._check`` applies the norm rule (total
+probability within 1e-10 of 1) and then the boundary-clearance rule to
+each run, from one moments pass over the x-space buffer; a sampled or
+final state takes the checked buffer as it is.  One step loop serves every
+propagation: a runner's independent runs on one grid share one stacked
+(sum dim_r, N) buffer, stepped in blocks of consecutive free or non-free
+runs, and every step acts row by row, so each run keeps the bits it has
+alone; the checks apply to each run's own rows, and the runners read their
+samples from the live buffer.
 
 Trajectories xi(t) of a moving frame are stored as uniform samples;
 velocity/acceleration use stored exact samples when a factory provides
@@ -81,6 +85,7 @@ from .hilbert import (
     _check,
     _check_same_spaces,
     _grid_tables,
+    _require_band,
     _require_finite,
     _require_finite_samples,
     _require_positive,
@@ -217,6 +222,8 @@ class _Plan:
     and any other block in x space with ``step``, the one x-space path.
     Every step acts row by row (elementwise phase multiplies and row-wise
     FFTs), so every run keeps the bits it has alone, in any stack.
+    ``bands`` holds each run's hbar, kind name and least and greatest
+    dV/dx per row, for ``require_band``.
     """
 
     def __init__(self, runs: Sequence[tuple], dt: float):
@@ -233,7 +240,8 @@ class _Plan:
         self.exp_v_half = np.empty(shape, dtype=complex)
         self.rows = []
         self.blocks = []
-        for (state, _, params), (t_table, v_table) in zip(runs, tables):
+        self.bands = []
+        for (state, kind, params), (t_table, v_table) in zip(runs, tables):
             worst = float(np.max(np.abs(t_table))) * dt / params.hbar
             if worst >= math.pi:
                 raise AliasingError(
@@ -245,6 +253,8 @@ class _Plan:
             np.exp(-1j * t_table * dt / params.hbar, out=self.exp_t[rows])
             np.exp(-0.5j * v_table * dt / params.hbar, out=self.exp_v_half[rows])
             self.rows.append(rows)
+            dv = np.diff(v_table, axis=1) / grid.dx
+            self.bands.append((params.hbar, kind.name, dv.min(1).tolist(), dv.max(1).tolist()))
             v_half = self.exp_v_half[rows]
             free = bool(np.all(v_half == v_half[:, :1]))
             if self.blocks and self.blocks[-1][1] == free:
@@ -273,19 +283,27 @@ class _Plan:
         _kernels.phase_multiply(spectrum, self.exp_v_half)
         return np.fft.ifft(spectrum, axis=1, out=amps)
 
-    def stages(self, amps: np.ndarray) -> List[Callable[[], np.ndarray]]:
+    def stages(self, amps: np.ndarray, spectrum: np.ndarray) -> List[Callable[[], np.ndarray]]:
         """One call per block that steps its rows of ``amps`` in place;
         calling each in order is one step of the whole buffer.  A free
-        block takes its spectrum from ``amps`` now, with one FFT, and
-        steps from it from then on."""
+        block steps from its rows of ``spectrum``, the row-wise FFT of
+        ``amps`` now, which it owns from then on."""
         out = []
         for rows, free in self.blocks:
             block = object.__new__(_Plan)  # this plan's tables on the block's rows
             block.exp_t, block.exp_v_half = self.exp_t[rows], self.exp_v_half[rows]
             own = amps[rows]
-            out.append(partial(block.free_step, np.fft.fft(own, axis=1), own) if free
+            out.append(partial(block.free_step, spectrum[rows], own) if free
                        else partial(block.step, own))
         return out
+
+    def require_band(self, spectrum: np.ndarray, total_time: float) -> None:
+        """``hilbert._require_band`` on each run's rows of ``spectrum``, the
+        buffer's row-wise FFT, over ``total_time``, naming run and kind."""
+        moments = _kernels.branch_moments(spectrum, self.tables.k_basis).tolist()
+        for r, (rows, (hbar, name, *slopes)) in enumerate(zip(self.rows, self.bands)):
+            _require_band(self.tables.grid, hbar, [m[rows] for m in moments] + slopes,
+                          total_time, "run {}, kind {}", r, name)
 
     def check(self, amps: np.ndarray, step_no: int) -> List[float]:
         """``hilbert._check`` on each run's rows after step ``step_no``;
@@ -307,9 +325,13 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     step 0, where no step ran).  Callers read ``amps`` and must not write
     to it: a free run's next step comes from its spectrum, so an edit
     would be dropped with no error.  ``steps`` must be a non-negative
-    multiple of ``sample_every``; zero steps take no FFT.  No runs yield
-    nothing.
+    integer multiple of the integer ``sample_every``.  Before step 0, one
+    row-wise FFT of the buffer feeds the band rule over steps * dt and the
+    free blocks; zero steps take no FFT.  No runs yield nothing.
     """
+    for name, value in (("steps", steps), ("sample_every", sample_every)):
+        if not isinstance(value, (int, np.integer)):
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {steps}")
     if sample_every < 1 or steps % sample_every != 0:
@@ -318,10 +340,11 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
         return
     plan = _Plan(runs, dt)
     amps = np.concatenate([state.amplitudes for state, _, _ in runs])
+    if steps:
+        spectrum = np.fft.fft(amps, axis=1)
+        plan.require_band(spectrum, steps * dt)
+        stages = plan.stages(amps, spectrum)
     yield 0, amps, None
-    if not steps:
-        return
-    stages = plan.stages(amps)
     for k in range(1, steps + 1):
         for stage in stages:
             stage()
@@ -337,20 +360,13 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
     A free run (V constant in x) is stepped on its spectrum, one inverse
     FFT per step, and any other in x space, an FFT pair per step (see the
     module docstring).  Zero steps return ``state`` itself and take no
-    FFT; a negative count is refused.  Only
-    the runners apply the momentum-band rule (``hilbert._require_band``),
-    which reads a launch momentum and a window this call does not take.  A
-    caller must keep each branch's momenta [p0, p0 - M_i g T], widened by
-    4 sigma_p = 2 hbar / sigma, inside +/- pi hbar / dx: a packet beyond
-    it wraps around the momentum grid, and its readouts are wrong with no
-    refusal (x0 = 5, sigma = 2 on 256 points of [-40, 40] under newtonian
-    at g = 4 for T = 3 reads <v> = +8.1, where the fall gives -12).
+    FFT; a negative or non-integer count is refused.  Before the first
+    step the momentum-band rule refuses a run whose momenta would leave
+    +/- pi hbar / dx (exit 3); under a curved tabulated Phi the band
+    bounds the drift of each branch's <p> but not its spreading.
     """
-    for _, amps, totals in _evolve([(state, kind, params)], dt, steps, max(steps, 1)):
-        pass
-    if totals is None:
-        return state
-    return state._with_owned_amplitudes(amps)
+    *_, (_, amps, totals) = _evolve([(state, kind, params)], dt, steps, max(steps, 1))
+    return state if totals is None else state._with_owned_amplitudes(amps)
 
 
 def propagate_history(state: CompositeState, kind: HamiltonianKind,
@@ -360,8 +376,7 @@ def propagate_history(state: CompositeState, kind: HamiltonianKind,
 
     The initial state is included at t = 0; ``steps`` must be a
     non-negative multiple of ``sample_every``.  Each sample owns a copy of
-    the step buffer, which the step's check has just passed.  As for
-    propagate, the caller keeps the momentum band on the grid.
+    the step buffer, which the step's check has just passed.
     """
     times, out = [], []
     for k, amps, totals in _evolve([(state, kind, params)], dt, steps, sample_every):
@@ -379,16 +394,6 @@ def _velocity_table(runs: Sequence[tuple]) -> np.ndarray:
                                       _branches(state.internal, params)),
                         state.amplitudes.shape)
         for state, kind, params in runs])
-
-
-def _fall_masses(kind: HamiltonianKind, internal: InternalSpace,
-                 params: PhysicalParams) -> List[float]:
-    """Per branch, the mass a uniform field pulls on under ``kind``: the
-    slope of its V row in Phi, M_i for the mass-energy kinds and m for
-    newtonian (``hilbert._require_band`` reads it)."""
-    b = _branches(internal, params)
-    slope = kind.potential(1.0, b) - kind.potential(0.0, b)
-    return np.broadcast_to(slope, (internal.dim, 1)).ravel().tolist()
 
 
 # --- internal clock ----------------------------------------------------------

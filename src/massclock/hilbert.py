@@ -21,9 +21,9 @@ Conventions used throughout the package:
   to each run of a (rows, N) buffer from one such pass.  The propagator's
   step, translations, boosts, the moving-frame map and the commutator
   residual all call that check.
-* A packet falling in a uniform field sweeps a band of momenta, which must
-  stay inside +/- pi hbar / dx: ``_require_band`` reads that band from a
-  run's parameters, before its first step.
+* Every propagated packet keeps its momenta inside +/- pi hbar / dx: the
+  band rule, ``_require_band``, reads each branch's spectrum and V table
+  once per propagation, in its one home, the step loop ``dynamics._evolve``.
 """
 
 from __future__ import annotations
@@ -463,10 +463,11 @@ def _overlaps(bra: np.ndarray, ket: np.ndarray, dx: float) -> np.ndarray:
 class _GridTables(NamedTuple):
     """Read-only tables of one grid: the grid itself; the positions x_n;
     the translation phase rate -2 pi k / L of the fft-ordered frequencies
-    k / L, for k = 0 .. N/2 only; and the (3, 2N) moment table, [1, x, x^2]
+    k / L, for k = 0 .. N/2 only; the (3, 2N) moment table, [1, x, x^2]
     dx with each entry twice in a row (``_kernels.moment_table``), from
     which ``_kernels.branch_moments`` reads every branch's [prob,
-    sum x w dx, sum x^2 w dx] in one matmul.
+    sum x w dx, sum x^2 w dx] in one matmul; and ``k_basis``, [1, k, k^2]
+    dx / N over k = p / hbar, which reads them in k from a row-wise FFT.
 
     Half the frequencies are enough for a translation: ``fftfreq`` gives
     freq[N - k] = -freq[k] bit for bit, so the phase of entry N - k is the
@@ -478,6 +479,7 @@ class _GridTables(NamedTuple):
     x: np.ndarray
     shift_rate: np.ndarray
     basis: np.ndarray
+    k_basis: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -489,9 +491,10 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     shift_rate *= -2.0 * np.pi  # in place: no second N-entry array
     shift_rate = shift_rate[:grid.n_points // 2 + 1]
     basis = _kernels.moment_table(x, grid.dx)
-    for table in (x, shift_rate, basis):
+    k_basis = _kernels.moment_table(grid.p(1.0), grid.dx / grid.n_points)
+    for table in (x, shift_rate, basis, k_basis):
         table.flags.writeable = False
-    return _GridTables(grid, x, shift_rate, basis)
+    return _GridTables(grid, x, shift_rate, basis, k_basis)
 
 
 def _require_unit_norm(total: float, where: str, *args) -> None:
@@ -528,28 +531,31 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
                 f"{CLEARANCE_SIGMAS} sigma_x={half:.3f} leaves [{x_min}, {x_max}]")
 
 
-def _require_band(grid: GridSpec, masses: Sequence[float], p0: float, g: float,
-                  total_time: float, sigma: float, where: str) -> None:
-    """The band rule on a packet of width ``sigma`` launched with momentum
-    p0 into a uniform field g for ``total_time``, in the runners' units
-    hbar = 1: the branch a field pulls on with mass M_i sweeps the momenta
-    [p0, p0 - M_i g T], and that range, widened by CLEARANCE_SIGMAS
-    hbar / 2 sigma, must stay inside +/- pi hbar / dx (a NaN band fails
-    it), or the packet wraps around the momentum grid and its <v> reads
-    wrong.  A wrapped packet can read as clean as one that never wrapped,
-    so the rule reads the run's parameters, once per run before its first
-    step, and no state.  Else raise GridResolutionError naming ``where``,
-    the first offending branch, its band and grid.n_points."""
-    limit = math.pi / grid.dx
-    half = CLEARANCE_SIGMAS / (2.0 * sigma)
-    for i, mass in enumerate(masses):
-        end = p0 - mass * g * total_time
-        lo, hi = min(end, p0) - half, max(end, p0) + half  # a NaN end is kept
+def _require_band(grid: GridSpec, hbar: float, columns: Sequence[Sequence[float]],
+                  total_time: float, where: str, *args) -> None:
+    """The band rule on one run's five per-branch ``columns``, as Python
+    floats: prob, sum k w and sum k^2 w of its spectrum (``k_basis``), and
+    the least and greatest dV/dx of its V row.  A V affine in x only
+    translates momenta, p -> p - V' t, so a populated branch sweeps
+    [min(<p> - max V' T, <p>), max(<p> - min V' T, <p>)] over T =
+    ``total_time``; widened by CLEARANCE_SIGMAS sigma_p, that band must lie
+    inside +/- pi hbar / dx (a NaN band fails it), or the packet wraps
+    around the momentum grid unseen.  Else raise GridResolutionError naming
+    ``where.format(*args)``, formatted only then, the first offending
+    branch, its band and grid.n_points."""
+    limit = math.pi * hbar / grid.dx
+    for i, (prob, sk, skk, low, high) in enumerate(zip(*columns)):
+        if prob <= _POPULATED:
+            continue
+        mean = hbar * sk / prob
+        half = CLEARANCE_SIGMAS * hbar * math.sqrt(max(skk / prob - (sk / prob) ** 2, 0.0))
+        lo = min(mean - high * total_time, mean) - half  # a NaN end is kept
+        hi = max(mean - low * total_time, mean) + half
         if not -limit < lo <= hi < limit:
             raise GridResolutionError(
-                f"{where}: branch {i}: momentum band [{lo:.3f}, {hi:.3f}] leaves "
-                f"+/-pi hbar/dx = +/-{limit:.3f} of grid.n_points={grid.n_points}; "
-                "refine the grid or shorten the fall")
+                f"{where.format(*args)}: branch {i}: momentum band [{lo:.3f}, {hi:.3f}] "
+                f"leaves +/-pi hbar/dx = +/-{limit:.3f} of grid.n_points={grid.n_points}; "
+                "refine the grid or shorten the run")
 
 
 _ONE_RUN = (slice(None),)

@@ -121,6 +121,32 @@ def per_run_check(grid, moments, rows, step_no: int):
     return totals
 
 
+
+def per_run_band(grid, initial, v_tables, hbars, total_time: float):
+    """The momentum-band rule run by run, read from the definitions: each
+    branch's momentum distribution |fft(psi)|^2 over ``grid.p(hbar)``,
+    summed with ``math.fsum``, and its slope dV/dx as forward differences
+    of its row of ``v_tables``.  Returns ``(run, branch, lo, hi)`` of the
+    first populated branch whose band [min(<p> - max V' T, <p>),
+    max(<p> - min V' T, <p>)] +/- 4 sigma_p leaves +/- pi hbar / dx, or
+    None.  The reference ``_Plan.require_band`` must match."""
+    for r, (amps, v_table, hbar) in enumerate(zip(initial, v_tables, hbars)):
+        p = grid.p(hbar)
+        limit = math.pi * hbar / grid.dx
+        for i, (row, v) in enumerate(zip(amps, v_table)):
+            w = np.abs(np.fft.fft(row)) ** 2
+            total = math.fsum(w)
+            if total * grid.dx / grid.n_points <= 1e-12:
+                continue
+            mean = math.fsum(w * p) / total
+            sigma = math.sqrt(max(math.fsum(w * (p - mean) ** 2) / total, 0.0))
+            slopes = (v[1:] - v[:-1]) / grid.dx
+            lo = min(mean - slopes.max() * total_time, mean) - 4.0 * sigma
+            hi = max(mean - slopes.min() * total_time, mean) + 4.0 * sigma
+            if not -limit < lo <= hi < limit:
+                return r, i, lo, hi
+    return None
+
 # --- per-sample references (vs the blocked residual and the cached frame path) --
 
 def per_sample_residual(history, dt: float, t_table: np.ndarray, v_table: np.ndarray,

@@ -70,6 +70,7 @@ def test_within_bound_is_the_median_against_the_metrics_bound(metric):
 def test_the_first_side_alternates_between_pairs():
     assert bench_pairs.order(1) == ("parent", "change")
     assert bench_pairs.order(2) == ("change", "parent")
+    assert bench_pairs.order(2, ("parent", "control")) == ("control", "parent")
 
 
 def test_runner_record_compares_pair_by_pair():
@@ -109,18 +110,51 @@ def test_rows_that_differ_in_shape_have_no_drift(change):
     assert bench_pairs.rows_drift(_ROWS, change) is None
 
 
+_SIDES = {"parent": "parent", "change": "change", "control": "control"}
+_ARGS = bench_pairs.argparse.Namespace(parent_commit="abc", note="n", claim="none")
+
+
 def test_the_runner_record_keeps_each_sides_rows_and_their_drift(monkeypatch):
-    rows = {"parent": _ROWS, "change": [dict(_ROWS[0], measured=1.5), _ROWS[1]]}
+    rows = {"parent": _ROWS, "change": [dict(_ROWS[0], measured=1.5), _ROWS[1]],
+            "control": _ROWS}
     monkeypatch.setattr(bench_pairs, "WORKLOADS", [])
     monkeypatch.setattr(bench_pairs, "runner_names", lambda checkout: ["exp_x"])
     monkeypatch.setattr(bench_pairs, "time_runner",
                         lambda checkout, name: ([0.2, 0.1], rows[checkout]))
     monkeypatch.setattr(bench_pairs, "time_tier1", lambda checkout: {})
-    args = bench_pairs.argparse.Namespace(parent_commit="abc", note="n", claim="none")
-    record = bench_pairs.measure({"parent": "parent", "change": "change"}, args)
-    out = record["runners"]["exp_x"]
-    assert out["rows"] == rows and out["rows_drift"] == 0.5
+    out = bench_pairs.measure(_SIDES, _ARGS)["runners"]["exp_x"]
+    assert out["rows"] == {side: rows[side] for side in ("parent", "change")}
+    assert out["rows_drift"] == 0.5
     assert out["change_wins_pairs"] == 0 and out["repeat"]["parent"]["median"] == 0.1
+
+
+def test_each_runner_record_carries_an_a_a_control_of_the_parent(monkeypatch):
+    # the control is the parent against its second copy, in its own
+    # alternating pairs, after the parent/change pairs of the same runner
+    calls = []
+    seconds = {"parent": [1.0, 0.5], "change": [3.0, 2.0], "control": [1.1, 0.4]}
+
+    def fake_time_runner(checkout, name):
+        calls.append(checkout)
+        return seconds[checkout], _ROWS
+
+    monkeypatch.setattr(bench_pairs, "WORKLOADS", [])
+    monkeypatch.setattr(bench_pairs, "runner_names", lambda checkout: ["exp_x"])
+    monkeypatch.setattr(bench_pairs, "time_runner", fake_time_runner)
+    monkeypatch.setattr(bench_pairs, "time_tier1", lambda checkout: {})
+    out = bench_pairs.measure(_SIDES, _ARGS)["runners"]["exp_x"]
+    pairs = bench_pairs.PAIRS
+    assert calls[:2 * pairs] == [side for pair in range(1, pairs + 1)
+                                 for side in bench_pairs.order(pair)]
+    assert calls[2 * pairs:] == [side for pair in range(1, pairs + 1)
+                                 for side in bench_pairs.order(pair, ("parent", "control"))]
+    control = out["control"]
+    assert out["median_ratio"] == pytest.approx(3.0)
+    assert control["median_ratio"] == pytest.approx(1.1)
+    assert control["change"]["values"] == [1.1] * pairs
+    assert control["change_wins_pairs"] == 0
+    assert control["repeat"]["median_ratio"] == pytest.approx(0.8)
+    assert control["repeat"]["change_wins_pairs"] == pairs
 
 
 def test_tier1_record_keeps_the_summary_line(monkeypatch):
@@ -189,10 +223,12 @@ def test_each_side_runs_from_one_fresh_copy_per_invocation(monkeypatch, tmp_path
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
                              "--parent-commit", "abc", "--note", "n"]) == 0
-    assert copies == [parent, change] and len(measured) == 1
+    # the A/A control is a second fresh copy of the parent
+    assert copies == [parent, change, parent] and len(measured) == 1
     (sides,) = measured
-    assert {side: dirty for side, (_, dirty) in sides.items()} == {"parent": False,
-                                                                   "change": False}
+    assert {side: dirty for side, (_, dirty) in sides.items()} == {
+        "parent": False, "change": False, "control": False}
+    assert sides["control"][0] != sides["parent"][0]
     # the copies are gone when the invocation ends; the checkouts are untouched
     assert not any(path.exists() for path, _ in sides.values())
     assert any(parent.rglob("__pycache__")) and (tmp_path / "BENCH_t.json").exists()

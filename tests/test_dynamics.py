@@ -11,6 +11,7 @@ from massclock import (
     AliasingError,
     BoundaryViolationError,
     CompositeState,
+    GridResolutionError,
     GridSpec,
     HamiltonianKind,
     IncompatibleSpacesError,
@@ -32,6 +33,7 @@ from massclock import (
     frame_transform,
     gaussian_packet,
     internal_frequency,
+    internal_space_from_masses,
     make_superposition,
     overlap,
     propagate,
@@ -50,7 +52,6 @@ from massclock.dynamics import (
     _Plan,
     _branches,
     _evolve,
-    _fall_masses,
     _read_velocities,
     _tables,
     _velocity_table,
@@ -185,24 +186,6 @@ def _columns(label, p, internal=INTERNAL, params=PARAMS):
             np.broadcast_to(kind.velocity(p, b), shape))
 
 
-class TestFallMasses:
-    @pytest.mark.parametrize("name", sorted(_KINDS))
-    def test_the_fall_mass_is_the_slope_of_the_v_row_in_phi(self, name):
-        # M_i = (E0 + E_i) / c^2 under every mass-energy kind, m = E0 / c^2
-        # for every branch under newtonian
-        internal = InternalSpace(E0=100.0, levels=(-1.0, 0.0, 2.0))
-        params = PhysicalParams(c=10.0, E0=100.0)
-        expected = ([1.0] * 3 if name == "newtonian"
-                    else internal.mass_energies(10.0).tolist())
-        masses = _fall_masses(HamiltonianKind.from_name(name), internal, params)
-        assert masses == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-    def test_a_row_without_branch_columns_gives_every_branch_its_slope(self):
-        kind = HamiltonianKind("flat", None, None, lambda phi, b: 2.0 * phi)
-        internal = InternalSpace(E0=100.0, levels=(0.0, 1.0))
-        assert _fall_masses(kind, internal, PhysicalParams()) == [2.0, 2.0]
-
-
 class TestBranchKinetic:
     def test_newtonian_rest(self):
         t, _ = _columns("newtonian", [0.0])
@@ -299,6 +282,21 @@ class TestPropagate:
         with pytest.raises(PreconditionError, match="non-negative"):
             propagate_history(state, kind, PARAMS, 1e-3, -4, sample_every=2)
 
+    @pytest.mark.parametrize("steps, sample_every, name, value", [
+        pytest.param(10.0, 1, "steps", "10\\.0", id="steps-10.0"),
+        pytest.param(2.5, 1, "steps", "2\\.5", id="steps-2.5"),
+        pytest.param(10, 2.0, "sample_every", "2\\.0", id="sample_every-2.0")])
+    def test_a_non_integer_count_is_refused_by_name(self, steps, sample_every, name, value):
+        # not a bare TypeError from range(): exit 3, naming the argument
+        state = packet_state()
+        kind = HamiltonianKind.newtonian()
+        message = rf"^{name} must be an integer, got {value}$"
+        with pytest.raises(PreconditionError, match=message):
+            propagate_history(state, kind, PARAMS, 1e-3, steps, sample_every)
+        if name == "steps":
+            with pytest.raises(PreconditionError, match=message):
+                propagate(state, kind, PARAMS, 1e-3, steps)
+
     def test_zero_steps_return_the_state(self):
         state = packet_state()
         assert propagate(state, HamiltonianKind.newtonian(), PARAMS, 1e-3, 0) is state
@@ -388,6 +386,78 @@ class TestPropagate:
         assert np.array_equal(state.amplitudes, before)
 
 
+@pytest.fixture
+def no_step(monkeypatch):
+    """Both step paths of ``_Plan`` fail: a run refused before its first
+    step must take none."""
+    def fail(*args):
+        raise AssertionError("a run refused before its first step took one")
+
+    monkeypatch.setattr(_Plan, "step", fail)
+    monkeypatch.setattr(_Plan, "free_step", fail)
+
+
+class TestMomentumBand:
+    """The momentum-band rule in the step loop: every propagation reads
+    each branch's <p> and sigma_p from the initial spectrum and its drift
+    from the V table, and refuses before the first step."""
+
+    GRID = GridSpec(-40.0, 40.0, 256)  # pi hbar / dx = 10.053
+
+    def test_the_public_api_refuses_a_fall_that_leaves_the_momentum_grid(self, no_step):
+        # x0 = 5, sigma = 2 under newtonian at g = 4 for T = 3: m g T = 12,
+        # and 4 sigma_p = 1; unrefused, the packet wraps around the
+        # momentum grid and its <v> reads +8.1 where the fall gives -12
+        internal = InternalSpace(E0=100.0, levels=(0.0,))
+        state = make_superposition(self.GRID, internal, [1.0],
+                                   gaussian_packet(self.GRID, 5.0, 0.0, 2.0))
+        params = replace(PARAMS, potential=Potential.uniform_field(4.0))
+        message = (r"^run 0, kind newtonian: branch 0: momentum band \[-13\.000, 1\.000\] "
+                   r"leaves \+/-pi hbar/dx = \+/-10\.053 of grid\.n_points=256;")
+        for call in (propagate, propagate_history):
+            with pytest.raises(GridResolutionError, match=message):
+                call(state, HamiltonianKind.newtonian(), params, 2.5e-3, 1200)
+
+    @pytest.mark.parametrize("name", sorted(_KINDS))
+    def test_each_branch_drifts_by_the_slope_of_its_v_row(self, no_step, name):
+        # masses 1 and 4 at g = 1 for T = 3: the heavy branch's band, read
+        # from V = M_i Phi under the mass-energy kinds, is [-13, 1]; under
+        # newtonian every branch falls with m = 4, so branch 0 leaves first
+        internal = internal_space_from_masses([1.0, 4.0], 10.0)
+        params = PhysicalParams(c=10.0, E0=internal.E0, potential=Potential.uniform_field(1.0))
+        state = make_superposition(self.GRID, internal, [1.0, 1.0],
+                                   gaussian_packet(self.GRID, 5.0, 0.0, 2.0))
+        branch = 0 if name == "newtonian" else 1
+        with pytest.raises(GridResolutionError,
+                           match=rf"^run 0, kind {name}: branch {branch}: momentum band "
+                                 r"\[-13\.000, 1\.000\] "):
+            propagate(state, HamiltonianKind.from_name(name), params, 2.5e-3, 1200)
+
+    @pytest.mark.parametrize("potential", [Potential.none(), Potential.uniform_field(1.0)],
+                             ids=["none", "uniform"])
+    @pytest.mark.parametrize("name", sorted(_KINDS))
+    def test_the_band_centre_is_the_propagated_mean_momentum(self, name, potential):
+        # the rule's premise: in a V affine in x every kind's momentum
+        # distribution only translates, so each branch's propagated <p> at
+        # t = 0 and t = T is the rule's band centre, <p> and <p> - V' T.
+        # Bound 1e-12; measured <= 3.6e-14 over the ten cases, most of it
+        # the round-off of the slope the V table gives (1.1e-14, times T)
+        internal = InternalSpace(E0=100.0, levels=(0.0, 10.0))
+        params = replace(PARAMS, potential=potential)
+        state = make_superposition(self.GRID, internal, [1.0, 1.0],
+                                   gaussian_packet(self.GRID, 10.0, 1.0, 2.0))
+        kind = HamiltonianKind.from_name(name)
+        dt, steps = 5e-3, 600
+        plan = _Plan([(state, kind, params)], dt)
+        (hbar, _, lows, highs), = plan.bands
+        assert lows == pytest.approx(highs, abs=1e-12)  # affine: one slope per branch
+        final = propagate(state, kind, params, dt, steps)
+        for i, slope in enumerate(highs):
+            start = expectation_p(self.GRID, state.amplitudes[i], hbar)
+            end = expectation_p(self.GRID, final.amplitudes[i], hbar)
+            assert abs(end - (start - slope * dt * steps)) <= 1e-12
+
+
 class TestStrangStep:
     INTERNAL3 = InternalSpace(E0=100.0, levels=(-3.0, 0.0, 7.0))
 
@@ -426,7 +496,8 @@ class TestStrangStep:
         assert plan.blocks == [(slice(0, internal.dim), params.potential.kind == "none")]
         a, b = np.array(psi.amplitudes), np.array(phi.amplitudes)
         staged_a, staged_b = np.array(psi.amplitudes), np.array(phi.amplitudes)
-        stages = plan.stages(staged_a) + plan.stages(staged_b)
+        stages = (plan.stages(staged_a, np.fft.fft(staged_a, axis=1))
+                  + plan.stages(staged_b, np.fft.fft(staged_b, axis=1)))
         for _ in range(steps):
             a, b = plan.step(a), plan.step(b)
             for stage in stages:
@@ -473,7 +544,7 @@ def _free_path_gap(case, fraction, steps, seed):
     plan = _Plan([(state, kind, params)], dt)
     assert plan.blocks == [(slice(0, internal.dim), True)]
     amps, expected = np.array(state.amplitudes), np.array(state.amplitudes)
-    (stage,) = plan.stages(amps)
+    (stage,) = plan.stages(amps, np.fft.fft(amps, axis=1))
     for _ in range(steps):
         stage()
         expected = oracles.strang_step(expected, plan.exp_v_half, plan.exp_t)
@@ -612,6 +683,18 @@ class TestStackedRuns:
         # one dt below every run's alias limit
         dt = fraction * min(np.pi * hbar / np.max(np.abs(t)) for t, _, hbar in tables)
         steps = sample_every * samples
+        refused = oracles.per_run_band(grid, [state.amplitudes for state, _, _ in runs],
+                                       [v for _, v, _ in tables],
+                                       [hbar for _, _, hbar in tables], steps * dt)
+        if refused is not None:
+            # a run whose momenta would leave the grid is refused before
+            # the first sample, by run, kind and branch, with its band
+            r, i, lo, hi = refused
+            with pytest.raises(GridResolutionError,
+                               match=rf"^run {r}, kind {runs[r][1].name}: branch {i}: "
+                                     rf"momentum band \[{lo:.3f}, {hi:.3f}\] leaves "):
+                next(_evolve(runs, dt, steps, sample_every))
+            return
         expected = oracles.per_run_strang(
             [state.amplitudes for state, _, _ in runs],
             [(np.exp(-0.5j * v * dt / hbar), np.exp(-1j * t * dt / hbar))

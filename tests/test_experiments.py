@@ -19,7 +19,7 @@ from massclock import (
     static_trajectory,
     wrap_angle,
 )
-from massclock import experiments
+from massclock import dynamics, experiments
 from massclock.errors import GridResolutionError, SpreadDominatedError
 from massclock.experiments import (
     EXPERIMENTS,
@@ -42,8 +42,15 @@ from massclock.experiments import (
 DOUBLED_GRID = GridSpec(-40.0, 40.0, 512)
 
 
-def _no_step(*args):
-    raise AssertionError("a run refused by a set-up rule must take no step")
+@pytest.fixture
+def no_step(monkeypatch):
+    """Both step paths of ``dynamics._Plan`` fail: a run refused before its
+    first step must take none."""
+    def fail(*args):
+        raise AssertionError("a run refused before its first step took one")
+
+    monkeypatch.setattr(dynamics._Plan, "step", fail)
+    monkeypatch.setattr(dynamics._Plan, "free_step", fail)
 
 
 class TestBargmann:
@@ -120,12 +127,11 @@ class TestClockDilation:
             assert abs(row["rel_error"] - full["rel_error"]) <= budget
 
     def test_a_fall_that_outruns_the_momentum_grid_is_refused_before_any_step(
-            self, monkeypatch):
+            self, no_step):
         # the raised clock falls M g T = 5.03 in 10 time units; with
         # 4 sigma_p = 0.5 it leaves pi / dx = 5.03 of 128 points
-        monkeypatch.setattr(experiments, "_evolve", _no_step)
         with pytest.raises(GridResolutionError,
-                           match=r"^clock v/c=0\.0, gh/c\^2=0\.01: branch 0: momentum band "
+                           match=r"^run 0, kind low_energy: branch 0: momentum band "
                                  r"\[-5\.500, 0\.500\] leaves .* of grid\.n_points=128"):
             exp_clock_wavepacket(GridSpec(-40.0, 40.0, 128), v_over_c=[],
                                  gh_over_c2=[0.01], total_time=10.0)
@@ -281,14 +287,15 @@ class TestNewtonianSweep:
                               ("infidelity", full["infidelity"])):
                 assert abs(row[key] - full[key]) <= 0.01 * read, key
 
-    def test_a_launch_beyond_the_momentum_grid_is_refused_before_any_step(
-            self, monkeypatch):
-        # the band [p0 - m g T, p0] = [3, 4.5], widened by 4 sigma_p = 0.67,
-        # leaves pi / dx = 5.03 of 128 points
-        monkeypatch.setattr(experiments, "_evolve", _no_step)
+    def test_a_launch_beyond_the_momentum_grid_is_refused_before_any_step(self, no_step):
+        # the launch p0 + 4 sigma_p = 5.17 is past pi / dx = 5.03 of 128
+        # points already at t = 0: the grid holds 1.6e-3 of the packet's
+        # probability wrapped to p ~ -5, so its spectrum reads <p> = 4.484
+        # and sigma_p = 0.413, not 1 / 6, and the band [<p> - m g T, <p>]
+        # widened by 4 sigma_p is [1.333, 6.135]
         with pytest.raises(GridResolutionError,
-                           match=r"^eps=0\.001, kind split: branch 0: momentum band "
-                                 r"\[2\.333, 5\.167\] leaves .* of grid\.n_points=128"):
+                           match=r"^run 0, kind split: branch 0: momentum band "
+                                 r"\[1\.333, 6\.135\] leaves .* of grid\.n_points=128"):
             exp_newtonian_sweep(GridSpec(-40.0, 40.0, 128), sigma=3.0, p0=4.5)
 
     def test_c_cancels_from_the_rows(self, default_sweep, monkeypatch):
@@ -358,11 +365,10 @@ class TestWep:
                 assert abs(row[key] - full[key]) <= budget, key
 
     def test_a_fall_that_outruns_the_momentum_grid_is_refused_before_any_step(
-            self, monkeypatch):
+            self, no_step):
         # M g T = 12 at g = 4: the band [-13, 1] leaves pi / dx = 10.05
-        monkeypatch.setattr(experiments, "_evolve", _no_step)
         with pytest.raises(GridResolutionError,
-                           match=r"^kind dynamical_mass: branch 0: momentum band "
+                           match=r"^run 0, kind dynamical_mass: branch 0: momentum band "
                                  r"\[-13\.000, 1\.000\] leaves \+/-pi hbar/dx = \+/-10\.053 "
                                  r"of grid\.n_points=256"):
             exp_wep(g=4.0)
@@ -370,7 +376,7 @@ class TestWep:
     def test_without_the_band_rule_the_wrapped_fall_is_mis_measured(self, monkeypatch):
         # what the rule refuses is a real fault: the packet wraps around the
         # momentum grid and the fitted fall is nowhere near -g
-        monkeypatch.setattr(experiments, "_require_band", lambda *args: None)
+        monkeypatch.setattr(dynamics, "_require_band", lambda *args: None)
         r = exp_wep(g=4.0)
         accel = [row for row in r.rows if row["quantity"] == "acceleration"]
         assert not r.passed and all(row["rel_error"] > 0.1 for row in accel)

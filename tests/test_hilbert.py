@@ -526,39 +526,66 @@ class TestStateCheck:
 
 
 class TestBandRule:
-    """``hilbert._require_band``: the momenta [p0, p0 - M_i g T] a falling
-    branch sweeps, widened by CLEARANCE_SIGMAS hbar / 2 sigma, stay inside
-    +/- pi hbar / dx (hbar = 1)."""
+    """``hilbert._require_band`` on per-branch columns: the momenta
+    [<p> - max V' T, <p> - min V' T] a branch sweeps, with <p> itself,
+    widened by CLEARANCE_SIGMAS sigma_p, stay inside +/- pi hbar / dx."""
 
-    GRID = GridSpec(-40.0, 40.0, 256)  # pi hbar / dx = 10.053
+    GRID = GridSpec(-40.0, 40.0, 256)  # pi hbar / dx = 10.053 at hbar = 1
+
+    def band(self, means, lows, highs=None, sigma_p=0.25, hbar=1.0, probs=None):
+        """The rule over T = 3 on branches of spectral mean ``means`` and
+        width ``sigma_p`` in k = p / hbar (unit probability unless
+        ``probs``), with V' in [lows, highs] (``highs`` defaults to
+        ``lows``, an affine V)."""
+        probs = [1.0] * len(means) if probs is None else probs
+        skks = [m * m + sigma_p**2 for m in means]
+        return _require_band(self.GRID, hbar, [probs, means, skks, lows,
+                                               lows if highs is None else highs],
+                             3.0, "kind {}", "k")
 
     def test_a_band_inside_the_grid_passes(self):
-        # M g T = 3 and 4 sigma_p = 1 at sigma = 2: the band is [-4, 1]
-        assert _require_band(self.GRID, [1.0, 1.0001], 0.0, 1.0, 3.0, 2.0, "kind k") is None
+        # V' T = 3 and 4 sigma_p = 1: the band is [-4, 1]
+        assert self.band([0.0, 0.0], [1.0, 1.0001]) is None
 
-    @pytest.mark.parametrize("masses, p0, g, branch, band", [
-        pytest.param([1.0, 1.0001], 0.0, 4.0, 0, r"\[-13\.000, 1\.000\]", id="fall"),
-        pytest.param([1.0, 4.0], 0.0, 1.0, 1, r"\[-13\.000, 1\.000\]", id="heavy-branch"),
-        pytest.param([1.0], 0.0, -3.5, 0, r"\[-1\.000, 11\.500\]", id="rise"),
-        pytest.param([1.0], 9.5, 0.0, 0, r"\[8\.500, 10\.500\]", id="launch"),
+    @pytest.mark.parametrize("means, slopes, branch, band", [
+        pytest.param([0.0, 0.0], [4.0, 4.0004], 0, r"\[-13\.000, 1\.000\]", id="fall"),
+        pytest.param([0.0, 0.0], [1.0, 4.0], 1, r"\[-13\.000, 1\.000\]", id="heavy-branch"),
+        pytest.param([0.0], [-3.5], 0, r"\[-1\.000, 11\.500\]", id="rise"),
+        pytest.param([9.5], [0.0], 0, r"\[8\.500, 10\.500\]", id="launch"),
     ])
-    def test_a_band_that_leaves_the_grid_is_refused_by_name(self, masses, p0, g, branch,
+    def test_a_band_that_leaves_the_grid_is_refused_by_name(self, means, slopes, branch,
                                                              band):
         with pytest.raises(GridResolutionError,
                            match=rf"^kind k: branch {branch}: momentum band {band} leaves "
                                  r"\+/-pi hbar/dx = \+/-10\.053 of grid\.n_points=256;"):
-            _require_band(self.GRID, masses, p0, g, 3.0, 2.0, "kind k")
+            self.band(means, slopes)
+
+    def test_the_band_spans_the_range_of_the_slope(self):
+        # V' from -3 to 3.5 over T = 3: the momenta reach <p> - 10.5 and <p> + 9
+        with pytest.raises(GridResolutionError, match=r"band \[-11\.500, 10\.000\]"):
+            self.band([0.0], [-3.0], [3.5])
 
     def test_the_band_is_widened_by_clearance_sigmas_momentum_widths(self):
-        # sigma_p = hbar / 2 sigma: a packet launched at p0 reaches
-        # p0 + CLEARANCE_SIGMAS sigma_p, which must stay below pi hbar / dx
-        sigma = 2.0
-        edge = math.pi / self.GRID.dx - CLEARANCE_SIGMAS / (2.0 * sigma)
-        _require_band(self.GRID, [1.0], edge - 1e-9, 0.0, 3.0, sigma, "k")
+        # a packet at <p> reaches <p> + CLEARANCE_SIGMAS sigma_p, which must
+        # stay below pi hbar / dx
+        edge = math.pi / self.GRID.dx - CLEARANCE_SIGMAS * 0.25
+        self.band([edge - 1e-9], [0.0])
         with pytest.raises(GridResolutionError, match="momentum band"):
-            _require_band(self.GRID, [1.0], edge + 1e-9, 0.0, 3.0, sigma, "k")
+            self.band([edge + 1e-9], [0.0])
 
-    @pytest.mark.parametrize("masses, g", [([math.nan], 1.0), ([1.0], math.nan)])
-    def test_a_nan_mass_or_field_fails_it(self, masses, g):
-        with pytest.raises(GridResolutionError, match=r"momentum band \[nan, nan\]"):
-            _require_band(self.GRID, masses, 0.0, g, 3.0, 2.0, "k")
+    def test_hbar_scales_the_width_and_the_limit_but_not_the_drift(self):
+        # the fall case at hbar = 2: 4 sigma_p = 2, so the band [-14, 2] lies
+        # inside pi hbar / dx = 20.106; an empty branch is not read
+        self.band([0.0, 50.0], [4.0, 4.0], hbar=2.0, probs=[1.0, 1e-13])
+        with pytest.raises(GridResolutionError,
+                           match=r"branch 0: momentum band \[-23\.000, 2\.000\] leaves .*\+/-20\.106 "):
+            self.band([0.0], [7.0], hbar=2.0)
+
+    @pytest.mark.parametrize("lows, highs, band", [
+        pytest.param([math.nan], [math.nan], r"\[nan, nan\]", id="both"),
+        pytest.param([math.nan], [1.0], r"\[-4\.000, nan\]", id="least"),
+        pytest.param([1.0], [math.nan], r"\[nan, 1\.000\]", id="greatest"),
+    ])
+    def test_a_nan_slope_fails_it(self, lows, highs, band):
+        with pytest.raises(GridResolutionError, match=rf"momentum band {band}"):
+            self.band([0.0], lows, highs)

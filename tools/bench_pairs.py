@@ -28,7 +28,10 @@ so the first call's extra cost (a CLI run is always a first call) is
 the difference of the two.  Each runner's record also keeps each side's
 default rows (``rows``) and ``rows_drift``, the largest move of a float
 cell between the sides, so a change that moves rows names its drift in
-the record.  ``tier1`` times one
+the record, and ``control``, an A/A control: the same first and repeat
+records, in the same alternating pairs, of the parent against a second
+fresh copy of the parent (in the ``change`` place), so a runner ratio can
+be read against the spread of identical code.  ``tier1`` times one
 Tier-1 run (``python -m pytest -q``) per side and keeps its summary line.
 The record is written at the root of the repository this file sits in.
 Only the standard library is used.
@@ -76,9 +79,9 @@ RUNNER_TIMER = ("import json, sys, time; from massclock.experiments import EXPER
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
-def order(pair: int) -> tuple:
+def order(pair: int, sides: tuple = ("parent", "change")) -> tuple:
     """The side that runs first alternates between pairs."""
-    return ("parent", "change") if pair % 2 else ("change", "parent")
+    return sides if pair % 2 else sides[::-1]
 
 
 def fresh_copy(checkout: Path, into: Path) -> Path:
@@ -128,6 +131,19 @@ def time_tier1(checkout: Path) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "returncode": proc.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def runner_pairs(sides: dict, name: str, pair_of: tuple) -> tuple:
+    """The first-call and repeat-call seconds of the runner ``name`` on the
+    two sides ``pair_of`` of ``sides``, in ``PAIRS`` alternating pairs of
+    fresh processes, and each side's last rows."""
+    first, repeat, rows = {s: [] for s in pair_of}, {s: [] for s in pair_of}, {}
+    for pair in range(1, PAIRS + 1):
+        for side in order(pair, pair_of):
+            seconds, rows[side] = time_runner(sides[side], name)
+            first[side].append(seconds[0])
+            repeat[side].append(seconds[1])
+    return first, repeat, rows
 
 
 def runner_record(parent: list, change: list) -> dict:
@@ -198,7 +214,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {side: fresh_copy(path.resolve(), Path(tmp) / side)
-                 for side, path in (("parent", args.parent), ("change", args.change))}
+                 for side, path in (("parent", args.parent), ("change", args.change),
+                                    ("control", args.parent))}
         record = measure(sides, args)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
@@ -208,7 +225,8 @@ def main(argv=None) -> int:
 
 def measure(sides: dict, args: argparse.Namespace) -> dict:
     """The record of the workload pairs, the runners and Tier-1 for the
-    checkouts ``sides`` (``parent`` and ``change``)."""
+    checkouts ``sides`` (``parent``, ``change`` and ``control``, a second
+    copy of the parent)."""
     workloads, environment = {}, None
     for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
@@ -228,18 +246,17 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
         }
     runners = {}
     for name in runner_names(sides["change"]):
-        first, repeat = {"parent": [], "change": []}, {"parent": [], "change": []}
-        rows = {}
-        for pair in range(1, PAIRS + 1):
-            for side in order(pair):
-                seconds, rows[side] = time_runner(sides[side], name)
-                first[side].append(seconds[0])
-                repeat[side].append(seconds[1])
+        first, repeat, rows = runner_pairs(sides, name, ("parent", "change"))
         drift = rows_drift(rows["parent"], rows["change"])
+        aa_first, aa_repeat, _ = runner_pairs(sides, name, ("parent", "control"))
         runners[name] = {**runner_record(first["parent"], first["change"]),
                          "repeat": runner_record(repeat["parent"], repeat["change"]),
-                         "rows": rows, "rows_drift": drift}
+                         "rows": rows, "rows_drift": drift,
+                         "control": {**runner_record(aa_first["parent"], aa_first["control"]),
+                                     "repeat": runner_record(aa_repeat["parent"],
+                                                             aa_repeat["control"])}}
         print(f"{name}: median ratio {runners[name]['median_ratio']:.3f}, "
+              f"A/A {runners[name]['control']['median_ratio']:.3f}, "
               f"rows drift {drift}", flush=True)
     tier1 = {side: time_tier1(sides[side]) for side in order(1)}
     record = {
@@ -254,7 +271,10 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
                      "from a separate checkout; runners: the same alternating pairs "
                      "of fresh processes, a first and a repeat default runner call "
                      "each, with each side's default rows and the largest float move "
-                     "between them (rows_drift, null when the rows differ in shape); "
+                     "between them (rows_drift, null when the rows differ in shape), "
+                     "and an A/A control (control): the parent against a second fresh "
+                     "copy of the parent, in the change's place, in the same "
+                     "alternating pairs; "
                      "tier1: one run per side; each side runs from one fresh "
                      "copy of its checkout with no __pycache__, made once per "
                      "invocation, and every process runs with PYTHONDONTWRITEBYTECODE=1 "
