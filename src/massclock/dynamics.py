@@ -34,10 +34,11 @@ only.  A run whose V depends on x takes the x-space step.  The step loop,
 ``_evolve``, is the one home of the momentum-band rule
 (``hilbert._require_band``): one FFT of the initial buffer, which also
 starts the free spectra, gives each branch's <p> and sigma_p, and the V
-table its range of dV/dx, exact for V affine in x.  After every step ``hilbert._check`` applies the norm rule (total
-probability within 1e-10 of 1) and then the boundary-clearance rule to
-each run, from one moments pass over the x-space buffer; a sampled or
-final state takes the checked buffer as it is.  One step loop serves every
+table its range of dV/dx, exact for V affine in x.  After every step
+``hilbert._check`` applies the norm rule (total probability within 1e-10
+of 1) and then the boundary-clearance rule to each run, from one moments
+pass over the x-space buffer; a sampled or final state takes the checked
+buffer as it is.  One step loop serves every
 propagation: a runner's independent runs on one grid share one stacked
 (sum dim_r, N) buffer, stepped in blocks of consecutive free or non-free
 runs, and every step acts row by row, so each run keeps the bits it has
@@ -299,10 +300,13 @@ class _Plan:
 
     def require_band(self, spectrum: np.ndarray, total_time: float) -> None:
         """``hilbert._require_band`` on each run's rows of ``spectrum``, the
-        buffer's row-wise FFT, over ``total_time``, naming run and kind."""
-        moments = _kernels.branch_moments(spectrum, self.tables.k_basis).tolist()
+        buffer's row-wise FFT, over ``total_time``, naming run and kind, from
+        one moments pass over [1, k, k^2] dx / N with k = p / hbar."""
+        grid = self.tables.grid
+        k_table = _kernels.moment_table(grid.p(1.0), grid.dx / grid.n_points)
+        moments = _kernels.branch_moments(spectrum, k_table).tolist()
         for r, (rows, (hbar, name, *slopes)) in enumerate(zip(self.rows, self.bands)):
-            _require_band(self.tables.grid, hbar, [m[rows] for m in moments] + slopes,
+            _require_band(grid, hbar, [m[rows] for m in moments] + slopes,
                           total_time, "run {}, kind {}", r, name)
 
     def check(self, amps: np.ndarray, step_no: int) -> List[float]:

@@ -463,11 +463,10 @@ def _overlaps(bra: np.ndarray, ket: np.ndarray, dx: float) -> np.ndarray:
 class _GridTables(NamedTuple):
     """Read-only tables of one grid: the grid itself; the positions x_n;
     the translation phase rate -2 pi k / L of the fft-ordered frequencies
-    k / L, for k = 0 .. N/2 only; the (3, 2N) moment table, [1, x, x^2]
+    k / L, for k = 0 .. N/2 only; and the (3, 2N) moment table, [1, x, x^2]
     dx with each entry twice in a row (``_kernels.moment_table``), from
     which ``_kernels.branch_moments`` reads every branch's [prob,
-    sum x w dx, sum x^2 w dx] in one matmul; and ``k_basis``, [1, k, k^2]
-    dx / N over k = p / hbar, which reads them in k from a row-wise FFT.
+    sum x w dx, sum x^2 w dx] in one matmul.
 
     Half the frequencies are enough for a translation: ``fftfreq`` gives
     freq[N - k] = -freq[k] bit for bit, so the phase of entry N - k is the
@@ -479,7 +478,6 @@ class _GridTables(NamedTuple):
     x: np.ndarray
     shift_rate: np.ndarray
     basis: np.ndarray
-    k_basis: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -491,10 +489,9 @@ def _grid_tables(grid: GridSpec) -> _GridTables:
     shift_rate *= -2.0 * np.pi  # in place: no second N-entry array
     shift_rate = shift_rate[:grid.n_points // 2 + 1]
     basis = _kernels.moment_table(x, grid.dx)
-    k_basis = _kernels.moment_table(grid.p(1.0), grid.dx / grid.n_points)
-    for table in (x, shift_rate, basis, k_basis):
+    for table in (x, shift_rate, basis):
         table.flags.writeable = False
-    return _GridTables(grid, x, shift_rate, basis, k_basis)
+    return _GridTables(grid, x, shift_rate, basis)
 
 
 def _require_unit_norm(total: float, where: str, *args) -> None:
@@ -534,8 +531,8 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
 def _require_band(grid: GridSpec, hbar: float, columns: Sequence[Sequence[float]],
                   total_time: float, where: str, *args) -> None:
     """The band rule on one run's five per-branch ``columns``, as Python
-    floats: prob, sum k w and sum k^2 w of its spectrum (``k_basis``), and
-    the least and greatest dV/dx of its V row.  A V affine in x only
+    floats: prob, sum k w and sum k^2 w of its spectrum over the
+    wavenumbers k = p / hbar, and the least and greatest dV/dx of its V row.  A V affine in x only
     translates momenta, p -> p - V' t, so a populated branch sweeps
     [min(<p> - max V' T, <p>), max(<p> - min V' T, <p>)] over T =
     ``total_time``; widened by CLEARANCE_SIGMAS sigma_p, that band must lie

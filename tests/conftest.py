@@ -1,4 +1,5 @@
-"""Session-scoped results of deterministic default runs.
+"""Shared fixtures: session-scoped results of deterministic default runs,
+and ``no_step`` for refusals that must come before any step.
 
 Several tests read the same default run; each is computed once per session
 and must be treated as read-only.
@@ -6,6 +7,7 @@ and must be treated as read-only.
 
 import pytest
 
+from massclock.dynamics import _Plan
 from massclock.experiments import exp_newtonian_sweep, exp_wep
 
 
@@ -19,3 +21,14 @@ def default_sweep():
 def default_wep():
     """``exp_wep()`` at its defaults."""
     return exp_wep()
+
+
+@pytest.fixture
+def no_step(monkeypatch):
+    """Both step paths of ``dynamics._Plan`` fail: a run refused before its
+    first step must take none."""
+    def fail(*args):
+        raise AssertionError("a run refused before its first step took one")
+
+    monkeypatch.setattr(_Plan, "step", fail)
+    monkeypatch.setattr(_Plan, "free_step", fail)

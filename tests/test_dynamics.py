@@ -386,17 +386,6 @@ class TestPropagate:
         assert np.array_equal(state.amplitudes, before)
 
 
-@pytest.fixture
-def no_step(monkeypatch):
-    """Both step paths of ``_Plan`` fail: a run refused before its first
-    step must take none."""
-    def fail(*args):
-        raise AssertionError("a run refused before its first step took one")
-
-    monkeypatch.setattr(_Plan, "step", fail)
-    monkeypatch.setattr(_Plan, "free_step", fail)
-
-
 class TestMomentumBand:
     """The momentum-band rule in the step loop: every propagation reads
     each branch's <p> and sigma_p from the initial spectrum and its drift

@@ -42,17 +42,6 @@ from massclock.experiments import (
 DOUBLED_GRID = GridSpec(-40.0, 40.0, 512)
 
 
-@pytest.fixture
-def no_step(monkeypatch):
-    """Both step paths of ``dynamics._Plan`` fail: a run refused before its
-    first step must take none."""
-    def fail(*args):
-        raise AssertionError("a run refused before its first step took one")
-
-    monkeypatch.setattr(dynamics._Plan, "step", fail)
-    monkeypatch.setattr(dynamics._Plan, "free_step", fail)
-
-
 class TestBargmann:
     def test_equal_masses_trivial_relative_phase(self):
         r = exp_bargmann(masses=[1.0, 1.0], pairs=[(0.5, 0.8)])

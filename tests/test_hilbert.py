@@ -578,7 +578,8 @@ class TestBandRule:
         # inside pi hbar / dx = 20.106; an empty branch is not read
         self.band([0.0, 50.0], [4.0, 4.0], hbar=2.0, probs=[1.0, 1e-13])
         with pytest.raises(GridResolutionError,
-                           match=r"branch 0: momentum band \[-23\.000, 2\.000\] leaves .*\+/-20\.106 "):
+                           match=r"branch 0: momentum band \[-23\.000, 2\.000\] leaves "
+                                 r".*\+/-20\.106 "):
             self.band([0.0], [7.0], hbar=2.0)
 
     @pytest.mark.parametrize("lows, highs, band", [
