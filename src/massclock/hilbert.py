@@ -531,8 +531,8 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
 def _require_band(grid: GridSpec, hbar: float, columns: Sequence[Sequence[float]],
                   total_time: float, where: str, *args) -> None:
     """The band rule on one run's five per-branch ``columns``, as Python
-    floats: prob, sum k w and sum k^2 w of its spectrum over the
-    wavenumbers k = p / hbar, and the least and greatest dV/dx of its V row.  A V affine in x only
+    floats: prob, sum k w and sum k^2 w of its spectrum over k = p / hbar,
+    and the least and greatest dV/dx of its V row.  A V affine in x only
     translates momenta, p -> p - V' t, so a populated branch sweeps
     [min(<p> - max V' T, <p>), max(<p> - min V' T, <p>)] over T =
     ``total_time``; widened by CLEARANCE_SIGMAS sigma_p, that band must lie
