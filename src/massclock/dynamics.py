@@ -367,10 +367,16 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
     FFT; a negative or non-integer count is refused.  Before the first
     step the momentum-band rule refuses a run whose momenta would leave
     +/- pi hbar / dx (exit 3); under a curved tabulated Phi the band
-    bounds the drift of each branch's <p> but not its spreading.
+    bounds the drift of each branch's <p> but not its spreading, and it
+    takes that drift from the steepest slope of the whole table over the
+    whole run, so it can refuse a run whose momenta stay on the grid (a
+    long run in a harmonic trap).
     """
-    *_, (_, amps, totals) = _evolve([(state, kind, params)], dt, steps, max(steps, 1))
-    return state if totals is None else state._with_owned_amplitudes(amps)
+    for _, amps, totals in _evolve([(state, kind, params)], dt, steps, max(steps, 1)):
+        pass
+    if totals is None:
+        return state
+    return state._with_owned_amplitudes(amps)
 
 
 def propagate_history(state: CompositeState, kind: HamiltonianKind,

@@ -321,7 +321,11 @@ def gaussian_packet(grid: GridSpec, x0: float, p0: float, sigma: float,
     """Normalized Gaussian exp(-(x-x0)^2/4 sigma^2 + i p0 x / hbar).
 
     Preconditions: x0 and p0 finite, sigma positive and >= 4 dx
-    (resolvable), and x0 at least 4 sigma away from both boundaries.
+    (resolvable), x0 at least 4 sigma away from both boundaries, and the
+    momenta p0 +/- 4 sigma_p, sigma_p = hbar / 2 sigma, inside +/- pi hbar
+    / dx: a packet past them is already wrapped around the momentum grid,
+    and the band rule, which reads its spectrum, would take the wrapped
+    <p> as the launch.
     """
     _require_finite("x0", x0)
     _require_finite("p0", p0)
@@ -334,6 +338,12 @@ def gaussian_packet(grid: GridSpec, x0: float, p0: float, sigma: float,
         raise BoundaryViolationError(
             f"packet at x0={x0} too close to boundary for sigma={sigma}"
         )
+    limit, half = math.pi * hbar / grid.dx, CLEARANCE_SIGMAS * hbar / (2.0 * sigma)
+    if not abs(p0) + half < limit:
+        raise GridResolutionError(
+            f"packet momentum band [{p0 - half:.3f}, {p0 + half:.3f}] leaves "
+            f"+/-pi hbar/dx = +/-{limit:.3f} of grid.n_points={grid.n_points}; "
+            "refine the grid or lower |p0|")
     x = grid.x()
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
@@ -545,7 +555,8 @@ def _require_band(grid: GridSpec, hbar: float, columns: Sequence[Sequence[float]
         if prob <= _POPULATED:
             continue
         mean = hbar * sk / prob
-        half = CLEARANCE_SIGMAS * hbar * math.sqrt(max(skk / prob - (sk / prob) ** 2, 0.0))
+        variance = max(skk / prob - (sk / prob) ** 2, 0.0)
+        half = CLEARANCE_SIGMAS * hbar * math.sqrt(variance)
         lo = min(mean - high * total_time, mean) - half  # a NaN end is kept
         hi = max(mean - low * total_time, mean) + half
         if not -limit < lo <= hi < limit:

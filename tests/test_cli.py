@@ -725,6 +725,18 @@ class TestMain:
                          rf"\+/-pi hbar/dx = .* of grid\.n_points={n_points}",
                          capsys.readouterr().out)
 
+    def test_a_launch_wrapped_around_the_momentum_grid_exits_3(self, tmp_path, capsys):
+        # p0 = 14 is past pi hbar / dx = 10.053 of the default grid: built
+        # unrefused, the packet would read <p> ~ -6 and the sweep would
+        # report rows for a packet moving the wrong way
+        sets = ["params.p0=14.0", "params.g=0.0", "params.epsilons=[1e-6, 1e-5]"]
+        code = main(["run", "exp_newtonian_sweep", *(arg for s in sets for arg in ("--set", s)),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_PRECONDITION and not (tmp_path / "o").exists()
+        assert re.search(r"packet momentum band \[13\.000, 15\.000\] leaves "
+                         r"\+/-pi hbar/dx = \+/-10\.053 of grid\.n_points=256",
+                         capsys.readouterr().out)
+
     @pytest.mark.parametrize("x0", [3.0, 8.0])
     def test_the_free_fall_benchmark_range_passes(self, x0):
         # perfbench's free_fall draws params.x0 from [3, 8] at the defaults

@@ -45,7 +45,7 @@ from massclock import (
     static_trajectory,
     triangular_trajectory,
 )
-from massclock import _kernels
+from massclock import _kernels, dynamics
 from massclock.dynamics import (
     _KINDS,
     _RESIDUAL_BLOCK,
@@ -421,6 +421,28 @@ class TestMomentumBand:
                            match=rf"^run 0, kind {name}: branch {branch}: momentum band "
                                  r"\[-13\.000, 1\.000\] "):
             propagate(state, HamiltonianKind.from_name(name), params, 2.5e-3, 1200)
+
+    def test_a_long_trapped_run_is_refused_though_its_momenta_stay_on_the_grid(
+            self, monkeypatch):
+        # the rule's known over-refusal under a curved Phi: in the 0.05 x^2
+        # trap the drift is taken from the steepest slope of the whole
+        # table, |V'| < 2, over the whole run, so T = 25 gives a band of
+        # about +/-(2 T + 2) = +/-52 against pi hbar / dx = 40.2, while the
+        # packet from x0 = 4 oscillates with |<p>| <= m omega x0 = 1.26
+        grid = GridSpec(-20.0, 20.0, 512)
+        xs = np.linspace(-20, 20, 801)
+        params = PhysicalParams(hbar=1.0, c=10.0, E0=100.0,
+                                potential=Potential.tabulated(xs, 0.05 * xs**2))
+        state = make_superposition(grid, InternalSpace(E0=100.0, levels=(0.0,)), [1.0],
+                                   gaussian_packet(grid, 4.0, 0.0, 1.0))
+        run = (state, HamiltonianKind.newtonian(), params, 2.5e-3, 10_000)
+        with pytest.raises(GridResolutionError,
+                           match=r"momentum band \[-51\.713, 51\.892\] leaves "
+                                 r"\+/-pi hbar/dx = \+/-40\.212 "):
+            propagate(*run)
+        monkeypatch.setattr(dynamics, "_require_band", lambda *args: None)
+        _, samples = propagate_history(*run, sample_every=100)
+        assert max(abs(expectation_p(grid, s.amplitudes[0], 1.0)) for s in samples) < 1.3
 
     @pytest.mark.parametrize("potential", [Potential.none(), Potential.uniform_field(1.0)],
                              ids=["none", "uniform"])

@@ -278,13 +278,10 @@ class TestNewtonianSweep:
 
     def test_a_launch_beyond_the_momentum_grid_is_refused_before_any_step(self, no_step):
         # the launch p0 + 4 sigma_p = 5.17 is past pi / dx = 5.03 of 128
-        # points already at t = 0: the grid holds 1.6e-3 of the packet's
-        # probability wrapped to p ~ -5, so its spectrum reads <p> = 4.484
-        # and sigma_p = 0.413, not 1 / 6, and the band [<p> - m g T, <p>]
-        # widened by 4 sigma_p is [1.333, 6.135]
+        # points already at t = 0, so the packet is refused as it is built
         with pytest.raises(GridResolutionError,
-                           match=r"^run 0, kind split: branch 0: momentum band "
-                                 r"\[1\.333, 6\.135\] leaves .* of grid\.n_points=128"):
+                           match=r"^packet momentum band \[3\.833, 5\.167\] leaves "
+                                 r".* of grid\.n_points=128"):
             exp_newtonian_sweep(GridSpec(-40.0, 40.0, 128), sigma=3.0, p0=4.5)
 
     def test_c_cancels_from_the_rows(self, default_sweep, monkeypatch):

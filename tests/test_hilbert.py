@@ -151,6 +151,19 @@ class TestGaussianPacket:
         with pytest.raises(GridResolutionError):
             gaussian_packet(GridSpec(-20.0, 20.0, 64), 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_launch_past_the_momentum_grid_is_refused(self, hbar, sign):
+        # p0 + CLEARANCE_SIGMAS hbar / 2 sigma must stay below pi hbar / dx
+        # (80.425 hbar on GRID), or the packet is built already wrapped
+        half = CLEARANCE_SIGMAS * hbar / 2.0
+        edge = math.pi * hbar / GRID.dx - half
+        gaussian_packet(GRID, 0.0, sign * (edge - 1e-9), 1.0, hbar=hbar)
+        with pytest.raises(GridResolutionError,
+                           match=r"^packet momentum band \[.*\] leaves \+/-pi hbar/dx = "
+                                 rf"\+/-{math.pi * hbar / GRID.dx:.3f} of grid\.n_points=1024;"):
+            gaussian_packet(GRID, 0.0, sign * (edge + 1e-9), 1.0, hbar=hbar)
+
 
 class TestMakeSuperposition:
     def test_equal_weights_split_probability(self):
