@@ -24,6 +24,8 @@ Conventions used throughout the package:
 * Every propagated packet keeps its momenta inside +/- pi hbar / dx: the
   band rule, ``_require_band``, reads each branch's spectrum and V table
   once per propagation, in its one home, the step loop ``dynamics._evolve``.
+  ``gaussian_packet`` refuses a launch already past that range, which the
+  grid would hold wrapped.
 """
 
 from __future__ import annotations
