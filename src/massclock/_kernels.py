@@ -2,7 +2,8 @@
 
 The propagator spends its time in FFTs and in elementwise phase
 multiplications over the (level, grid point) amplitude array.  The work
-that runs once per time step, and the trajectory quadrature, lives here:
+that runs once per time step or batch of steps, and the trajectory
+quadrature, lives here:
 
 * ``phase_multiply``   -- in-place  amps *= phases  (one Strang substep)
 * ``branch_moments``   -- per-branch norm / <x> / <x^2> weights: one square
@@ -10,8 +11,9 @@ that runs once per time step, and the trajectory quadrature, lives here:
                           side) contracted with the grid's (3, 2N)
                           ``moment_table``, each of [1, x, x^2] dx twice in
                           a row, as one table @ squares.T product, (3, rows);
-                          used for the per-step boundary-clearance and norm
-                          checks
+                          used for the boundary-clearance and norm checks,
+                          once per batch of propagation steps over all the
+                          batch's rows, and once per map
 * ``accumulate_phase`` -- cumulative Simpson integration of a sampled
                           frequency (semiclassical clock phase)
 

@@ -536,7 +536,8 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
         internal = InternalSpace(E0=e0, levels=(0.0, eps * e0))
         state = _equal_superposition(grid, internal, sigma, x0, p0)
         runs += [(state, HamiltonianKind.from_name(k), params) for k in ("split", "newtonian")]
-    *_, (_, amps, _) = _evolve(runs, dt, steps, steps)  # the final buffer
+    # the final slot, read once the loop ran out, so no later step overwrote it
+    *_, (_, amps, _) = _evolve(runs, dt, steps, steps)
     z = _overlaps(amps[0::2], amps[1::2], grid.dx)  # <0|1> of every run
     finals = amps.reshape(len(runs), -1)  # one row per run
     split, newt = finals[0::2], finals[1::2]

@@ -18,9 +18,10 @@ Conventions used throughout the package:
   this module makes it: ``branch_populations`` (and through it the
   constructor's norm rule and ``norm``) and ``expectation_x`` read it, and
   one check, ``_check``, applies the norm rule and then the clearance rule
-  to each run of a (rows, N) buffer from one such pass.  The propagator's
-  step, translations, boosts, the moving-frame map and the commutator
-  residual all call that check.
+  to each run of a (rows, N) buffer from one such pass.  Translations,
+  boosts, the moving-frame map and the commutator residual call that
+  check; the propagator calls its batched form, ``_check_steps``, once per
+  batch of steps, which applies the same rules step by step.
 * Every propagated packet keeps its momenta inside +/- pi hbar / dx: the
   band rule, ``_require_band``, reads each branch's spectrum and V table
   once per propagation, in its one home, the step loop ``dynamics._evolve``.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -305,8 +306,9 @@ class CompositeState:
         """The state on this state's spaces that owns ``amps``.
 
         ``amps`` is a fresh complex (dim, N) array nobody else holds, which
-        ``_check`` has just passed; it becomes read-only in place, without
-        the constructor's copy and second norm pass.
+        the state rules (``_check`` or ``_check_steps``) have just passed;
+        it becomes read-only in place, without the constructor's copy and
+        second norm pass.
         """
         amps.flags.writeable = False
         state = object.__new__(CompositeState)
@@ -585,11 +587,34 @@ def _check(tables: _GridTables, amps: np.ndarray, where: str, *args,
     last bits; the amplitudes never do.
     """
     probs, sxs, sxxs = _kernels.branch_moments(amps, tables.basis).tolist()
+    return _rules(tables.grid, probs, sxs, sxxs, runs, where, *args), probs
+
+
+def _check_steps(tables: _GridTables, slots: np.ndarray, first: int,
+                 runs: Sequence[slice]) -> Iterator[List[float]]:
+    """``_check`` on each slot of ``slots``, a (steps, rows, N) batch of the
+    buffers after the consecutive steps first, first + 1, ...: one moments
+    pass over every row of the batch, then slot by slot, in order, the
+    rules of ``_check``, a refusal naming "step k" of its slot.  Yields
+    each slot's run totals once its rules pass, so a caller has every slot
+    before a refused one."""
+    n, rows, _ = slots.shape
+    moments = _kernels.branch_moments(slots.reshape(n * rows, -1), tables.basis)
+    for step, (probs, sxs, sxxs) in enumerate(zip(*moments.reshape(3, n, rows).tolist()),
+                                              first):
+        yield _rules(tables.grid, probs, sxs, sxxs, runs, "step {}", step)
+
+
+def _rules(grid: GridSpec, probs: List[float], sxs: List[float], sxxs: List[float],
+           runs: Sequence[slice], where: str, *args) -> List[float]:
+    """The norm rule and then the clearance rule, run by run in order, on
+    the per-row moments of one buffer whose runs own the row slices
+    ``runs``; returns each run's total."""
     totals = []
     for rows in runs:
         own = probs[rows]
         total = sum(own)
         _require_unit_norm(total, where, *args)
-        _require_clearance(tables.grid, own, sxs[rows], sxxs[rows], where, *args)
+        _require_clearance(grid, own, sxs[rows], sxxs[rows], where, *args)
         totals.append(total)
-    return totals, probs
+    return totals

@@ -157,6 +157,41 @@ def test_each_runner_record_carries_an_a_a_control_of_the_parent(monkeypatch):
     assert control["repeat"]["change_wins_pairs"] == pairs
 
 
+def test_each_workload_record_carries_an_a_a_control_of_the_parent(monkeypatch):
+    # after the parent/change pairs of a workload, CONTROL_PAIRS pairs of the
+    # parent against its second copy, alternating, seed i in pair i
+    calls = []
+    walls = {"parent": 1.0, "change": 0.5, "control": 1.02}
+
+    def fake_run_once(checkout, workload, seed):
+        calls.append((workload, checkout, seed))
+        metrics = {m: {"value": walls[checkout]} for m in bench_pairs.METRICS}
+        return {"result": {"attempted": 3, "failed": 0, "metrics": metrics},
+                "digests": ["ab" * 32], "environment": {"python": "x"}}
+
+    monkeypatch.setattr(bench_pairs, "WORKLOADS", ["w"])
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    monkeypatch.setattr(bench_pairs, "runner_names", lambda checkout: [])
+    monkeypatch.setattr(bench_pairs, "time_tier1", lambda checkout: {})
+    record = bench_pairs.measure(_SIDES, _ARGS)
+    pairs, control_pairs = bench_pairs.PAIRS, bench_pairs.CONTROL_PAIRS
+    assert 0 < control_pairs < pairs
+    assert calls == ([("w", side, pair) for pair in range(1, pairs + 1)
+                      for side in bench_pairs.order(pair)]
+                     + [("w", side, pair) for pair in range(1, control_pairs + 1)
+                        for side in bench_pairs.order(pair, ("parent", "control"))])
+    out = record["workloads"]["w"]
+    assert out["change_vs_parent"]["wall_s"]["median_ratio"] == pytest.approx(0.5)
+    assert out["rows_sha256_equal_per_pair"] == [True] * pairs
+    control = out["control"]
+    assert control["parent"]["runs"] == control["control"]["runs"] == control_pairs
+    assert control["control"]["wall_s"]["values"] == [1.02] * control_pairs
+    verdict = control["control_vs_parent"]["wall_s"]
+    assert verdict["median_ratio"] == pytest.approx(1.02)
+    assert verdict["change_wins_pairs"] == 0 and not verdict["claim_met"]
+    assert f"A/A control (control): {control_pairs} more pairs" in record["protocol"]
+
+
 def test_tier1_record_keeps_the_summary_line(monkeypatch):
     monkeypatch.setattr(bench_pairs, "TIER1", ["-c", "print('x'); print('3 passed in 0.1s')"])
     out = bench_pairs.time_tier1(Path(__file__).resolve().parents[1])

@@ -469,6 +469,21 @@ class TestMomentumBand:
             assert abs(end - (start - slope * dt * steps)) <= 1e-12
 
 
+def _staged_steps(plan, amps, steps, size=3):
+    """``amps`` after ``steps`` steps of the stages ``_evolve`` runs, in
+    batches of ``size`` slots (the last one partial), with no checks."""
+    batch = np.empty((size,) + amps.shape, dtype=complex)
+    batch[-1] = amps
+    stages = plan.stages(batch, np.fft.fft(amps, axis=1))
+    for done in range(0, steps, size):
+        slots = batch[:min(size, steps - done)]
+        for calls in stages[:len(slots)]:
+            for call in calls:
+                call()
+        plan.to_x(slots)
+    return slots[-1]
+
+
 class TestStrangStep:
     INTERNAL3 = InternalSpace(E0=100.0, levels=(-3.0, 0.0, 7.0))
 
@@ -506,13 +521,9 @@ class TestStrangStep:
         plan = _Plan([(psi, kind, params)], dt)
         assert plan.blocks == [(slice(0, internal.dim), params.potential.kind == "none")]
         a, b = np.array(psi.amplitudes), np.array(phi.amplitudes)
-        staged_a, staged_b = np.array(psi.amplitudes), np.array(phi.amplitudes)
-        stages = (plan.stages(staged_a, np.fft.fft(staged_a, axis=1))
-                  + plan.stages(staged_b, np.fft.fft(staged_b, axis=1)))
         for _ in range(steps):
             a, b = plan.step(a), plan.step(b)
-            for stage in stages:
-                stage()
+        staged_a, staged_b = (_staged_steps(plan, s.amplitudes, steps) for s in (psi, phi))
         for a, b in ((a, b), (staged_a, staged_b)):
             assert abs(np.sum(a.real**2 + a.imag**2) * grid.dx - 1.0) <= 1e-12
             evolved = overlap(psi.with_amplitudes(a), phi.with_amplitudes(b))
@@ -554,10 +565,9 @@ def _free_path_gap(case, fraction, steps, seed):
                                   + 1j * rng.standard_normal(shape))
     plan = _Plan([(state, kind, params)], dt)
     assert plan.blocks == [(slice(0, internal.dim), True)]
-    amps, expected = np.array(state.amplitudes), np.array(state.amplitudes)
-    (stage,) = plan.stages(amps, np.fft.fft(amps, axis=1))
+    amps = _staged_steps(plan, state.amplitudes, steps)
+    expected = np.array(state.amplitudes)
     for _ in range(steps):
-        stage()
         expected = oracles.strang_step(expected, plan.exp_v_half, plan.exp_t)
     gap = np.linalg.norm(amps - expected) / np.linalg.norm(expected)
     return gap, (steps + 1) * (14 * math.log2(grid.n_points) + 18) * 2.0**-53
@@ -580,10 +590,10 @@ class TestFreeRuns:
                                                                      label):
         # under split and newtonian a free run's V is its rest term, a
         # phase only this comparison reads
-        def without_closing_kick(plan, spectrum, amps):
+        def without_closing_kick(plan, spectrum, slot):
             _kernels.phase_multiply(spectrum, plan.exp_v_half)
             _kernels.phase_multiply(spectrum, plan.exp_t)
-            return np.fft.ifft(spectrum, axis=1, out=amps)
+            np.copyto(slot, spectrum)
 
         monkeypatch.setattr(_Plan, "free_step", without_closing_kick)
         grid = GridSpec(-20.0, 20.0, 64)
@@ -612,7 +622,7 @@ class TestFreeRuns:
         amps = np.array(run[0].amplitudes)
         with pytest.raises(BoundaryViolationError) as x_space:
             for k in range(1, 4001):
-                plan.check(plan.step(amps), k)
+                next(plan.checks(plan.step(amps)[None], k))
         with pytest.raises(BoundaryViolationError) as free:
             propagate(*run, 1e-3, 4000)
         assert str(free.value) == str(x_space.value)
@@ -735,10 +745,10 @@ class TestStackedRuns:
             expected = oracles.per_run_check(plan.tables.grid, moments, plan.rows, step_no)
         except (PreconditionError, BoundaryViolationError) as refusal:
             with pytest.raises(type(refusal)) as got:
-                plan.check(amps, step_no)
+                next(plan.checks(amps[None], step_no))
             assert type(got.value) is type(refusal) and str(got.value) == str(refusal)
             return
-        totals = plan.check(amps, step_no)
+        (totals,) = plan.checks(amps[None], step_no)
         assert totals == expected
         # Each total is a BLAS dot product of the run's 2N float squares per
         # branch (the bits of ``squares`` below) with dx, then a Python sum
@@ -817,6 +827,93 @@ class TestStackedRuns:
         with pytest.raises(error, match=re.escape(message.split(":")[0].split(";")[0])):
             for _ in _evolve([benign, failing], dt, steps, steps):
                 pass
+
+
+class TestStepBatches:
+    """_evolve steps B = ``_BATCH_BYTES`` / buffer bytes steps into one
+    batch, then takes one inverse FFT per free block and one moments pass
+    over the batch; every step keeps its bits and its check."""
+
+    GRID = GridSpec(-20.0, 20.0, 256)
+    FIELD = replace(PARAMS, potential=Potential.uniform_field(0.7))
+    STACKS = {
+        "free": [(PARAMS, "newtonian"), (PARAMS, "low_energy")],
+        "field": [(FIELD, "split"), (FIELD, "exact")],
+        "mixed": [(PARAMS, "split"), (FIELD, "newtonian"), (FIELD, "low_energy"),
+                  (PARAMS, "dynamical_mass")],
+    }
+
+    @pytest.mark.parametrize("slots", [None, 1, 4], ids=["shipped", "one-slot", "four-slot"])
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_batch_edges_match_separate_runs_bit_for_bit(self, monkeypatch, stack, slots):
+        # at least three batches, the last one partial, sampled at a stride
+        # that does not divide the batch; the final-only loop is the sweep's
+        state = packet_state(self.GRID, x0=-3.0, p0=1.0)
+        runs = [(state, HamiltonianKind.from_name(name), params)
+                for params, name in self.STACKS[stack]]
+        buffer_bytes = 16 * sum(s.amplitudes.size for s, _, _ in runs)
+        if slots is not None:
+            monkeypatch.setattr(dynamics, "_BATCH_BYTES", slots * buffer_bytes)
+        size = max(dynamics._BATCH_BYTES // buffer_bytes, 1)
+        sample_every = next(n for n in (3, 5, 7) if size == 1 or size % n)
+        steps = sample_every * (3 * size // sample_every + 1)
+        if steps % size == 0:
+            steps += sample_every
+        assert steps > 3 * size and (steps % size or size == 1)
+        dt = 1e-3
+        tables = [_tables(kind, self.GRID, s.internal, params) for s, kind, params in runs]
+        expected = oracles.per_run_strang(
+            [s.amplitudes for s, _, _ in runs],
+            [(np.exp(-0.5j * v * dt / params.hbar), np.exp(-1j * t * dt / params.hbar))
+             for (t, v), (_, _, params) in zip(tables, runs)], steps, sample_every)
+        samples = [(k, np.concatenate(expected[k // sample_every]).tobytes())
+                   for k in range(0, steps + 1, sample_every)]
+        multiplies = []
+        monkeypatch.setattr(_kernels, "phase_multiply",
+                            lambda amps, phases: multiplies.append(np.multiply(
+                                amps, phases, out=amps)))
+        got = [(k, amps.tobytes()) for k, amps, _ in _evolve(runs, dt, steps, sample_every)]
+        assert got == samples
+        # three phase multiplies per block per step: no step past the last
+        assert len(multiplies) == 3 * steps * len(_Plan(runs, dt).blocks)
+        *_, (k, final, totals) = _evolve(runs, dt, steps, steps)
+        assert (k, final.tobytes()) == samples[-1] and len(totals) == len(runs)
+
+    EDGE = (packet_state(x0=30.0, p0=4.0), HamiltonianKind.newtonian(), PARAMS)
+    EDGE_REFUSAL = "step 1272: branch 0: <x>=35.086, 4.0 sigma_x=4.921 leaves [-40.0, 40.0]"
+
+    @pytest.mark.parametrize("second", [False, True], ids=["alone", "second"])
+    def test_a_refusal_mid_batch_follows_every_earlier_sample(self, second):
+        # step 1272 lies inside its batch (slot 7 of slots 0-15 alone, slot
+        # 1 of slots 0-9 behind a one-row run): the samples up to step 1271
+        # arrive, the last one with its own bits, then the refusal with its
+        # usual text
+        runs = [self.EDGE]
+        if second:
+            one_level = InternalSpace(E0=100.0, levels=(0.0,))
+            runs.insert(0, (packet_state(internal=one_level), HamiltonianKind.newtonian(),
+                            PhysicalParams(hbar=1.0, c=1.0, E0=100.0)))
+        size = dynamics._BATCH_BYTES // (16 * sum(s.amplitudes.size for s, _, _ in runs))
+        assert 1272 % size not in (0, 1)
+        seen, last = [], None
+        with pytest.raises(BoundaryViolationError) as refusal:
+            for k, amps, _ in _evolve(runs, 1e-3, 4000, 1):
+                seen.append(k)
+                last = amps[-2:].copy()
+        assert str(refusal.value) == self.EDGE_REFUSAL
+        assert seen == list(range(1272))
+        assert last.tobytes() == propagate(*self.EDGE, 1e-3, 1271).amplitudes.tobytes()
+
+    def test_results_own_their_arrays_not_the_batch(self):
+        # a returned state or sample that viewed a slot would keep the whole
+        # (B, rows, N) batch alive
+        run = (packet_state(self.GRID), HamiltonianKind.newtonian(), PARAMS)
+        assert dynamics._BATCH_BYTES // run[0].amplitudes.nbytes > 1
+        final = propagate(*run, 1e-3, 50)
+        _, history = propagate_history(*run, 1e-3, 50, sample_every=10)
+        for amps in [final.amplitudes] + [s.amplitudes for s in history[1:]]:
+            assert amps.base is None and amps.shape == run[0].amplitudes.shape
+            assert not amps.flags.writeable
 
 
 class TestInternalFrequency:

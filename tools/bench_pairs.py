@@ -16,7 +16,11 @@ failed iteration counts and the rows digests; per workload, the
 change/parent ratio of the medians, the number of pairs the change wins
 (lower is better for every metric), the two verdicts ``claim_met`` and
 ``within_bound`` (see ``compare``) and whether the two sides wrote the
-same rows in every pair.
+same rows in every pair.  Each workload also carries ``control``, an A/A
+control: the parent against a second fresh copy of the parent (in the
+change's place), in ``CONTROL_PAIRS`` more pairs of the same alternating
+protocol, with the same per-side records and verdicts, so a workload's
+ratio can be read against what identical code reads.
 
 Two more records come from the same alternating fresh processes, each
 importing its checkout's ``src/``.  ``runners`` times every registered
@@ -65,6 +69,9 @@ METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
+# Pairs of the per-workload A/A control: fewer than PAIRS, since each pair
+# costs two full benchmark runs.
+CONTROL_PAIRS = 5
 # A fresh process that prints the registered runner names, or the seconds
 # of a first and a second default call of the runner named by its argument
 # with the rows of that call.
@@ -153,6 +160,19 @@ def runner_record(parent: list, change: list) -> dict:
             "change_wins_pairs": sum(cv < pv for cv, pv in zip(change, parent))}
 
 
+def workload_pairs(sides: dict, workload: str, pair_of: tuple, pairs: int) -> dict:
+    """Each of the two sides ``pair_of`` of ``sides``' runs of ``workload``,
+    in ``pairs`` alternating pairs, pair i with seed i."""
+    runs = {side: [] for side in pair_of}
+    for seed in range(1, pairs + 1):
+        for side in order(seed, pair_of):
+            run = run_once(sides[side], workload, seed)
+            runs[side].append(run)
+            wall = run["result"]["metrics"]["wall_s"]["value"]
+            print(f"{workload} pair {seed} {side}: wall_s {wall:.4f}", flush=True)
+    return runs
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One benchmark run in ``checkout``: its result line and rows digests."""
     proc = _python(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -229,20 +249,18 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
     copy of the parent)."""
     workloads, environment = {}, None
     for workload in WORKLOADS:
-        runs = {"parent": [], "change": []}
-        for seed in range(1, PAIRS + 1):
-            for side in order(seed):
-                run = run_once(sides[side], workload, seed)
-                runs[side].append(run)
-                environment = run["environment"]
-                wall = run["result"]["metrics"]["wall_s"]["value"]
-                print(f"{workload} pair {seed} {side}: wall_s {wall:.4f}", flush=True)
+        runs = workload_pairs(sides, workload, ("parent", "change"), PAIRS)
+        environment = runs["change"][-1]["environment"]
+        aa = workload_pairs(sides, workload, ("parent", "control"), CONTROL_PAIRS)
         parent, change = side_record(runs["parent"]), side_record(runs["change"])
+        aa_parent, aa_control = side_record(aa["parent"]), side_record(aa["control"])
         workloads[workload] = {
             "parent": parent, "change": change,
             "change_vs_parent": compare(parent, change),
             "rows_sha256_equal_per_pair": [p["digests"] == c["digests"] for p, c
                                            in zip(runs["parent"], runs["change"])],
+            "control": {"parent": aa_parent, "control": aa_control,
+                        "control_vs_parent": compare(aa_parent, aa_control)},
         }
     runners = {}
     for name in runner_names(sides["change"]):
@@ -268,7 +286,11 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
         "protocol": (f"{PAIRS} pairs per workload; parent and change run back to "
                      "back with the same seed, the side that runs first alternating "
                      "between pairs; parent is the commit this change sits on, run "
-                     "from a separate checkout; runners: the same alternating pairs "
+                     "from a separate checkout; each workload's A/A control "
+                     f"(control): {CONTROL_PAIRS} more pairs of the parent against a "
+                     "second fresh copy of the parent, in the change's place, in the "
+                     "same alternating protocol (seeds 1 .. "
+                     f"{CONTROL_PAIRS}); runners: the same alternating pairs "
                      "of fresh processes, a first and a repeat default runner call "
                      "each, with each side's default rows and the largest float move "
                      "between them (rows_drift, null when the rows differ in shape), "
