@@ -161,8 +161,8 @@ def runner_record(parent: list, change: list) -> dict:
 
 
 def workload_pairs(sides: dict, workload: str, pair_of: tuple, pairs: int) -> dict:
-    """Each of the two sides ``pair_of`` of ``sides``' runs of ``workload``,
-    in ``pairs`` alternating pairs, pair i with seed i."""
+    """The runs of ``workload`` on the two sides ``pair_of`` of ``sides``,
+    by side, in ``pairs`` alternating pairs, pair i with seed i."""
     runs = {side: [] for side in pair_of}
     for seed in range(1, pairs + 1):
         for side in order(seed, pair_of):
