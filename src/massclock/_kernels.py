@@ -5,7 +5,8 @@ multiplications over the (level, grid point) amplitude array.  The work
 that runs once per time step or batch of steps, and the trajectory
 quadrature, lives here:
 
-* ``phase_multiply``   -- in-place  amps *= phases  (one Strang substep)
+* ``phase_multiply``   -- amps = source * phases, in place by default (one
+                          Strang substep)
 * ``branch_moments``   -- per-branch norm / <x> / <x^2> weights: one square
                           of the amplitudes' float view (re^2, im^2 side by
                           side) contracted with the grid's (3, 2N)
@@ -22,11 +23,16 @@ All three are bit-reproducible: same inputs, same output bits.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
-def phase_multiply(amps: np.ndarray, phases: np.ndarray) -> None:
-    amps *= phases
+def phase_multiply(amps: np.ndarray, phases: np.ndarray,
+                   source: Optional[np.ndarray] = None) -> None:
+    """amps = source * phases, elementwise; ``source`` defaults to ``amps``,
+    so the product is taken in place."""
+    np.multiply(amps if source is None else source, phases, out=amps)
 
 
 def moment_table(x: np.ndarray, dx: float) -> np.ndarray:

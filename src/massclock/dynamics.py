@@ -36,9 +36,10 @@ A run whose V depends on x takes the x-space step.  The step loop,
 starts the free spectra, gives each branch's <p> and sigma_p, and the V
 table its range of dV/dx, exact for V affine in x.  The loop advances in
 step batches: B steps (``_BATCH_BYTES`` of buffers) are stepped into the
-slots of one (B, sum dim_r, N) batch, then each stretch of free runs takes
-one batched inverse FFT over its slots and one moments pass covers the
-whole batch.  ``hilbert._check_steps`` then applies, step by step in
+slots of a (B, sum dim_r, N) batch, the free runs' rows in momentum space
+in a second one, each step reading the slot before; then each stretch of
+free runs takes one batched inverse FFT from its momentum-space slots into
+its x-space slots, and one moments pass covers the whole batch.  ``hilbert._check_steps`` then applies, step by step in
 order, the norm rule (total probability within 1e-10 of 1) and then the
 boundary-clearance rule to each run, so every step is still checked and a
 refusal names the same step as before; a sampled or final state takes the
@@ -224,8 +225,8 @@ class _Plan:
     F^-1 (V_half T V_half)^n F.  ``blocks`` lists each maximal stretch of
     consecutive free or non-free runs as ``(rows, free)``.  ``stages``
     steps a free block on its momentum-space spectrum with ``free_step``,
-    whose slots of a step batch ``to_x`` turns into x space, and any other
-    block in x space with ``step``, the one x-space path.  Every step acts
+    whose slots of a step batch ``advance`` writes in x space, and any
+    other block in x space with ``step``, the one x-space path.  Every step acts
     row by row (elementwise phase multiplies and row-wise FFTs), so every
     run keeps the bits it has alone, in any stack and any batch.
     ``bands`` holds each run's hbar, kind name and least and greatest
@@ -269,56 +270,61 @@ class _Plan:
                 self.blocks.append((rows, free))
         self.tables = _grid_tables(grid)
 
-    def step(self, amps: np.ndarray) -> np.ndarray:
-        """One Strang step in x space, in place: ``amps`` is the caller's
-        private complex buffer, overwritten and returned."""
-        _kernels.phase_multiply(amps, self.exp_v_half)
+    def step(self, amps: np.ndarray, previous: Optional[np.ndarray] = None) -> np.ndarray:
+        """One Strang step in x space of ``previous``, by default ``amps``
+        itself, into ``amps``, the caller's private complex buffer,
+        overwritten and returned."""
+        _kernels.phase_multiply(amps, self.exp_v_half, previous)
         np.fft.fft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_t)
         np.fft.ifft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_v_half)
         return amps
 
-    def free_step(self, spectrum: np.ndarray, slot: np.ndarray) -> None:
+    def free_step(self, spectrum: np.ndarray,
+                  previous: Optional[np.ndarray] = None) -> np.ndarray:
         """One Strang step of free rows in momentum space: V_half, T and
-        V_half multiply ``spectrum``, their momentum-space amplitudes, in
-        place, and the stepped spectrum is copied into ``slot``, which
-        ``to_x`` turns into x space with the rest of its batch."""
-        _kernels.phase_multiply(spectrum, self.exp_v_half)
+        V_half multiply ``previous``, their momentum-space amplitudes, by
+        default ``spectrum`` itself, into ``spectrum``, which is
+        overwritten and returned."""
+        _kernels.phase_multiply(spectrum, self.exp_v_half, previous)
         _kernels.phase_multiply(spectrum, self.exp_t)
         _kernels.phase_multiply(spectrum, self.exp_v_half)
-        np.copyto(slot, spectrum)
+        return spectrum
 
-    def stages(self, batch: np.ndarray, spectrum: np.ndarray) -> List[List[Callable]]:
-        """For each slot j of ``batch``, a (B, rows, N) step batch, one call
-        per block that steps the block's rows into slot j: calling slot 0's
-        calls, then slot 1's and so on, and then ``to_x``, steps the whole
-        buffer once per slot.  A free block steps its rows of ``spectrum``,
-        the row-wise FFT of the buffer now, which it owns from then on.
-        Any other block copies its rows of the slot before (slot B - 1
-        before slot 0) into slot j and steps them there with ``step``; in
-        a batch of one slot it steps that slot in place, with no copy."""
+    def stages(self, batch: np.ndarray, spectra: np.ndarray) -> List[List[Callable]]:
+        """For each slot j of a step batch, the (B, rows, N) buffers
+        ``batch`` in x space and ``spectra`` in momentum space, one call
+        per block that steps the block's rows into slot j: ``advance``
+        calls slot 0's calls, then slot 1's and so on, and so steps the
+        whole buffer once per slot.  A block steps its rows of the slot
+        before (slot B - 1 before slot 0) into slot j, its first phase
+        multiply reading the one and writing the other: a free block in
+        ``spectra`` with ``free_step``, any other in ``batch`` with
+        ``step``.  In a batch of one slot both are the slot, and the step
+        is taken in place."""
         out = [[] for _ in batch]
         for rows, free in self.blocks:
             block = object.__new__(_Plan)  # this plan's tables on the block's rows
             block.exp_t, block.exp_v_half = self.exp_t[rows], self.exp_v_half[rows]
+            step, source = (block.free_step, spectra) if free else (block.step, batch)
             for j, calls in enumerate(out):
-                slot = batch[j, rows]
-                if free:
-                    calls.append(partial(block.free_step, spectrum[rows], slot))
-                elif len(batch) == 1:
-                    calls.append(partial(block.step, slot))
-                else:
-                    calls.append(partial(_step_copy, block, batch[j - 1, rows], slot))
+                calls.append(partial(step, source[j, rows], source[j - 1, rows]))
         return out
 
-    def to_x(self, slots: np.ndarray) -> None:
-        """The free blocks' rows of ``slots``, a (steps, rows, N) batch
-        stepped by ``stages``, from momentum into x space in place, one
-        inverse FFT per free block over all its slots."""
+    def advance(self, stages: List[List[Callable]], slots: np.ndarray,
+                spectra: np.ndarray) -> None:
+        """Step the buffer once per slot of ``slots`` and ``spectra``, the
+        first slots of the step batch of ``stages``, by those slots' calls
+        in order, then write the free blocks' rows of ``spectra`` into
+        ``slots`` in x space, one inverse FFT per free block over all its
+        slots."""
+        for calls in stages[:len(slots)]:
+            for call in calls:
+                call()
         for rows, free in self.blocks:
             if free:
-                np.fft.ifft(slots[:, rows], axis=2, out=slots[:, rows])
+                np.fft.ifft(spectra[:, rows], axis=2, out=slots[:, rows])
 
     def require_band(self, spectrum: np.ndarray, total_time: float) -> None:
         """``hilbert._require_band`` on each run's rows of ``spectrum``, the
@@ -338,24 +344,21 @@ class _Plan:
         return _check_steps(self.tables, slots, first, self.rows)
 
 
-def _step_copy(plan: _Plan, previous: np.ndarray, slot: np.ndarray) -> None:
-    """``plan.step`` of a copy of ``previous`` made in ``slot``."""
-    np.copyto(slot, previous)
-    plan.step(slot)
-
-
-# Bytes of one step batch of ``_evolve``, (B, rows, N) complex, so B = 8
-# at (2, 2048), 64 at (1, 512), 16 at (8, 256).  Medians of 7 alternating
-# in-process rounds on a 2-core Xeon (2 MB of L2 per core), against the
-# unbatched loop: a free (2, 2048) run of 10 000 steps read 567 ms unbatched
-# and 624, 497, 483, 495, 495 and 499 ms at B = 1, 4, 6, 8, 12 and 16
-# (B = 32 read 0.93 of unbatched where B = 8 read 0.79 in a 5-round run);
-# a free (1, 512) history of 2000 steps 48.2 ms, and 60.4, 27.2, 26.9 and
-# 30.0 ms at B = 1, 32, 64 and 128; the field-only (8, 256) ``exp_wep`` 71.8
-# ms, and 75.5, 71.3, 70.8 and 74.4 ms at B = 1, 8, 16 and 32.  B = 1 pays
-# the batch's per-call work with nothing to share it, so the budget keeps
-# B > 1 at every shipped stack.
-_BATCH_BYTES = 512 * 1024
+# Bytes of each of the two arrays of one step batch of ``_evolve``, (B,
+# rows, N) complex in x space and in momentum space, so B = 4 at (2, 2048),
+# 32 at (1, 512), 8 at (8, 256) and 6 at (10, 256); above half of it a stack
+# runs B = 1, the unbatched loop's operations in place.  Measured on a 2-core
+# Xeon (2 MB of L2 per core), change/unbatched CPU time, medians of 15
+# alternating in-process rounds, at 256 KB and 512 KB: a free (2, 2048) run
+# of 2000 steps 0.82 (B = 4) and 0.85 (B = 8); a free (1, 512) run 0.44 and
+# 0.45; field-only (8, 256) 0.98 and 1.00, (10, 256) 0.95 and 0.98.  In 6
+# alternating benchmark pairs 256 and 512 KB read the same ``propagate_long``
+# wall_s (0.897 of unbatched), ``primed_frame`` 0.865 and 0.885, and the step
+# loop's traced numpy peak on ``propagate_long`` is 0.97 MB and 1.74 MB
+# (0.49 MB unbatched).  At B = 1, a stack over 128 KB, the batch's per-call
+# work left CPU time at 0.98 to 1.05 of unbatched on (2, 8192), (2, 16384)
+# and (8, 4096) stacks.
+_BATCH_BYTES = 256 * 1024
 
 
 def _evolve(runs: Sequence[tuple], dt: float, steps: int,
@@ -364,10 +367,12 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     ``steps`` Strang steps of size dt, as one stacked buffer, in batches
     of B steps, B = ``_BATCH_BYTES`` over the bytes of the buffer, clamped
     to [1, steps].  Each step of a batch is stepped block by block of
-    ``_Plan.stages`` into its slot of one (B, sum dim_r, N) batch; then
-    each free block's slots take one inverse FFT, and one moments pass
-    over the batch feeds the checks, applied step by step and run by run
-    in order, so every step is still checked.
+    ``_Plan.stages`` into its slot of a (B, sum dim_r, N) batch, a free
+    block's rows into their slot of a second, momentum-space one; then
+    each free block takes one inverse FFT over its slots, and one moments
+    pass over the batch feeds the checks, applied step by step and run by
+    run in order, so every step is still checked.  At B = 1 each step
+    takes the unbatched loop's operations in place.
 
     Yields ``(step_no, amps, totals)`` at step 0 and after every
     ``sample_every`` steps: ``amps`` is a slot of the batch, the (sum
@@ -375,8 +380,8 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     B overwrites (a caller reads it before it asks for the next sample);
     ``totals`` holds each run's total probability as that step's check
     read it (None at step 0, where no step ran).  Callers read ``amps``
-    and must not write to it: the next steps come from the spectrum and
-    the slots, so an edit would be dropped or spread with no error.  A
+    and must not write to it: the next steps come from the slots, so an
+    edit would be dropped or spread with no error.  A
     refused step raises with the text it always had, after every sample
     before it; up to B - 1 later steps of its batch were computed and
     are dropped.  ``steps`` must be a non-negative integer multiple of
@@ -395,19 +400,16 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
         return
     plan = _Plan(runs, dt)
     size = max(1, min(steps, _BATCH_BYTES // plan.exp_t.nbytes))
-    batch = np.empty((size,) + plan.exp_t.shape, dtype=complex)
+    batch, spectra = np.empty((2, size) + plan.exp_t.shape, dtype=complex)
     amps = np.concatenate([state.amplitudes for state, _, _ in runs], out=batch[-1])
     if steps:
-        spectrum = np.fft.fft(amps, axis=1)
-        plan.require_band(spectrum, steps * dt)
-        stages = plan.stages(batch, spectrum)
+        plan.require_band(np.fft.fft(amps, axis=1, out=spectra[-1]), steps * dt)
+        stages = plan.stages(batch, spectra)
     yield 0, amps, None
     for done in range(0, steps, size):
-        slots = batch[:min(size, steps - done)]
-        for calls in stages[:len(slots)]:
-            for call in calls:
-                call()
-        plan.to_x(slots)
+        count = min(size, steps - done)
+        slots = batch[:count]
+        plan.advance(stages, slots, spectra[:count])
         for k, slot, totals in zip(range(done + 1, steps + 1), slots,
                                    plan.checks(slots, done + 1)):
             if k % sample_every == 0:

@@ -472,16 +472,14 @@ class TestMomentumBand:
 def _staged_steps(plan, amps, steps, size=3):
     """``amps`` after ``steps`` steps of the stages ``_evolve`` runs, in
     batches of ``size`` slots (the last one partial), with no checks."""
-    batch = np.empty((size,) + amps.shape, dtype=complex)
+    batch, spectra = np.empty((2, size) + amps.shape, dtype=complex)
     batch[-1] = amps
-    stages = plan.stages(batch, np.fft.fft(amps, axis=1))
+    np.fft.fft(amps, axis=1, out=spectra[-1])
+    stages = plan.stages(batch, spectra)
     for done in range(0, steps, size):
-        slots = batch[:min(size, steps - done)]
-        for calls in stages[:len(slots)]:
-            for call in calls:
-                call()
-        plan.to_x(slots)
-    return slots[-1]
+        count = min(size, steps - done)
+        plan.advance(stages, batch[:count], spectra[:count])
+    return batch[count - 1]
 
 
 class TestStrangStep:
@@ -590,10 +588,10 @@ class TestFreeRuns:
                                                                      label):
         # under split and newtonian a free run's V is its rest term, a
         # phase only this comparison reads
-        def without_closing_kick(plan, spectrum, slot):
-            _kernels.phase_multiply(spectrum, plan.exp_v_half)
+        def without_closing_kick(plan, spectrum, previous=None):
+            _kernels.phase_multiply(spectrum, plan.exp_v_half, previous)
             _kernels.phase_multiply(spectrum, plan.exp_t)
-            np.copyto(slot, spectrum)
+            return spectrum
 
         monkeypatch.setattr(_Plan, "free_step", without_closing_kick)
         grid = GridSpec(-20.0, 20.0, 64)
@@ -868,10 +866,9 @@ class TestStepBatches:
              for (t, v), (_, _, params) in zip(tables, runs)], steps, sample_every)
         samples = [(k, np.concatenate(expected[k // sample_every]).tobytes())
                    for k in range(0, steps + 1, sample_every)]
-        multiplies = []
+        multiplies, multiply = [], _kernels.phase_multiply
         monkeypatch.setattr(_kernels, "phase_multiply",
-                            lambda amps, phases: multiplies.append(np.multiply(
-                                amps, phases, out=amps)))
+                            lambda *args: multiplies.append(multiply(*args)))
         got = [(k, amps.tobytes()) for k, amps, _ in _evolve(runs, dt, steps, sample_every)]
         assert got == samples
         # three phase multiplies per block per step: no step past the last
@@ -883,11 +880,12 @@ class TestStepBatches:
     EDGE_REFUSAL = "step 1272: branch 0: <x>=35.086, 4.0 sigma_x=4.921 leaves [-40.0, 40.0]"
 
     @pytest.mark.parametrize("second", [False, True], ids=["alone", "second"])
-    def test_a_refusal_mid_batch_follows_every_earlier_sample(self, second):
-        # step 1272 lies inside its batch (slot 7 of slots 0-15 alone, slot
-        # 1 of slots 0-9 behind a one-row run): the samples up to step 1271
-        # arrive, the last one with its own bits, then the refusal with its
-        # usual text
+    def test_a_refusal_mid_batch_follows_every_earlier_sample(self, monkeypatch, second):
+        # under a 512 KB budget step 1272 lies inside its batch (slot 7 of
+        # slots 0-15 alone, slot 1 of slots 0-9 behind a one-row run): the
+        # samples up to step 1271 arrive, the last one with its own bits,
+        # then the refusal with its usual text
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", 512 * 1024)
         runs = [self.EDGE]
         if second:
             one_level = InternalSpace(E0=100.0, levels=(0.0,))
