@@ -270,10 +270,10 @@ class _Plan:
                 self.blocks.append((rows, free))
         self.tables = _grid_tables(grid)
 
-    def step(self, amps: np.ndarray, previous: Optional[np.ndarray] = None) -> np.ndarray:
-        """One Strang step in x space of ``previous``, by default ``amps``
-        itself, into ``amps``, the caller's private complex buffer,
-        overwritten and returned."""
+    def step(self, amps: np.ndarray, previous: np.ndarray) -> np.ndarray:
+        """One Strang step in x space of ``previous`` into ``amps``, the
+        caller's private complex buffer, overwritten and returned;
+        ``previous`` may be ``amps`` itself, a step in place."""
         _kernels.phase_multiply(amps, self.exp_v_half, previous)
         np.fft.fft(amps, axis=1, out=amps)
         _kernels.phase_multiply(amps, self.exp_t)
@@ -281,12 +281,11 @@ class _Plan:
         _kernels.phase_multiply(amps, self.exp_v_half)
         return amps
 
-    def free_step(self, spectrum: np.ndarray,
-                  previous: Optional[np.ndarray] = None) -> np.ndarray:
+    def free_step(self, spectrum: np.ndarray, previous: np.ndarray) -> np.ndarray:
         """One Strang step of free rows in momentum space: V_half, T and
-        V_half multiply ``previous``, their momentum-space amplitudes, by
-        default ``spectrum`` itself, into ``spectrum``, which is
-        overwritten and returned."""
+        V_half multiply ``previous``, their momentum-space amplitudes,
+        into ``spectrum``, which is overwritten and returned; ``previous``
+        may be ``spectrum`` itself, a step in place."""
         _kernels.phase_multiply(spectrum, self.exp_v_half, previous)
         _kernels.phase_multiply(spectrum, self.exp_t)
         _kernels.phase_multiply(spectrum, self.exp_v_half)

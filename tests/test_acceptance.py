@@ -336,7 +336,7 @@ def _mass_energy_shifted(internal, c):
     return internal.rest_energies() / c**2 + 0.05
 
 
-def _step_without_its_closing_kick(plan, amps, previous=None):
+def _step_without_its_closing_kick(plan, amps, previous):
     """``_Plan.step`` without its last V half-kick: a first-order splitting."""
     _kernels.phase_multiply(amps, plan.exp_v_half, previous)
     np.fft.fft(amps, axis=1, out=amps)
