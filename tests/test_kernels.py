@@ -21,6 +21,9 @@ def test_numpy_phase_multiply_and_moments():
     work = amps.copy()
     _kernels.phase_multiply(work, phases)
     assert np.array_equal(work, expected)
+    into = np.empty_like(amps)  # from a source slot into another
+    _kernels.phase_multiply(into, phases, work)
+    assert np.array_equal(into, expected * phases) and np.array_equal(work, expected)
     x, dx = grid.x(), grid.dx
     m = _kernels.branch_moments(work, _grid_tables(grid).basis)
     w = np.abs(work) ** 2
