@@ -11,11 +11,12 @@ H_r,i = E0 + E_i the branch rest energy, M_i = H_r,i / c^2, m = E0/c^2:
                                                      V = H_r + H_r Phi(x)/c^2
   newtonian       T = p^2 / 2m                       V = m c^2 + E_i + m Phi(x)
 
-Each row is a HamiltonianKind (T, dT/dp and V) of the kind table
-``_KINDS``, keyed by name; low_energy is dynamical_mass with its rest
-term H_r.  A row is evaluated one way, on the (dim, 1) branch columns of
-``_branches``: the propagator, the residual check and the velocity
-readout read every branch of the row they get at once.
+Each row is a HamiltonianKind (T, dT/dp and V, and for the kinds whose T
+is quadratic in p, every kind but exact, d^2T/dp^2 and dV/dPhi) of the
+kind table ``_KINDS``, keyed by name; low_energy is dynamical_mass with
+its rest term H_r.  A row is evaluated one way, on the (dim, 1) branch
+columns of ``_branches``: the propagator, the residual check and the
+velocity readout read every branch of the row they get at once.
 
 The exact kind models a static weak field, g00 = -(1 + 2 Phi/c^2) with flat
 spatial metric; the metric factor is folded into V as the additive M Phi(x)
@@ -23,10 +24,16 @@ term, accurate to the same order as the low-energy form.
 
 Propagation is Strang splitting,
 exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
-per branch per step: exactly unitary, second order in dt.  A free run, one
-whose V is constant in x on every branch (no potential, a zero field or a
-constant table, under any kind: V is then one number per branch), has V
-commuting with F, so n steps are exactly F^-1 (V_half T V_half)^n F.  Such
+per branch per step: exactly unitary, second order in dt.  Under a
+quadratic kind in a uniform field g != 0 the step is made exact: there
+Strang's whole error is one constant per branch, -dt^2 k^2 / 24 mu with
+k = dV/dx and 1/mu = d^2T/dp^2, and each V half-step table carries the
+phase that adds it back (``_strang_phase``), at plan time, so the step
+costs what a plain one does.  The exact kind and tabulated potentials
+keep plain Strang.  A free run, one whose V is constant in x on every
+branch (no potential, a zero field or a constant table, under any kind:
+V is then one number per branch), has V commuting with F, so n steps are
+exactly F^-1 (V_half T V_half)^n F, and each step is exact.  Such
 a run keeps its momentum-space spectrum: each step multiplies it by V_half,
 T and V_half, and an inverse FFT gives the x-space buffer, in place of an
 FFT pair; its amplitudes differ from the x-space steps' by round-off only.
@@ -112,12 +119,16 @@ def _branches(internal: InternalSpace, params: PhysicalParams) -> SimpleNamespac
 @dataclass(frozen=True)
 class HamiltonianKind:
     """One row of the kind table: T(p, b), dT/dp(p, b) and V(Phi, b) under
-    a name.  Equality, hashing and repr read the name alone."""
+    a name, and for a T quadratic in p the constants d^2T/dp^2 (b) and
+    dV/dPhi (b), which the exact kind, not quadratic, leaves None.
+    Equality, hashing and repr read the name alone."""
 
     name: str
     kinetic: Callable = field(compare=False, repr=False)
     velocity: Callable = field(compare=False, repr=False)
     potential: Callable = field(compare=False, repr=False)
+    inverse_mass: Optional[Callable] = field(default=None, compare=False, repr=False)
+    field_mass: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     @classmethod
     def exact(cls):
@@ -157,13 +168,16 @@ _LOW_ENERGY = HamiltonianKind(
     "low_energy",
     lambda p, b: b.hr + p**2 * b.c**2 / (2.0 * b.hr),
     lambda p, b: p * b.c**2 / b.hr,
-    lambda phi, b: (b.hr / b.c**2) * phi)
+    lambda phi, b: (b.hr / b.c**2) * phi,
+    lambda b: b.c**2 / b.hr,
+    lambda b: b.hr / b.c**2)
 
 # The kind table (see the module docstring), keyed by name.
 _KINDS = {kind.name: kind for kind in (
     replace(_LOW_ENERGY, name="exact",
             kinetic=lambda p, b: np.sqrt(b.c**2 * p**2 + b.hr**2),
-            velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2)),
+            velocity=lambda p, b: p * b.c**2 / np.sqrt(b.c**2 * p**2 + b.hr**2),
+            inverse_mass=None, field_mass=None),
     replace(_LOW_ENERGY, name="dynamical_mass",
             kinetic=lambda p, b: p**2 * b.c**2 / (2.0 * b.hr)),
     _LOW_ENERGY,
@@ -172,12 +186,16 @@ _KINDS = {kind.name: kind for kind in (
         lambda p, b: (p**2 * b.c**2 / (2.0 * b.e0)
                       - b.ei * p**2 * b.c**2 / (2.0 * b.e0**2)),
         lambda p, b: p * b.c**2 / b.e0 - b.ei * p * b.c**2 / b.e0**2,
-        lambda phi, b: b.hr + b.hr * phi / b.c**2),
+        lambda phi, b: b.hr + b.hr * phi / b.c**2,
+        lambda b: b.c**2 / b.e0 - b.ei * b.c**2 / b.e0**2,
+        lambda b: b.hr / b.c**2),
     HamiltonianKind(
         "newtonian",
         lambda p, b: p**2 / (2.0 * b.m),
         lambda p, b: p / b.m,
-        lambda phi, b: b.m * b.c**2 + b.ei + b.m * phi),
+        lambda phi, b: b.m * b.c**2 + b.ei + b.m * phi,
+        lambda b: 1.0 / b.m,
+        lambda b: b.m),
 )}
 
 
@@ -189,6 +207,29 @@ def _tables(kind: HamiltonianKind, grid: GridSpec, internal: InternalSpace,
     t_table = kind.kinetic(grid.p(params.hbar), b)
     v_table = kind.potential(params.potential.values(grid.x()), b)
     return np.broadcast_to(t_table, shape), np.broadcast_to(v_table, shape)
+
+
+def _strang_phase(kind: HamiltonianKind, internal: InternalSpace,
+                  params: PhysicalParams, dt: float) -> Optional[np.ndarray]:
+    """The (dim, 1) phases exp(-i delta_i dt / 2 hbar) that make a Strang
+    step of a quadratic kind in a uniform field g != 0 exact, or None for
+    any other run, which keeps plain Strang.
+
+    With T_i = T_i(0) + p^2 / 2 mu_i and V_i = V_i(0) + k_i x, the
+    commutators [T,[T,V]] = 0 and [V,[V,T]] = -hbar^2 k_i^2 / mu_i end
+    the symmetric BCH series, so a Strang step is exactly
+    exp(-i dt (H_i - delta_i) / hbar), delta_i = dt^2 k_i^2 / 24 mu_i
+    (McLachlan & Quispel, Acta Numerica 11, 341 (2002)).  Each V half
+    step times this phase adds delta_i back.  k_i = g dV_i/dPhi and
+    1/mu_i = d^2T_i/dp^2 come from the kind row; a phase factor, not
+    delta_i added to V, keeps V's own bits."""
+    potential = params.potential
+    if kind.inverse_mass is None or potential.kind != "uniform" or potential.g == 0.0:
+        return None
+    b = _branches(internal, params)
+    k = potential.g * kind.field_mass(b)
+    delta = np.broadcast_to(dt**2 * k**2 * kind.inverse_mass(b) / 24.0, (internal.dim, 1))
+    return np.exp(-0.5j * delta * dt / params.hbar)
 
 
 def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
@@ -222,8 +263,10 @@ class _Plan:
     A run is free when its V half-step table is constant along x on every
     row (no potential, a zero field or a constant table, under any kind):
     then V commutes with F, and n Strang steps are exactly
-    F^-1 (V_half T V_half)^n F.  ``blocks`` lists each maximal stretch of
-    consecutive free or non-free runs as ``(rows, free)``.  ``stages``
+    F^-1 (V_half T V_half)^n F.  A run that ``_strang_phase`` gives a
+    phase has its V half-step rows times that phase, which makes its
+    steps exact.  ``blocks`` lists each maximal stretch of consecutive
+    free or non-free runs as ``(rows, free)``.  ``stages``
     steps a free block on its momentum-space spectrum with ``free_step``,
     whose slots of a step batch ``advance`` writes in x space, and any
     other block in x space with ``step``, the one x-space path.  Every step acts
@@ -259,6 +302,9 @@ class _Plan:
             rows = slice(lo, lo + state.internal.dim)
             np.exp(-1j * t_table * dt / params.hbar, out=self.exp_t[rows])
             np.exp(-0.5j * v_table * dt / params.hbar, out=self.exp_v_half[rows])
+            phase = _strang_phase(kind, state.internal, params, dt)
+            if phase is not None:
+                self.exp_v_half[rows] *= phase
             self.rows.append(rows)
             dv = np.diff(v_table, axis=1) / grid.dx
             self.bands.append((params.hbar, kind.name, dv.min(1).tolist(), dv.max(1).tolist()))

@@ -363,13 +363,19 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     the packet's spread correction in the predicted column.  A row whose
     spread correction exceeds 10 % of its predicted shift is rejected.
 
-    The default dt keeps the Strang error of the shifts (<= 4.1e-10
-    against dt = 2.5e-4) below 1 % of the tolerance, 2 % of the smallest
-    predicted shift; the kinetic phase per step, 151 dt on the default
-    grid, is 0.30 rad, 9.6 % of pi.  The samples lie every 10 steps, so
-    another dt moves the sample times and, with them, the predicted shifts.
-    The default grid, N = 256 on [-40, 40], keeps its error inside the same
-    budget: against N = 1024 the shifts move by <= 1.8e-15.
+    Every run's steps are exact: a moving clock's V is constant in x,
+    and the propagator makes a raised clock's Strang steps in its
+    uniform field exact (``dynamics._strang_phase``).  Against exact
+    steps of dt = 2.5e-4 at the same sample times the shifts move by
+    <= 2.4e-14, and against plain Strang at that dt by <= 6.5e-12, that
+    reference's own Strang error.  The default dt, set when the steps
+    were plain Strang, is now bounded by the alias rule alone: the
+    kinetic phase per step, 151 dt on the default grid, is 0.30 rad,
+    9.6 % of pi.  The samples lie every
+    10 steps, so another dt moves the sample times and, with them, the
+    predicted shifts.  The default grid, N = 256 on [-40, 40], keeps the
+    shifts' error below 1 % of the tolerance, 2 % of the smallest
+    predicted shift: against N = 1024 they move by <= 5.6e-16.
     """
     sample_every = 10  # sample stride of the clock-rate fit
     omega0 = _clock_gap(internal)
@@ -509,15 +515,19 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
     prediction is the whole first-order discrepancy, so the residual
     |measured - predicted| must have slope 2 in eps, within the same 0.1.
 
-    The default dt keeps the Strang error of every measured column below
-    1 % of what a check reads from it: the row's residual for the
-    discrepancy, the value itself for the distance and the infidelity.
-    Against dt = 2.5e-4 the discrepancy moves by <= 2.5e-8, at most
-    0.025 % of its row's residual; the kinetic phase per step, 50.5 dt / m
-    on the default grid, is 0.15 rad at m = 1, 4.8 % of pi.  The default
-    grid, N = 256 on [-40, 40], keeps its error inside the same budget:
-    against N = 1024 the discrepancy moves by <= 1.8e-15, the distance by
-    <= 1.5e-14 and the infidelity by <= 2.6e-13.
+    Every run is a quadratic kind in a uniform field, whose Strang steps
+    the propagator makes exact (``dynamics._strang_phase``): against exact
+    steps of dt = 2.5e-4 the discrepancy moves by <= 9.2e-14, the
+    distance by <= 7.7e-14 and the infidelity by <= 2.9e-12, round-off
+    of the longer run.  The default dt, set when the steps were plain
+    Strang, is now bounded by the alias rule alone: the kinetic phase
+    per step, 50.5 dt / m on the default grid, is 0.15 rad at m = 1,
+    4.8 % of pi.  The default grid, N = 256 on
+    [-40, 40], keeps its error below 1 % of what a check reads from each
+    column (the row's residual for the discrepancy, the value itself for
+    the distance and the infidelity): against N = 1024 the discrepancy
+    moves by <= 9.3e-15, the distance by <= 1.4e-14 and the infidelity
+    by <= 2.2e-13.
     """
     _require_positive("m", m)
     epsilons = _sweep_epsilons(epsilons)
@@ -581,7 +591,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
             kinds: Sequence[str] = DEFAULT_WEP_KINDS,
             g: float = 1.0, total_time: float = 3.0,
             sigma: float = 2.0, x0: float = 5.0,
-            dt: float = 2.5e-3, sample_every: int = 4) -> ExperimentResult:
+            dt: float = 5e-3, sample_every: int = 2) -> ExperimentResult:
     """Free fall is universal; clock rates are not (except newtonian).
 
     For every internal eigenstate branch and every requested kind (any but
@@ -590,18 +600,20 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     but stays exactly omega0 under newtonian; both records are kept.
     Without a clock (one level, or two equal ones) there is no clock row.
 
-    The default dt keeps the Strang error of every measured column below
-    1 % of the tightest tolerance that reads it: 1e-6 |g| for the
-    accelerations and the clocks, the 1e-8 bound for the newtonian
-    clock.  Against dt = 2.5e-4 the accelerations move by <= 1.1e-14, the
-    clock shifts by <= 2.6e-9 (0.26 % of 1e-6) and the newtonian shift by
-    1.3e-13.  The kinetic phase per step, low_energy's 151 dt on the
-    default grid, is 0.38 rad, 12 % of pi.  sample_every = 4 keeps the
-    samples 0.01 apart, 301 of them over the default window.  The default
-    grid, N = 256 on [-40, 40], keeps its error inside the same budget:
-    against N = 1024 every measured column moves by <= 5.4e-13, and the
-    newtonian shift by 1.1e-13.  At g = 4 the falling packet's momenta
-    leave that grid, and the step loop refuses the run (exit 3).
+    Every run is a quadratic kind in a uniform field, whose Strang steps
+    the propagator makes exact (``dynamics._strang_phase``), so dt is
+    bounded by the alias rule alone: the kinetic phase per step,
+    low_energy's 151 dt on the default grid, is 0.75 rad, 24 % of pi.
+    Against plain Strang at dt = 2.5e-4 every measured column lies within
+    2.6e-11, that reference's own Strang error; against exact steps of
+    2.5e-4 within 4.1e-13.  sample_every = 2 keeps the samples 0.01
+    apart, 301 of them over the default window.  The default grid,
+    N = 256 on [-40, 40], keeps its error below 1 % of the tightest
+    tolerance that reads each column (1e-6 |g|, and the newtonian
+    clock's 1e-8): against N = 1024 (at dt = 2.5e-3, since that grid
+    needs dt < 3.46e-3) every measured column moves by <= 6.9e-13, and
+    the newtonian shift by 4.5e-13.  At g = 4 the falling packet's
+    momenta leave that grid, and the step loop refuses the run (exit 3).
     """
     kind_objs = _wep_kinds(kinds)
     tolerance = {"accel_rel": 1e-6, "newtonian_shift_abs": 1e-8,

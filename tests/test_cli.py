@@ -710,7 +710,9 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides, band, n_points", [
-        pytest.param(("params.g=14.0", "params.x0=30.0", "grid.n_points=1024"),
+        # at N = 1024 the default dt 5e-3 is past the alias limit (4.5 rad)
+        pytest.param(("params.g=14.0", "params.x0=30.0", "grid.n_points=1024",
+                      "params.dt=2.5e-3", "params.sample_every=4"),
                      r"\[-43\.000, 1\.000\]", 1024, id="g14-x0-30-N1024"),
         pytest.param(("params.g=4.0",), r"\[-13\.000, 1\.000\]", 256, id="g4-default-grid"),
     ])
@@ -870,14 +872,14 @@ _LEAVES = {
         {"grid.x_min": "-9.0", "grid.x_max": "11.0", "params.m": "2.0",
          "params.epsilons": "[0.002,0.01,0.1,0.05]", "params.p0": "2.0",
          "params.g": "1.0", "params.total_time": "0.3", "params.sigma": "3.0",
-         "params.x0": "2.0", "params.dt": "1e-2"}),
+         "params.x0": "2.0"}),
     "exp_wep": (
         ('params.kinds=["low_energy"]', "params.total_time=1.0", "grid.n_points=256"),
         {"grid.x_min": "-5.0", "grid.x_max": "15.0", "internal.E0": "200.0",
          "internal.levels": "[0.0,0.02]", "physical.c": "20.0",
          "params.kinds": '["split"]', "params.g": "2.0", "params.total_time": "1.5",
          "params.sigma": "3.0", "params.x0": "2.0", "params.dt": "5e-4",
-         "params.sample_every": "2"}),
+         "params.sample_every": "1"}),
     "exp_frame_phase": (
         (),
         {"internal.E0": "250.0", "internal.levels": "[0.0,20.0]",
@@ -893,7 +895,10 @@ _EXEMPT = {
                                  "momentum-band rules bound (exit 3); 512 -> 256 or 1024: "
                                  "<= 4.8e-13")},
     "exp_newtonian_sweep": {
-        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 1.8e-14")},
+        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 1.8e-14"),
+        "params.dt": ("1e-2", "sets the step, which the alias rule bounds (exit 3); every "
+                              "run is in a uniform field, where the steps are exact: "
+                              "3e-3 -> 1e-2: 1.1e-14")},
     "exp_wep": {
         "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512 or 1024: "
                                  "<= 1.2e-12")},

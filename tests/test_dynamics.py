@@ -53,6 +53,7 @@ from massclock.dynamics import (
     _branches,
     _evolve,
     _read_velocities,
+    _strang_phase,
     _tables,
     _velocity_table,
 )
@@ -158,6 +159,26 @@ class TestKindTable:
             rounding = 1e-14 * t_max / h[i, 0]
             np.testing.assert_allclose(v_rows[i], numeric[i], rtol=1e-6,
                                        atol=1e-6 * t_max / p_max + rounding)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_kind_cases())
+    def test_quadratic_columns_are_the_rows_curvature_and_slope(self, case):
+        # d^2T/dp^2 and dV/dPhi of every branch, read off the kinetic and
+        # potential rows; the exact kind's T is not quadratic, so it has none
+        label, grid, internal, params = case
+        kind = HamiltonianKind.from_name(label)
+        if label == "exact":
+            assert kind.inverse_mass is kind.field_mass is None
+            return
+        b = _branches(internal, params)
+        shape = (internal.dim, 1)
+        h = b.hr / b.c  # T(h) - T(0) is about H_r
+        t_minus, t_zero, t_plus = (kind.kinetic(s * h, b) for s in (-1.0, 0.0, 1.0))
+        np.testing.assert_allclose(np.broadcast_to(kind.inverse_mass(b), shape),
+                                   (t_minus - 2.0 * t_zero + t_plus) / h**2, rtol=1e-9)
+        np.testing.assert_allclose(np.broadcast_to(kind.field_mass(b), shape),
+                                   kind.potential(1.0, b) - kind.potential(0.0, b),
+                                   rtol=1e-9)
 
     def test_level_out_of_range(self):
         state = packet_state()
@@ -528,6 +549,66 @@ class TestStrangStep:
             assert abs(evolved - overlap(psi, phi)) <= 1e-12
 
 
+class TestExactFieldSteps:
+    """In a uniform field g != 0 a quadratic kind's Strang step errs by one
+    constant per branch, which the plan's V half-step phase adds back;
+    every other run keeps plain Strang."""
+
+    GRID = GridSpec(-40.0, 40.0, 256)
+    FIELD = replace(PARAMS, potential=Potential.uniform_field(1.0))
+    QUADRATIC = ["dynamical_mass", "low_energy", "split", "newtonian"]
+
+    def _distances(self, label, dt=1e-2, steps=100):
+        """Distances of the plan's steps and of plain Strang steps at dt
+        to plain Strang at dt / 8, after ``steps`` steps of dt."""
+        state = packet_state(self.GRID, sigma=2.0)  # two levels, 0 and 10
+        kind = HamiltonianKind.from_name(label)
+        t_table, v_table = _tables(kind, self.GRID, INTERNAL, self.FIELD)
+
+        def plain(h, n):
+            amps = state.amplitudes
+            v_half, t = np.exp(-0.5j * v_table * h), np.exp(-1j * t_table * h)
+            for _ in range(n):
+                amps = oracles.strang_step(amps, v_half, t)
+            return amps
+
+        fine = plain(dt / 8, 8 * steps)
+        planned = propagate(state, kind, self.FIELD, dt, steps).amplitudes
+        return (oracles.l2_distance(self.GRID, planned, fine),
+                oracles.l2_distance(self.GRID, plain(dt, steps), fine))
+
+    @pytest.mark.parametrize("label", QUADRATIC)
+    def test_corrected_steps_land_on_the_fine_plain_run(self, label):
+        # plain Strang at dt / 8 keeps 1/64 of the error at dt, so exact
+        # steps land within about 1/64 of plain steps' distance to it
+        planned, plain = self._distances(label)
+        assert planned <= plain / 20
+
+    @pytest.mark.parametrize("defect", ["flipped", "missing"])
+    @pytest.mark.parametrize("label", QUADRATIC)
+    def test_a_wrong_correction_misses_the_fine_plain_run(self, monkeypatch, label, defect):
+        real = _strang_phase
+        wrong = {"flipped": lambda *args: np.conj(real(*args)), "missing": lambda *args: None}
+        monkeypatch.setattr(dynamics, "_strang_phase", wrong[defect])
+        planned, plain = self._distances(label)
+        assert planned > plain / 20
+
+    @pytest.mark.parametrize("label, potential, free", [
+        ("exact", Potential.uniform_field(1.0), False),
+        ("newtonian", Potential.tabulated([-40.0, 40.0], [-40.0, 40.0]), False),
+        ("split", Potential.none(), True),
+        ("low_energy", Potential.uniform_field(0.0), True),
+    ], ids=["exact-field", "tabulated-field", "none", "zero-field"])
+    def test_other_runs_keep_their_plain_tables_bit_for_bit(self, label, potential, free):
+        params = replace(PARAMS, potential=potential)
+        kind = HamiltonianKind.from_name(label)
+        assert _strang_phase(kind, INTERNAL, params, 1e-2) is None
+        plan = _Plan([(packet_state(self.GRID, sigma=2.0), kind, params)], 1e-2)
+        _, v_table = _tables(kind, self.GRID, INTERNAL, params)
+        assert plan.exp_v_half.tobytes() == np.exp(-0.5j * v_table * 1e-2).tobytes()
+        assert plan.blocks == [(slice(0, 2), free)]
+
+
 @st.composite
 def _free_cases(draw):
     """A ``_kind_cases`` draw whose potential is one of the free ones:
@@ -627,6 +708,16 @@ class TestFreeRuns:
         assert str(free.value).startswith("step 1272: branch 0: ")
 
 
+def _v_half(v_table, dt, run):
+    """The V half-step table of ``run`` = (state, kind, params) from its
+    ``_tables`` row: exp(-i V dt / 2 hbar), times the per-branch phase
+    ``_strang_phase`` where it applies."""
+    state, kind, params = run
+    v_half = np.exp(-0.5j * v_table * dt / params.hbar)
+    phase = _strang_phase(kind, state.internal, params, dt)
+    return v_half if phase is None else v_half * phase
+
+
 @st.composite
 def _stacked_cases(draw):
     """One grid and 1-4 runs on it, each with its own kind, dim 1-3, hbar, c,
@@ -716,8 +807,8 @@ class TestStackedRuns:
             return
         expected = oracles.per_run_strang(
             [state.amplitudes for state, _, _ in runs],
-            [(np.exp(-0.5j * v * dt / hbar), np.exp(-1j * t * dt / hbar))
-             for t, v, hbar in tables], steps, sample_every)
+            [(_v_half(v, dt, run), np.exp(-1j * t * dt / hbar))
+             for (t, v, hbar), run in zip(tables, runs)], steps, sample_every)
         got = 0
         for k, amps, totals in _evolve(runs, dt, steps, sample_every):
             assert k == got * sample_every
@@ -862,8 +953,8 @@ class TestStepBatches:
         tables = [_tables(kind, self.GRID, s.internal, params) for s, kind, params in runs]
         expected = oracles.per_run_strang(
             [s.amplitudes for s, _, _ in runs],
-            [(np.exp(-0.5j * v * dt / params.hbar), np.exp(-1j * t * dt / params.hbar))
-             for (t, v), (_, _, params) in zip(tables, runs)], steps, sample_every)
+            [(_v_half(v, dt, run), np.exp(-1j * t * dt / run[2].hbar))
+             for (t, v), run in zip(tables, runs)], steps, sample_every)
         samples = [(k, np.concatenate(expected[k // sample_every]).tobytes())
                    for k in range(0, steps + 1, sample_every)]
         multiplies, multiply = [], _kernels.phase_multiply
