@@ -24,7 +24,12 @@ term, accurate to the same order as the low-energy form.
 
 Propagation is Strang splitting,
 exp(-i V dt/2 hbar) F^-1 exp(-i T dt/hbar) F exp(-i V dt/2 hbar)
-per branch per step: exactly unitary, second order in dt.  Under a
+per branch per step: exactly unitary, second order in dt.  The alias
+rule bounds dt by each branch's spread of T over the momentum grid,
+dt (max_p T_i - min_p T_i) / hbar < pi.  A constant in T, low_energy's
+and exact's rest energy H_r, is a branch phase that commutes with every
+factor of a step, so the rule does not read it, as it never read the
+rest term that split and newtonian carry in V.  Under a
 quadratic kind in a uniform field g != 0 the step is made exact: there
 Strang's whole error is one constant per branch, -dt^2 k^2 / 24 mu with
 k = dV/dx and 1/mu = d^2T/dp^2, and each V half-step table carries the
@@ -273,7 +278,10 @@ class _Plan:
     row by row (elementwise phase multiplies and row-wise FFTs), so every
     run keeps the bits it has alone, in any stack and any batch.
     ``bands`` holds each run's hbar, kind name and least and greatest
-    dV/dx per row, for ``require_band``.
+    dV/dx per row, for ``require_band``.  A dt at which some branch's
+    kinetic phase spread dt (max_p T_i - min_p T_i) / hbar reaches pi is
+    refused (``AliasingError``); T's momentum-independent part does not
+    count.
     """
 
     def __init__(self, runs: Sequence[tuple], dt: float):
@@ -292,11 +300,11 @@ class _Plan:
         self.blocks = []
         self.bands = []
         for (state, kind, params), (t_table, v_table) in zip(runs, tables):
-            worst = float(np.max(np.abs(t_table))) * dt / params.hbar
+            worst = float(np.max(np.ptp(t_table, axis=1))) * dt / params.hbar
             if worst >= math.pi:
                 raise AliasingError(
-                    f"kinetic phase per step dt*max|T|/hbar = {worst:.3f} >= pi; "
-                    "reduce dt or coarsen the momentum grid"
+                    f"kinetic phase spread per step dt*(max T - min T)/hbar = {worst:.3f} "
+                    ">= pi; reduce dt or coarsen the momentum grid"
                 )
             lo = self.rows[-1].stop if self.rows else 0
             rows = slice(lo, lo + state.internal.dim)

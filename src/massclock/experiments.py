@@ -370,8 +370,8 @@ def exp_clock_wavepacket(grid: GridSpec = SMALL_GRID,
     <= 2.4e-14, and against plain Strang at that dt by <= 6.5e-12, that
     reference's own Strang error.  The default dt, set when the steps
     were plain Strang, is now bounded by the alias rule alone: the
-    kinetic phase per step, 151 dt on the default grid, is 0.30 rad,
-    9.6 % of pi.  The samples lie every
+    kinetic phase spread per step, 50.5 dt on the default grid, is
+    0.10 rad, 3.2 % of pi.  The samples lie every
     10 steps, so another dt moves the sample times and, with them, the
     predicted shifts.  The default grid, N = 256 on [-40, 40], keeps the
     shifts' error below 1 % of the tolerance, 2 % of the smallest
@@ -521,7 +521,7 @@ def exp_newtonian_sweep(grid: GridSpec = SMALL_GRID, *, m: float = 1.0,
     distance by <= 7.7e-14 and the infidelity by <= 2.9e-12, round-off
     of the longer run.  The default dt, set when the steps were plain
     Strang, is now bounded by the alias rule alone: the kinetic phase
-    per step, 50.5 dt / m on the default grid, is 0.15 rad at m = 1,
+    spread per step, 50.5 dt / m on the default grid, is 0.15 rad at m = 1,
     4.8 % of pi.  The default grid, N = 256 on
     [-40, 40], keeps its error below 1 % of what a check reads from each
     column (the row's residual for the discrepancy, the value itself for
@@ -591,7 +591,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
             kinds: Sequence[str] = DEFAULT_WEP_KINDS,
             g: float = 1.0, total_time: float = 3.0,
             sigma: float = 2.0, x0: float = 5.0,
-            dt: float = 5e-3, sample_every: int = 2) -> ExperimentResult:
+            dt: float = 1e-2, sample_every: int = 1) -> ExperimentResult:
     """Free fall is universal; clock rates are not (except newtonian).
 
     For every internal eigenstate branch and every requested kind (any but
@@ -602,17 +602,18 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
 
     Every run is a quadratic kind in a uniform field, whose Strang steps
     the propagator makes exact (``dynamics._strang_phase``), so dt is
-    bounded by the alias rule alone: the kinetic phase per step,
-    low_energy's 151 dt on the default grid, is 0.75 rad, 24 % of pi.
-    Against plain Strang at dt = 2.5e-4 every measured column lies within
-    2.6e-11, that reference's own Strang error; against exact steps of
-    2.5e-4 within 4.1e-13.  sample_every = 2 keeps the samples 0.01
-    apart, 301 of them over the default window.  The default grid,
-    N = 256 on [-40, 40], keeps its error below 1 % of the tightest
-    tolerance that reads each column (1e-6 |g|, and the newtonian
-    clock's 1e-8): against N = 1024 (at dt = 2.5e-3, since that grid
-    needs dt < 3.46e-3) every measured column moves by <= 6.9e-13, and
-    the newtonian shift by 4.5e-13.  At g = 4 the falling packet's
+    bounded by the alias rule alone: the kinetic phase spread per step,
+    50.5 dt on the default grid for every default kind, is 0.505 rad,
+    16 % of pi (low_energy's rest term H_r dt is a branch phase, which
+    the rule does not read).  Against plain Strang at dt = 2.5e-4 every
+    measured column lies within 2.6e-11, that reference's own Strang
+    error; against exact steps of 2.5e-4 within 3.2e-13.  Every step is
+    a sample, 0.01 apart, 301 of them over the default window.  The
+    default grid, N = 256 on [-40, 40], keeps its error below 1 % of the
+    tightest tolerance that reads each column (1e-6 |g|, and the
+    newtonian clock's 1e-8): against N = 1024 (at dt = 2.5e-3, since
+    that grid needs dt < 3.89e-3) every measured column moves by
+    <= 6.0e-13, the newtonian shift's move.  At g = 4 the falling packet's
     momenta leave that grid, and the step loop refuses the run (exit 3).
     """
     kind_objs = _wep_kinds(kinds)

@@ -318,8 +318,9 @@ class TestRun:
         assert set(rows[0]) == set(GOLDEN_COLUMNS["exp_bargmann"])
 
     @pytest.mark.parametrize("name, x_min, cause", [
-        # a packet 5 sigma from the grid's edge falls 3.2e-6 relative off -g
-        pytest.param("exp_wep", "-5.0",
+        # a packet 4.4 sigma from the grid's edge at its lowest falls
+        # 4.6e-6 relative off -g
+        pytest.param("exp_wep", "-6.0",
                      r"worst row 0: \{'kind': 'low_energy', 'quantity': 'acceleration', ",
                      id="exp_wep-worst-row"),
         # the sweep's verdict reads two slopes, and its rows have no abs_error
@@ -479,6 +480,14 @@ class TestShippedConfigs:
             cfg = parse_config(path)
             assert cfg.experiment in GOLDEN_COLUMNS
 
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_a_shipped_config_resolves_to_its_experiments_defaults(self, path):
+        # each shipped config writes out (some of) its runner's defaults, so
+        # a default that moves without its config fails here
+        cfg = parse_config(path)
+        assert cfg == parse_config(experiment=cfg.experiment)
+
 
 class TestMain:
     def test_list_text(self, capsys):
@@ -545,12 +554,13 @@ class TestMain:
             assert (run_dir / "rows.json").exists()
 
     def test_run_numerical_precondition_exit_3(self, tmp_path, capsys):
-        # dt = 0.075 (40 steps) puts the kinetic phase per step above pi:
-        # the alias limit
+        # dt = 0.075 (40 steps) puts the kinetic phase spread per step,
+        # 50.5 dt = 3.790 rad, above pi: the alias limit
         code = main(["run", "exp_wep", "--set", "params.dt=0.075",
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_PRECONDITION
-        assert "dt*max|T|/hbar" in capsys.readouterr().out
+        assert ("kinetic phase spread per step dt*(max T - min T)/hbar = 3.790 >= pi"
+                in capsys.readouterr().out)
         assert not (tmp_path / "o").exists()
 
     def test_jobs_flag_rejected(self, tmp_path, capsys):
@@ -710,7 +720,7 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("overrides, band, n_points", [
-        # at N = 1024 the default dt 5e-3 is past the alias limit (4.5 rad)
+        # at N = 1024 the default dt 1e-2 is past the alias limit (8.08 rad)
         pytest.param(("params.g=14.0", "params.x0=30.0", "grid.n_points=1024",
                       "params.dt=2.5e-3", "params.sample_every=4"),
                      r"\[-43\.000, 1\.000\]", 1024, id="g14-x0-30-N1024"),
@@ -874,12 +884,12 @@ _LEAVES = {
          "params.g": "1.0", "params.total_time": "0.3", "params.sigma": "3.0",
          "params.x0": "2.0"}),
     "exp_wep": (
-        ('params.kinds=["low_energy"]', "params.total_time=1.0", "grid.n_points=256"),
-        {"grid.x_min": "-5.0", "grid.x_max": "15.0", "internal.E0": "200.0",
+        ('params.kinds=["low_energy"]', "params.total_time=2.0", "grid.n_points=256"),
+        {"grid.x_min": "-8.0", "grid.x_max": "15.0", "internal.E0": "200.0",
          "internal.levels": "[0.0,0.02]", "physical.c": "20.0",
          "params.kinds": '["split"]', "params.g": "2.0", "params.total_time": "1.5",
          "params.sigma": "3.0", "params.x0": "2.0", "params.dt": "5e-4",
-         "params.sample_every": "1"}),
+         "params.sample_every": "2"}),
     "exp_frame_phase": (
         (),
         {"internal.E0": "250.0", "internal.levels": "[0.0,20.0]",
@@ -900,8 +910,8 @@ _EXEMPT = {
                               "run is in a uniform field, where the steps are exact: "
                               "3e-3 -> 1e-2: 1.1e-14")},
     "exp_wep": {
-        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512 or 1024: "
-                                 "<= 1.2e-12")},
+        "grid.n_points": ("512", "as for exp_clock_wavepacket; 256 -> 512: 6.8e-13, "
+                                 "-> 1024 at dt 2.5e-3: 1.7e-12")},
 }
 
 

@@ -258,6 +258,46 @@ class TestBranchKinetic:
             assert v_newt[i, 0] == PARAMS.m * PARAMS.c**2 + ei
 
 
+def _alias_refused(label, grid, internal, params, dt) -> bool:
+    """Whether a plan of one run of the named kind refuses ``dt`` by the
+    alias rule."""
+    state = CompositeState.create(grid, internal, np.ones((internal.dim, grid.n_points)))
+    try:
+        _Plan([(state, HamiltonianKind.from_name(label), params)], dt)
+    except AliasingError:
+        return True
+    return False
+
+
+class TestAliasRule:
+    """The rule reads each branch's spread of T over the momentum grid: a
+    constant in T, such as low_energy's rest term H_r, is a branch phase
+    that commutes with every factor of a step and cannot alias."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_kind_cases(), factor=st.sampled_from([0.999, 1.001]))
+    def test_every_kind_is_refused_at_pi_over_its_spread(self, case, factor):
+        label, grid, internal, params = case
+        p = grid.p(params.hbar)
+        spread = max(np.ptp(_docstring_branch(label, p, 0.0, internal.E0, ei, params.c,
+                                              params.m)[0])
+                     for ei in internal.levels)
+        dt = factor * np.pi * params.hbar / spread
+        assert _alias_refused(label, grid, internal, params, dt) == (factor > 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_kind_cases(),
+           fraction=st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
+    def test_the_rest_term_moves_no_refusal(self, case, fraction):
+        # low_energy is dynamical_mass plus H_r on each branch; dt stays 1 %
+        # off the limit, clear of the rounding of H_r + T in the table
+        _, grid, internal, params = case
+        t_table, _ = _tables(HamiltonianKind.dynamical_mass(), grid, internal, params)
+        dt = fraction * np.pi * params.hbar / np.max(t_table)
+        assert (_alias_refused("low_energy", grid, internal, params, dt)
+                == _alias_refused("dynamical_mass", grid, internal, params, dt))
+
+
 class TestPropagate:
     def test_free_ehrenfest(self):
         state = packet_state(p0=1.0)
@@ -896,7 +936,7 @@ class TestStackedRuns:
          1e-3, 4000, BoundaryViolationError,
          "step 1272: branch 0: <x>=35.086, 4.0 sigma_x=4.921 leaves [-40.0, 40.0]"),
         ((packet_state(), HamiltonianKind.newtonian(), PARAMS), 5e-2, 1, AliasingError,
-         "kinetic phase per step dt*max|T|/hbar = 40.426 >= pi; "
+         "kinetic phase spread per step dt*(max T - min T)/hbar = 40.426 >= pi; "
          "reduce dt or coarsen the momentum grid"),
         ((packet_state(), HamiltonianKind.newtonian(), PhysicalParams(E0=90.0)),
          1e-3, 1, IncompatibleSpacesError,
