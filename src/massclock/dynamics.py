@@ -42,25 +42,27 @@ exactly F^-1 (V_half T V_half)^n F, and each step is exact.  Such
 a run keeps its momentum-space spectrum: each step multiplies it by V_half,
 T and V_half, and an inverse FFT gives the x-space buffer, in place of an
 FFT pair; its amplitudes differ from the x-space steps' by round-off only.
-A run whose V depends on x takes the x-space step.  The step loop,
-``_evolve``, is the one home of the momentum-band rule
-(``hilbert._require_band``): one FFT of the initial buffer, which also
-starts the free spectra, gives each branch's <p> and sigma_p, and the V
-table its range of dV/dx, exact for V affine in x.  The loop advances in
-step batches: B steps (``_BATCH_BYTES`` of buffers) are stepped into the
-slots of a (B, sum dim_r, N) batch, the free runs' rows in momentum space
-in a second one, each step reading the slot before; then each stretch of
-free runs takes one batched inverse FFT from its momentum-space slots into
-its x-space slots, and one moments pass covers the whole batch.  ``hilbert._check_steps`` then applies, step by step in
-order, the norm rule (total probability within 1e-10 of 1) and then the
-boundary-clearance rule to each run, so every step is still checked and a
-refusal names the same step as before; a sampled or final state takes the
-checked slot as it is.  One step loop serves every propagation: a
+A run whose V depends on x takes the x-space step; one step function,
+``_strang_step``, serves both.  The step loop, ``_evolve``, is the one
+home of the momentum-band rule (``hilbert._require_band``): one FFT of
+the initial buffer, which also starts the free spectra, gives each
+branch's <p> and sigma_p, and the V table its range of dV/dx, exact for
+V affine in x.  The loop advances in step batches of B steps
+(``_BATCH_BYTES`` of buffers), a (B, sum dim_r, N) batch in x space and
+a second one in momentum space for the free runs' rows.  Block by block,
+``_Plan.advance`` steps each slot from the slot before, and a block of
+free runs then takes one batched inverse FFT from its momentum-space
+slots into its x-space slots.  One moments pass covers the whole batch,
+and ``hilbert._check_steps`` applies, step by step in order, the norm
+rule (total probability within 1e-10 of 1) and then the
+boundary-clearance rule to each run, so every step is still checked and
+a refusal names the same step as before; a sampled or final state takes
+the checked slot as it is.  One step loop serves every propagation: a
 runner's independent runs on one grid share one stacked (sum dim_r, N)
-buffer, stepped in blocks of consecutive free or non-free runs, and every
-step acts row by row, so each run keeps the bits it has alone, in any
-stack and batch; the checks apply to each run's own rows, and the runners
-read their samples from the batch's slots.
+buffer, stepped in blocks of consecutive free or non-free runs, and
+every step acts row by row, so each run keeps the bits it has alone, in
+any stack and batch; the checks apply to each run's own rows, and the
+runners read their samples from the batch's slots.
 
 Trajectories xi(t) of a moving frame are stored as uniform samples;
 velocity/acceleration use stored exact samples when a factory provides
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -106,6 +108,7 @@ from .hilbert import (
     _require_band,
     _require_finite,
     _require_finite_samples,
+    _require_level,
     _require_positive,
     momentum_distribution,
 )
@@ -242,23 +245,36 @@ def expectation_velocity(state: CompositeState, kind: HamiltonianKind,
     """<dT_i/dp> on one populated branch (== d<x>/dt by Ehrenfest for these
     kinds); a branch of probability at or below ``hilbert._POPULATED`` is
     refused."""
-    if not 0 <= level < state.internal.dim:
-        raise PreconditionError(f"level {level} out of range for dim={state.internal.dim}")
+    _require_level(level, state.internal.dim)
     if state.branch_populations()[level] <= _POPULATED:
         raise PreconditionError(f"branch {level} norm too small for a velocity readout")
     table = _velocity_table([(state, kind, params)])[level]
-    return float(_read_velocities(state.grid, state.amplitudes[level], table))
+    return float(_read_velocities(state.amplitudes[level], table))
 
 
-def _read_velocities(grid: GridSpec, amps: np.ndarray,
-                     velocity_table: np.ndarray) -> np.ndarray:
+def _read_velocities(amps: np.ndarray, velocity_table: np.ndarray) -> np.ndarray:
     """<dT_i/dp> of each row of ``amps``, one row or a stack read by one
     batched FFT, against its row of ``velocity_table``; each value has
     the bits it has alone."""
-    return np.sum(momentum_distribution(grid, amps) * velocity_table, axis=-1)
+    return np.sum(momentum_distribution(amps) * velocity_table, axis=-1)
 
 
 # --- split-operator propagation ----------------------------------------------
+
+def _strang_step(out: np.ndarray, previous: np.ndarray, exp_v_half: np.ndarray,
+                 exp_t: np.ndarray, free: bool) -> None:
+    """One Strang step of ``previous`` into ``out``, which may be
+    ``previous`` itself (a step in place): V_half, T and V_half multiply
+    the amplitudes, in momentum space for a ``free`` block's spectrum, in
+    x space with an FFT pair around T for any other."""
+    _kernels.phase_multiply(out, exp_v_half, previous)
+    if not free:
+        np.fft.fft(out, axis=1, out=out)
+    _kernels.phase_multiply(out, exp_t)
+    if not free:
+        np.fft.ifft(out, axis=1, out=out)
+    _kernels.phase_multiply(out, exp_v_half)
+
 
 class _Plan:
     """Phase tables of independent runs ``(state, kind, params)`` on one
@@ -271,12 +287,12 @@ class _Plan:
     F^-1 (V_half T V_half)^n F.  A run that ``_strang_phase`` gives a
     phase has its V half-step rows times that phase, which makes its
     steps exact.  ``blocks`` lists each maximal stretch of consecutive
-    free or non-free runs as ``(rows, free)``.  ``stages``
-    steps a free block on its momentum-space spectrum with ``free_step``,
-    whose slots of a step batch ``advance`` writes in x space, and any
-    other block in x space with ``step``, the one x-space path.  Every step acts
-    row by row (elementwise phase multiplies and row-wise FFTs), so every
-    run keeps the bits it has alone, in any stack and any batch.
+    free or non-free runs as ``(rows, free)``; ``advance`` steps each
+    block through a step batch with ``_strang_step``, a free block on its
+    momentum-space spectrum and any other in x space.  Every step acts row
+    by row (elementwise phase multiplies and row-wise FFTs), so every run
+    keeps the bits it has alone, in any stack, any batch and any order of
+    blocks.
     ``bands`` holds each run's hbar, kind name and least and greatest
     dV/dx per row, for ``require_band``.  A dt at which some branch's
     kinetic phase spread dt (max_p T_i - min_p T_i) / hbar reaches pi is
@@ -324,60 +340,21 @@ class _Plan:
                 self.blocks.append((rows, free))
         self.tables = _grid_tables(grid)
 
-    def step(self, amps: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        """One Strang step in x space of ``previous`` into ``amps``, the
-        caller's private complex buffer, overwritten and returned;
-        ``previous`` may be ``amps`` itself, a step in place."""
-        _kernels.phase_multiply(amps, self.exp_v_half, previous)
-        np.fft.fft(amps, axis=1, out=amps)
-        _kernels.phase_multiply(amps, self.exp_t)
-        np.fft.ifft(amps, axis=1, out=amps)
-        _kernels.phase_multiply(amps, self.exp_v_half)
-        return amps
-
-    def free_step(self, spectrum: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        """One Strang step of free rows in momentum space: V_half, T and
-        V_half multiply ``previous``, their momentum-space amplitudes,
-        into ``spectrum``, which is overwritten and returned; ``previous``
-        may be ``spectrum`` itself, a step in place."""
-        _kernels.phase_multiply(spectrum, self.exp_v_half, previous)
-        _kernels.phase_multiply(spectrum, self.exp_t)
-        _kernels.phase_multiply(spectrum, self.exp_v_half)
-        return spectrum
-
-    def stages(self, batch: np.ndarray, spectra: np.ndarray) -> List[List[Callable]]:
-        """For each slot j of a step batch, the (B, rows, N) buffers
-        ``batch`` in x space and ``spectra`` in momentum space, one call
-        per block that steps the block's rows into slot j: ``advance``
-        calls slot 0's calls, then slot 1's and so on, and so steps the
-        whole buffer once per slot.  A block steps its rows of the slot
-        before (slot B - 1 before slot 0) into slot j, its first phase
-        multiply reading the one and writing the other: a free block in
-        ``spectra`` with ``free_step``, any other in ``batch`` with
-        ``step``.  In a batch of one slot both are the slot, and the step
-        is taken in place."""
-        out = [[] for _ in batch]
+    def advance(self, batch: np.ndarray, spectra: np.ndarray, count: int) -> None:
+        """Step the buffer into slots 0 .. count - 1 of the step batch: the
+        (B, rows, N) buffers ``batch`` in x space and ``spectra`` in
+        momentum space.  Block by block, ``_strang_step`` steps each slot j
+        from the block's rows of slot j - 1 (slot B - 1 before slot 0, so a
+        one-slot batch steps in place), a free block in ``spectra`` and any
+        other in ``batch``.  A free block then takes one inverse FFT from
+        its ``count`` slots of ``spectra`` into those of ``batch``."""
         for rows, free in self.blocks:
-            block = object.__new__(_Plan)  # this plan's tables on the block's rows
-            block.exp_t, block.exp_v_half = self.exp_t[rows], self.exp_v_half[rows]
-            step, source = (block.free_step, spectra) if free else (block.step, batch)
-            for j, calls in enumerate(out):
-                calls.append(partial(step, source[j, rows], source[j - 1, rows]))
-        return out
-
-    def advance(self, stages: List[List[Callable]], slots: np.ndarray,
-                spectra: np.ndarray) -> None:
-        """Step the buffer once per slot of ``slots`` and ``spectra``, the
-        first slots of the step batch of ``stages``, by those slots' calls
-        in order, then write the free blocks' rows of ``spectra`` into
-        ``slots`` in x space, one inverse FFT per free block over all its
-        slots."""
-        for calls in stages[:len(slots)]:
-            for call in calls:
-                call()
-        for rows, free in self.blocks:
+            buf = spectra if free else batch
+            exp_v_half, exp_t = self.exp_v_half[rows], self.exp_t[rows]
+            for j in range(count):
+                _strang_step(buf[j, rows], buf[j - 1, rows], exp_v_half, exp_t, free)
             if free:
-                np.fft.ifft(spectra[:, rows], axis=2, out=slots[:, rows])
+                np.fft.ifft(spectra[:count, rows], axis=2, out=batch[:count, rows])
 
     def require_band(self, spectrum: np.ndarray, total_time: float) -> None:
         """``hilbert._require_band`` on each run's rows of ``spectrum``, the
@@ -389,12 +366,6 @@ class _Plan:
         for r, (rows, (hbar, name, *slopes)) in enumerate(zip(self.rows, self.bands)):
             _require_band(grid, hbar, [m[rows] for m in moments] + slopes,
                           total_time, "run {}, kind {}", r, name)
-
-    def checks(self, slots: np.ndarray, first: int) -> Iterator[List[float]]:
-        """``hilbert._check_steps`` on each run's rows of ``slots``, the
-        buffers after steps first, first + 1, ...: yields each step's run
-        totals in turn, once that step passed."""
-        return _check_steps(self.tables, slots, first, self.rows)
 
 
 # Bytes of each of the two arrays of one step batch of ``_evolve``, (B,
@@ -419,13 +390,13 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     """Advance independent runs ``(state, kind, params)`` on one grid by
     ``steps`` Strang steps of size dt, as one stacked buffer, in batches
     of B steps, B = ``_BATCH_BYTES`` over the bytes of the buffer, clamped
-    to [1, steps].  Each step of a batch is stepped block by block of
-    ``_Plan.stages`` into its slot of a (B, sum dim_r, N) batch, a free
-    block's rows into their slot of a second, momentum-space one; then
-    each free block takes one inverse FFT over its slots, and one moments
-    pass over the batch feeds the checks, applied step by step and run by
-    run in order, so every step is still checked.  At B = 1 each step
-    takes the unbatched loop's operations in place.
+    to [1, steps].  ``_Plan.advance`` steps each block through the
+    batch's slots, a (B, sum dim_r, N) batch in x space and a second one
+    in momentum space for the free blocks, which then take one inverse
+    FFT over their slots; one moments pass over the batch
+    (``hilbert._check_steps``) feeds the checks, applied step by step and
+    run by run in order, so every step is still checked.  At B = 1 each
+    step takes the unbatched loop's operations in place.
 
     Yields ``(step_no, amps, totals)`` at step 0 and after every
     ``sample_every`` steps: ``amps`` is a slot of the batch, the (sum
@@ -457,14 +428,13 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     amps = np.concatenate([state.amplitudes for state, _, _ in runs], out=batch[-1])
     if steps:
         plan.require_band(np.fft.fft(amps, axis=1, out=spectra[-1]), steps * dt)
-        stages = plan.stages(batch, spectra)
     yield 0, amps, None
     for done in range(0, steps, size):
         count = min(size, steps - done)
+        plan.advance(batch, spectra, count)
         slots = batch[:count]
-        plan.advance(stages, slots, spectra[:count])
         for k, slot, totals in zip(range(done + 1, steps + 1), slots,
-                                   plan.checks(slots, done + 1)):
+                                   _check_steps(plan.tables, slots, done + 1, plan.rows)):
             if k % sample_every == 0:
                 yield k, slot, totals
 

@@ -633,7 +633,7 @@ def exp_wep(grid: GridSpec = SMALL_GRID,
     times, velocities, overlaps = [], [], []
     for k, amps, _ in _evolve(runs, dt, steps, sample_every):
         times.append(k * dt)
-        velocities.append(_read_velocities(grid, amps, velocity_table))
+        velocities.append(_read_velocities(amps, velocity_table))
         if clock:
             overlaps.append(_overlaps(amps[0::dim], amps[1::dim], grid.dx))
     times = np.asarray(times)

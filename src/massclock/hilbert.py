@@ -66,6 +66,14 @@ def _require_finite(name: str, value: float) -> None:
         raise PreconditionError(f"{name} must be finite, got {value!r}")
 
 
+def _require_level(level: int, dim: int) -> None:
+    """The level-index rule, one for every branch readout: ``level`` must
+    name a branch, 0 <= level < dim (a negative index is refused, not
+    read from the end)."""
+    if not 0 <= level < dim:
+        raise PreconditionError(f"level {level} out of range for dim={dim}")
+
+
 def _require_finite_samples(name: str, samples: np.ndarray) -> None:
     """The finite-value rule on every entry of a float array, in one
     vectorized pass; a refusal names the first non-finite entry."""
@@ -295,6 +303,8 @@ class CompositeState:
 
     def branch_overlap(self, i: int, j: int) -> complex:
         """<branch i | branch j> of this state (internal coherence readout)."""
+        for level in (i, j):
+            _require_level(level, self.internal.dim)
         a = self.amplitudes
         return complex(_overlaps(a[i], a[j], self.grid.dx))
 
@@ -421,6 +431,7 @@ def branch_phase(before: CompositeState, after: CompositeState,
     Raises BranchDeformedError when the branch changed by more than a phase.
     """
     _check_same_spaces(before, after)
+    _require_level(level, before.internal.dim)
     pop_before = before.branch_populations()[level]
     pop_after = after.branch_populations()[level]
     if min(pop_before, pop_after) <= 1e-6:
@@ -453,7 +464,7 @@ def expectation_x(grid: GridSpec, psi: np.ndarray) -> float:
     return sx / prob
 
 
-def momentum_distribution(grid: GridSpec, psi: np.ndarray) -> np.ndarray:
+def momentum_distribution(psi: np.ndarray) -> np.ndarray:
     """|psi~(p_k)|^2 in fft ordering, normalized to unit sum; row by row
     for a stack of rows, each row with the bits it has alone."""
     ft = np.fft.fft(psi)
@@ -462,7 +473,7 @@ def momentum_distribution(grid: GridSpec, psi: np.ndarray) -> np.ndarray:
 
 
 def expectation_p(grid: GridSpec, psi: np.ndarray, hbar: float) -> float:
-    w = momentum_distribution(grid, psi)
+    w = momentum_distribution(psi)
     return float(np.sum(w * grid.p(hbar)))
 
 

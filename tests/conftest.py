@@ -7,7 +7,7 @@ and must be treated as read-only.
 
 import pytest
 
-from massclock.dynamics import _Plan
+from massclock import dynamics
 from massclock.experiments import exp_newtonian_sweep, exp_wep
 
 
@@ -25,10 +25,9 @@ def default_wep():
 
 @pytest.fixture
 def no_step(monkeypatch):
-    """Both step paths of ``dynamics._Plan`` fail: a run refused before its
-    first step must take none."""
+    """``dynamics._strang_step``, the one step of free and x-space blocks,
+    fails: a run refused before its first step must take none."""
     def fail(*args):
         raise AssertionError("a run refused before its first step took one")
 
-    monkeypatch.setattr(_Plan, "step", fail)
-    monkeypatch.setattr(_Plan, "free_step", fail)
+    monkeypatch.setattr(dynamics, "_strang_step", fail)

@@ -54,10 +54,11 @@ from massclock.dynamics import (
     _evolve,
     _read_velocities,
     _strang_phase,
+    _strang_step,
     _tables,
     _velocity_table,
 )
-from massclock.hilbert import _overlaps
+from massclock.hilbert import _check_steps, _overlaps
 
 import oracles
 
@@ -531,15 +532,15 @@ class TestMomentumBand:
 
 
 def _staged_steps(plan, amps, steps, size=3):
-    """``amps`` after ``steps`` steps of the stages ``_evolve`` runs, in
-    batches of ``size`` slots (the last one partial), with no checks."""
+    """``amps`` after ``steps`` steps of ``_Plan.advance`` as ``_evolve``
+    runs it, in batches of ``size`` slots (the last one partial), with no
+    checks."""
     batch, spectra = np.empty((2, size) + amps.shape, dtype=complex)
     batch[-1] = amps
     np.fft.fft(amps, axis=1, out=spectra[-1])
-    stages = plan.stages(batch, spectra)
     for done in range(0, steps, size):
         count = min(size, steps - done)
-        plan.advance(stages, batch[:count], spectra[:count])
+        plan.advance(batch, spectra, count)
     return batch[count - 1]
 
 
@@ -556,7 +557,7 @@ class TestStrangStep:
         expected = amps.copy()
         for _ in range(10):
             expected = oracles.strang_step(expected, plan.exp_v_half, plan.exp_t)
-            assert plan.step(amps, amps) is amps
+            _strang_step(amps, amps, plan.exp_v_half, plan.exp_t, False)
             assert np.array_equal(amps, expected)
 
     @settings(max_examples=200, deadline=None)
@@ -565,9 +566,9 @@ class TestStrangStep:
     def test_step_is_unitary(self, case, fraction, steps, seed):
         # random amplitudes, not packets: unitarity holds for every vector,
         # so no clearance rule narrows the inputs.  Both paths are stepped:
-        # ``_Plan.step`` in x space, and the stages ``_evolve`` runs, which
-        # step a free run (here every run under Potential.none()) on its
-        # spectrum
+        # ``_strang_step`` in x space, and ``_Plan.advance`` as ``_evolve``
+        # runs it, which steps a free run (here every run under
+        # Potential.none()) on its spectrum
         label, grid, internal, params = case
         kind = HamiltonianKind.from_name(label)
         t_table, _ = _tables(kind, grid, internal, params)
@@ -581,7 +582,8 @@ class TestStrangStep:
         assert plan.blocks == [(slice(0, internal.dim), params.potential.kind == "none")]
         a, b = np.array(psi.amplitudes), np.array(phi.amplitudes)
         for _ in range(steps):
-            a, b = plan.step(a, a), plan.step(b, b)
+            for amps in (a, b):
+                _strang_step(amps, amps, plan.exp_v_half, plan.exp_t, False)
         staged_a, staged_b = (_staged_steps(plan, s.amplitudes, steps) for s in (psi, phi))
         for a, b in ((a, b), (staged_a, staged_b)):
             assert abs(np.sum(a.real**2 + a.imag**2) * grid.dx - 1.0) <= 1e-12
@@ -709,12 +711,12 @@ class TestFreeRuns:
                                                                      label):
         # under split and newtonian a free run's V is its rest term, a
         # phase only this comparison reads
-        def without_closing_kick(plan, spectrum, previous):
-            _kernels.phase_multiply(spectrum, plan.exp_v_half, previous)
-            _kernels.phase_multiply(spectrum, plan.exp_t)
-            return spectrum
+        def without_closing_kick(out, previous, exp_v_half, exp_t, free):
+            assert free
+            _kernels.phase_multiply(out, exp_v_half, previous)
+            _kernels.phase_multiply(out, exp_t)
 
-        monkeypatch.setattr(_Plan, "free_step", without_closing_kick)
+        monkeypatch.setattr(dynamics, "_strang_step", without_closing_kick)
         grid = GridSpec(-20.0, 20.0, 64)
         for potential in (Potential.none(), Potential.uniform_field(0.0)):
             case = (label, grid, INTERNAL, replace(PARAMS, potential=potential))
@@ -741,7 +743,8 @@ class TestFreeRuns:
         amps = np.array(run[0].amplitudes)
         with pytest.raises(BoundaryViolationError) as x_space:
             for k in range(1, 4001):
-                next(plan.checks(plan.step(amps, amps)[None], k))
+                _strang_step(amps, amps, plan.exp_v_half, plan.exp_t, False)
+                next(_check_steps(plan.tables, amps[None], k, plan.rows))
         with pytest.raises(BoundaryViolationError) as free:
             propagate(*run, 1e-3, 4000)
         assert str(free.value) == str(x_space.value)
@@ -874,10 +877,10 @@ class TestStackedRuns:
             expected = oracles.per_run_check(plan.tables.grid, moments, plan.rows, step_no)
         except (PreconditionError, BoundaryViolationError) as refusal:
             with pytest.raises(type(refusal)) as got:
-                next(plan.checks(amps[None], step_no))
+                next(_check_steps(plan.tables, amps[None], step_no, plan.rows))
             assert type(got.value) is type(refusal) and str(got.value) == str(refusal)
             return
-        (totals,) = plan.checks(amps[None], step_no)
+        (totals,) = _check_steps(plan.tables, amps[None], step_no, plan.rows)
         assert totals == expected
         # Each total is a BLAS dot product of the run's 2N float squares per
         # branch (the bits of ``squares`` below) with dx, then a Python sum
@@ -906,7 +909,7 @@ class TestStackedRuns:
         histories = [propagate_history(state, kind, self.FIELD, 5e-4, 60, sample_every=20)[1]
                      for kind in kinds]
         for n, (_, amps, _) in enumerate(_evolve(runs, 5e-4, 60, 20)):
-            velocities = _read_velocities(GRID, amps, velocity_table)
+            velocities = _read_velocities(amps, velocity_table)
             overlaps = _overlaps(amps[0::2], amps[1::2], GRID.dx)
             for r, kind in enumerate(kinds):
                 sample = histories[r][n]
@@ -1010,28 +1013,39 @@ class TestStepBatches:
     EDGE = (packet_state(x0=30.0, p0=4.0), HamiltonianKind.newtonian(), PARAMS)
     EDGE_REFUSAL = "step 1272: branch 0: <x>=35.086, 4.0 sigma_x=4.921 leaves [-40.0, 40.0]"
 
-    @pytest.mark.parametrize("second", [False, True], ids=["alone", "second"])
-    def test_a_refusal_mid_batch_follows_every_earlier_sample(self, monkeypatch, second):
+    @pytest.mark.parametrize("ahead", [None, "free", "field"],
+                             ids=["alone", "second", "behind-a-field-block"])
+    def test_a_refusal_mid_batch_follows_every_earlier_sample(self, monkeypatch, ahead):
         # under a 512 KB budget step 1272 lies inside its batch (slot 7 of
         # slots 0-15 alone, slot 1 of slots 0-9 behind a one-row run): the
         # samples up to step 1271 arrive, the last one with its own bits,
-        # then the refusal with its usual text
+        # then the refusal with its usual text.  Behind a one-row run in a
+        # uniform field, a block of its own stepped in x space, the refusal
+        # comes from the later of two blocks
         monkeypatch.setattr(dynamics, "_BATCH_BYTES", 512 * 1024)
         runs = [self.EDGE]
-        if second:
+        if ahead is not None:
             one_level = InternalSpace(E0=100.0, levels=(0.0,))
+            params, blocks = {
+                "free": (PhysicalParams(hbar=1.0, c=1.0, E0=100.0), [True]),
+                "field": (self.FIELD, [False, True]),
+            }[ahead]
             runs.insert(0, (packet_state(internal=one_level), HamiltonianKind.newtonian(),
-                            PhysicalParams(hbar=1.0, c=1.0, E0=100.0)))
+                            params))
+            assert [free for _, free in _Plan(runs, 1e-3).blocks] == blocks
         size = dynamics._BATCH_BYTES // (16 * sum(s.amplitudes.size for s, _, _ in runs))
         assert 1272 % size not in (0, 1)
         seen, last = [], None
         with pytest.raises(BoundaryViolationError) as refusal:
             for k, amps, _ in _evolve(runs, 1e-3, 4000, 1):
                 seen.append(k)
-                last = amps[-2:].copy()
+                last = amps.copy()
         assert str(refusal.value) == self.EDGE_REFUSAL
         assert seen == list(range(1272))
-        assert last.tobytes() == propagate(*self.EDGE, 1e-3, 1271).amplitudes.tobytes()
+        assert last[-2:].tobytes() == propagate(*self.EDGE, 1e-3, 1271).amplitudes.tobytes()
+        if ahead is not None:
+            alone = propagate(*runs[0], 1e-3, 1271).amplitudes
+            assert last[:-2].tobytes() == alone.tobytes()
 
     def test_results_own_their_arrays_not_the_batch(self):
         # a returned state or sample that viewed a slot would keep the whole

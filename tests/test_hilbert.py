@@ -339,6 +339,19 @@ class TestBranchPhase:
         with pytest.raises(PreconditionError):
             branch_phase(state, other, 0)
 
+    @pytest.mark.parametrize("level", [-1, 2, 5])
+    def test_a_level_outside_the_branches_is_refused_by_every_readout(self, level):
+        # one rule for every branch readout: a negative level is not read
+        # from the end, and one past the last branch is no numpy IndexError
+        state = equal_state()
+        readouts = [lambda: branch_phase(state, state, level),
+                    lambda: state.branch_overlap(0, level),
+                    lambda: state.branch_overlap(level, 1)]
+        for readout in readouts:
+            with pytest.raises(PreconditionError,
+                               match=f"^level {level} out of range for dim=2$"):
+                readout()
+
 
 _EDGE_ANGLES = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
                 math.nextafter(math.pi, math.inf), math.nextafter(-math.pi, -math.inf),
