@@ -13,8 +13,10 @@ quadrature, lives here:
                           ``moment_table``, each of [1, x, x^2] dx twice in
                           a row, as one table @ squares.T product, (3, rows);
                           used for the boundary-clearance and norm checks,
-                          once per batch of propagation steps over all the
-                          batch's rows, and once per map
+                          once per batch of checked propagation steps over
+                          all the batch's rows, at the ends of each free
+                          stretch (whose norm is read by Parseval from its
+                          spectrum in between), and once per map
 * ``accumulate_phase`` -- cumulative Simpson integration of a sampled
                           frequency (semiclassical clock phase)
 

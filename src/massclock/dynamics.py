@@ -50,19 +50,45 @@ branch's <p> and sigma_p, and the V table its range of dV/dx, exact for
 V affine in x.  The loop advances in step batches of B steps
 (``_BATCH_BYTES`` of buffers), a (B, sum dim_r, N) batch in x space and
 a second one in momentum space for the free runs' rows.  Block by block,
-``_Plan.advance`` steps each slot from the slot before, and a block of
-free runs then takes one batched inverse FFT from its momentum-space
-slots into its x-space slots.  One moments pass covers the whole batch,
-and ``hilbert._check_steps`` applies, step by step in order, the norm
-rule (total probability within 1e-10 of 1) and then the
-boundary-clearance rule to each run, so every step is still checked and
-a refusal names the same step as before; a sampled or final state takes
-the checked slot as it is.  One step loop serves every propagation: a
-runner's independent runs on one grid share one stacked (sum dim_r, N)
-buffer, stepped in blocks of consecutive free or non-free runs, and
-every step acts row by row, so each run keeps the bits it has alone, in
-any stack and batch; the checks apply to each run's own rows, and the
-runners read their samples from the batch's slots.
+``_Plan.advance`` steps each slot from the slot before.  Where every step
+is checked in x space, a block of free runs then takes one batched
+inverse FFT from its momentum-space slots into its x-space slots, one
+moments pass covers the whole batch, and ``hilbert._check_steps``
+applies, step by step in order, the norm rule (total probability within
+1e-10 of 1) and then the boundary-clearance rule to each run, so a
+refusal names its step; a sampled or final state takes the checked slot
+as it is.
+
+Free runs read less often than every step stay in momentum space between
+reads (a sample, the last step).  For free motion under any T(p) the
+Heisenberg solution x(t) = x0 + v(p) t, v = dT/dp, is exact, so each
+branch's <x> moves by <v> t and, by the triangle inequality for standard
+deviations, sigma_x(t) <= sigma_x(0) + sigma_v t, where <v> and sigma_v
+are constants of its spectrum, read once against the velocity table.
+sigma_x(t)^2 is a non-negative quadratic in t, so <x> + 4 sigma_x is
+convex and <x> - 4 sigma_x concave over a stretch of free steps: the
+clearance rule holds on every step if it holds at both ends, on the
+continuum.  The periodic grid breaks that argument only where
+probability crosses the seam: a packet may wrap through it and be back
+inside at the end.  So a stretch is taken only behind a no-wrap guard,
+``_Plan.admitted``: it ends where the linear window <x> + <v> t +/-
+4 (sigma_x + sigma_v t) of some populated free branch would leave the
+domain, and a stretch of fewer than two steps takes the checked steps.
+On each step of a stretch the norm rule reads the spectrum by Parseval,
+with no FFT, and the field runs of a mixed stack keep their check of
+every step; at its end one inverse FFT writes the x-space slot, both
+rules read it, and the free branches' <x> and sigma_x must have moved
+as free motion moves them (``_Plan.follows``), as no probability
+crossed the seam.  A stretch that fails any of these runs again from
+its saved start through the checked steps, so a refusal names the same
+step with the same text, and the replay costs time only there.
+
+One step loop serves every propagation: a runner's independent runs on
+one grid share one stacked (sum dim_r, N) buffer, stepped in blocks of
+consecutive free or non-free runs, and every step acts row by row, so
+each run keeps the bits it has alone, in any stack, batch and stretch;
+the checks apply to each run's own rows, and the runners read their
+samples from the batch's slots.
 
 Trajectories xi(t) of a moving frame are stored as uniform samples;
 velocity/acceleration use stored exact samples when a factory provides
@@ -98,6 +124,7 @@ from .errors import (
 )
 from .hilbert import (
     _POPULATED,
+    CLEARANCE_SIGMAS,
     CompositeState,
     GridSpec,
     InternalSpace,
@@ -108,6 +135,7 @@ from .hilbert import (
     _require_band,
     _require_finite,
     _require_finite_samples,
+    _require_integer,
     _require_level,
     _require_positive,
     momentum_distribution,
@@ -293,6 +321,10 @@ class _Plan:
     by row (elementwise phase multiplies and row-wise FFTs), so every run
     keeps the bits it has alone, in any stack, any batch and any order of
     blocks.
+    ``free_runs`` and ``field_runs`` hold the row slices of the free and
+    the other runs, for the free stretches of ``_evolve``, which
+    ``reach``, ``window``, ``admitted``, ``follows`` and
+    ``spectral_norms_hold`` serve.
     ``bands`` holds each run's hbar, kind name and least and greatest
     dV/dx per row, for ``require_band``.  A dt at which some branch's
     kinetic phase spread dt (max_p T_i - min_p T_i) / hbar reaches pi is
@@ -315,6 +347,7 @@ class _Plan:
         self.rows = []
         self.blocks = []
         self.bands = []
+        self.free_runs, self.field_runs = [], []
         for (state, kind, params), (t_table, v_table) in zip(runs, tables):
             worst = float(np.max(np.ptp(t_table, axis=1))) * dt / params.hbar
             if worst >= math.pi:
@@ -338,23 +371,94 @@ class _Plan:
                 self.blocks[-1] = (slice(self.blocks[-1][0].start, rows.stop), free)
             else:
                 self.blocks.append((rows, free))
+            (self.free_runs if free else self.field_runs).append(rows)
         self.tables = _grid_tables(grid)
+        self.free_rows = np.zeros(shape[0], dtype=bool)
+        for rows in self.free_runs:
+            self.free_rows[rows] = True
 
-    def advance(self, batch: np.ndarray, spectra: np.ndarray, count: int) -> None:
+    def advance(self, batch: np.ndarray, spectra: np.ndarray, count: int,
+                start: int = -1, reads: int = 0) -> None:
         """Step the buffer into slots 0 .. count - 1 of the step batch: the
         (B, rows, N) buffers ``batch`` in x space and ``spectra`` in
-        momentum space.  Block by block, ``_strang_step`` steps each slot j
-        from the block's rows of slot j - 1 (slot B - 1 before slot 0, so a
-        one-slot batch steps in place), a free block in ``spectra`` and any
-        other in ``batch``.  A free block then takes one inverse FFT from
-        its ``count`` slots of ``spectra`` into those of ``batch``."""
+        momentum space.  Block by block, ``_strang_step`` steps slot 0 from
+        the block's rows of slot ``start`` (by default slot B - 1, so a
+        one-slot batch steps in place) and each later slot j from slot
+        j - 1, a free block in ``spectra`` and any other in ``batch``.  A
+        free block then takes one inverse FFT from its slots ``reads`` ..
+        count - 1 of ``spectra`` into those of ``batch`` (all of them by
+        default, none at ``reads`` = count)."""
         for rows, free in self.blocks:
             buf = spectra if free else batch
             exp_v_half, exp_t = self.exp_v_half[rows], self.exp_t[rows]
             for j in range(count):
-                _strang_step(buf[j, rows], buf[j - 1, rows], exp_v_half, exp_t, free)
-            if free:
-                np.fft.ifft(spectra[:count, rows], axis=2, out=batch[:count, rows])
+                _strang_step(buf[j, rows], buf[j - 1 if j else start, rows],
+                             exp_v_half, exp_t, free)
+            if free and reads < count:
+                np.fft.ifft(spectra[reads:count, rows], axis=2, out=batch[reads:count, rows])
+
+    def reach(self, velocity: np.ndarray, spectrum: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's <v> and sigma_v over its momentum distribution, from
+        ``spectrum``, the buffer's row-wise FFT, and ``velocity``, the rows'
+        dT/dp table: constants of a free run, whose steps only turn the
+        phases of its spectrum."""
+        w = spectrum.real**2 + spectrum.imag**2
+        total = np.sum(w, axis=1, keepdims=True)
+        np.divide(w, total, out=w, where=total > 0.0)
+        mean = np.sum(w * velocity, axis=1)
+        return mean, np.sqrt(np.maximum(np.sum(w * velocity**2, axis=1) - mean**2, 0.0))
+
+    def window(self, amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which rows are populated free rows, and each row's <x> and
+        sigma_x, of the x-space buffer ``amps``, from one moments pass."""
+        probs, sxs, sxxs = _kernels.branch_moments(amps, self.tables.basis)
+        live = self.free_rows & (probs > _POPULATED)
+        mean = np.divide(sxs, probs, out=np.zeros_like(sxs), where=live)
+        var = np.divide(sxxs, probs, out=np.zeros_like(sxxs), where=live) - mean**2
+        return live, mean, np.sqrt(np.maximum(var, 0.0))
+
+    def admitted(self, window: tuple, reach: tuple, dt: float, most: int) -> int:
+        """The most steps, up to ``most``, over which every populated free
+        row's linear window <x>_0 + <v> t +/- CLEARANCE_SIGMAS (sigma_0 +
+        sigma_v t), which holds <x> +/- CLEARANCE_SIGMAS sigma_x at t,
+        stays inside the domain (0 when it starts outside it)."""
+        live, mean, sigma = window
+        v, sv = reach[0][live], reach[1][live]
+        grid, k = self.tables.grid, CLEARANCE_SIGMAS
+        rooms = np.concatenate([grid.x_max - (mean + k * sigma)[live],
+                                (mean - k * sigma)[live] - grid.x_min])
+        rates = np.concatenate([v + k * sv, k * sv - v])
+        if not np.all(rooms >= 0.0):
+            return 0
+        closing = rates > 0.0
+        tau = np.min(rooms[closing] / rates[closing], initial=math.inf)
+        return int(min(tau / dt, most))
+
+    def follows(self, start: tuple, end: tuple, reach: tuple, tau: float) -> bool:
+        """Whether the populated free rows of window ``end`` moved as free
+        motion moves them over time ``tau`` from window ``start``: <x> by
+        <v> tau, and sigma_x by at most sigma_v tau, within ``_SEAM_SLACK``
+        of the domain length, as no probability crossed the seam."""
+        live, mean0, sigma0 = start
+        _, mean1, sigma1 = end
+        v, sv = reach
+        slack = _SEAM_SLACK * self.tables.grid.length
+        return bool(np.all(np.abs(mean1 - (mean0 + v * tau))[live] <= slack)
+                    and np.all((sigma1 - (sigma0 + sv * tau))[live] <= slack))
+
+    def spectral_norms_hold(self, spectra: np.ndarray) -> bool:
+        """Whether every free run's total probability, read from each slot
+        of the (count, rows, N) ``spectra`` by Parseval, sum |a_k|^2 dx / N,
+        lies within 1e-10 - ``_NORM_MARGIN`` of 1 (a NaN total does not)."""
+        grid = self.tables.grid
+        for rows in self.free_runs:
+            own = spectra[:, rows]
+            w = own.reshape(-1, grid.n_points).view(np.float64)  # (re, im) pairs
+            totals = np.vecdot(w, w).reshape(len(own), -1).sum(axis=1)
+            totals *= grid.dx / grid.n_points
+            if not np.max(np.abs(totals - 1.0)) <= 1e-10 - _NORM_MARGIN:
+                return False
+        return True
 
     def require_band(self, spectrum: np.ndarray, total_time: float) -> None:
         """``hilbert._require_band`` on each run's rows of ``spectrum``, the
@@ -384,6 +488,14 @@ class _Plan:
 # and (8, 4096) stacks.
 _BATCH_BYTES = 256 * 1024
 
+# Slack of a free stretch's checks.  Its Parseval totals must lie within
+# 1e-10 - _NORM_MARGIN of 1: they differ from the x-space totals the norm
+# rule reads by round-off, far below the margin.  Its end window must
+# follow free motion within _SEAM_SLACK of the domain length: a fraction q
+# of a branch's probability crossing the seam moves its <x> by about q L.
+_NORM_MARGIN = 1e-11
+_SEAM_SLACK = 1e-9
+
 
 def _evolve(runs: Sequence[tuple], dt: float, steps: int,
             sample_every: int) -> Iterator[Tuple[int, np.ndarray, Optional[List[float]]]]:
@@ -392,11 +504,18 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     of B steps, B = ``_BATCH_BYTES`` over the bytes of the buffer, clamped
     to [1, steps].  ``_Plan.advance`` steps each block through the
     batch's slots, a (B, sum dim_r, N) batch in x space and a second one
-    in momentum space for the free blocks, which then take one inverse
-    FFT over their slots; one moments pass over the batch
+    in momentum space for the free blocks.  Runs sampled every step, or
+    with no free run among them, take the checked steps throughout
+    (``_checked_steps``): the free blocks take one inverse FFT over the
+    batch's slots and one moments pass over the batch
     (``hilbert._check_steps``) feeds the checks, applied step by step and
-    run by run in order, so every step is still checked.  At B = 1 each
-    step takes the unbatched loop's operations in place.
+    run by run in order.  At B = 1 each step takes the unbatched loop's
+    operations in place.  Otherwise the steps up to each sample go in free
+    stretches (``_free_stretch``) as far as the no-wrap guard
+    (``_Plan.admitted``) admits, the free rows in x space only at each
+    stretch's end, and in checked steps where it admits fewer than two; a
+    stretch that fails a check is replayed from its saved start as checked
+    steps (see the module docstring).
 
     Yields ``(step_no, amps, totals)`` at step 0 and after every
     ``sample_every`` steps: ``amps`` is a slot of the batch, the (sum
@@ -405,17 +524,17 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     ``totals`` holds each run's total probability as that step's check
     read it (None at step 0, where no step ran).  Callers read ``amps``
     and must not write to it: the next steps come from the slots, so an
-    edit would be dropped or spread with no error.  A
-    refused step raises with the text it always had, after every sample
-    before it; up to B - 1 later steps of its batch were computed and
-    are dropped.  ``steps`` must be a non-negative integer multiple of
+    edit would be dropped or spread with no error.  A refused step
+    raises with the text the check of every step gives, after every
+    sample before it; up to B - 1 later steps of its batch were computed
+    and are dropped.  ``steps`` must be a non-negative integer multiple of
     the integer ``sample_every``.  Before step 0, one row-wise FFT of
-    the buffer feeds the band rule over steps * dt and the free blocks;
-    zero steps take no FFT.  No runs yield nothing.
+    the buffer feeds the band rule over steps * dt, the free blocks and
+    the free branches' <v> and sigma_v; zero steps take no FFT.  No runs
+    yield nothing.
     """
-    for name, value in (("steps", steps), ("sample_every", sample_every)):
-        if not isinstance(value, (int, np.integer)):
-            raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    _require_integer("steps", steps)
+    _require_integer("sample_every", sample_every)
     if steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {steps}")
     if sample_every < 1 or steps % sample_every != 0:
@@ -424,28 +543,104 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
         return
     plan = _Plan(runs, dt)
     size = max(1, min(steps, _BATCH_BYTES // plan.exp_t.nbytes))
-    batch, spectra = np.empty((2, size) + plan.exp_t.shape, dtype=complex)
+    # zeros, not empty: a free stretch's checks of its other runs read the
+    # free rows of every slot too, whose x-space rows it writes only when read
+    batch, spectra = np.zeros((2, size) + plan.exp_t.shape, dtype=complex)
     amps = np.concatenate([state.amplitudes for state, _, _ in runs], out=batch[-1])
     if steps:
         plan.require_band(np.fft.fft(amps, axis=1, out=spectra[-1]), steps * dt)
     yield 0, amps, None
-    for done in range(0, steps, size):
-        count = min(size, steps - done)
-        plan.advance(batch, spectra, count)
+    # free runs read less often than every step take stretches on their spectra
+    reach, window = None, None
+    if plan.free_runs and sample_every > 1 and steps:
+        reach, window = plan.reach(_velocity_table(runs), spectra[-1]), plan.window(amps)
+    done, slot = 0, size - 1
+    while done < steps:
+        end = steps if reach is None else done + sample_every - done % sample_every
+        stop = done if reach is None else done + plan.admitted(window, reach, dt, end - done)
+        if stop - done >= 2:
+            saved = batch[slot].copy(), spectra[slot].copy()
+            read = _free_stretch(plan, batch, spectra, slot, done, stop, window, reach, dt)
+            if read is not None:
+                slot, totals, window = read
+                done = stop
+                if done % sample_every == 0:
+                    yield done, batch[slot], totals
+                continue
+            batch[slot], spectra[slot] = saved
+        slot = yield from _checked_steps(plan, batch, spectra, slot, done, end, sample_every)
+        done = end
+        if reach is not None:
+            window = plan.window(batch[slot])
+
+
+def _checked_steps(plan: _Plan, batch: np.ndarray, spectra: np.ndarray, slot: int,
+                   done: int, end: int, sample_every: int):
+    """Steps done + 1 .. end from the buffer in ``slot`` of the step
+    batch, in batches of B slots with every slot in x space, one moments
+    pass per batch feeding ``hilbert._check_steps``; yields each sampled
+    step as ``_evolve`` does, and returns the slot of step ``end``."""
+    size = len(batch)
+    for lo in range(done, end, size):
+        count = min(size, end - lo)
+        plan.advance(batch, spectra, count, slot)
+        slot = count - 1
         slots = batch[:count]
-        for k, slot, totals in zip(range(done + 1, steps + 1), slots,
-                                   _check_steps(plan.tables, slots, done + 1, plan.rows)):
+        for k, amps, totals in zip(range(lo + 1, end + 1), slots,
+                                   _check_steps(plan.tables, slots, lo + 1, plan.rows)):
             if k % sample_every == 0:
-                yield k, slot, totals
+                yield k, amps, totals
+    return slot
+
+
+def _free_stretch(plan: _Plan, batch: np.ndarray, spectra: np.ndarray, slot: int,
+                  done: int, stop: int, window: tuple, reach: tuple, dt: float):
+    """Steps done + 1 .. stop from the buffer in ``slot`` of the step
+    batch, the free blocks on their spectra with one inverse FFT, at step
+    ``stop``: each step's free totals by Parseval, every other run's rules
+    at every step, and at step ``stop`` every run's rules and the free
+    rows' window, which must have moved as free motion moves it from
+    ``window``.  Returns the slot, run totals and window of step ``stop``,
+    or None when some check failed, which may be a step the check refuses."""
+    size = len(batch)
+    for lo in range(done, stop, size):
+        count = min(size, stop - lo)
+        plan.advance(batch, spectra, count, slot, count - (lo + count == stop))
+        slot = count - 1
+        if not plan.spectral_norms_hold(spectra[:count]) or (
+                plan.field_runs
+                and _passed(_check_steps(plan.tables, batch[:count], lo + 1,
+                                         plan.field_runs)) is None):
+            return None
+    totals = _passed(_check_steps(plan.tables, batch[slot:slot + 1], stop, plan.rows))
+    end = plan.window(batch[slot])
+    if totals is None or not plan.follows(window, end, reach, (stop - done) * dt):
+        return None
+    return slot, totals[0], end
+
+
+def _passed(checks: Iterator[List[float]]) -> Optional[List[List[float]]]:
+    """The run totals of every step of ``checks`` (``hilbert._check_steps``),
+    or None when its rules refuse a step."""
+    try:
+        return list(checks)
+    except PreconditionError:
+        return None
 
 
 def propagate(state: CompositeState, kind: HamiltonianKind,
               params: PhysicalParams, dt: float, steps: int) -> CompositeState:
-    """Evolve by ``steps`` Strang steps of size dt; checks run every step.
+    """Evolve by ``steps`` Strang steps of size dt; the norm and clearance
+    rules hold on every step.
 
-    A free run (V constant in x) is stepped on its spectrum, one batched
-    inverse FFT per batch of steps, and any other in x space, an FFT pair
-    per step (see the module docstring).  The returned state owns a fresh
+    A free run (V constant in x) is stepped on its spectrum and any other
+    in x space, an FFT pair per step.  A free run leaves momentum space
+    only at the ends of its stretches, the last step and wherever the
+    no-wrap guard cuts one: its norm is read by Parseval on every step and
+    its clearance at the stretch ends, which free motion makes enough; a
+    stretch that fails a check, or that the guard does not admit, is
+    checked step by step in x space (see the module docstring).  The
+    returned state owns a fresh
     copy of the final slot, not a view into the step batch.  Zero steps
     return ``state`` itself and take no FFT; a negative or non-integer
     count is refused.  Before the first

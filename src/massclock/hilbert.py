@@ -66,10 +66,19 @@ def _require_finite(name: str, value: float) -> None:
         raise PreconditionError(f"{name} must be finite, got {value!r}")
 
 
+def _require_integer(name: str, value) -> None:
+    """The integer rule, for step counts, sample strides and level
+    indices: ``value`` must be a Python or numpy integer (a float, even
+    one with an integral value, is refused)."""
+    if not isinstance(value, (int, np.integer)):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 def _require_level(level: int, dim: int) -> None:
     """The level-index rule, one for every branch readout: ``level`` must
-    name a branch, 0 <= level < dim (a negative index is refused, not
-    read from the end)."""
+    be an integer (``_require_integer``) that names a branch, 0 <= level
+    < dim (a negative index is refused, not read from the end)."""
+    _require_integer("level", level)
     if not 0 <= level < dim:
         raise PreconditionError(f"level {level} out of range for dim={dim}")
 

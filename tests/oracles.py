@@ -121,6 +121,28 @@ def per_run_check(grid, moments, rows, step_no: int):
     return totals
 
 
+def per_step_run(grid, initial, tables, steps: int):
+    """Each run stepped alone as ``per_run_strang`` steps it, with every
+    step checked by ``per_run_check`` on moments summed by numpy from the
+    rows of that step: returns the first refusal (None if no step is
+    refused) and every run's amplitudes after the last step.  The
+    reference for a propagation whose free runs are checked in x space
+    only where they are read."""
+    x = grid.x()
+    rows, lo = [], 0
+    for amps in initial:
+        rows.append(slice(lo, lo + len(amps)))
+        lo += len(amps)
+    samples = per_run_strang(initial, tables, steps, 1)
+    for k in range(1, steps + 1):
+        w = np.abs(np.concatenate(samples[k])) ** 2
+        moments = np.stack([w.sum(1), (w * x).sum(1), (w * x * x).sum(1)], axis=1) * grid.dx
+        try:
+            per_run_check(grid, moments.tolist(), rows, k)
+        except (PreconditionError, BoundaryViolationError) as refusal:
+            return refusal, None
+    return None, samples[-1]
+
 
 def per_run_band(grid, initial, v_tables, hbars, total_time: float):
     """The momentum-band rule run by run, read from the definitions: each

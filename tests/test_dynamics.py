@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from massclock import (
@@ -697,7 +697,8 @@ def _free_path_gap(case, fraction, steps, seed):
 class TestFreeRuns:
     """A run whose V half-step table is constant along x is stepped on its
     spectrum, which V commutes with: the same Strang steps as in x space,
-    up to round-off, with the per-step check on the x-space buffer."""
+    up to round-off, with the verdicts of a check of every step on the
+    x-space buffer."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=_free_cases(), fraction=st.floats(0.01, 0.99), steps=st.integers(1, 30),
@@ -735,8 +736,9 @@ class TestFreeRuns:
                                             (slice(8, 10), True)]
 
     def test_a_free_packet_at_the_edge_is_refused_as_on_the_x_space_path(self):
-        # the check reads the x-space buffer after every step on both paths:
-        # the same refusal (exit 3), at the same step, with the same text
+        # checked in x space after every step, and propagated in free
+        # stretches that replay step by step where a check fails: the same
+        # refusal (exit 3), at the same step, with the same text
         run = (packet_state(x0=30.0, p0=4.0), HamiltonianKind.newtonian(), PARAMS)
         plan = _Plan([run], 1e-3)
         assert plan.blocks == [(slice(0, 2), True)]
@@ -749,6 +751,155 @@ class TestFreeRuns:
             propagate(*run, 1e-3, 4000)
         assert str(free.value) == str(x_space.value)
         assert str(free.value).startswith("step 1272: branch 0: ")
+
+
+def _packet(grid, x0, p0, sigma, hbar):
+    """An unnormalized Gaussian on the grid, with no launch preconditions."""
+    x = grid.x()
+    return np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * x / hbar)
+
+
+@st.composite
+def _free_stretch_cases(draw):
+    """One grid and 1-3 runs on it, each with its own kind, rest energy,
+    levels, c, hbar and branch weights, free (no potential, a zero field
+    or a constant table) or, less often, in a field: one packet, or two
+    moving apart with any weight ratio.  dt lies below every run's alias
+    limit; each packet moves up to 2.5 domain lengths over the run, so it
+    may cross the seam within one stretch between samples, and its momenta,
+    and a field's drift of them, stay inside the band."""
+    grid = GridSpec(draw(st.floats(-30.0, -5.0)), draw(st.floats(5.0, 30.0)),
+                    2 ** draw(st.integers(6, 7)))
+    sample_every = draw(st.integers(2, 200))
+    steps = sample_every * draw(st.integers(1, 4))
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        e0 = draw(st.floats(1.0, 1e3))
+        fractions = draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3))
+        internal = InternalSpace(E0=e0, levels=sorted(f * e0 for f in fractions))
+        params = PhysicalParams(hbar=draw(st.floats(0.2, 5.0)), c=draw(st.floats(0.5, 50.0)),
+                                E0=e0)
+        kind = HamiltonianKind.from_name(draw(st.sampled_from(list(_KINDS))))
+        specs.append((internal, params, kind))
+    dt = draw(st.floats(0.2, 0.9)) * min(
+        np.pi * params.hbar / np.max(np.ptp(_tables(kind, grid, internal, params)[0], axis=1))
+        for internal, params, kind in specs)
+    total_time = steps * dt
+    runs = []
+    for internal, params, kind in specs:
+        hbar = params.hbar
+        band = 0.9 * np.pi * hbar / grid.dx
+        # a field sweeps the momenta by up to a quarter of the band
+        sweep = draw(st.sampled_from([0.0, 0.0, 0.25])) * draw(st.floats(0.0, 1.0)) * band
+        slope = sweep / (1.5 * params.m * total_time)  # |dPhi/dx|; M_i <= 1.5 m
+        potential = draw(st.sampled_from([
+            Potential.none(), Potential.uniform_field(0.0),
+            Potential.tabulated([grid.x_min, 0.0, grid.x_max], [0.4, 0.4, 0.4])]
+            if sweep == 0.0 else [
+            Potential.uniform_field(slope),
+            Potential.tabulated([grid.x_min, grid.x_max],
+                                [0.5 * slope * grid.length, -0.5 * slope * grid.length])]))
+        params = replace(params, potential=potential)
+        psi, x0 = 0.0, grid.x_min + grid.length * draw(st.floats(0.3, 0.7))
+        packets = draw(st.integers(1, 2))
+        for n in range(packets):
+            sigma = max(grid.length * draw(st.floats(1 / 60, 1 / 16)), 3.0 * grid.dx)
+            # a packet that crosses about a whole number of domains ends where
+            # an end-point check alone would pass it
+            crossings = draw(st.one_of(st.floats(-2.5, 2.5), st.builds(
+                lambda whole, off: whole + off, st.sampled_from([-2, -1, 1, 2]),
+                st.floats(-0.15, 0.15))))
+            if n:  # the second packet starts beside the first and moves away
+                side = draw(st.sampled_from([-1.0, 1.0]))
+                x0 += side * draw(st.floats(3.0 * sigma, 0.2 * grid.length))
+                crossings = side * abs(crossings)
+            # two packets widen the spectrum's 4 sigma_p to about twice their
+            # momentum gap
+            reach = (band - 2.0 * hbar / sigma - sweep) / (1 if packets == 1 else 5)
+            p0 = float(np.clip(params.m * crossings * grid.length / total_time, -reach, reach))
+            weight = draw(st.floats(0.02, 1.0)) if n else 1.0
+            psi = psi + weight * _packet(grid, x0, p0, sigma, hbar)
+        weights = draw(st.lists(st.sampled_from([0.0, 0.4, 1.0]), min_size=internal.dim,
+                                max_size=internal.dim).filter(any))
+        runs.append((make_superposition(grid, internal, weights, psi), kind, params))
+    return grid, runs, dt, steps, sample_every
+
+
+# A low_energy packet at p0 = 8 on [-10, 10]: over 1250 steps of 2e-3 it
+# wraps once through the seam and ends near <x> = 0, where its clearance
+# holds again; the check of every step refuses it at step 359
+_SEAM_GRID = GridSpec(-10.0, 10.0, 256)
+_SEAM_RUN = (packet_state(_SEAM_GRID, x0=0.0, p0=8.0), HamiltonianKind.low_energy(), PARAMS)
+
+
+class TestFreeStretches:
+    """A free run read less often than every step stays in momentum space
+    between reads: the norm rule reads its spectrum by Parseval at every
+    step and the clearance rule its x-space moments at the stretch ends,
+    behind a guard that keeps the stretch's linear window inside the
+    domain; a stretch that fails any of these replays step by step.  The
+    verdicts must be those of a check of every step."""
+
+    SEAM_REFUSAL = "step 359: branch 0: <x>=5.743, 4.0 sigma_x=4.265 leaves [-10.0, 10.0]"
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_free_stretch_cases())
+    @example(case=(_SEAM_GRID, [_SEAM_RUN], 2e-3, 1250, 1250))
+    def test_every_verdict_is_the_per_step_oracles(self, case):
+        grid, runs, dt, steps, sample_every = case
+        tables = []
+        for state, kind, params in runs:
+            t_table, v_table = _tables(kind, grid, state.internal, params)
+            tables.append((t_table, v_table, params.hbar))
+        initial = [state.amplitudes for state, _, _ in runs]
+        banded = oracles.per_run_band(grid, initial, [v for _, v, _ in tables],
+                                      [hbar for _, _, hbar in tables], steps * dt)
+        if banded is not None:
+            with pytest.raises(GridResolutionError):
+                next(_evolve(runs, dt, steps, sample_every))
+            return
+        expected, final = oracles.per_step_run(
+            grid, initial, [(_v_half(v, dt, run), np.exp(-1j * t * dt / hbar))
+                            for (t, v, hbar), run in zip(tables, runs)], steps)
+        got = None
+        try:
+            for k, amps, _ in _evolve(runs, dt, steps, sample_every):
+                pass
+        except PreconditionError as refusal:
+            got = refusal
+        if expected is None:
+            assert got is None and k == steps
+            assert amps.tobytes() == np.concatenate(final).tobytes()
+        else:
+            assert type(got) is type(expected) and str(got) == str(expected)
+
+    def test_a_packet_through_the_seam_is_refused_where_the_per_step_check_refuses(self):
+        # the packet wraps through the seam and is back near <x> = 0 after
+        # 1250 steps, where an end-point check alone passes it; alone and
+        # behind a second free run, in one free block, the refusal is the
+        # step-by-step check's
+        one_level = InternalSpace(E0=100.0, levels=(0.0,))
+        benign = (packet_state(_SEAM_GRID, internal=one_level), HamiltonianKind.newtonian(),
+                  PhysicalParams(hbar=1.0, c=1.0, E0=100.0))
+        assert _Plan([benign, _SEAM_RUN], 2e-3).blocks == [(slice(0, 3), True)]
+        for runs in ([_SEAM_RUN], [benign, _SEAM_RUN]):
+            with pytest.raises(BoundaryViolationError) as refusal:
+                for _ in _evolve(runs, 2e-3, 1250, 1250):
+                    pass
+            assert str(refusal.value) == self.SEAM_REFUSAL
+        with pytest.raises(BoundaryViolationError) as alone:
+            propagate(*_SEAM_RUN, 2e-3, 1250)
+        assert str(alone.value) == self.SEAM_REFUSAL
+
+    def test_a_free_run_leaves_momentum_space_only_when_read(self, monkeypatch):
+        # a clear free run: one inverse FFT per sample, none between samples
+        calls, ifft = [], np.fft.ifft
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+        run = (packet_state(), HamiltonianKind.low_energy(), PARAMS)
+        propagate(*run, 1e-3, 200)
+        assert len(calls) == 1
+        propagate_history(*run, 1e-3, 200, sample_every=50)
+        assert len(calls) == 1 + 4
 
 
 def _v_half(v_table, dt, run):
@@ -963,8 +1114,9 @@ class TestStackedRuns:
 
 class TestStepBatches:
     """_evolve steps B = ``_BATCH_BYTES`` / buffer bytes steps into one
-    batch, then takes one inverse FFT per free block and one moments pass
-    over the batch; every step keeps its bits and its check."""
+    batch, then, where every step is read, takes one inverse FFT per free
+    block and one moments pass over the batch; every step keeps its bits
+    and its verdict."""
 
     GRID = GridSpec(-20.0, 20.0, 256)
     FIELD = replace(PARAMS, potential=Potential.uniform_field(0.7))

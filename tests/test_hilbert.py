@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from massclock import (
     CompositeState,
     GridSpec,
     GridResolutionError,
+    HamiltonianKind,
     IncompatibleSpacesError,
     InternalSpace,
     PhysicalParams,
@@ -18,6 +20,7 @@ from massclock import (
     PreconditionError,
     branch_phase,
     expectation_p,
+    expectation_velocity,
     expectation_x,
     gaussian_packet,
     internal_space_from_masses,
@@ -350,6 +353,21 @@ class TestBranchPhase:
         for readout in readouts:
             with pytest.raises(PreconditionError,
                                match=f"^level {level} out of range for dim=2$"):
+                readout()
+
+    @pytest.mark.parametrize("level", [1.0, 0.5, np.float64(1.0)],
+                             ids=["float", "fraction", "numpy-float"])
+    def test_a_level_that_is_no_integer_is_refused_by_name_by_every_readout(self, level):
+        # the integer rule of step counts: a float level inside the range
+        # is refused by name, not passed on to numpy's IndexError
+        state = equal_state()
+        readouts = [lambda: branch_phase(state, state, level),
+                    lambda: state.branch_overlap(0, level),
+                    lambda: expectation_velocity(state, HamiltonianKind.low_energy(),
+                                                 PhysicalParams(), level)]
+        for readout in readouts:
+            with pytest.raises(PreconditionError,
+                               match=f"^level must be an integer, got {re.escape(repr(level))}$"):
                 readout()
 
 
