@@ -59,29 +59,32 @@ applies, step by step in order, the norm rule (total probability within
 refusal names its step; a sampled or final state takes the checked slot
 as it is.
 
-Free runs read less often than every step stay in momentum space between
-reads (a sample, the last step).  For free motion under any T(p) the
-Heisenberg solution x(t) = x0 + v(p) t, v = dT/dp, is exact, so each
-branch's <x> moves by <v> t and, by the triangle inequality for standard
-deviations, sigma_x(t) <= sigma_x(0) + sigma_v t, where <v> and sigma_v
-are constants of its spectrum, read once against the velocity table.
-sigma_x(t)^2 is a non-negative quadratic in t, so <x> + 4 sigma_x is
-convex and <x> - 4 sigma_x concave over a stretch of free steps: the
-clearance rule holds on every step if it holds at both ends, on the
-continuum.  The periodic grid breaks that argument only where
-probability crosses the seam: a packet may wrap through it and be back
-inside at the end.  So a stretch is taken only behind a no-wrap guard,
-``_Plan.admitted``: it ends where the linear window <x> + <v> t +/-
-4 (sigma_x + sigma_v t) of some populated free branch would leave the
-domain, and a stretch of fewer than two steps takes the checked steps.
-On each step of a stretch the norm rule reads the spectrum by Parseval,
-with no FFT, and the field runs of a mixed stack keep their check of
-every step; at its end one inverse FFT writes the x-space slot, both
-rules read it, and the free branches' <x> and sigma_x must have moved
-as free motion moves them (``_Plan.follows``), as no probability
-crossed the seam.  A stretch that fails any of these runs again from
-its saved start through the checked steps, so a refusal names the same
-step with the same text, and the replay costs time only there.
+Free runs read less often than every ``_MIN_STRETCH`` steps stay in
+momentum space between reads (a sample, the last step).  For free motion
+under any T(p) the Heisenberg solution x(t) = x0 + v(p) t, v = dT/dp, is
+exact, so each branch's <x> moves by <v> t and, by the triangle
+inequality for standard deviations, sigma_x(t) <= sigma_x(0) + sigma_v t,
+where <v> and sigma_v are constants of its spectrum, read once against
+the velocity table.  sigma_x(t)^2 is a non-negative quadratic in t, so
+<x> + 4 sigma_x is convex and <x> - 4 sigma_x concave over a stretch of
+free steps: the clearance rule holds on every step if it holds at both
+ends, on the continuum.  The periodic grid breaks that argument where
+probability crosses the seam, and two checks keep a stretch's verdict
+the check of every step's.  The no-wrap guard, ``_Plan.admitted``, ends
+a stretch where the linear window <x> + <v> t +/- 6 (sigma_x + sigma_v t)
+of some populated free branch would leave the domain: it refuses two
+packets that part, wrap through both seams and meet again, whose <x>
+never moves.  At the end, the free branches' <x> and sigma_x must have
+moved as free motion moves them (``_Plan.follows``): it catches a weak
+packet outside that window, which may wrap while the guard admits the
+stretch.  On each step of a stretch the norm rule reads the spectrum by
+Parseval, with no FFT, and the field runs of a mixed stack keep their
+check of every step; at its end one inverse FFT writes the x-space slot,
+and one moments pass feeds both rules, the follow check and the next
+stretch's guard.  A stretch the guard admits for fewer than
+``_MIN_STRETCH`` steps takes the checked steps, and one that fails any
+check runs again from its saved start through them, so a refusal names
+the same step with the same text, and the replay costs time only there.
 
 One step loop serves every propagation: a runner's independent runs on
 one grid share one stacked (sum dim_r, N) buffer, stepped in blocks of
@@ -124,7 +127,6 @@ from .errors import (
 )
 from .hilbert import (
     _POPULATED,
-    CLEARANCE_SIGMAS,
     CompositeState,
     GridSpec,
     InternalSpace,
@@ -138,6 +140,9 @@ from .hilbert import (
     _require_integer,
     _require_level,
     _require_positive,
+    _rules,
+    _spreads,
+    _step_moments,
     momentum_distribution,
 )
 
@@ -323,8 +328,8 @@ class _Plan:
     blocks.
     ``free_runs`` and ``field_runs`` hold the row slices of the free and
     the other runs, for the free stretches of ``_evolve``, which
-    ``reach``, ``window``, ``admitted``, ``follows`` and
-    ``spectral_norms_hold`` serve.
+    ``reach``, ``window``, ``admitted``, ``follows``,
+    ``spectral_norms_hold`` and ``fields_hold`` serve.
     ``bands`` holds each run's hbar, kind name and least and greatest
     dV/dx per row, for ``require_band``.  A dt at which some branch's
     kinetic phase spread dt (max_p T_i - min_p T_i) / hbar reaches pi is
@@ -373,21 +378,17 @@ class _Plan:
                 self.blocks.append((rows, free))
             (self.free_runs if free else self.field_runs).append(rows)
         self.tables = _grid_tables(grid)
-        self.free_rows = np.zeros(shape[0], dtype=bool)
-        for rows in self.free_runs:
-            self.free_rows[rows] = True
 
     def advance(self, batch: np.ndarray, spectra: np.ndarray, count: int,
-                start: int = -1, reads: int = 0) -> None:
+                start: int, reads: int = 0) -> None:
         """Step the buffer into slots 0 .. count - 1 of the step batch: the
         (B, rows, N) buffers ``batch`` in x space and ``spectra`` in
         momentum space.  Block by block, ``_strang_step`` steps slot 0 from
-        the block's rows of slot ``start`` (by default slot B - 1, so a
-        one-slot batch steps in place) and each later slot j from slot
-        j - 1, a free block in ``spectra`` and any other in ``batch``.  A
-        free block then takes one inverse FFT from its slots ``reads`` ..
-        count - 1 of ``spectra`` into those of ``batch`` (all of them by
-        default, none at ``reads`` = count)."""
+        the block's rows of slot ``start`` (slot 0 itself steps in place)
+        and each later slot j from slot j - 1, a free block in ``spectra``
+        and any other in ``batch``.  A free block then takes one inverse
+        FFT from its slots ``reads`` .. count - 1 of ``spectra`` into those
+        of ``batch`` (all of them by default, none at ``reads`` = count)."""
         for rows, free in self.blocks:
             buf = spectra if free else batch
             exp_v_half, exp_t = self.exp_v_half[rows], self.exp_t[rows]
@@ -397,66 +398,89 @@ class _Plan:
             if free and reads < count:
                 np.fft.ifft(spectra[reads:count, rows], axis=2, out=batch[reads:count, rows])
 
-    def reach(self, velocity: np.ndarray, spectrum: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Each row's <v> and sigma_v over its momentum distribution, from
-        ``spectrum``, the buffer's row-wise FFT, and ``velocity``, the rows'
-        dT/dp table: constants of a free run, whose steps only turn the
-        phases of its spectrum."""
-        w = spectrum.real**2 + spectrum.imag**2
-        total = np.sum(w, axis=1, keepdims=True)
-        np.divide(w, total, out=w, where=total > 0.0)
+    def reach(self, amps: np.ndarray, velocity_table: np.ndarray,
+              rows: List[int]) -> dict:
+        """{row: (<v>, sigma_v)} of the rows ``rows`` of the x-space buffer
+        ``amps`` over their momentum distributions, against their rows of
+        dT/dp, ``velocity_table``: constants of a free run, whose steps only
+        turn the phases of its spectrum."""
+        w = momentum_distribution(amps[rows])
+        velocity = velocity_table[rows]
         mean = np.sum(w * velocity, axis=1)
-        return mean, np.sqrt(np.maximum(np.sum(w * velocity**2, axis=1) - mean**2, 0.0))
+        spread = np.sqrt(np.maximum(np.sum(w * velocity**2, axis=1) - mean**2, 0.0))
+        return dict(zip(rows, zip(mean.tolist(), spread.tolist())))
 
-    def window(self, amps: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Which rows are populated free rows, and each row's <x> and
-        sigma_x, of the x-space buffer ``amps``, from one moments pass."""
-        probs, sxs, sxxs = _kernels.branch_moments(amps, self.tables.basis)
-        live = self.free_rows & (probs > _POPULATED)
-        mean = np.divide(sxs, probs, out=np.zeros_like(sxs), where=live)
-        var = np.divide(sxxs, probs, out=np.zeros_like(sxxs), where=live) - mean**2
-        return live, mean, np.sqrt(np.maximum(var, 0.0))
+    def window(self, moments: Tuple[List[float], ...]) -> dict:
+        """{row: (<x>, sigma_x)} of each populated free row, from the
+        per-row moment columns of one buffer (``hilbert._step_moments``),
+        as the clearance rule reads them."""
+        probs, sxs, sxxs = moments
+        return {rows.start + i: (mean, sigma) for rows in self.free_runs
+                for i, mean, sigma in _spreads(probs[rows], sxs[rows], sxxs[rows])}
 
-    def admitted(self, window: tuple, reach: tuple, dt: float, most: int) -> int:
+    def admitted(self, window: dict, reach: dict, dt: float, most: int) -> int:
         """The most steps, up to ``most``, over which every populated free
-        row's linear window <x>_0 + <v> t +/- CLEARANCE_SIGMAS (sigma_0 +
-        sigma_v t), which holds <x> +/- CLEARANCE_SIGMAS sigma_x at t,
-        stays inside the domain (0 when it starts outside it)."""
-        live, mean, sigma = window
-        v, sv = reach[0][live], reach[1][live]
-        grid, k = self.tables.grid, CLEARANCE_SIGMAS
-        rooms = np.concatenate([grid.x_max - (mean + k * sigma)[live],
-                                (mean - k * sigma)[live] - grid.x_min])
-        rates = np.concatenate([v + k * sv, k * sv - v])
-        if not np.all(rooms >= 0.0):
-            return 0
-        closing = rates > 0.0
-        tau = np.min(rooms[closing] / rates[closing], initial=math.inf)
+        row's linear window <x>_0 + <v> t +/- _GUARD_SIGMAS (sigma_0 +
+        sigma_v t), which holds <x> +/- _GUARD_SIGMAS sigma_x at t, stays
+        inside the domain (0 when it starts outside it, or a row has no
+        ``reach``)."""
+        grid, k = self.tables.grid, _GUARD_SIGMAS
+        tau = math.inf
+        for row, (mean, sigma) in window.items():
+            if row not in reach:
+                return 0
+            v, sv = reach[row]
+            for room, rate in ((grid.x_max - (mean + k * sigma), v + k * sv),
+                               ((mean - k * sigma) - grid.x_min, k * sv - v)):
+                if not room >= 0.0:
+                    return 0
+                if rate > 0.0:
+                    tau = min(tau, room / rate)
         return int(min(tau / dt, most))
 
-    def follows(self, start: tuple, end: tuple, reach: tuple, tau: float) -> bool:
-        """Whether the populated free rows of window ``end`` moved as free
-        motion moves them over time ``tau`` from window ``start``: <x> by
-        <v> tau, and sigma_x by at most sigma_v tau, within ``_SEAM_SLACK``
-        of the domain length, as no probability crossed the seam."""
-        live, mean0, sigma0 = start
-        _, mean1, sigma1 = end
-        v, sv = reach
+    def follows(self, start: dict, end: dict, reach: dict, tau: float) -> bool:
+        """Whether the populated free rows of window ``end`` are those of
+        ``start`` and moved as free motion moves them over time ``tau``:
+        <x> by <v> tau, and sigma_x by at most sigma_v tau, within
+        ``_SEAM_SLACK`` of the domain length, as no probability crossed the
+        seam."""
+        if start.keys() != end.keys():
+            return False
         slack = _SEAM_SLACK * self.tables.grid.length
-        return bool(np.all(np.abs(mean1 - (mean0 + v * tau))[live] <= slack)
-                    and np.all((sigma1 - (sigma0 + sv * tau))[live] <= slack))
+        for row, (mean0, sigma0) in start.items():
+            (mean1, sigma1), (v, sv) = end[row], reach[row]
+            if not (abs(mean1 - (mean0 + v * tau)) <= slack
+                    and sigma1 - (sigma0 + sv * tau) <= slack):
+                return False
+        return True
 
     def spectral_norms_hold(self, spectra: np.ndarray) -> bool:
         """Whether every free run's total probability, read from each slot
         of the (count, rows, N) ``spectra`` by Parseval, sum |a_k|^2 dx / N,
         lies within 1e-10 - ``_NORM_MARGIN`` of 1 (a NaN total does not)."""
         grid = self.tables.grid
-        for rows in self.free_runs:
-            own = spectra[:, rows]
-            w = own.reshape(-1, grid.n_points).view(np.float64)  # (re, im) pairs
-            totals = np.vecdot(w, w).reshape(len(own), -1).sum(axis=1)
+        for rows, free in self.blocks:
+            if not free:
+                continue
+            w = spectra[:, rows].view(np.float64)  # (re, im) pairs
+            starts = [r.start - rows.start for r in self.free_runs
+                      if rows.start <= r.start < rows.stop]
+            totals = np.add.reduceat(np.vecdot(w, w), starts, axis=1)
             totals *= grid.dx / grid.n_points
-            if not np.max(np.abs(totals - 1.0)) <= 1e-10 - _NORM_MARGIN:
+            if not np.all(np.abs(totals - 1.0) <= 1e-10 - _NORM_MARGIN):
+                return False
+        return True
+
+    def fields_hold(self, slots: np.ndarray, first: int) -> bool:
+        """Whether the norm and clearance rules pass every run but the free
+        ones on each slot of ``slots``, the steps first, first + 1, ...,
+        from one moments pass over each non-free block's rows."""
+        for rows, free in self.blocks:
+            if free or not len(slots):
+                continue
+            own = [slice(r.start - rows.start, r.stop - rows.start)
+                   for r in self.field_runs if rows.start <= r.start < rows.stop]
+            if _passed(list, _check_steps(self.tables, slots[:, rows], first, own)) is None:
                 return False
         return True
 
@@ -488,13 +512,28 @@ class _Plan:
 # and (8, 4096) stacks.
 _BATCH_BYTES = 256 * 1024
 
-# Slack of a free stretch's checks.  Its Parseval totals must lie within
-# 1e-10 - _NORM_MARGIN of 1: they differ from the x-space totals the norm
-# rule reads by round-off, far below the margin.  Its end window must
-# follow free motion within _SEAM_SLACK of the domain length: a fraction q
-# of a branch's probability crossing the seam moves its <x> by about q L.
+# A free stretch's slack, guard and least length.  Its Parseval totals
+# must lie within 1e-10 - _NORM_MARGIN of 1: they differ from the x-space
+# totals the norm rule reads by round-off, far below the margin.  Its end
+# window must follow free motion within _SEAM_SLACK of the domain length:
+# a fraction q of a branch's probability crossing the seam moves its <x> by
+# about q L.  The guard keeps the linear window of _GUARD_SIGMAS sigma
+# inside the domain; a Gaussian's tail past 6 sigma holds 1e-9 of it, so
+# on a Gaussian the follow check fails only where probability crossed the
+# seam.  At the clearance rule's 4 sigma a free (2, 2048) packet ending
+# 4.3 or 5 sigma from an edge failed it and replayed its one stretch: 1.26
+# and 1.27 of the checked steps' time, on a 2-core Xeon; at 6 sigma, 0.39
+# and 0.34.  A stretch carries a fixed cost of 35 - 65 us (slot copies,
+# checks, guard) that the checked steps spread over a batch; in
+# alternating in-process runs on that Xeon the stretches first beat the
+# checked steps at 3 steps on a free (2, 2048) run, 4 on five free (2,
+# 256) runs, 5 - 10 on three free and two field (2, 256) runs and 8 on
+# one free (2, 256) run, the smallest stack; fewer than _MIN_STRETCH
+# steps take the checked steps.
 _NORM_MARGIN = 1e-11
 _SEAM_SLACK = 1e-9
+_GUARD_SIGMAS = 6.0
+_MIN_STRETCH = 8
 
 
 def _evolve(runs: Sequence[tuple], dt: float, steps: int,
@@ -504,18 +543,18 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     of B steps, B = ``_BATCH_BYTES`` over the bytes of the buffer, clamped
     to [1, steps].  ``_Plan.advance`` steps each block through the
     batch's slots, a (B, sum dim_r, N) batch in x space and a second one
-    in momentum space for the free blocks.  Runs sampled every step, or
-    with no free run among them, take the checked steps throughout
-    (``_checked_steps``): the free blocks take one inverse FFT over the
-    batch's slots and one moments pass over the batch
-    (``hilbert._check_steps``) feeds the checks, applied step by step and
-    run by run in order.  At B = 1 each step takes the unbatched loop's
-    operations in place.  Otherwise the steps up to each sample go in free
-    stretches (``_free_stretch``) as far as the no-wrap guard
+    in momentum space for the free blocks.  Runs sampled more often than
+    every ``_MIN_STRETCH`` steps, or with no free run among them, take the
+    checked steps throughout (``_checked_steps``): the free blocks take
+    one inverse FFT over the batch's slots and one moments pass over the
+    batch (``hilbert._check_steps``) feeds the checks, applied step by
+    step and run by run in order.  At B = 1 each step takes the unbatched
+    loop's operations in place.  Otherwise the steps up to each sample go
+    in free stretches (``_free_stretch``) as far as the no-wrap guard
     (``_Plan.admitted``) admits, the free rows in x space only at each
-    stretch's end, and in checked steps where it admits fewer than two; a
-    stretch that fails a check is replayed from its saved start as checked
-    steps (see the module docstring).
+    stretch's end, and in checked steps where it admits fewer than
+    ``_MIN_STRETCH``; a stretch that fails a check is replayed from its
+    saved start as checked steps (see the module docstring).
 
     Yields ``(step_no, amps, totals)`` at step 0 and after every
     ``sample_every`` steps: ``amps`` is a slot of the batch, the (sum
@@ -529,9 +568,10 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
     sample before it; up to B - 1 later steps of its batch were computed
     and are dropped.  ``steps`` must be a non-negative integer multiple of
     the integer ``sample_every``.  Before step 0, one row-wise FFT of
-    the buffer feeds the band rule over steps * dt, the free blocks and
-    the free branches' <v> and sigma_v; zero steps take no FFT.  No runs
-    yield nothing.
+    the buffer feeds the band rule over steps * dt and the free blocks,
+    and where free stretches may run a second one, of the free rows,
+    gives their <v> and sigma_v; zero steps take no FFT.  No runs yield
+    nothing.
     """
     _require_integer("steps", steps)
     _require_integer("sample_every", sample_every)
@@ -543,22 +583,21 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
         return
     plan = _Plan(runs, dt)
     size = max(1, min(steps, _BATCH_BYTES // plan.exp_t.nbytes))
-    # zeros, not empty: a free stretch's checks of its other runs read the
-    # free rows of every slot too, whose x-space rows it writes only when read
-    batch, spectra = np.zeros((2, size) + plan.exp_t.shape, dtype=complex)
+    batch, spectra = np.empty((2, size) + plan.exp_t.shape, dtype=complex)
     amps = np.concatenate([state.amplitudes for state, _, _ in runs], out=batch[-1])
     if steps:
         plan.require_band(np.fft.fft(amps, axis=1, out=spectra[-1]), steps * dt)
     yield 0, amps, None
-    # free runs read less often than every step take stretches on their spectra
-    reach, window = None, None
-    if plan.free_runs and sample_every > 1 and steps:
-        reach, window = plan.reach(_velocity_table(runs), spectra[-1]), plan.window(amps)
+    # free runs read every _MIN_STRETCH steps or less often take stretches
+    reach = None
+    if plan.free_runs and sample_every >= _MIN_STRETCH and steps:
+        window = plan.window(_step_moments(plan.tables, amps[None])[0])
+        reach = plan.reach(amps, _velocity_table(runs), list(window))
     done, slot = 0, size - 1
     while done < steps:
         end = steps if reach is None else done + sample_every - done % sample_every
         stop = done if reach is None else done + plan.admitted(window, reach, dt, end - done)
-        if stop - done >= 2:
+        if stop - done >= _MIN_STRETCH:
             saved = batch[slot].copy(), spectra[slot].copy()
             read = _free_stretch(plan, batch, spectra, slot, done, stop, window, reach, dt)
             if read is not None:
@@ -571,7 +610,7 @@ def _evolve(runs: Sequence[tuple], dt: float, steps: int,
         slot = yield from _checked_steps(plan, batch, spectra, slot, done, end, sample_every)
         done = end
         if reach is not None:
-            window = plan.window(batch[slot])
+            window = plan.window(_step_moments(plan.tables, batch[slot:slot + 1])[0])
 
 
 def _checked_steps(plan: _Plan, batch: np.ndarray, spectra: np.ndarray, slot: int,
@@ -594,36 +633,37 @@ def _checked_steps(plan: _Plan, batch: np.ndarray, spectra: np.ndarray, slot: in
 
 
 def _free_stretch(plan: _Plan, batch: np.ndarray, spectra: np.ndarray, slot: int,
-                  done: int, stop: int, window: tuple, reach: tuple, dt: float):
+                  done: int, stop: int, window: dict, reach: dict, dt: float):
     """Steps done + 1 .. stop from the buffer in ``slot`` of the step
     batch, the free blocks on their spectra with one inverse FFT, at step
     ``stop``: each step's free totals by Parseval, every other run's rules
-    at every step, and at step ``stop`` every run's rules and the free
-    rows' window, which must have moved as free motion moves it from
-    ``window``.  Returns the slot, run totals and window of step ``stop``,
-    or None when some check failed, which may be a step the check refuses."""
+    at every step, and at step ``stop``, from one moments pass, every
+    run's rules and the free rows' window, which must have moved as free
+    motion moves it from ``window``.  Returns the slot, run totals and
+    window of step ``stop``, or None when some check failed, which may be
+    a step the check refuses."""
     size = len(batch)
     for lo in range(done, stop, size):
         count = min(size, stop - lo)
-        plan.advance(batch, spectra, count, slot, count - (lo + count == stop))
+        last = lo + count == stop  # its last slot is read below
+        plan.advance(batch, spectra, count, slot, count - last)
         slot = count - 1
-        if not plan.spectral_norms_hold(spectra[:count]) or (
-                plan.field_runs
-                and _passed(_check_steps(plan.tables, batch[:count], lo + 1,
-                                         plan.field_runs)) is None):
+        if not (plan.spectral_norms_hold(spectra[:count])
+                and plan.fields_hold(batch[:count - last], lo + 1)):
             return None
-    totals = _passed(_check_steps(plan.tables, batch[slot:slot + 1], stop, plan.rows))
-    end = plan.window(batch[slot])
+    moments = _step_moments(plan.tables, batch[slot:slot + 1])[0]
+    totals = _passed(_rules, plan.tables.grid, *moments, plan.rows, "step {}", stop)
+    end = plan.window(moments)
     if totals is None or not plan.follows(window, end, reach, (stop - done) * dt):
         return None
-    return slot, totals[0], end
+    return slot, totals, end
 
 
-def _passed(checks: Iterator[List[float]]) -> Optional[List[List[float]]]:
-    """The run totals of every step of ``checks`` (``hilbert._check_steps``),
-    or None when its rules refuse a step."""
+def _passed(check: Callable, *args):
+    """``check(*args)``, or None when its rules refuse (a
+    ``PreconditionError``)."""
     try:
-        return list(checks)
+        return check(*args)
     except PreconditionError:
         return None
 
@@ -638,13 +678,12 @@ def propagate(state: CompositeState, kind: HamiltonianKind,
     only at the ends of its stretches, the last step and wherever the
     no-wrap guard cuts one: its norm is read by Parseval on every step and
     its clearance at the stretch ends, which free motion makes enough; a
-    stretch that fails a check, or that the guard does not admit, is
-    checked step by step in x space (see the module docstring).  The
-    returned state owns a fresh
-    copy of the final slot, not a view into the step batch.  Zero steps
-    return ``state`` itself and take no FFT; a negative or non-integer
-    count is refused.  Before the first
-    step the momentum-band rule refuses a run whose momenta would leave
+    stretch that fails a check, or that the guard admits for fewer than
+    ``_MIN_STRETCH`` steps, is checked step by step in x space (see the
+    module docstring).  The returned state owns a fresh copy of the final
+    slot, not a view into the step batch.  Zero steps return ``state``
+    itself and take no FFT; a negative or non-integer count is refused.
+    Before the first step the momentum-band rule refuses a run whose momenta would leave
     +/- pi hbar / dx (exit 3); under a curved tabulated Phi the band
     bounds the drift of each branch's <p> but not its spreading, and it
     takes that drift from the steepest slope of the whole table over the

@@ -21,7 +21,11 @@ Conventions used throughout the package:
   to each run of a (rows, N) buffer from one such pass.  Translations,
   boosts, the moving-frame map and the commutator residual call that
   check; the propagator calls its batched form, ``_check_steps``, once per
-  batch of steps, which applies the same rules step by step.
+  batch of steps, which applies the same rules step by step, and reads
+  the end of a free stretch from one pass (``_step_moments``), whose
+  columns feed the rules (``_rules``) and the stretch's guard, which
+  reads each branch's <x> and sigma_x as the clearance rule does
+  (``_spreads``).
 * Every propagated packet keeps its momenta inside +/- pi hbar / dx: the
   band rule, ``_require_band``, reads each branch's spectrum and V table
   once per propagation, in its one home, the step loop ``dynamics._evolve``.
@@ -538,6 +542,22 @@ def _require_unit_norm(total: float, where: str, *args) -> None:
                                 "deviates from 1 beyond 1e-10")
 
 
+def _spreads(probs: Sequence[float], sxs: Sequence[float],
+             sxxs: Sequence[float]) -> Iterator[Tuple[int, float, float]]:
+    """(i, <x>, sigma_x) of each populated branch i of the per-branch
+    columns prob, sum x w dx and sum x^2 w dx, as Python floats: what the
+    clearance rule and the free stretches' guard (``dynamics``) read."""
+    sqrt = math.sqrt
+    for i, (prob, sx, sxx) in enumerate(zip(probs, sxs, sxxs)):
+        if prob <= _POPULATED:
+            continue
+        mean = sx / prob
+        var = sxx / prob - mean**2
+        if var < 0.0:
+            var = 0.0
+        yield i, mean, sqrt(var)
+
+
 def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[float],
                        sxxs: Sequence[float], where: str, *args) -> None:
     """The clearance rule on the per-branch columns prob, sum x w dx and
@@ -547,15 +567,9 @@ def _require_clearance(grid: GridSpec, probs: Sequence[float], sxs: Sequence[flo
     offender; the text is formatted only on refusal, since the rule runs on
     every step and map.  A scalar loop beats masked numpy at this size:
     hence the local lookups, and no max() call."""
-    x_min, x_max, sqrt = grid.x_min, grid.x_max, math.sqrt
-    for i, (prob, sx, sxx) in enumerate(zip(probs, sxs, sxxs)):
-        if prob <= _POPULATED:
-            continue
-        mean = sx / prob
-        var = sxx / prob - mean**2
-        if var < 0.0:
-            var = 0.0
-        half = CLEARANCE_SIGMAS * sqrt(var)
+    x_min, x_max = grid.x_min, grid.x_max
+    for i, mean, sigma in _spreads(probs, sxs, sxxs):
+        half = CLEARANCE_SIGMAS * sigma
         if mean - half < x_min or mean + half > x_max:
             raise BoundaryViolationError(
                 f"{where.format(*args)}: branch {i}: <x>={mean:.3f}, "
@@ -618,11 +632,17 @@ def _check_steps(tables: _GridTables, slots: np.ndarray, first: int,
     rules of ``_check``, a refusal naming "step k" of its slot.  Yields
     each slot's run totals once its rules pass, so a caller has every slot
     before a refused one."""
+    for step, moments in enumerate(_step_moments(tables, slots), first):
+        yield _rules(tables.grid, *moments, runs, "step {}", step)
+
+
+def _step_moments(tables: _GridTables, slots: np.ndarray) -> List[Tuple[List[float], ...]]:
+    """One moments pass over every row of ``slots``, a (steps, rows, N)
+    batch: each slot's per-row columns prob, sum x w dx and sum x^2 w dx,
+    as Python floats."""
     n, rows, _ = slots.shape
     moments = _kernels.branch_moments(slots.reshape(n * rows, -1), tables.basis)
-    for step, (probs, sxs, sxxs) in enumerate(zip(*moments.reshape(3, n, rows).tolist()),
-                                              first):
-        yield _rules(tables.grid, probs, sxs, sxxs, runs, "step {}", step)
+    return list(zip(*moments.reshape(3, n, rows).tolist()))
 
 
 def _rules(grid: GridSpec, probs: List[float], sxs: List[float], sxxs: List[float],

@@ -57,19 +57,6 @@ def test_claim_not_met_when_the_gap_is_inside_the_parent_iqr():
     assert out["median_ratio"] == pytest.approx(1.04 / 1.09)
 
 
-@pytest.mark.parametrize("aa, met", [(0.95, True), (1.05, True), (0.80, False), (1.25, False)])
-def test_claim_met_only_below_the_a_a_ratio_and_its_reciprocal(aa, met):
-    # the change reads 0.89 / 1.09 = 0.817 of the parent and wins every pair
-    # by more than the parent IQR: met against an A/A control that read 0.95
-    # or 1.05, not against one that read 0.80 or 1.25 (= 1 / 0.80)
-    parent, change = _sides([v - 0.2 for v in PARENT])
-    assert bench_pairs.compare(parent, change)["wall_s"]["claim_met"]
-    control = {m: {"median_ratio": aa} for m in bench_pairs.METRICS}
-    out = bench_pairs.compare(parent, change, control)["wall_s"]
-    assert out["median_ratio"] == pytest.approx(0.89 / 1.09)
-    assert out["claim_met"] is met
-
-
 @pytest.mark.parametrize("metric", bench_pairs.METRICS)
 def test_within_bound_is_the_median_against_the_metrics_bound(metric):
     bound = bench_pairs.BOUNDS[metric]
@@ -195,8 +182,6 @@ def test_each_workload_record_carries_an_a_a_control_of_the_parent(monkeypatch):
                         for side in bench_pairs.order(pair, ("parent", "control"))])
     out = record["workloads"]["w"]
     assert out["change_vs_parent"]["wall_s"]["median_ratio"] == pytest.approx(0.5)
-    # 0.5 lies below the control's 1.02 and 1 / 1.02
-    assert out["change_vs_parent"]["wall_s"]["claim_met"]
     assert out["rows_sha256_equal_per_pair"] == [True] * pairs
     control = out["control"]
     assert control["parent"]["runs"] == control["control"]["runs"] == control_pairs
@@ -282,22 +267,3 @@ def test_each_side_runs_from_one_fresh_copy_per_invocation(monkeypatch, tmp_path
     # the copies are gone when the invocation ends; the checkouts are untouched
     assert not any(path.exists() for path, _ in sides.values())
     assert any(parent.rglob("__pycache__")) and (tmp_path / "BENCH_t.json").exists()
-
-
-def test_a_workload_claim_inside_its_a_a_control_is_not_met(monkeypatch):
-    # the change reads 0.5 of the parent, but the parent's second copy
-    # read 0.4 of it: the claim is not met, though every pair is won
-    walls = {"parent": 1.0, "change": 0.5, "control": 0.4}
-
-    def fake_run_once(checkout, workload, seed):
-        metrics = {m: {"value": walls[checkout]} for m in bench_pairs.METRICS}
-        return {"result": {"attempted": 3, "failed": 0, "metrics": metrics},
-                "digests": ["ab" * 32], "environment": {"python": "x"}}
-
-    monkeypatch.setattr(bench_pairs, "WORKLOADS", ["w"])
-    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
-    monkeypatch.setattr(bench_pairs, "runner_names", lambda checkout: [])
-    monkeypatch.setattr(bench_pairs, "time_tier1", lambda checkout: {})
-    verdict = bench_pairs.measure(_SIDES, _ARGS)["workloads"]["w"]["change_vs_parent"]["wall_s"]
-    assert verdict["change_wins_pairs"] == bench_pairs.PAIRS
-    assert verdict["median_ratio"] == pytest.approx(0.5) and not verdict["claim_met"]

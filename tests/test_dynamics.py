@@ -58,7 +58,7 @@ from massclock.dynamics import (
     _tables,
     _velocity_table,
 )
-from massclock.hilbert import _check_steps, _overlaps
+from massclock.hilbert import _check_steps, _overlaps, _rules, _step_moments
 
 import oracles
 
@@ -540,7 +540,7 @@ def _staged_steps(plan, amps, steps, size=3):
     np.fft.fft(amps, axis=1, out=spectra[-1])
     for done in range(0, steps, size):
         count = min(size, steps - done)
-        plan.advance(batch, spectra, count)
+        plan.advance(batch, spectra, count, size - 1)
     return batch[count - 1]
 
 
@@ -830,6 +830,21 @@ def _free_stretch_cases(draw):
 # holds again; the check of every step refuses it at step 359
 _SEAM_GRID = GridSpec(-10.0, 10.0, 256)
 _SEAM_RUN = (packet_state(_SEAM_GRID, x0=0.0, p0=8.0), HamiltonianKind.low_energy(), PARAMS)
+_ONE_LEVEL = InternalSpace(E0=100.0, levels=(0.0,))
+
+
+def _one_level_run(*packets):
+    """A one-branch low_energy run on the seam grid holding the sum of the
+    packets ``(x0, p0, sigma, amplitude)``."""
+    psi = sum(a * gaussian_packet(_SEAM_GRID, x0, p0, sigma) for x0, p0, sigma, a in packets)
+    return (make_superposition(_SEAM_GRID, _ONE_LEVEL, [1.0], psi),
+            HamiltonianKind.low_energy(), PARAMS)
+
+
+# Two packets leave x = 0 at p0 = +/-8 in one branch: each wraps through its
+# own seam, and after 1250 steps of 2e-3 both are back at x = 0, with <x>
+# unmoved; the check of every step refuses them at step 143, once they part
+_CAT_RUN = _one_level_run((0.0, 8.0, 1.0, 1.0), (0.0, -8.0, 1.0, 1.0))
 
 
 class TestFreeStretches:
@@ -841,10 +856,12 @@ class TestFreeStretches:
     verdicts must be those of a check of every step."""
 
     SEAM_REFUSAL = "step 359: branch 0: <x>=5.743, 4.0 sigma_x=4.265 leaves [-10.0, 10.0]"
+    CAT_REFUSAL = "step 143: branch 0: <x>=-0.000, 4.0 sigma_x=10.004 leaves [-10.0, 10.0]"
 
     @settings(max_examples=200, deadline=None)
     @given(case=_free_stretch_cases())
     @example(case=(_SEAM_GRID, [_SEAM_RUN], 2e-3, 1250, 1250))
+    @example(case=(_SEAM_GRID, [_CAT_RUN], 2e-3, 1250, 1250))
     def test_every_verdict_is_the_per_step_oracles(self, case):
         grid, runs, dt, steps, sample_every = case
         tables = []
@@ -890,6 +907,67 @@ class TestFreeStretches:
         with pytest.raises(BoundaryViolationError) as alone:
             propagate(*_SEAM_RUN, 2e-3, 1250)
         assert str(alone.value) == self.SEAM_REFUSAL
+
+    def test_two_packets_through_both_seams_are_refused_by_the_guard_alone(self):
+        # at step 1250 the run passes the end check, and its window moved as
+        # free motion moves it (<x> stayed, sigma_x below its linear bound):
+        # the guard, which cuts the stretch before the packets part, is what
+        # refuses it where the check of every step does
+        state, _, _ = _CAT_RUN
+        plan = _Plan([_CAT_RUN], 2e-3)
+        (final,) = oracles.per_run_strang([state.amplitudes], [(plan.exp_v_half, plan.exp_t)],
+                                          1250, 1250)[-1]
+        start = plan.window(_step_moments(plan.tables, state.amplitudes[None])[0])
+        end = _step_moments(plan.tables, final[None])[0]
+        _rules(plan.tables.grid, *end, plan.rows, "step {}", 1250)
+        reach = plan.reach(state.amplitudes, _velocity_table([_CAT_RUN]), list(start))
+        assert plan.follows(start, plan.window(end), reach, 1250 * 2e-3)
+        assert plan.admitted(start, reach, 2e-3, 1250) < 143
+        with pytest.raises(BoundaryViolationError) as refusal:
+            propagate(*_CAT_RUN, 2e-3, 1250)
+        assert str(refusal.value) == self.CAT_REFUSAL
+
+    def test_a_weak_packet_through_the_seam_replays_its_stretch(self, monkeypatch):
+        # a side packet of weight 1e-4 wraps through the seam inside a
+        # stretch the guard admits, as its linear window is the main
+        # packet's; no step is refused, but the side packet moved <x> by
+        # about 1e-4 L: the follow check replays the stretch step by step,
+        # with the bits of the per-step run.  Without it, nothing is replayed
+        replays, checked = [], dynamics._checked_steps
+
+        def counted(*args):
+            replays.append(args[4:6])  # its steps done .. end
+            return (yield from checked(*args))
+
+        monkeypatch.setattr(dynamics, "_checked_steps", counted)
+        for side, replayed in ((0.0, []), (0.01, [(0, 500)])):
+            run = _one_level_run((0.0, 0.0, 1.0, 1.0), (6.0, 8.0, 0.5, side))
+            replays.clear()
+            final = propagate(*run, 2e-3, 500)
+            assert replays == replayed
+            plan = _Plan([run], 2e-3)
+            refusal, (expected,) = oracles.per_step_run(
+                _SEAM_GRID, [run[0].amplitudes], [(plan.exp_v_half, plan.exp_t)], 500)
+            assert refusal is None and final.amplitudes.tobytes() == expected.tobytes()
+
+    def test_a_packet_the_guard_stops_short_of_the_edge_is_never_replayed(self, monkeypatch):
+        # a packet that ends 5 sigma_x from the edge: the guard ends its
+        # stretches where its linear 6 sigma window reaches the edge, so every
+        # stretch it admits follows free motion, and the checked steps run
+        # only where it admits none
+        follows, checks = [], dynamics._Plan.follows
+        monkeypatch.setattr(dynamics._Plan, "follows",
+                            lambda *args: follows.append(checks(*args)) or follows[-1])
+        run = _one_level_run((-1.07, 2.0, 1.0, 1.0))
+        times, states = propagate_history(*run, 2e-3, 1000, 100)
+        assert follows and all(follows)
+        plan = _Plan([run], 2e-3)
+        assert plan.admitted(plan.window(_step_moments(plan.tables, run[0].amplitudes[None])[0]),
+                             plan.reach(run[0].amplitudes, _velocity_table([run]), [0]),
+                             2e-3, 1000) < 1000
+        refusal, (expected,) = oracles.per_step_run(
+            _SEAM_GRID, [run[0].amplitudes], [(plan.exp_v_half, plan.exp_t)], 1000)
+        assert refusal is None and states[-1].amplitudes.tobytes() == expected.tobytes()
 
     def test_a_free_run_leaves_momentum_space_only_when_read(self, monkeypatch):
         # a clear free run: one inverse FFT per sample, none between samples

@@ -199,31 +199,24 @@ def side_record(runs: list) -> dict:
     return out
 
 
-def compare(parent: dict, change: dict, control: dict = None) -> dict:
+def compare(parent: dict, change: dict) -> dict:
     """Per metric, the change against the parent, pair by pair (lower wins;
     a tie counts for neither side).
 
-    ``claim_met``: the change wins at least nine tenths of the pairs, the
-    parent median exceeds the change median by more than the parent's
-    interquartile range, and, given ``control``, the A/A comparison of
-    the parent with its second copy (``compare``'s output for it), the
-    change's median ratio lies below both the control's median ratio and
-    its reciprocal, outside what identical code reads.  ``within_bound``:
-    the change median is at most the parent median times (1 + the
-    metric's bound in BENCHMARK.json).
+    ``claim_met``: the change wins at least nine tenths of the pairs, and
+    the parent median exceeds the change median by more than the parent's
+    interquartile range.  ``within_bound``: the change median is at most
+    the parent median times (1 + the metric's bound in BENCHMARK.json).
     """
     out = {}
     for metric in METRICS:
         p, c = parent[metric], change[metric]
         wins = sum(cv < pv for cv, pv in zip(c["values"], p["values"]))
-        ratio = c["median"] / p["median"]
-        aa = 1.0 if control is None else control[metric]["median_ratio"]
         out[metric] = {
-            "median_ratio": ratio,
+            "median_ratio": c["median"] / p["median"],
             "change_wins_pairs": wins,
             "claim_met": (wins >= 0.9 * len(p["values"])
-                          and p["median"] - c["median"] > p["iqr"]
-                          and (control is None or ratio < min(aa, 1.0 / aa))),
+                          and p["median"] - c["median"] > p["iqr"]),
             "within_bound": c["median"] <= p["median"] * (1.0 + BOUNDS[metric]),
         }
     return out
@@ -261,14 +254,13 @@ def measure(sides: dict, args: argparse.Namespace) -> dict:
         aa = workload_pairs(sides, workload, ("parent", "control"), CONTROL_PAIRS)
         parent, change = side_record(runs["parent"]), side_record(runs["change"])
         aa_parent, aa_control = side_record(aa["parent"]), side_record(aa["control"])
-        control = compare(aa_parent, aa_control)
         workloads[workload] = {
             "parent": parent, "change": change,
-            "change_vs_parent": compare(parent, change, control),
+            "change_vs_parent": compare(parent, change),
             "rows_sha256_equal_per_pair": [p["digests"] == c["digests"] for p, c
                                            in zip(runs["parent"], runs["change"])],
             "control": {"parent": aa_parent, "control": aa_control,
-                        "control_vs_parent": control},
+                        "control_vs_parent": compare(aa_parent, aa_control)},
         }
     runners = {}
     for name in runner_names(sides["change"]):
